@@ -248,13 +248,14 @@ def _cmd_validate(args) -> int:
     valuations = _valuations(args, dcp)
     result = check_soundness(dcp, report, valuations, step_cap=args.max_steps,
                              workers=min(4, len(valuations)))
+    rows_by_valuation: dict[tuple, list] = {}
+    for row in result.rows:
+        rows_by_valuation.setdefault(row.valuation, []).append(row)
     for valuation in valuations:
         key = tuple(sorted(valuation.items()))
         header = ", ".join(f"{k}={v}" for k, v in key) or "(no constants)"
         print(f"# {header}")
-        for row in result.rows:
-            if row.valuation != key:
-                continue
+        for row in rows_by_valuation.get(key, ()):
             bound = "undef" if row.bound is None else str(row.bound)
             name = row.name if row.kind == "TB" else f"VB({row.name})"
             print(f"{name}  {row.observed}  {bound}  {row.status()}")

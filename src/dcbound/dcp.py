@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Var",
@@ -83,14 +84,20 @@ class Transition:
     updates: tuple[DifferenceConstraint, ...]
     line: int = field(default=0, compare=False)  # source position only
 
-    def update_for(self, var: str) -> DifferenceConstraint | None:
+    @cached_property
+    def _by_lhs(self) -> dict[str, DifferenceConstraint]:
+        """lhs -> update; the first update wins where a malformed transition
+        constrains a variable twice."""
+        out: dict[str, DifferenceConstraint] = {}
         for u in self.updates:
-            if u.lhs == var:
-                return u
-        return None
+            out.setdefault(u.lhs, u)
+        return out
+
+    def update_for(self, var: str) -> DifferenceConstraint | None:
+        return self._by_lhs.get(var)
 
     def defines(self, var: str) -> bool:
-        return any(u.lhs == var for u in self.updates)
+        return var in self._by_lhs
 
     def reads(self) -> set[str]:
         """Variable names read in the pre-state (guards and rhs atoms)."""
@@ -117,8 +124,26 @@ class DcpError(ValueError):
         self.diagnostics = diagnostics
 
 
+class _DcpIndex(NamedTuple):
+    by_id: dict[str, Transition]
+    outgoing: dict[str, list[Transition]]
+    incoming: dict[str, list[Transition]]
+    resets: dict[str, list[tuple[Transition, Atom, int]]]
+    increments: dict[str, list[tuple[Transition, int]]]
+
+
 @dataclass(frozen=True)
 class Dcp:
+    """A difference constraint program.
+
+    The lookups `transition`, `outgoing`, `incoming`, `resets` and
+    `increments` are answered from an index built lazily, once per instance,
+    in one pass over the transitions; every list is in `transitions` order
+    and where a malformed program has duplicates the first match wins.
+    Accessors return fresh lists, so callers may mutate them.
+    `dataclasses.replace` builds a new instance with its own index.
+    """
+
     locations: tuple[str, ...]
     transitions: tuple[Transition, ...]
     entry: str
@@ -126,41 +151,50 @@ class Dcp:
     variables: tuple[str, ...]
     sym_consts: tuple[str, ...]
 
-    def transition(self, tid: str) -> Transition:
+    @cached_property
+    def _index(self) -> _DcpIndex:
+        idx = _DcpIndex({}, {}, {}, {v: [] for v in self.variables},
+                        {v: [] for v in self.variables})
         for t in self.transitions:
-            if t.id == tid:
-                return t
-        raise KeyError(tid)
+            idx.by_id.setdefault(t.id, t)
+            idx.outgoing.setdefault(t.source, []).append(t)
+            idx.incoming.setdefault(t.target, []).append(t)
+            for var, u in t._by_lhs.items():
+                if var not in idx.resets:
+                    continue  # undeclared; validate() reports it
+                if u.rhs != Var(var):
+                    idx.resets[var].append((t, u.rhs, u.offset))
+                elif u.offset > 0:
+                    idx.increments[var].append((t, u.offset))
+        return idx
+
+    def transition(self, tid: str) -> Transition:
+        try:
+            return self._index.by_id[tid]
+        except KeyError:
+            raise KeyError(tid) from None
 
     def outgoing(self, loc: str) -> list[Transition]:
-        return [t for t in self.transitions if t.source == loc]
+        return list(self._index.outgoing.get(loc, ()))
 
     def incoming(self, loc: str) -> list[Transition]:
-        return [t for t in self.transitions if t.target == loc]
+        return list(self._index.incoming.get(loc, ()))
 
     def resets(self, var: str) -> list[tuple[Transition, Atom, int]]:
         """All (transition, source atom, offset) where var is set from a
         different atom: the update var' <= a + c with a != var."""
-        if var not in self.variables:
-            raise ValueError(f"unknown variable {var!r}")
-        out = []
-        for t in self.transitions:
-            u = t.update_for(var)
-            if u is not None and u.rhs != Var(var):
-                out.append((t, u.rhs, u.offset))
-        return out
+        try:
+            return list(self._index.resets[var])
+        except KeyError:
+            raise ValueError(f"unknown variable {var!r}") from None
 
     def increments(self, var: str) -> list[tuple[Transition, int]]:
         """All (transition, offset) with a self-sourced positive offset:
         var' <= var + c and c > 0."""
-        if var not in self.variables:
-            raise ValueError(f"unknown variable {var!r}")
-        out = []
-        for t in self.transitions:
-            u = t.update_for(var)
-            if u is not None and u.rhs == Var(var) and u.offset > 0:
-                out.append((t, u.offset))
-        return out
+        try:
+            return list(self._index.increments[var])
+        except KeyError:
+            raise ValueError(f"unknown variable {var!r}") from None
 
     def back_edges(self) -> list[Transition]:
         """Transitions closing a cycle under a depth-first traversal from the
@@ -196,19 +230,19 @@ class Dcp:
 
 def _liveness(dcp: Dcp) -> dict[str, set[str]]:
     """Backward fixpoint: v is live at l if some path from l reaches a read of
-    v (guard or rhs) with no intervening transition that constrains v."""
+    v (guard or rhs) with no intervening transition that constrains v.
+
+    Worklist: a transition is revisited only when the live set at its target
+    grew, so each set grows at most len(variables) times."""
     live: dict[str, set[str]] = {loc: set() for loc in dcp.locations}
-    changed = True
-    while changed:
-        changed = False
-        for t in dcp.transitions:
-            wanted = t.reads() | {
-                v for v in live.get(t.target, set()) if not t.defines(v)
-            }
-            cur = live[t.source]
-            if not wanted <= cur:
-                cur |= wanted
-                changed = True
+    work = list(dcp.transitions)
+    while work:
+        t = work.pop()
+        wanted = t.reads() | (live.get(t.target, set()) - t._by_lhs.keys())
+        cur = live[t.source]
+        if not wanted <= cur:
+            cur |= wanted
+            work.extend(dcp._index.incoming.get(t.source, ()))
     return live
 
 

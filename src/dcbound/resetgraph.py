@@ -13,6 +13,7 @@ it; the optimal paths are the maximal sound ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from dcbound.dcp import Atom, Dcp, Transition, Var, drop_variables
 
@@ -101,6 +102,11 @@ class ResetPath:
 
 @dataclass(frozen=True)
 class ResetGraph:
+    """Reset edges with adjacency built lazily, once per instance: `into`
+    lists are sorted by (source, transition id, offset), `out_of` lists by
+    (target, transition id, offset). Accessors return fresh lists.
+    `path_count` memoizes per target variable on the graph."""
+
     edges: tuple[ResetEdge, ...]
 
     @property
@@ -112,26 +118,42 @@ class ResetGraph:
                     seen.append(node)
         return tuple(sorted(seen, key=str))
 
+    @cached_property
+    def _into(self) -> dict[str, list[ResetEdge]]:
+        out: dict[str, list[ResetEdge]] = {}
+        for e in sorted(self.edges, key=lambda e: (str(e.src), e.trans.id, e.offset)):
+            out.setdefault(e.dst, []).append(e)
+        return out
+
+    @cached_property
+    def _out_of(self) -> dict[Atom, list[ResetEdge]]:
+        out: dict[Atom, list[ResetEdge]] = {}
+        for e in sorted(self.edges, key=lambda e: (e.dst, e.trans.id, e.offset)):
+            out.setdefault(e.src, []).append(e)
+        return out
+
+    @cached_property
+    def _path_counts(self) -> dict[str, dict[Atom, int]]:
+        return {}
+
     def into(self, var: str) -> list[ResetEdge]:
-        return sorted((e for e in self.edges if e.dst == var),
-                      key=lambda e: (str(e.src), e.trans.id, e.offset))
+        return list(self._into.get(var, ()))
 
     def out_of(self, atom: Atom) -> list[ResetEdge]:
-        return sorted((e for e in self.edges if e.src == atom),
-                      key=lambda e: (e.dst, e.trans.id, e.offset))
+        return list(self._out_of.get(atom, ()))
 
     def path_count(self, src: Atom, dst_var: str) -> int:
         """Number of distinct edge paths from src to dst (1 for src == dst).
         The variable part of the graph is acyclic, so this terminates."""
         target = Var(dst_var)
-        memo: dict[Atom, int] = {}
+        memo = self._path_counts.setdefault(dst_var, {})
 
         def walk(node: Atom) -> int:
             if node == target:
                 return 1
             if node in memo:
                 return memo[node]
-            total = sum(walk(Var(e.dst)) for e in self.out_of(node))
+            total = sum(walk(Var(e.dst)) for e in self._out_of.get(node, ()))
             memo[node] = total
             return total
 

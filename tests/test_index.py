@@ -1,0 +1,233 @@
+"""Indexed lookups against linear-scan references.
+
+Every indexed accessor of `Dcp`, `Transition` and `ResetGraph` must return
+exactly what a scan over the program returns, list order included, on the
+worked examples, on seeded random programs and on their transforms.
+"""
+
+import random
+
+import pytest
+
+from dcbound.abstraction import abstract_program
+from dcbound.dcp import (
+    DifferenceConstraint,
+    Dcp,
+    Int,
+    SymConst,
+    Transition,
+    Var,
+    _liveness,
+    drop_variables,
+    enforce_well_definedness,
+    parse_dcp,
+    validate,
+)
+from dcbound.resetgraph import build_reset_graph
+
+from conftest import DATA, load_dcp, load_prog
+from test_fuzz import _random_dcp_text
+
+# ---------------------------------------------------------------------------
+# linear-scan references
+# ---------------------------------------------------------------------------
+
+
+def ref_update_for(t, var):
+    for u in t.updates:
+        if u.lhs == var:
+            return u
+    return None
+
+
+def ref_defines(t, var):
+    return any(u.lhs == var for u in t.updates)
+
+
+def ref_transition(d, tid):
+    for t in d.transitions:
+        if t.id == tid:
+            return t
+    raise KeyError(tid)
+
+
+def ref_outgoing(d, loc):
+    return [t for t in d.transitions if t.source == loc]
+
+
+def ref_incoming(d, loc):
+    return [t for t in d.transitions if t.target == loc]
+
+
+def ref_resets(d, var):
+    if var not in d.variables:
+        raise ValueError(f"unknown variable {var!r}")
+    out = []
+    for t in d.transitions:
+        u = ref_update_for(t, var)
+        if u is not None and u.rhs != Var(var):
+            out.append((t, u.rhs, u.offset))
+    return out
+
+
+def ref_increments(d, var):
+    if var not in d.variables:
+        raise ValueError(f"unknown variable {var!r}")
+    out = []
+    for t in d.transitions:
+        u = ref_update_for(t, var)
+        if u is not None and u.rhs == Var(var) and u.offset > 0:
+            out.append((t, u.offset))
+    return out
+
+
+def ref_liveness(d):
+    live = {loc: set() for loc in d.locations}
+    changed = True
+    while changed:
+        changed = False
+        for t in d.transitions:
+            wanted = t.reads() | {
+                v for v in live.get(t.target, set()) if not ref_defines(t, v)}
+            cur = live[t.source]
+            if not wanted <= cur:
+                cur |= wanted
+                changed = True
+    return live
+
+
+def ref_into(g, var):
+    return sorted((e for e in g.edges if e.dst == var),
+                  key=lambda e: (str(e.src), e.trans.id, e.offset))
+
+
+def ref_out_of(g, atom):
+    return sorted((e for e in g.edges if e.src == atom),
+                  key=lambda e: (e.dst, e.trans.id, e.offset))
+
+
+def ref_path_count(g, src, dst_var):
+    target = Var(dst_var)
+    memo = {}
+
+    def walk(node):
+        if node == target:
+            return 1
+        if node not in memo:
+            memo[node] = sum(walk(Var(e.dst)) for e in ref_out_of(g, node))
+        return memo[node]
+
+    return walk(src)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+# ---------------------------------------------------------------------------
+
+MISSING = "__missing__"
+
+
+def check_program(d: Dcp) -> None:
+    names = ([t.id for t in d.transitions] + list(d.variables)
+             + list(d.sym_consts) + [MISSING])
+    for t in d.transitions:
+        for v in names:
+            assert t.update_for(v) == ref_update_for(t, v)
+            assert t.defines(v) == ref_defines(t, v)
+    for tid in names:
+        try:
+            expected = ref_transition(d, tid)
+        except KeyError:
+            with pytest.raises(KeyError):
+                d.transition(tid)
+        else:
+            assert d.transition(tid) is expected
+    for loc in list(d.locations) + [MISSING]:
+        assert d.outgoing(loc) == ref_outgoing(d, loc)
+        assert d.incoming(loc) == ref_incoming(d, loc)
+    for v in d.variables:
+        assert d.resets(v) == ref_resets(d, v)
+        assert d.increments(v) == ref_increments(d, v)
+    for accessor in (d.resets, d.increments):
+        with pytest.raises(ValueError):
+            accessor(MISSING)
+    if all(t.source in d.locations for t in d.transitions):
+        assert _liveness(d) == ref_liveness(d)
+
+
+def check_graph(d: Dcp, rng: random.Random) -> None:
+    g = build_reset_graph(d).graph
+    atoms = list({e.src for e in g.edges} | {Var(v) for v in d.variables}
+                 | {Var(MISSING), SymConst(MISSING), Int(0)})
+    for v in list(d.variables) + [MISSING]:
+        assert g.into(v) == ref_into(g, v)
+    for a in atoms:
+        assert g.out_of(a) == ref_out_of(g, a)
+    queries = [(a, v) for a in atoms for v in d.variables]
+    rng.shuffle(queries)  # interleave targets against the per-target memo
+    for a, v in queries + queries[::-1]:
+        assert g.path_count(a, v) == ref_path_count(g, a, v)
+
+
+def transforms(d: Dcp, rng: random.Random) -> list[Dcp]:
+    dropped = [v for v in d.variables if rng.random() < 0.5]
+    return [d, drop_variables(d, dropped), enforce_well_definedness(d)[0]]
+
+
+def load_example(name: str) -> Dcp:
+    if name.endswith(".prog"):
+        return abstract_program(load_prog(name)).dcp
+    return load_dcp(name)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+def test_examples_match_scans(name):
+    rng = random.Random(3)
+    for p in transforms(load_example(name), rng):
+        check_program(p)
+        check_graph(p, rng)
+
+
+def test_random_programs_match_scans():
+    rng = random.Random(20151508)
+    for _ in range(300):
+        d = parse_dcp(_random_dcp_text(rng))
+        for p in transforms(d, rng):
+            check_program(p)
+            check_graph(p, rng)
+
+
+def test_malformed_duplicates_first_match_wins():
+    first = DifferenceConstraint("x", Int(1), 0)
+    second = DifferenceConstraint("x", Var("x"), 2)
+    t0 = Transition("t0", "a", "b", (), (first, second))
+    t0_again = Transition("t0", "b", "a", (), (second,))
+    d = Dcp(locations=("a", "b"), transitions=(t0, t0_again), entry="a",
+            exit="c", variables=("x",), sym_consts=())
+    assert t0.update_for("x") is first
+    assert d.transition("t0") is t0
+    assert d.resets("x") == [(t0, Int(1), 0)]
+    assert d.increments("x") == [(t0_again, 2)]
+    check_program(d)
+    messages = [diag.message for diag in validate(d)]  # after the index exists
+    assert any("duplicate transition id" in m for m in messages)
+    assert any("determinism violation" in m for m in messages)
+
+
+def test_returned_lists_are_copies():
+    d = load_dcp("example1.dcp")
+    g = build_reset_graph(d).graph
+    calls = [lambda: d.outgoing(d.transitions[1].source),
+             lambda: d.incoming(d.transitions[1].target),
+             lambda: d.resets("r"), lambda: d.increments("r"),
+             lambda: g.into("p"), lambda: g.out_of(Int(0))]
+    for call in calls:
+        before = call()
+        assert before
+        before.clear()
+        assert call() and call() == call()
