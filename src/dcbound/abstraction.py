@@ -13,6 +13,7 @@ syntactically entails them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol, Sequence
 
 from dcbound.dcp import (
     Atom,
@@ -25,11 +26,11 @@ from dcbound.dcp import (
     enforce_well_definedness,
     validate,
 )
-from dcbound.localbounds import DEFAULT_CYCLE_CAP, enumerate_simple_cycles
 from dcbound.program import HAVOC, ConcreteProgram, ConcreteTransition, LinExpr
 
 __all__ = [
     "DEFAULT_DEPTH_LIMIT",
+    "TooManyCycles",
     "Norm",
     "AbstractStep",
     "AbstractionResult",
@@ -45,6 +46,62 @@ DEFAULT_DEPTH_LIMIT = 5
 # Norm discovery descends this far past the discard limit so that the full
 # chain of a too-deep norm is known (and reported) before being discarded.
 _DISCOVERY_SLACK = 8
+
+# Norm guessing lists the simple cycles of the concrete program; it gives up
+# past this many.
+_CYCLE_CAP = 10_000
+
+
+class TooManyCycles(Exception):
+    """The program has more simple cycles than norm guessing lists."""
+
+
+class _Edge(Protocol):
+    id: str
+    source: str
+    target: str
+
+
+def _enumerate_simple_cycles(locations: Sequence[str],
+                             edges: Sequence[_Edge]) -> list[tuple[_Edge, ...]]:
+    """All edge-level simple cycles of a directed multigraph.
+
+    Each cycle is anchored at its smallest location and the interior visits
+    no location twice, so parallel edges yield distinct cycles and every
+    cycle appears exactly once. Deterministic: starts are taken in location
+    order and children in edge-id order. The depth-first search keeps its
+    own stack, so its depth does not grow the interpreter's.
+    """
+    order = {loc: i for i, loc in enumerate(sorted(locations))}
+    outgoing: dict[str, list[_Edge]] = {loc: [] for loc in order}
+    for e in sorted(edges, key=lambda e: e.id):
+        outgoing[e.source].append(e)
+
+    cycles: list[tuple[_Edge, ...]] = []
+    for start, s in order.items():
+        path: list[_Edge] = []
+        on_path = {start}
+        work = [iter(outgoing[start])]
+        while work:
+            for e in work[-1]:
+                if order[e.target] < s:
+                    continue
+                if e.target == start:
+                    cycles.append(tuple(path + [e]))
+                    if len(cycles) > _CYCLE_CAP:
+                        raise TooManyCycles(
+                            f"the program has more than {_CYCLE_CAP} simple "
+                            f"cycles; the abstraction does not list that many")
+                elif e.target not in on_path:
+                    path.append(e)
+                    on_path.add(e.target)
+                    work.append(iter(outgoing[e.target]))
+                    break
+            else:
+                work.pop()
+                if path:
+                    on_path.discard(path.pop().target)
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -72,8 +129,7 @@ def _counter_updates(t: ConcreteTransition) -> set[str]:
     return out
 
 
-def guess_norms(prog: ConcreteProgram,
-                cycle_cap: int = DEFAULT_CYCLE_CAP) -> list[Norm]:
+def guess_norms(prog: ConcreteProgram) -> list[Norm]:
     """Initial norms from loop conditions.
 
     A guard relation on transition t contributes its positivity facts
@@ -81,26 +137,19 @@ def guess_norms(prog: ConcreteProgram,
     through t moves a variable of the relation by a nonzero constant: such a
     condition can limit how long the cyclic paths through t keep running.
     Exit conditions whose counters only move on other cycles contribute
-    nothing.
+    nothing. Raises TooManyCycles past the cycle cap.
     """
-    cycles = enumerate_simple_cycles(prog.locations, prog.transitions, cycle_cap)
-    counters_by_cycle = []
-    for c in cycles:
-        counters: set[str] = set()
-        for t in c:
-            counters |= _counter_updates(t)
-        counters_by_cycle.append((frozenset(t.id for t in c), counters))
+    # transition id -> the counters moved on some simple cycle through it
+    relevant: dict[str, set[str]] = {t.id: set() for t in prog.transitions}
+    for cycle in _enumerate_simple_cycles(prog.locations, prog.transitions):
+        counters = set().union(*(_counter_updates(t) for t in cycle))
+        for t in cycle:
+            relevant[t.id] |= counters
     norms: list[Norm] = []
     seen: set[LinExpr] = set()
     for t in prog.transitions:
-        relevant: set[str] = set()
-        for ids, counters in counters_by_cycle:
-            if t.id in ids:
-                relevant |= counters
-        if not relevant:
-            continue
         for rel in t.guard:
-            involved = (rel.lhs.names | rel.rhs.names) & relevant
+            involved = (rel.lhs.names | rel.rhs.names) & relevant[t.id]
             if not involved:
                 continue
             for fact in rel.facts():
@@ -222,12 +271,11 @@ class _NormTable:
 
 def abstract_program(prog: ConcreteProgram,
                      depth_limit: int = DEFAULT_DEPTH_LIMIT, *,
-                     keep_names: bool = False,
-                     cycle_cap: int = DEFAULT_CYCLE_CAP) -> AbstractionResult:
+                     keep_names: bool = False) -> AbstractionResult:
     """Abstract a concrete program into a deterministic, well-defined DCP."""
     warnings: list[str] = []
     table = _NormTable(prog, depth_limit + _DISCOVERY_SLACK)
-    for n in guess_norms(prog, cycle_cap):
+    for n in guess_norms(prog):
         table.intern(n.expr, 0)
 
     # fixpoint: derive one constraint per (norm, transition)

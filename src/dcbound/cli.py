@@ -5,8 +5,9 @@ difference constraint program), validate (compare bounds against exhaustive
 concrete exploration), resets (optimal reset paths / DOT export).
 
 Exit codes: 0 success or PASS; 1 usage or parse error; 2 the requested
-complexity is undefined (or the analysis could not run); 3 validation did
-not fully PASS (FAIL, or PASS-PARTIAL from a capped exploration).
+complexity is undefined, or a .prog input has more simple cycles than the
+abstraction lists; 3 validation did not fully PASS (FAIL, or PASS-PARTIAL
+from a capped exploration).
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import sys
 from pathlib import Path
 
 from dcbound import __version__, expr
-from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, abstract_program
+from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, \
+    TooManyCycles, abstract_program
 from dcbound.dcp import Dcp, DcpError, format_dcp, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
-from dcbound.localbounds import DEFAULT_CYCLE_CAP, CycleOverflow
 from dcbound.oracle import DEFAULT_STEP_CAP, Verdict, check_soundness
 from dcbound.program import ProgramError, parse_program
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, build_reset_graph, \
@@ -49,22 +50,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"dcbound {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, abstraction=True, analysis=True):
+    def common(sp, *, analysis=True):
         sp.add_argument("file", help="input .dcp or .prog file")
         sp.add_argument("--format", choices=["dcp", "prog"],
                         help="override input format sniffing")
-        if abstraction:
-            sp.add_argument("--abstraction-depth", type=int,
-                            default=DEFAULT_DEPTH_LIMIT, metavar="N",
-                            help="max chained norm discoveries before a chain "
-                                 f"is discarded (default {DEFAULT_DEPTH_LIMIT})")
-            sp.add_argument("--keep-names", action="store_true",
-                            help="name abstract variables after their norms, "
-                                 "e.g. (l-i)")
+        sp.add_argument("--abstraction-depth", type=int,
+                        default=DEFAULT_DEPTH_LIMIT, metavar="N",
+                        help="max chained norm discoveries before a chain "
+                             f"is discarded (default {DEFAULT_DEPTH_LIMIT})")
+        sp.add_argument("--keep-names", action="store_true",
+                        help="name abstract variables after their norms, "
+                             "e.g. (l-i)")
         if analysis:
-            sp.add_argument("--max-cycles", type=int, default=DEFAULT_CYCLE_CAP,
-                            metavar="N",
-                            help=f"simple-cycle cap (default {DEFAULT_CYCLE_CAP})")
             sp.add_argument("--max-reset-paths", type=int, metavar="N",
                             default=DEFAULT_RESET_PATH_CAP,
                             help="optimal reset path cap per variable "
@@ -128,22 +125,30 @@ def _sniff_format(path: Path, override: str | None, text: str) -> str:
         f"cannot determine format of {path}; pass --format dcp|prog")
 
 
-def _load(args) -> tuple[Dcp, AbstractionResult | None]:
+def _read(args) -> tuple[str, str]:
+    """The input file's text and format."""
     path = Path(args.file)
     try:
         text = path.read_text()
     except OSError as exc:
         raise _UsageError(str(exc)) from None
-    fmt = _sniff_format(path, args.format, text)
-    if fmt == "dcp":
-        return parse_dcp(text), None
-    prog = parse_program(text)
-    result = abstract_program(
-        prog,
-        depth_limit=getattr(args, "abstraction_depth", DEFAULT_DEPTH_LIMIT),
-        keep_names=getattr(args, "keep_names", False))
+    return text, _sniff_format(path, args.format, text)
+
+
+def _abstract(args, text: str) -> AbstractionResult:
+    result = abstract_program(parse_program(text),
+                              depth_limit=args.abstraction_depth,
+                              keep_names=args.keep_names)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    return result
+
+
+def _load(args) -> tuple[Dcp, AbstractionResult | None]:
+    text, fmt = _read(args)
+    if fmt == "dcp":
+        return parse_dcp(text), None
+    result = _abstract(args, text)
     return result.dcp, result
 
 
@@ -156,7 +161,6 @@ def _cmd_analyze(args) -> int:
     if abstraction is not None and args.verbose:
         sys.stderr.write(format_dcp(dcp, abstraction.rename_comment()))
     analysis = Analysis(dcp, AnalysisMode.from_name(args.mode),
-                        max_cycles=args.max_cycles,
                         max_reset_paths=args.max_reset_paths)
     report = analysis.report()
     for w in report.warnings:
@@ -166,19 +170,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_abstract(args) -> int:
-    path = Path(args.file)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _UsageError(str(exc)) from None
-    fmt = _sniff_format(path, args.format, text)
+    text, fmt = _read(args)
     if fmt != "prog":
         raise _UsageError("abstract expects a .prog input")
-    prog = parse_program(text)
-    result = abstract_program(prog, depth_limit=args.abstraction_depth,
-                              keep_names=args.keep_names)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    result = _abstract(args, text)
     out = format_dcp(result.dcp, result.rename_comment())
     if args.output:
         Path(args.output).write_text(out)
@@ -236,7 +231,6 @@ def _valuations(args, dcp: Dcp) -> list[dict[str, int]]:
 def _cmd_validate(args) -> int:
     dcp, _ = _load(args)
     analysis = Analysis(dcp, AnalysisMode.from_name(args.mode),
-                        max_cycles=args.max_cycles,
                         max_reset_paths=args.max_reset_paths)
     report = analysis.report()
     for raw in args.override_bound:
@@ -246,8 +240,7 @@ def _cmd_validate(args) -> int:
             raise _UsageError(f"bad --override-bound {raw!r}")
         report.tb[tid] = expr.parse_expr(text)
     valuations = _valuations(args, dcp)
-    result = check_soundness(dcp, report, valuations, step_cap=args.max_steps,
-                             workers=min(4, len(valuations)))
+    result = check_soundness(dcp, report, valuations, step_cap=args.max_steps)
     rows_by_valuation: dict[tuple, list] = {}
     for row in result.rows:
         rows_by_valuation.setdefault(row.valuation, []).append(row)
@@ -302,8 +295,8 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"{getattr(args, 'file', '<input>')}:{d}", file=sys.stderr)
         return EXIT_USAGE
-    except CycleOverflow as exc:
-        print(f"dcbound: {exc}; raise --max-cycles", file=sys.stderr)
+    except TooManyCycles as exc:
+        print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_UNDEF
     except expr.ExprParseError as exc:
         print(f"dcbound: error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Var",
@@ -29,6 +29,7 @@ __all__ = [
     "drop_variables",
     "enforce_well_definedness",
     "format_dcp",
+    "strongly_connected_components",
 ]
 
 
@@ -222,6 +223,50 @@ class Dcp:
             else:
                 color[loc] = 2
         return sorted(back, key=lambda t: t.id)
+
+
+def strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[int]:
+    """Component number of each node 0..len(succ)-1 of the directed graph
+    whose successor lists are `succ` (Tarjan's algorithm, without recursion).
+    Two nodes share a number exactly when each reaches the other."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = found = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = found
+                        if w == v:
+                            break
+                    found += 1
+    return comp
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +470,7 @@ _UPDATE_RE = re.compile(
     rf"^(?P<lhs>{_NAME})'\s*<=\s*(?P<rhs>{_NAME}|-?\d+)"
     r"(?:\s*(?P<sign>[+-])\s*(?P<off>\d+))?$"
 )
+_INT_RE = re.compile(r"-?\d+")
 
 
 def _split_names(raw: str) -> list[str]:
@@ -494,7 +540,7 @@ def parse_dcp(text: str) -> Dcp:
                     bad = True
                     continue
                 rhs_txt = um.group("rhs")
-                if re.fullmatch(r"-?\d+", rhs_txt):
+                if _INT_RE.fullmatch(rhs_txt):
                     rhs: Atom = Int(int(rhs_txt))
                 elif rhs_txt in consts:
                     rhs = SymConst(rhs_txt)

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 
 from dcbound import expr
 from dcbound.dcp import Atom, Dcp, Int, SymConst, Transition, Var
-from dcbound.localbounds import (
-    DEFAULT_CYCLE_CAP,
-    LocalBoundMap,
-    ONE,
-    local_bound_map,
-    simple_cycles,
-)
+from dcbound.localbounds import LocalBoundMap, ONE, local_bound_map
 from dcbound.resetgraph import (
     DEFAULT_RESET_PATH_CAP,
     ResetAnalysis,
@@ -86,7 +80,6 @@ class Analysis:
     """
 
     def __init__(self, program: Dcp, mode: AnalysisMode, *,
-                 max_cycles: int = DEFAULT_CYCLE_CAP,
                  max_reset_paths: int = DEFAULT_RESET_PATH_CAP,
                  memoize: bool = True):
         self.mode = mode
@@ -108,8 +101,7 @@ class Analysis:
                 names = ", ".join(sorted(self._reset.removed_vars))
                 self.warnings.append(
                     f"removed variables on reset cycles (and dependents): {names}")
-        self.zeta: LocalBoundMap = local_bound_map(
-            self.working, simple_cycles(self.working, max_cycles))
+        self.zeta: LocalBoundMap = local_bound_map(self.working)
 
     # -- memoized recursion ------------------------------------------------
 

@@ -1,96 +1,30 @@
-"""Local bounds: per-transition counter variables found via simple cycles.
+"""Local bounds: per-transition counter variables found via strongly
+connected components of the control-flow graph.
 
-A variable v is accepted as the local bound of a transition t when every
-simple cycle through t both tests v > 0 on some transition and decreases v
-by a constant on some transition. Transitions on no cycle get the marker ONE
-(they run at most once); transitions on a cycle with no qualifying variable
-are recorded as having no local bound, which later turns their transition
-bound into the undefined element.
+A transition on no cycle gets the marker ONE (it runs at most once). A
+variable v is accepted as the local bound of a transition t on a cycle when
+t lies on no cycle once the transitions that decrease v by a constant are
+removed, and on no cycle once the transitions that guard v > 0 are removed.
+This is the same as asking that every simple cycle through t guards and
+decreases v, because every closed walk through t contains a simple cycle
+through t. Transitions on a cycle with no such variable are recorded as
+having no local bound, which later turns their transition bound into the
+undefined element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
 
-from dcbound.dcp import Dcp, Transition, Var
+from dcbound.dcp import Dcp, Transition, Var, strongly_connected_components
 
 __all__ = [
     "ONE",
-    "DEFAULT_CYCLE_CAP",
-    "CycleOverflow",
-    "SimpleCycle",
-    "simple_cycles",
-    "enumerate_simple_cycles",
     "LocalBoundMap",
     "local_bound_map",
 ]
 
 ONE = "1"
-
-DEFAULT_CYCLE_CAP = 10_000
-
-SimpleCycle = tuple[Transition, ...]
-
-
-class CycleOverflow(Exception):
-    """More simple cycles than the configured cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"more than {cap} simple cycles")
-        self.cap = cap
-
-
-class _Edge(Protocol):
-    id: str
-    source: str
-    target: str
-
-
-def enumerate_simple_cycles(locations: Sequence[str], edges: Sequence[_Edge],
-                            cap: int) -> list[tuple[_Edge, ...]]:
-    """All edge-level simple cycles of a directed multigraph.
-
-    Each cycle is anchored at its smallest location and the interior visits
-    no location twice, so parallel edges yield distinct cycles and every
-    cycle appears exactly once. Deterministic: starts are taken in location
-    order and children in edge-id order.
-    """
-    order = {loc: i for i, loc in enumerate(sorted(locations))}
-    outgoing: dict[str, list[_Edge]] = {loc: [] for loc in locations}
-    for e in edges:
-        outgoing[e.source].append(e)
-    for loc in outgoing:
-        outgoing[loc].sort(key=lambda e: e.id)
-
-    cycles: list[tuple[_Edge, ...]] = []
-    for start in sorted(locations):
-        s = order[start]
-        path: list[_Edge] = []
-        on_path = {start}
-
-        def dfs(loc: str) -> None:
-            for e in outgoing[loc]:
-                tgt = e.target
-                if order[tgt] < s:
-                    continue
-                if tgt == start:
-                    cycles.append(tuple(path + [e]))
-                    if len(cycles) > cap:
-                        raise CycleOverflow(cap)
-                elif tgt not in on_path:
-                    path.append(e)
-                    on_path.add(tgt)
-                    dfs(tgt)
-                    on_path.discard(tgt)
-                    path.pop()
-
-        dfs(start)
-    return cycles
-
-
-def simple_cycles(dcp: Dcp, cap: int = DEFAULT_CYCLE_CAP) -> list[SimpleCycle]:
-    return enumerate_simple_cycles(dcp.locations, dcp.transitions, cap)
 
 
 @dataclass(frozen=True)
@@ -108,31 +42,69 @@ class LocalBoundMap:
         return sorted(t for t, v in self.mapping.items() if v is None)
 
 
-def _qualifying(cycle: SimpleCycle) -> set[str]:
-    guarded = {g for t in cycle for g in t.guard}
-    decremented = {
-        u.lhs
-        for t in cycle
-        for u in t.updates
-        if u.rhs == Var(u.lhs) and u.offset < 0
-    }
-    return guarded & decremented
+def _on_no_cycle(ends: list[tuple[int, int]], n: int, removed: set[int],
+                 candidates: set[int]) -> set[int]:
+    """The candidate edges (indices into `ends`, pairs of nodes < n) that lie
+    on no cycle once the `removed` edges are taken out."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, (s, t) in enumerate(ends):
+        if i not in removed:
+            succ[s].append(t)
+    comp = strongly_connected_components(succ)
+    return {i for i in candidates
+            if i in removed or comp[ends[i][0]] != comp[ends[i][1]]}
 
 
-def local_bound_map(dcp: Dcp, cycles: Sequence[SimpleCycle]) -> LocalBoundMap:
+def _component_bounds(inner: list[Transition]) -> dict[str, str | None]:
+    """Local bounds of the transitions inside one strongly connected
+    component, trying the variables both guarded and decreased there in
+    sorted order, so the smallest qualifying name wins."""
+    node: dict[str, int] = {}
+    for t in inner:
+        node.setdefault(t.source, len(node))
+        node.setdefault(t.target, len(node))
+    ends = [(node[t.source], node[t.target]) for t in inner]
+    guards: dict[str, set[int]] = {}
+    decs: dict[str, set[int]] = {}
+    for i, t in enumerate(inner):
+        for g in t.guard:
+            guards.setdefault(g, set()).add(i)
+        for u in t.updates:
+            if u.offset < 0 and u.rhs == Var(u.lhs):
+                decs.setdefault(u.lhs, set()).add(i)
+
+    found: dict[int, str] = {}
+    still_open = set(range(len(inner)))
+    for v in sorted(guards.keys() & decs.keys()):
+        g, d = guards[v], decs[v]
+        # removing a superset leaves a subgraph: the other pass is implied
+        passes = [d] if d <= g else [g] if g <= d else [d, g]
+        bounded = still_open
+        for removed in passes:
+            bounded = _on_no_cycle(ends, len(node), removed, bounded)
+        for i in bounded:
+            found[i] = v
+        still_open = still_open - bounded
+        if not still_open:
+            break
+    return {t.id: found.get(i) for i, t in enumerate(inner)}
+
+
+def local_bound_map(dcp: Dcp) -> LocalBoundMap:
     """Assign each transition its local bound. Among several qualifying
     variables the lexicographically smallest is chosen, for determinism."""
-    per_cycle = [(frozenset(t.id for t in c), _qualifying(c)) for c in cycles]
-    mapping: dict[str, str | None] = {}
+    node = {loc: i for i, loc in enumerate(dcp.locations)}
+    succ: list[list[int]] = [[] for _ in node]
     for t in dcp.transitions:
-        candidates: set[str] | None = None
-        for ids, qual in per_cycle:
-            if t.id in ids:
-                candidates = qual if candidates is None else candidates & qual
-        if candidates is None:
-            mapping[t.id] = ONE
-        elif candidates:
-            mapping[t.id] = min(candidates)
-        else:
-            mapping[t.id] = None
-    return LocalBoundMap(mapping)
+        succ[node[t.source]].append(node[t.target])
+    comp = strongly_connected_components(succ)
+
+    inner: dict[int, list[Transition]] = {}
+    for t in dcp.transitions:
+        c = comp[node[t.source]]
+        if c == comp[node[t.target]]:
+            inner.setdefault(c, []).append(t)
+    bounds: dict[str, str | None] = {}
+    for transitions in inner.values():
+        bounds.update(_component_bounds(transitions))
+    return LocalBoundMap({t.id: bounds.get(t.id, ONE) for t in dcp.transitions})

@@ -14,7 +14,7 @@ read here is an internal error, not a semantics choice.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Mapping
 
@@ -236,7 +236,6 @@ class SoundnessRow:
 class SoundnessResult:
     verdict: Verdict
     rows: list[SoundnessRow]
-    stats: dict[tuple[tuple[str, int], ...], RunStats] = field(default_factory=dict)
 
     @property
     def violations(self) -> list[SoundnessRow]:
@@ -245,31 +244,18 @@ class SoundnessResult:
 
 def check_soundness(dcp: Dcp, report: BoundReport,
                     valuations: list[Mapping[str, int]],
-                    step_cap: int = DEFAULT_STEP_CAP,
-                    workers: int = 1) -> SoundnessResult:
+                    step_cap: int = DEFAULT_STEP_CAP) -> SoundnessResult:
     """Compare observed worst-case counts/maxima against evaluated bounds.
 
     PASS: every defined bound dominates the observation and every exploration
     completed. PASS-PARTIAL: no violation, but some exploration was cut off.
     FAIL: at least one violation, with counterexample rows.
-
-    Explorations are independent; with workers > 1 they run on a thread pool,
-    results are still reported in valuation order.
     """
-    if workers > 1 and len(valuations) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            explored = list(pool.map(
-                lambda v: explore(dcp, v, step_cap), valuations))
-    else:
-        explored = [explore(dcp, v, step_cap) for v in valuations]
-
     rows: list[SoundnessRow] = []
     all_exhausted = True
-    stats_by_val: dict[tuple[tuple[str, int], ...], RunStats] = {}
-    for valuation, stats in zip(valuations, explored):
+    for valuation in valuations:
+        stats = explore(dcp, valuation, step_cap)
         key = tuple(sorted(valuation.items()))
-        stats_by_val[key] = stats
         all_exhausted &= stats.exhausted
         for tid in sorted(report.tb):
             bound = report.tb[tid]
@@ -288,4 +274,4 @@ def check_soundness(dcp: Dcp, report: BoundReport,
         verdict = Verdict.PASS
     else:
         verdict = Verdict.PASS_PARTIAL
-    return SoundnessResult(verdict=verdict, rows=rows, stats=stats_by_val)
+    return SoundnessResult(verdict=verdict, rows=rows)

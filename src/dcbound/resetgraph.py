@@ -12,10 +12,12 @@ it; the optimal paths are the maximal sound ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from dcbound.dcp import Atom, Dcp, Transition, Var, drop_variables
+from dcbound.dcp import Atom, Dcp, Transition, Var, drop_variables, \
+    strongly_connected_components
 
 __all__ = [
     "DEFAULT_RESET_PATH_CAP",
@@ -180,68 +182,23 @@ def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
     variables whose values depend on them (forward reachability along reset
     edges), so that the remaining graph is a DAG."""
     edges = _raw_edges(dcp)
-    succ: dict[str, set[str]] = {v: set() for v in dcp.variables}
+    number = {v: i for i, v in enumerate(dcp.variables)}
+    succ: list[set[int]] = [set() for _ in dcp.variables]
     for e in edges:
         if isinstance(e.src, Var):
-            succ[e.src.name].add(e.dst)
-
-    # variable-restricted SCCs (iterative Tarjan)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    cyclic: set[str] = set()
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(sorted(succ[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(succ[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1:
-                    cyclic.update(comp)
-
-    for v in dcp.variables:
-        if v not in index:
-            strongconnect(v)
-
-    removed = set(cyclic)
-    frontier = list(cyclic)
+            succ[number[e.src.name]].add(number[e.dst])
+    comp = strongly_connected_components(succ)
+    size = Counter(comp)
+    # variables on a reset cycle (a component of two or more), then every
+    # variable reset from a removed one
+    removing = {i for i, c in enumerate(comp) if size[c] > 1}
+    frontier = list(removing)
     while frontier:
-        v = frontier.pop()
-        for w in sorted(succ[v]):
-            if w not in removed:
-                removed.add(w)
+        for w in succ[frontier.pop()]:
+            if w not in removing:
+                removing.add(w)
                 frontier.append(w)
+    removed = {dcp.variables[i] for i in removing}
 
     if removed:
         pruned = drop_variables(dcp, removed)

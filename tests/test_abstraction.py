@@ -7,6 +7,8 @@ import pytest
 
 from dcbound.abstraction import (
     AbstractionResult,
+    TooManyCycles,
+    _enumerate_simple_cycles,
     abstract_program,
     abstract_transition,
     guess_norms,
@@ -17,6 +19,7 @@ from dcbound.dcp import Dcp, Int, SymConst, Var, validate
 from dcbound.program import HAVOC, LinExpr, ProgramError, parse_program
 
 from conftest import load_dcp, load_prog
+from test_cli import _loop_text
 
 
 # -- parsing -------------------------------------------------------------------
@@ -70,6 +73,15 @@ def test_guess_norms_example3():
     # the inner loop's exit condition k >= e contributes nothing: its
     # counters only move on cycles that do not contain the exit edge
     assert norms == ["(l-i)", "(e-k)"]
+
+
+
+def test_cycle_limit_overflow():
+    # 13 diamonds in a loop give 2^13 simple cycles, 14 give more than the cap
+    p13 = parse_program(_loop_text("prog", 13, diamonds=True))
+    assert len(_enumerate_simple_cycles(p13.locations, p13.transitions)) == 2 ** 13
+    with pytest.raises(TooManyCycles):
+        guess_norms(parse_program(_loop_text("prog", 14, diamonds=True)))
 
 
 COUNTDOWN_GE = """

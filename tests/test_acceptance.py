@@ -13,7 +13,7 @@ from dcbound.abstraction import abstract_program
 from dcbound.cli import main as cli_main
 from dcbound.dcp import DcpError, Var, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
-from dcbound.localbounds import ONE, local_bound_map, simple_cycles
+from dcbound.localbounds import ONE, local_bound_map
 from dcbound.oracle import (
     Verdict,
     check_soundness,
@@ -108,7 +108,7 @@ def test_criterion_6_abstraction_pipeline():
     x, p = name_of["(l-i)"], name_of["(e-k)"]
     q, r = name_of["(e-b)"], name_of["(i-b)"]
 
-    zeta = local_bound_map(d, simple_cycles(d))
+    zeta = local_bound_map(d)
     expected = {"t0": ONE, "t4": p}
     expected.update({t: x for t in ["t1", "t2a", "t2b", "t3a", "t3b", "t5", "t6"]})
     assert zeta.mapping == expected
@@ -141,7 +141,7 @@ def test_criterion_7_oracle_soundness_sweep():
         vals = sweep(d.sym_consts, 0, 4)
         for mode in (FREE, CTX, OPT):
             report = Analysis(d, mode).report()
-            result = check_soundness(d, report, vals, workers=4)
+            result = check_soundness(d, report, vals)
             assert result.verdict is Verdict.PASS, (name, mode, result.violations)
     _ok("7 (bounds dominate exhaustive exploration on the 0..4 sweep)")
 

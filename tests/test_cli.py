@@ -151,10 +151,66 @@ def test_resets_dot(tmp_path, capsys):
     assert '"k" -> "j" [label="t2"];' in text
 
 
-def test_cycle_cap_exit_2(capsys):
-    code, _, err = run(capsys, "analyze", DATA / "example1.dcp", "--max-cycles", "1")
-    assert code == 2
-    assert "simple cycles" in err
+def _loop_text(kind, k, *, diamonds):
+    """One counting loop whose body is k diamonds (parallel edge pairs) in
+    series, or a path through k - 1 more locations: as a .dcp whose counter
+    x drains from n, or as a .prog whose counter i climbs to n."""
+    if kind == "dcp":
+        head = ["dcp", "consts: n", "vars: x", "entry: lb", "exit: le",
+                "trans t0: lb -> l0 { x' <= n; }",
+                "trans dec: l0 -> l1 guard(x) { x' <= x - 1; }",
+                "trans done: l0 -> le { }"]
+        keep = "x' <= x;"
+    else:
+        head = ["prog", "params: n", "vars: i", "entry: lb", "exit: le",
+                "trans t0: lb -> l0 { i := 0; }",
+                "trans step: l0 -> l1 when i < n { i := i + 1; }",
+                "trans done: l0 -> le when i >= n { }"]
+        keep = ""
+    if diamonds:
+        body = [f"trans {side}{j}: l{j} -> l{j + 1} {{ {keep} }}"
+                for j in range(1, k + 1) for side in "ab"]
+        last = k + 1
+    else:
+        body = [f"trans s{j}: l{j} -> l{j + 1} {{ {keep} }}" for j in range(1, k)]
+        last = k
+    back = [f"trans back: l{last} -> l0 {{ {keep} }}"]
+    return "\n".join(head + body + back) + "\n"
+
+
+@pytest.mark.parametrize("diamonds,k", [(True, 14), (False, 1500)],
+                         ids=["branchy14", "long1500"])
+def test_dcp_without_cycle_limit(tmp_path, capsys, diamonds, k):
+    # 2^14 simple cycles, or one cycle through 1500 locations: the bound is n
+    src = tmp_path / "loop.dcp"
+    src.write_text(_loop_text("dcp", k, diamonds=diamonds))
+    code, out, err = run(capsys, "analyze", src, "--mode", "ctx")
+    assert code == 0, err
+    assert out.endswith("complexity = n\n")
+
+
+def test_abstraction_cycle_limit_exit_2(tmp_path, capsys):
+    # 2^14 simple cycles exceed the abstraction's fixed limit
+    src = tmp_path / "diamonds.prog"
+    src.write_text(_loop_text("prog", 14, diamonds=True))
+    for command in ("analyze", "abstract"):
+        code, out, err = run(capsys, command, src)
+        assert code == 2
+        assert out == ""
+        assert "more than 10000 simple cycles" in err
+        assert "--max-cycles" not in err and "Traceback" not in err
+
+
+def test_abstraction_long_loop(tmp_path, capsys):
+    # one cycle through 1500 locations, enumerated without recursion
+    src = tmp_path / "long.prog"
+    src.write_text(_loop_text("prog", 1500, diamonds=False))
+    code, out, err = run(capsys, "abstract", src)
+    assert code == 0, err
+    assert "trans step: l0 -> l1 guard(v0)" in out
+    code, out, err = run(capsys, "analyze", src)
+    assert code == 0, err
+    assert out.endswith("complexity = n\n")
 
 
 def test_format_sniffed_from_content(tmp_path, capsys):

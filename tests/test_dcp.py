@@ -1,5 +1,6 @@
-"""DCP parsing, validation, reset/increment extraction, back edges."""
+"""DCP parsing, validation, reset/increment extraction, back edges, SCCs."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from dcbound.dcp import (
     drop_variables,
     format_dcp,
     parse_dcp,
+    strongly_connected_components,
     validate,
 )
 
@@ -244,3 +246,20 @@ trans t1: l1 -> l1 guard((l-i),(e-k)) { (l-i)' <= (l-i) - 1; (e-k)' <= (e-k) - 1
     assert set(d.variables) == {"(l-i)", "(e-k)"}
     assert d.transition("t1").guard == ("(e-k)", "(l-i)")
     assert parse_dcp(format_dcp(d)) == d
+
+
+def test_strongly_connected_components_match_reachability():
+    rng = random.Random(8642)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        succ = [[rng.randrange(n) for _ in range(rng.randint(0, 3))]
+                for _ in range(n)]
+        reach = [{v} for v in range(n)]
+        for _ in range(n):
+            for v in range(n):
+                for w in succ[v]:
+                    reach[v] |= reach[w]
+        comp = strongly_connected_components(succ)
+        for a in range(n):
+            for b in range(n):
+                assert (comp[a] == comp[b]) == (b in reach[a] and a in reach[b])
