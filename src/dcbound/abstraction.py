@@ -19,13 +19,12 @@ from dcbound.dcp import (
     Atom,
     Dcp,
     DifferenceConstraint,
-    Int,
-    SymConst,
     Transition,
     Var,
     enforce_well_definedness,
     validate,
 )
+from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, ConcreteProgram, ConcreteTransition, LinExpr
 
 __all__ = [
@@ -348,7 +347,7 @@ def abstract_program(prog: ConcreteProgram,
 
     def atom_of(rhs: LinExpr) -> Atom:
         if rhs.is_const:
-            return Int(rhs.const)
+            return IntConst(rhs.const)
         if rhs in var_name:
             return Var(var_name[rhs])
         return SymConst(const_name[rhs])

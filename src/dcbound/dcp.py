@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
+from dcbound.expr import IntConst, SymConst
+
 __all__ = [
     "Var",
-    "SymConst",
-    "Int",
     "Atom",
     "DifferenceConstraint",
     "Transition",
@@ -41,23 +41,8 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
-class SymConst:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class Int:
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-Atom = Var | SymConst | Int
+# Rigid atoms are expression leaves, so a variable bound can return them as is.
+Atom = Var | SymConst | IntConst
 
 
 @dataclass(frozen=True)
@@ -541,7 +526,7 @@ def parse_dcp(text: str) -> Dcp:
                     continue
                 rhs_txt = um.group("rhs")
                 if _INT_RE.fullmatch(rhs_txt):
-                    rhs: Atom = Int(int(rhs_txt))
+                    rhs: Atom = IntConst(int(rhs_txt))
                 elif rhs_txt in consts:
                     rhs = SymConst(rhs_txt)
                 else:

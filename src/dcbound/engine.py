@@ -22,8 +22,8 @@ import enum
 from dataclasses import dataclass, field
 
 from dcbound import expr
-from dcbound.dcp import Atom, Dcp, Int, SymConst, Transition, Var
-from dcbound.localbounds import LocalBoundMap, ONE, local_bound_map
+from dcbound.dcp import Atom, Dcp, Transition, Var
+from dcbound.localbounds import ONE, local_bound_map
 from dcbound.resetgraph import (
     DEFAULT_RESET_PATH_CAP,
     ResetAnalysis,
@@ -65,14 +65,6 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def _atom_expr(a: Atom) -> expr.BoundExpr:
-    if isinstance(a, Int):
-        return expr.IntConst(a.value)
-    if isinstance(a, SymConst):
-        return expr.SymConst(a.name)
-    raise TypeError(f"not a rigid atom: {a!r}")
-
-
 class Analysis:
     """One bound analysis of one program in one mode.
 
@@ -101,7 +93,7 @@ class Analysis:
                 names = ", ".join(sorted(self._reset.removed_vars))
                 self.warnings.append(
                     f"removed variables on reset cycles (and dependents): {names}")
-        self.zeta: LocalBoundMap = local_bound_map(self.working)
+        self.zeta = local_bound_map(self.working)
 
     # -- memoized recursion ------------------------------------------------
 
@@ -139,7 +131,7 @@ class Analysis:
         if isinstance(atom, str):
             atom = Var(atom)
         if not isinstance(atom, Var):
-            return _atom_expr(atom)
+            return atom
         v = atom.name
         if v not in self.working.variables:
             raise ValueError(f"unknown variable {v!r}")
@@ -200,33 +192,27 @@ class Analysis:
         assert self._reset is not None
         graph = self._reset.graph
 
-        if self.mode is AnalysisMode.OPT:
-            single_flow: list[Atom] = []
-            per_path: list[list[Atom]] = []
-            for k in paths:
-                multi = []
-                for a in k.atoms:
-                    if graph.path_count(a, v) > 1:
-                        multi.append(a)
-                    elif a not in single_flow:
-                        single_flow.append(a)
-                per_path.append(multi)
-            terms = [self.incr(a) for a in single_flow] or [expr.IntConst(0)]
-            for k, multi in zip(paths, per_path):
-                contrib = expr.mul(
-                    self._tb_set(k.transitions),
-                    expr.maximum(expr.add(self.vb(k.in_atom), k.offset), 0))
-                terms.append(expr.add(contrib, *([self.incr(a) for a in multi]
-                                                 or [expr.IntConst(0)])))
-            return expr.add(*terms)
-
-        terms = []
+        # The atoms charged once globally (OPT: those with a single flow
+        # path into v), and per chain the atoms charged on that chain.
+        once: list[Atom] = []
+        charged: list[tuple[Atom, ...]] = []
         for k in paths:
+            if self.mode is AnalysisMode.CTX:
+                charged.append(k.atoms)
+                continue
+            multi = []
+            for a in k.atoms:
+                if graph.path_count(a, v) > 1:
+                    multi.append(a)
+                elif a not in once:
+                    once.append(a)
+            charged.append(tuple(multi))
+        terms = [self.incr(a) for a in once]
+        for k, atoms in zip(paths, charged):
             contrib = expr.mul(
                 self._tb_set(k.transitions),
                 expr.maximum(expr.add(self.vb(k.in_atom), k.offset), 0))
-            incs = [self.incr(a) for a in k.atoms]
-            terms.append(expr.add(contrib, *incs))
+            terms.append(expr.add(contrib, *[self.incr(a) for a in atoms]))
         return expr.add(*terms)
 
     def complexity(self) -> expr.BoundExpr:

@@ -6,6 +6,11 @@ expressions in a canonical normal form so that equal bounds print identically:
 nested sums/products/max/min are flattened, integer constants are folded,
 like terms are collected, and argument lists are sorted by their printed form.
 The undefined element absorbs every operator.
+
+The constructors normalize one level only: each argument must be an int, a
+leaf (IntConst, SymConst, UNDEFINED), or the result of a constructor,
+parse_expr or normalize. A tree built by hand from the node classes goes
+through normalize first.
 """
 
 from __future__ import annotations
@@ -27,13 +32,10 @@ __all__ = [
     "mul",
     "maximum",
     "minimum",
-    "build",
     "normalize",
     "evaluate",
     "to_str",
     "parse_expr",
-    "sym_consts",
-    "rename_sym_consts",
     "is_provably_nonneg",
     "EvaluationError",
     "ExprParseError",
@@ -321,38 +323,25 @@ def _coerce(x: BoundExpr | int) -> BoundExpr:
 def add(*args: BoundExpr | int) -> BoundExpr:
     if not args:
         raise ValueError("add() needs at least one argument")
-    return _norm_sum([normalize(_coerce(a)) for a in args])
+    return _norm_sum([_coerce(a) for a in args])
 
 
 def mul(*args: BoundExpr | int) -> BoundExpr:
     if not args:
         raise ValueError("mul() needs at least one argument")
-    return _norm_product([normalize(_coerce(a)) for a in args])
+    return _norm_product([_coerce(a) for a in args])
 
 
 def maximum(*args: BoundExpr | int) -> BoundExpr:
     if not args:
         raise ValueError("maximum() needs at least one argument")
-    return _norm_maxmin([normalize(_coerce(a)) for a in args], Max)
+    return _norm_maxmin([_coerce(a) for a in args], Max)
 
 
 def minimum(*args: BoundExpr | int) -> BoundExpr:
     if not args:
         raise ValueError("minimum() needs at least one argument")
-    return _norm_maxmin([normalize(_coerce(a)) for a in args], Min)
-
-
-_BUILDERS = {"add": add, "mul": mul, "max": maximum, "min": minimum}
-
-
-def build(op: str, args: Iterable[BoundExpr | int]) -> BoundExpr:
-    """Apply one of {add, mul, max, min} to a non-empty argument sequence."""
-    args = list(args)
-    if op not in _BUILDERS:
-        raise ValueError(f"unknown operator {op!r}")
-    if not args:
-        raise ValueError("build() needs at least one argument")
-    return _BUILDERS[op](*args)
+    return _norm_maxmin([_coerce(a) for a in args], Min)
 
 
 # ---------------------------------------------------------------------------
@@ -392,35 +381,6 @@ def evaluate(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
         vals = [evaluate(a, valuation) for a in e.args]
         return None if None in vals else min(vals)  # type: ignore[type-var]
     raise TypeError(f"not a BoundExpr: {e!r}")
-
-
-def sym_consts(e: BoundExpr) -> set[str]:
-    if isinstance(e, SymConst):
-        return {e.name}
-    if isinstance(e, Sum):
-        return set().union(*(sym_consts(t) for t in e.terms)) if e.terms else set()
-    if isinstance(e, Product):
-        return set().union(*(sym_consts(f) for f in e.factors)) if e.factors else set()
-    if isinstance(e, (Max, Min)):
-        return set().union(*(sym_consts(a) for a in e.args)) if e.args else set()
-    return set()
-
-
-def rename_sym_consts(e: BoundExpr, mapping: Mapping[str, str]) -> BoundExpr:
-    """Rename symbolic constants; the result is re-normalized."""
-    def walk(x: BoundExpr) -> BoundExpr:
-        if isinstance(x, SymConst):
-            return SymConst(mapping.get(x.name, x.name))
-        if isinstance(x, Sum):
-            return Sum(tuple(walk(t) for t in x.terms))
-        if isinstance(x, Product):
-            return Product(tuple(walk(f) for f in x.factors))
-        if isinstance(x, Max):
-            return Max(tuple(walk(a) for a in x.args))
-        if isinstance(x, Min):
-            return Min(tuple(walk(a) for a in x.args))
-        return x
-    return normalize(walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +446,12 @@ class _Tokens:
 def parse_expr(text: str) -> BoundExpr:
     """Parse the canonical expression syntax; the result is normalized."""
     toks = _Tokens(text)
-    e = _parse_sum(toks)
+    try:
+        e = _parse_sum(toks)
+    except RecursionError:
+        at = toks.peek()
+        raise ExprParseError("expression nested too deeply",
+                             len(text) if at is None else at[2]) from None
     left = toks.peek()
     if left is not None:
         raise ExprParseError(f"trailing input {left[1]!r}", left[2])

@@ -14,32 +14,14 @@ undefined element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from dcbound.dcp import Dcp, Transition, Var, strongly_connected_components
 
 __all__ = [
     "ONE",
-    "LocalBoundMap",
     "local_bound_map",
 ]
 
 ONE = "1"
-
-
-@dataclass(frozen=True)
-class LocalBoundMap:
-    """Total mapping from transition id to a variable name, ONE, or None
-    (no local bound found; the transition may be unbounded)."""
-
-    mapping: dict[str, str | None]
-
-    def __getitem__(self, tid: str) -> str | None:
-        return self.mapping[tid]
-
-    @property
-    def unbounded(self) -> list[str]:
-        return sorted(t for t, v in self.mapping.items() if v is None)
 
 
 def _on_no_cycle(ends: list[tuple[int, int]], n: int, removed: set[int],
@@ -90,9 +72,11 @@ def _component_bounds(inner: list[Transition]) -> dict[str, str | None]:
     return {t.id: found.get(i) for i, t in enumerate(inner)}
 
 
-def local_bound_map(dcp: Dcp) -> LocalBoundMap:
-    """Assign each transition its local bound. Among several qualifying
-    variables the lexicographically smallest is chosen, for determinism."""
+def local_bound_map(dcp: Dcp) -> dict[str, str | None]:
+    """Map each transition id to its local bound: a variable name, ONE, or
+    None (no local bound found; the transition may be unbounded). Among
+    several qualifying variables the lexicographically smallest is chosen,
+    for determinism."""
     node = {loc: i for i, loc in enumerate(dcp.locations)}
     succ: list[list[int]] = [[] for _ in node]
     for t in dcp.transitions:
@@ -107,4 +91,4 @@ def local_bound_map(dcp: Dcp) -> LocalBoundMap:
     bounds: dict[str, str | None] = {}
     for transitions in inner.values():
         bounds.update(_component_bounds(transitions))
-    return LocalBoundMap({t.id: bounds.get(t.id, ONE) for t in dcp.transitions})
+    return {t.id: bounds.get(t.id, ONE) for t in dcp.transitions}

@@ -19,7 +19,8 @@ from random import Random
 from typing import Iterator, Mapping
 
 from dcbound import expr
-from dcbound.dcp import Atom, Dcp, Int, SymConst, Transition, Var, defined_at
+from dcbound.dcp import Atom, Dcp, Transition, Var, defined_at
+from dcbound.expr import IntConst, SymConst
 from dcbound.engine import BoundReport
 
 __all__ = [
@@ -56,7 +57,7 @@ class _UndefinedRead(RuntimeError):
 
 def _atom_value(a: Atom, values: Mapping[str, int],
                 valuation: Mapping[str, int]) -> int:
-    if isinstance(a, Int):
+    if isinstance(a, IntConst):
         return a.value
     if isinstance(a, SymConst):
         return valuation[a.name]

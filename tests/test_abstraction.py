@@ -15,7 +15,8 @@ from dcbound.abstraction import (
     infer_guard,
     sym_exec_norm,
 )
-from dcbound.dcp import Dcp, Int, SymConst, Var, validate
+from dcbound.dcp import Dcp, Var, validate
+from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, ProgramError, parse_program
 
 from conftest import load_dcp, load_prog
@@ -328,7 +329,7 @@ trans t1: l1 -> l1 when x > 0 { x := 2 * x; }
 # -- invariance sampling ---------------------------------------------------------
 
 def _norm_expr_of_atom(result: AbstractionResult, atom, params):
-    if isinstance(atom, Int):
+    if isinstance(atom, IntConst):
         return LinExpr(atom.value)
     if isinstance(atom, Var):
         return result.norm_vars[atom.name].expr

@@ -121,6 +121,18 @@ def test_validate_injected_fault_exit_3(capsys):
     assert out.strip().endswith("FAIL")
 
 
+def test_override_bound_deep_nesting_exit_1():
+    deep = "(" * 3000 + "n" + ")" * 3000
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcbound.cli", "validate",
+         str(DATA / "example1.dcp"), "--assign", "n=1",
+         "--override-bound", f"t1={deep}"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "dcbound: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_validate_partial_exit_3(capsys):
     code, out, _ = run(capsys, "validate", DATA / "cyclic.dcp",
                        "--assign", "n=1", "--max-steps", "500")

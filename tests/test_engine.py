@@ -113,9 +113,9 @@ def test_example_2_free():
 
 def test_example_2_non_variable_atoms():
     a = analysis("example2.dcp", FREE)
-    from dcbound.dcp import Int, SymConst
+    from dcbound.expr import IntConst, SymConst
     assert str(a.vb(SymConst("n"))) == "n"
-    assert str(a.vb(Int(3))) == "3"
+    assert str(a.vb(IntConst(3))) == "3"
     assert str(a.incr(SymConst("n"))) == "0"
 
 

@@ -14,14 +14,12 @@ from dcbound.expr import (
     Sum,
     SymConst,
     add,
-    build,
     evaluate,
     maximum,
     minimum,
     mul,
     normalize,
     parse_expr,
-    rename_sym_consts,
     to_str,
 )
 
@@ -51,13 +49,10 @@ def test_undef_absorption():
 
 
 def test_build_examples():
-    assert build("add", [N, IntConst(1), IntConst(-1)]) == N
-    assert build("max", [Sum((N, N))]) == normalize(Sum((N, N)))
-    assert build("mul", [IntConst(1), N]) == N
+    assert add(N, IntConst(1), IntConst(-1)) == N
+    assert mul(IntConst(1), N) == N
     with pytest.raises(ValueError):
-        build("add", [])
-    with pytest.raises(ValueError):
-        build("pow", [N])
+        add()
 
 
 def test_evaluate_examples():
@@ -110,12 +105,6 @@ def test_mul_by_zero():
     assert add(mul(0, N), 0) == IntConst(0)
 
 
-def test_rename_sym_consts():
-    e = add(mul(2, SymConst("l")), maximum(SymConst("l"), M1))
-    r = rename_sym_consts(e, {"l": "n"})
-    assert r == add(mul(2, N), maximum(N, M1))
-
-
 def test_parse_round_trip_golden():
     for text in ["2*n", "n + n*n", "2*n + max(m1,m2)", "min(1,n)", "undef",
                  "max(-1 + n,0)", "n*n*n", "-1 + n", "max(m1,m2,0)"]:
@@ -149,6 +138,19 @@ def _random_expr(rng: random.Random, depth: int) -> expr.BoundExpr:
     return cls(tuple(_random_expr(rng, depth - 1) for _ in range(width)))
 
 
+_CONSTRUCTOR = {Sum: add, Product: mul, Max: maximum, Min: minimum}
+
+
+def _children(e: expr.BoundExpr) -> tuple[expr.BoundExpr, ...]:
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, (Max, Min)):
+        return e.args
+    return ()
+
+
 def test_normalize_idempotent_and_semantics_preserved():
     rng = random.Random(12345)
     for _ in range(1000):
@@ -157,6 +159,16 @@ def test_normalize_idempotent_and_semantics_preserved():
         assert normalize(ne) == ne
         v = {c: rng.randint(0, 16) for c in _CONSTS}
         assert evaluate(ne, v) == evaluate(e, v)
+        # the constructors, given normal arguments, agree with normalize on
+        # every hand-built node: they need not re-normalize their arguments
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            children = _children(node)
+            if children:
+                ctor = _CONSTRUCTOR[type(node)]
+                assert ctor(*map(normalize, children)) == normalize(node)
+                stack.extend(children)
 
 
 def test_round_trip_random():
@@ -169,7 +181,7 @@ def test_round_trip_random():
 def test_undef_absorption_random():
     rng = random.Random(7)
     for _ in range(200):
-        args = [_random_expr(rng, 2) for _ in range(rng.randint(1, 3))]
+        args = [normalize(_random_expr(rng, 2)) for _ in range(rng.randint(1, 3))]
         args.insert(rng.randrange(len(args) + 1), UNDEFINED)
-        op = rng.choice(["add", "mul", "max", "min"])
-        assert build(op, args) == UNDEFINED
+        ctor = rng.choice([add, mul, maximum, minimum])
+        assert ctor(*args) == UNDEFINED

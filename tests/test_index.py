@@ -13,8 +13,6 @@ from dcbound.abstraction import abstract_program
 from dcbound.dcp import (
     DifferenceConstraint,
     Dcp,
-    Int,
-    SymConst,
     Transition,
     Var,
     _liveness,
@@ -23,6 +21,7 @@ from dcbound.dcp import (
     parse_dcp,
     validate,
 )
+from dcbound.expr import IntConst, SymConst
 from dcbound.resetgraph import build_reset_graph
 
 from conftest import DATA, load_dcp, load_prog
@@ -158,7 +157,7 @@ def check_program(d: Dcp) -> None:
 def check_graph(d: Dcp, rng: random.Random) -> None:
     g = build_reset_graph(d).graph
     atoms = list({e.src for e in g.edges} | {Var(v) for v in d.variables}
-                 | {Var(MISSING), SymConst(MISSING), Int(0)})
+                 | {Var(MISSING), SymConst(MISSING), IntConst(0)})
     for v in list(d.variables) + [MISSING]:
         assert g.into(v) == ref_into(g, v)
     for a in atoms:
@@ -203,7 +202,7 @@ def test_random_programs_match_scans():
 
 
 def test_malformed_duplicates_first_match_wins():
-    first = DifferenceConstraint("x", Int(1), 0)
+    first = DifferenceConstraint("x", IntConst(1), 0)
     second = DifferenceConstraint("x", Var("x"), 2)
     t0 = Transition("t0", "a", "b", (), (first, second))
     t0_again = Transition("t0", "b", "a", (), (second,))
@@ -211,7 +210,7 @@ def test_malformed_duplicates_first_match_wins():
             exit="c", variables=("x",), sym_consts=())
     assert t0.update_for("x") is first
     assert d.transition("t0") is t0
-    assert d.resets("x") == [(t0, Int(1), 0)]
+    assert d.resets("x") == [(t0, IntConst(1), 0)]
     assert d.increments("x") == [(t0_again, 2)]
     check_program(d)
     messages = [diag.message for diag in validate(d)]  # after the index exists
@@ -225,7 +224,7 @@ def test_returned_lists_are_copies():
     calls = [lambda: d.outgoing(d.transitions[1].source),
              lambda: d.incoming(d.transitions[1].target),
              lambda: d.resets("r"), lambda: d.increments("r"),
-             lambda: g.into("p"), lambda: g.out_of(Int(0))]
+             lambda: g.into("p"), lambda: g.out_of(IntConst(0))]
     for call in calls:
         before = call()
         assert before

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from dcbound.abstraction import _enumerate_simple_cycles, abstract_program
-from dcbound.dcp import Dcp, DifferenceConstraint, Int, SymConst, Transition, \
-    Var, parse_dcp
+from dcbound.dcp import Dcp, DifferenceConstraint, Transition, Var, parse_dcp
+from dcbound.expr import IntConst, SymConst
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.resetgraph import build_reset_graph
 
@@ -43,26 +43,26 @@ def test_cycles_example_c():
 def test_local_bounds_example_a():
     d = load_dcp("exampleA.dcp")
     z = local_bound_map(d)
-    assert z.mapping == {"t0": ONE, "t1": "i", "t2": "j"}
-    assert z.unbounded == []
+    assert z == {"t0": ONE, "t1": "i", "t2": "j"}
+    assert [t for t, v in z.items() if v is None] == []
 
 
 def test_local_bounds_example_b():
     d = load_dcp("exampleB.dcp")
     z = local_bound_map(d)
-    assert z.mapping == {"t0": ONE, "t1": "i", "t2": "l", "t3": "j"}
+    assert z == {"t0": ONE, "t1": "i", "t2": "l", "t3": "j"}
 
 
 def test_local_bounds_example_c():
     d = load_dcp("exampleC.dcp")
     z = local_bound_map(d)
-    assert z.mapping == {"t0": ONE, "t1": "i", "t3": "i", "t2": "k"}
+    assert z == {"t0": ONE, "t1": "i", "t3": "i", "t2": "k"}
 
 
 def test_local_bounds_example_1():
     d = load_dcp("example1.dcp")
     z = local_bound_map(d)
-    assert z.mapping == {
+    assert z == {
         "t0": ONE, "t1": "x", "t2a": "x", "t2b": "x",
         "t4": "x", "t5": "x", "t3": "p",
     }
@@ -71,7 +71,7 @@ def test_local_bounds_example_1():
 def test_local_bounds_example_2():
     d = load_dcp("example2.dcp")
     z = local_bound_map(d)
-    assert z.mapping == {
+    assert z == {
         "t0": ONE, "t0a": ONE, "t0b": ONE, "t2": ONE,
         "t1": "y", "t3": "z",
     }
@@ -89,8 +89,8 @@ trans t0: lb -> l1 { x' <= n; }
 trans t1: l1 -> l1 { x' <= x - 1; }
 """)
     z = local_bound_map(d)
-    assert z.mapping["t1"] is None
-    assert z.unbounded == ["t1"]
+    assert z["t1"] is None
+    assert [t for t, v in z.items() if v is None] == ["t1"]
 
 
 def test_lexicographic_tie_break():
@@ -104,7 +104,7 @@ trans t0: lb -> l1 { a' <= n; b' <= n; }
 trans t1: l1 -> l1 guard(a,b) { a' <= a - 1; b' <= b - 1; }
 """)
     z = local_bound_map(d)
-    assert z.mapping["t1"] == "a"
+    assert z["t1"] == "a"
 
 
 # -- differential check against the simple-cycle rule --------------------------
@@ -136,7 +136,7 @@ def _data_programs():
 @pytest.mark.parametrize("name,dcp", list(_data_programs()))
 def test_matches_simple_cycle_rule_on_data(name, dcp):
     for d in (dcp, build_reset_graph(dcp).pruned):
-        assert local_bound_map(d).mapping == reference_map(d), name
+        assert local_bound_map(d) == reference_map(d), name
 
 
 def test_matches_simple_cycle_rule_on_fuzz_programs():
@@ -144,7 +144,7 @@ def test_matches_simple_cycle_rule_on_fuzz_programs():
     for _ in range(300):
         text = _random_dcp_text(rng)
         d = parse_dcp(text)
-        assert local_bound_map(d).mapping == reference_map(d), text
+        assert local_bound_map(d) == reference_map(d), text
 
 
 def _random_graph_dcp(rng: random.Random) -> Dcp:
@@ -164,7 +164,7 @@ def _random_graph_dcp(rng: random.Random) -> Dcp:
             elif kind < 0.65:
                 updates.append(DifferenceConstraint(
                     v, rng.choice([Var(w) for w in variables] + [SymConst("n"),
-                                                                 Int(0)]), 0))
+                                                                 IntConst(0)]), 0))
         guard = tuple(v for v in variables if rng.random() < 0.4)
         transitions.append(Transition(
             id=f"t{i}", source=rng.choice(locs), target=rng.choice(locs),
@@ -178,4 +178,4 @@ def test_matches_simple_cycle_rule_on_random_graphs():
     rng = random.Random(13579)
     for _ in range(1500):
         d = _random_graph_dcp(rng)
-        assert local_bound_map(d).mapping == reference_map(d), d
+        assert local_bound_map(d) == reference_map(d), d

@@ -163,7 +163,7 @@ def test_local_bounds_validated_on_runs(name):
     for val in _small_valuations(d, [0, 2]):
         for run in enumerate_runs(d, val, max_runs=2000):
             states = [{}] + [post for _, post in run]
-            for tid, v in zeta.mapping.items():
+            for tid, v in zeta.items():
                 count = sum(1 for t, _ in run if t.id == tid)
                 if v == ONE:
                     assert count <= 1

@@ -1,0 +1,19 @@
+"""Every name a module exports resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import dcbound
+
+MODULES = ["dcbound"] + [f"dcbound.{m.name}"
+                         for m in pkgutil.iter_modules(dcbound.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    assert module.__all__
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []

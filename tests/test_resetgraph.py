@@ -2,7 +2,8 @@
 
 import pytest
 
-from dcbound.dcp import Int, SymConst, Var, parse_dcp
+from dcbound.dcp import Var, parse_dcp
+from dcbound.expr import IntConst, SymConst
 from dcbound.resetgraph import (
     ResetPath,
     ResetPathOverflow,
@@ -169,7 +170,7 @@ def test_optimality_and_coverage():
 def test_path_counts():
     d = load_dcp("example1.dcp")
     g = build_reset_graph(d).graph
-    assert g.path_count(Int(0), "p") == 2  # via t0 and via t4
+    assert g.path_count(IntConst(0), "p") == 2  # via t0 and via t4
     assert g.path_count(Var("r"), "p") == 1
     assert g.path_count(Var("p"), "p") == 1
     assert g.path_count(SymConst("n"), "p") == 0
