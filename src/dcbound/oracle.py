@@ -3,8 +3,18 @@
 Updates are upper bounds and guards are positivity tests, so pointwise-larger
 states enable a superset of behaviour; exploring only the extreme choice
 x' = y + c therefore dominates every admissible run for counting purposes.
-explore() walks all branch choices under that semantics, memoizing
-per-transition worst-case counts on (location, defined-variable values).
+
+All three interpreters (explore, enumerate_runs, random_run) run on one
+compiled view of the program, built once per call: each variable has a slot
+(in `dcp.variables` order), and each location a tuple of its outgoing
+transitions sorted by id, with guards and updates given as slots and with
+constant right-hand sides already resolved against the valuation. A state
+is (location, tuple of every slot's value), None where the variable is
+undefined; this is one-to-one with the (location, defined variable values)
+pairs of the semantics. explore() walks all branch choices depth first,
+successors in transition-id order, memoizing per-transition worst-case
+counts per state. That order decides which states a capped exploration
+visits before it stops, so it is part of the result.
 
 Variables with no constraint on the taken transition become undefined in the
 successor. Well-defined programs never read an undefined variable; such a
@@ -19,8 +29,8 @@ from random import Random
 from typing import Iterator, Mapping
 
 from dcbound import expr
-from dcbound.dcp import Atom, Dcp, Transition, Var, defined_at
-from dcbound.expr import IntConst, SymConst
+from dcbound.dcp import Dcp, Transition, Var, defined_at
+from dcbound.expr import SymConst
 from dcbound.engine import BoundReport
 
 __all__ = [
@@ -37,7 +47,7 @@ __all__ = [
 
 DEFAULT_STEP_CAP = 100_000
 
-State = tuple[str, tuple[tuple[str, int], ...]]  # (location, sorted var values)
+State = tuple[str, tuple[int | None, ...]]  # (location, value per slot)
 
 
 @dataclass
@@ -55,29 +65,81 @@ class _UndefinedRead(RuntimeError):
     pass
 
 
-def _atom_value(a: Atom, values: Mapping[str, int],
-                valuation: Mapping[str, int]) -> int:
-    if isinstance(a, IntConst):
-        return a.value
-    if isinstance(a, SymConst):
-        return valuation[a.name]
-    try:
-        return values[a.name]
-    except KeyError:
-        raise _UndefinedRead(
-            f"read of undefined variable {a.name!r}; the program is not "
-            f"well-defined") from None
+# One outgoing transition, compiled: (position of its id in _View.ids,
+# target, guard slots, updates, the transition). An update is (lhs slot,
+# source slot, constant): the value is the constant plus the source slot's
+# value, or the constant alone where the source slot is -1.
+_Step = tuple[int, str, tuple[int, ...], tuple[tuple[int, int, int], ...], Transition]
 
 
-def _enabled(t: Transition, values: Mapping[str, int],
-             valuation: Mapping[str, int]) -> bool:
-    return all(_atom_value(Var(g), values, valuation) > 0 for g in t.guard)
+class _View:
+    """A program compiled for one valuation."""
+
+    __slots__ = ("names", "ids", "steps")
+
+    def __init__(self, names: tuple[str, ...], ids: tuple[str, ...],
+                 steps: dict[str, tuple[_Step, ...]]):
+        self.names = names  # slot -> variable
+        self.ids = ids  # position -> transition id, in first-seen order
+        self.steps = steps  # location -> outgoing, by id
 
 
-def _successor(t: Transition, values: Mapping[str, int],
-               valuation: Mapping[str, int]) -> dict[str, int]:
-    return {u.lhs: _atom_value(u.rhs, values, valuation) + u.offset
-            for u in t.updates}
+def _compile(dcp: Dcp, valuation: Mapping[str, int]) -> _View:
+    missing = [c for c in dcp.sym_consts if c not in valuation]
+    if missing:
+        raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
+    # a hand-built program may name undeclared variables: they get slots too
+    slot = {v: i for i, v in enumerate(dcp.variables)}
+    pos = {tid: i for i, tid in enumerate(dict.fromkeys(t.id for t in dcp.transitions))}
+
+    def step(t: Transition) -> _Step:
+        updates = []
+        for u in t.updates:
+            lhs = slot.setdefault(u.lhs, len(slot))
+            if isinstance(u.rhs, Var):
+                updates.append((lhs, slot.setdefault(u.rhs.name, len(slot)), u.offset))
+            elif isinstance(u.rhs, SymConst):
+                updates.append((lhs, -1, valuation[u.rhs.name] + u.offset))
+            else:
+                updates.append((lhs, -1, u.rhs.value + u.offset))
+        guard = tuple(slot.setdefault(g, len(slot)) for g in t.guard)
+        return pos[t.id], t.target, guard, tuple(updates), t
+
+    steps = {loc: tuple(step(t) for t in sorted(dcp.outgoing(loc), key=lambda t: t.id))
+             for loc in dcp.locations}
+    return _View(tuple(slot), tuple(pos), steps)
+
+
+def _undefined(name: str) -> _UndefinedRead:
+    return _UndefinedRead(f"read of undefined variable {name!r}; the program "
+                          f"is not well-defined")
+
+
+def _successors(view: _View, loc: str,
+                values: tuple[int | None, ...]) -> list[tuple[_Step, State]]:
+    """(step, successor state) for each enabled transition out of loc, in id
+    order, under extreme updates."""
+    out = []
+    for step in view.steps[loc]:
+        _, target, guard, updates, _ = step
+        for g in guard:
+            x = values[g]
+            if x is None:
+                raise _undefined(view.names[g])
+            if x <= 0:
+                break
+        else:
+            nxt: list[int | None] = [None] * len(values)
+            for lhs, src, c in updates:
+                if src < 0:
+                    nxt[lhs] = c
+                else:
+                    x = values[src]
+                    if x is None:
+                        raise _undefined(view.names[src])
+                    nxt[lhs] = x + c
+            out.append((step, (target, tuple(nxt))))
+    return out
 
 
 def explore(dcp: Dcp, valuation: Mapping[str, int],
@@ -89,67 +151,58 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     defined on every incoming transition. exhausted is False when the state
     cap was hit or a state cycle was found (counts are then lower bounds).
     """
-    missing = [c for c in dcp.sym_consts if c not in valuation]
-    if missing:
-        raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
-
-    defined = defined_at(dcp)
-    tids = [t.id for t in dcp.transitions]
-    var_max: dict[str, int | None] = {v: None for v in dcp.variables}
+    view = _compile(dcp, valuation)
+    defined = {loc: tuple(i for i, v in enumerate(view.names) if v in vs)
+               for loc, vs in defined_at(dcp).items()}
+    zeros = (0,) * len(view.ids)
+    var_max: list[int | None] = [None] * len(view.names)
     exhausted = True
     states_seen = 0
 
-    memo: dict[State, dict[str, int]] = {}
-    on_stack: set[State] = set()
+    # counts by transition position once a state is done; None while it is
+    # on the depth-first path (a successor found there closes a cycle)
+    memo: dict[State, tuple[int, ...] | None] = {}
 
-    start: State = (dcp.entry, ())
+    start: State = (dcp.entry, (None,) * len(view.names))
 
     # iterative depth-first walk with explicit post-processing frames
-    stack: list[tuple[State, list[tuple[str, State]] | None]] = [(start, None)]
+    stack: list[tuple[State, list[tuple[_Step, State]] | None]] = [(start, None)]
     while stack:
         state, pending = stack.pop()
-        loc, items = state
-        values = dict(items)
         if pending is None:
-            if state in memo or state in on_stack:
+            if state in memo:
                 continue
             states_seen += 1
             if states_seen > step_cap:
                 exhausted = False
-                memo[state] = {tid: 0 for tid in tids}
+                memo[state] = zeros
                 continue
-            for v in defined[loc]:
-                if v in values:
-                    cur = var_max[v]
-                    var_max[v] = values[v] if cur is None else max(cur, values[v])
-            succs: list[tuple[str, State]] = []
-            for t in sorted(dcp.outgoing(loc), key=lambda t: t.id):
-                if not _enabled(t, values, valuation):
-                    continue
-                nxt = _successor(t, values, valuation)
-                succs.append((t.id, (t.target, tuple(sorted(nxt.items())))))
-            on_stack.add(state)
+            loc, values = state
+            for i in defined[loc]:
+                x = values[i]
+                if x is not None:
+                    cur = var_max[i]
+                    if cur is None or x > cur:
+                        var_max[i] = x
+            succs = _successors(view, loc, values)
+            memo[state] = None
             stack.append((state, succs))
             for _, s in succs:
-                if s not in memo and s not in on_stack:
+                if s not in memo:
                     stack.append((s, None))
-                elif s in on_stack:
+                elif memo[s] is None:
                     exhausted = False  # state cycle: unbounded behaviour
         else:
-            on_stack.discard(state)
-            best = {tid: 0 for tid in tids}
-            for tid, s in pending:
-                sub = memo.get(s)
-                if sub is None:
-                    # still on stack (cycle) or capped: count the step itself
-                    sub = {t: 0 for t in tids}
-                for t in tids:
-                    cand = sub[t] + (1 if t == tid else 0)
-                    if cand > best[t]:
-                        best[t] = cand
-            memo[state] = best
+            best = None
+            for step, s in pending:
+                # a successor still on the path (cycle) counts the step itself
+                cand = list(memo[s] or zeros)
+                cand[step[0]] += 1
+                best = cand if best is None else list(map(max, best, cand))
+            memo[state] = zeros if best is None else tuple(best)
 
-    return RunStats(counts=memo[start], var_max=var_max,
+    return RunStats(counts=dict(zip(view.ids, memo[start])),
+                    var_max={v: var_max[i] for i, v in enumerate(dcp.variables)},
                     exhausted=exhausted, states=states_seen)
 
 
@@ -157,49 +210,58 @@ def enumerate_runs(dcp: Dcp, valuation: Mapping[str, int], *,
                    max_runs: int = 10_000,
                    max_len: int = 10_000) -> Iterator[list[tuple[Transition, dict[str, int]]]]:
     """Yield maximal runs under extreme updates as (transition, post-state)
-    sequences. Unmemoized; intended for small assignments in tests."""
+    sequences, depth first with branches in transition-id order. A post-state
+    maps each variable the transition updates to its value. A run that
+    reaches max_len transitions is dropped. Unmemoized; intended for small
+    assignments in tests."""
+    view = _compile(dcp, valuation)
     emitted = 0
-
-    def walk(loc: str, values: dict[str, int],
-             trail: list[tuple[Transition, dict[str, int]]]):
-        nonlocal emitted
-        if emitted >= max_runs or len(trail) >= max_len:
-            return
-        moved = False
-        for t in sorted(dcp.outgoing(loc), key=lambda t: t.id):
-            if not _enabled(t, values, valuation):
-                continue
-            moved = True
-            nxt = _successor(t, values, valuation)
-            trail.append((t, nxt))
-            yield from walk(t.target, nxt, trail)
+    trail: list[tuple[Transition, dict[str, int]]] = []
+    # one frame per location on the current run: [successors not yet
+    # walked, whether any transition was enabled]; frame k > 0 entered its
+    # location by trail[k - 1]
+    stack = []
+    if max_runs > 0 and max_len > 0:
+        values = (None,) * len(view.names)
+        stack.append([iter(_successors(view, dcp.entry, values)), False])
+    while stack:
+        frame = stack[-1]
+        for step, (loc, values) in frame[0]:
+            frame[1] = True
+            _, _, _, updates, t = step
+            trail.append((t, {view.names[lhs]: values[lhs] for lhs, _, _ in updates}))
+            if emitted < max_runs and len(trail) < max_len:
+                stack.append([iter(_successors(view, loc, values)), False])
+                break
             trail.pop()
-        if not moved:
-            emitted += 1
-            yield list(trail)
-
-    yield from walk(dcp.entry, {}, [])
+        else:
+            stack.pop()
+            if not frame[1]:
+                emitted += 1
+                yield list(trail)
+            if stack:
+                trail.pop()
 
 
 def random_run(dcp: Dcp, valuation: Mapping[str, int], rng: Random, *,
                max_len: int = 10_000, slack: int = 4) -> dict[str, int]:
     """One random admissible run: random branch choices and random update
     values from [extreme - slack, extreme]. Returns per-transition counts."""
-    counts = {t.id: 0 for t in dcp.transitions}
-    loc, values = dcp.entry, {}
+    view = _compile(dcp, valuation)
+    counts = [0] * len(view.ids)
+    loc, values = dcp.entry, (None,) * len(view.names)
     for _ in range(max_len):
-        enabled = [t for t in sorted(dcp.outgoing(loc), key=lambda t: t.id)
-                   if _enabled(t, values, valuation)]
+        enabled = _successors(view, loc, values)
         if not enabled:
             break
-        t = rng.choice(enabled)
-        nxt = {}
-        for u in t.updates:
-            cap = _atom_value(u.rhs, values, valuation) + u.offset
-            nxt[u.lhs] = rng.randint(cap - slack, cap)
-        counts[t.id] += 1
-        loc, values = t.target, nxt
-    return counts
+        (pos, _, _, updates, _), (loc, _) = rng.choice(enabled)
+        nxt: list[int | None] = [None] * len(values)
+        for lhs, src, c in updates:
+            cap = c if src < 0 else values[src] + c
+            nxt[lhs] = rng.randint(cap - slack, cap)
+        counts[pos] += 1
+        values = tuple(nxt)
+    return dict(zip(view.ids, counts))
 
 
 # ---------------------------------------------------------------------------

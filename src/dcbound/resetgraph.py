@@ -135,7 +135,7 @@ class ResetGraph:
         return out
 
     @cached_property
-    def _path_counts(self) -> dict[str, dict[Atom, int]]:
+    def _path_counts(self) -> dict[str, dict[str | Atom, int]]:
         return {}
 
     def into(self, var: str) -> list[ResetEdge]:
@@ -146,20 +146,45 @@ class ResetGraph:
 
     def path_count(self, src: Atom, dst_var: str) -> int:
         """Number of distinct edge paths from src to dst (1 for src == dst).
-        The variable part of the graph is acyclic, so this terminates."""
-        target = Var(dst_var)
-        memo = self._path_counts.setdefault(dst_var, {})
+        The count relies on the variable part of the graph being acyclic,
+        as build_reset_graph leaves it."""
+        counts = self._path_counts.get(dst_var)
+        if counts is None:
+            counts = self._path_counts[dst_var] = self._count_paths_to(dst_var)
+        return counts.get(src.name if isinstance(src, Var) else src, 0)
 
-        def walk(node: Atom) -> int:
-            if node == target:
-                return 1
-            if node in memo:
-                return memo[node]
-            total = sum(walk(Var(e.dst)) for e in self._out_of.get(node, ()))
-            memo[node] = total
-            return total
-
-        return walk(src)
+    def _count_paths_to(self, dst_var: str) -> dict[str | Atom, int]:
+        """Paths to dst_var from each of its ancestors, keyed by variable
+        name, or by the atom itself for a constant. Counted backward: a
+        variable's count is final once every edge from it into the
+        ancestors has been followed back, so variables settle in reverse
+        topological order."""
+        waiting: dict[str, int] = {}  # edges into ancestors not yet followed
+        frontier = [dst_var]
+        seen = {dst_var}
+        while frontier:
+            for e in self._into.get(frontier.pop(), ()):
+                if isinstance(e.src, Var):
+                    name = e.src.name
+                    waiting[name] = waiting.get(name, 0) + 1
+                    if name not in seen:
+                        seen.add(name)
+                        frontier.append(name)
+        counts: dict[str | Atom, int] = {dst_var: 1}
+        ready = [dst_var]
+        while ready:
+            var = ready.pop()
+            n = counts[var]
+            for e in self._into.get(var, ()):
+                if isinstance(e.src, Var):
+                    name = e.src.name
+                    counts[name] = counts.get(name, 0) + n
+                    waiting[name] -= 1
+                    if not waiting[name]:
+                        ready.append(name)
+                else:
+                    counts[e.src] = counts.get(e.src, 0) + n
+        return counts
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,25 @@ import random
 import pytest
 
 from dcbound import expr
-from dcbound.dcp import parse_dcp
+from dcbound.abstraction import abstract_program
+from dcbound.dcp import Dcp, DifferenceConstraint, Transition, Var, \
+    defined_at, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
+from dcbound.expr import IntConst, SymConst
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.oracle import (
+    DEFAULT_STEP_CAP,
+    RunStats,
     Verdict,
+    _UndefinedRead,
     check_soundness,
     enumerate_runs,
     explore,
     random_run,
 )
 
-from conftest import load_dcp
+from conftest import DATA, load_dcp, load_prog
+from test_fuzz import _random_dcp_text, _valuations
 
 
 def test_example_a_exhaustive():
@@ -169,3 +176,195 @@ def test_local_bounds_validated_on_runs(name):
                     assert count <= 1
                 elif v is not None:
                     assert count <= _decreases(states, v), (name, val, tid)
+
+
+def test_enumerate_runs_long_run_no_recursion():
+    run = next(enumerate_runs(load_dcp("exampleA.dcp"), {"n": 1500}, max_runs=1))
+    assert len(run) == 3001
+
+
+# -- differential: compiled interpreters against the dict semantics -------------
+#
+# The reference below interprets the program directly: a state is the
+# location and the sorted values of its defined variables, successors are
+# dicts, and counts are dicts keyed by transition id.
+
+def _ref_atom_value(a, values, valuation):
+    if isinstance(a, IntConst):
+        return a.value
+    if isinstance(a, SymConst):
+        return valuation[a.name]
+    try:
+        return values[a.name]
+    except KeyError:
+        raise _UndefinedRead(
+            f"read of undefined variable {a.name!r}; the program is not "
+            f"well-defined") from None
+
+
+def _ref_enabled(t, values, valuation):
+    return all(_ref_atom_value(Var(g), values, valuation) > 0 for g in t.guard)
+
+
+def _ref_successor(t, values, valuation):
+    return {u.lhs: _ref_atom_value(u.rhs, values, valuation) + u.offset
+            for u in t.updates}
+
+
+def _ref_explore(dcp, valuation, step_cap=DEFAULT_STEP_CAP):
+    missing = [c for c in dcp.sym_consts if c not in valuation]
+    if missing:
+        raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
+    defined = defined_at(dcp)
+    tids = [t.id for t in dcp.transitions]
+    var_max = {v: None for v in dcp.variables}
+    exhausted = True
+    states_seen = 0
+    memo = {}
+    on_stack = set()
+    start = (dcp.entry, ())
+    stack = [(start, None)]
+    while stack:
+        state, pending = stack.pop()
+        loc, items = state
+        values = dict(items)
+        if pending is None:
+            if state in memo or state in on_stack:
+                continue
+            states_seen += 1
+            if states_seen > step_cap:
+                exhausted = False
+                memo[state] = {tid: 0 for tid in tids}
+                continue
+            for v in defined[loc]:
+                if v in values:
+                    cur = var_max[v]
+                    var_max[v] = values[v] if cur is None else max(cur, values[v])
+            succs = []
+            for t in sorted(dcp.outgoing(loc), key=lambda t: t.id):
+                if not _ref_enabled(t, values, valuation):
+                    continue
+                nxt = _ref_successor(t, values, valuation)
+                succs.append((t.id, (t.target, tuple(sorted(nxt.items())))))
+            on_stack.add(state)
+            stack.append((state, succs))
+            for _, s in succs:
+                if s not in memo and s not in on_stack:
+                    stack.append((s, None))
+                elif s in on_stack:
+                    exhausted = False
+        else:
+            on_stack.discard(state)
+            best = {tid: 0 for tid in tids}
+            for tid, s in pending:
+                sub = memo.get(s)
+                if sub is None:
+                    sub = {t: 0 for t in tids}
+                for t in tids:
+                    cand = sub[t] + (1 if t == tid else 0)
+                    if cand > best[t]:
+                        best[t] = cand
+            memo[state] = best
+    return RunStats(counts=memo[start], var_max=var_max,
+                    exhausted=exhausted, states=states_seen)
+
+
+def _ref_enumerate_runs(dcp, valuation, *, max_runs=10_000, max_len=10_000):
+    emitted = 0
+
+    def walk(loc, values, trail):
+        nonlocal emitted
+        if emitted >= max_runs or len(trail) >= max_len:
+            return
+        moved = False
+        for t in sorted(dcp.outgoing(loc), key=lambda t: t.id):
+            if not _ref_enabled(t, values, valuation):
+                continue
+            moved = True
+            nxt = _ref_successor(t, values, valuation)
+            trail.append((t, nxt))
+            yield from walk(t.target, nxt, trail)
+            trail.pop()
+        if not moved:
+            emitted += 1
+            yield list(trail)
+
+    yield from walk(dcp.entry, {}, [])
+
+
+def _ref_random_run(dcp, valuation, rng, *, max_len=10_000, slack=4):
+    counts = {t.id: 0 for t in dcp.transitions}
+    loc, values = dcp.entry, {}
+    for _ in range(max_len):
+        enabled = [t for t in sorted(dcp.outgoing(loc), key=lambda t: t.id)
+                   if _ref_enabled(t, values, valuation)]
+        if not enabled:
+            break
+        t = rng.choice(enabled)
+        nxt = {}
+        for u in t.updates:
+            cap = _ref_atom_value(u.rhs, values, valuation) + u.offset
+            nxt[u.lhs] = rng.randint(cap - slack, cap)
+        counts[t.id] += 1
+        loc, values = t.target, nxt
+    return counts
+
+
+def _assert_same_stats(d, val, cap):
+    got = explore(d, val, cap)
+    want = _ref_explore(d, val, cap)
+    assert got == want, (val, cap)
+    # key order is part of the result: rows and reports iterate these dicts
+    assert list(got.counts) == list(want.counts)
+    assert list(got.var_max) == list(want.var_max)
+
+
+def _data_programs():
+    dcps = {p.name: load_dcp(p.name) for p in sorted(DATA.glob("*.dcp"))}
+    dcps["example3.prog"] = abstract_program(load_prog("example3.prog")).dcp
+    return dcps
+
+
+@pytest.mark.parametrize("name", sorted(_data_programs()))
+def test_explore_matches_reference_on_data(name):
+    d = _data_programs()[name]
+    for val in _valuations(d.sym_consts, range(4)):
+        for cap in (5, 50, DEFAULT_STEP_CAP):
+            _assert_same_stats(d, val, cap)
+
+
+def test_explore_matches_reference_on_random_programs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        d = parse_dcp(_random_dcp_text(rng))
+        val = {c: rng.randint(0, 4) for c in d.sym_consts}
+        for cap in (7, 1500):
+            _assert_same_stats(d, val, cap)
+
+
+@pytest.mark.parametrize("name", sorted(_data_programs()))
+def test_runs_match_reference_on_data(name):
+    d = _data_programs()[name]
+    for val in _valuations(d.sym_consts, range(3)):
+        got = list(enumerate_runs(d, val, max_runs=50, max_len=40))
+        assert got == list(_ref_enumerate_runs(d, val, max_runs=50, max_len=40))
+        for seed in range(5):
+            got = random_run(d, val, random.Random(seed), max_len=200)
+            assert got == _ref_random_run(d, val, random.Random(seed), max_len=200)
+            assert list(got) == [t.id for t in d.transitions]
+
+
+def test_undefined_read_in_hand_built_program():
+    # not well-defined, built without parse_dcp: x is read before any
+    # transition constrains it, once in a guard and once in an update
+    for guard, rhs in [(("x",), IntConst(1)), ((), Var("x"))]:
+        t0 = Transition("t0", "lb", "l1", guard,
+                        (DifferenceConstraint("y", rhs, 0),))
+        d = Dcp(locations=("l1", "lb"), transitions=(t0,), entry="lb",
+                exit="l1", variables=("x", "y"), sym_consts=())
+        for interpret in (lambda: explore(d, {}),
+                          lambda: _ref_explore(d, {}),
+                          lambda: next(enumerate_runs(d, {})),
+                          lambda: random_run(d, {}, random.Random(0))):
+            with pytest.raises(_UndefinedRead, match="read of undefined variable 'x'"):
+                interpret()

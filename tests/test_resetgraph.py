@@ -1,10 +1,14 @@
 """Reset graph construction, path soundness, optimal path enumeration."""
 
+import random
+
 import pytest
 
-from dcbound.dcp import Var, parse_dcp
+from dcbound.dcp import Transition, Var, parse_dcp
 from dcbound.expr import IntConst, SymConst
 from dcbound.resetgraph import (
+    ResetEdge,
+    ResetGraph,
     ResetPath,
     ResetPathOverflow,
     build_reset_graph,
@@ -13,7 +17,7 @@ from dcbound.resetgraph import (
     to_dot,
 )
 
-from conftest import load_dcp
+from conftest import DATA, load_dcp
 
 
 def edge_view(graph):
@@ -174,6 +178,48 @@ def test_path_counts():
     assert g.path_count(Var("r"), "p") == 1
     assert g.path_count(Var("p"), "p") == 1
     assert g.path_count(SymConst("n"), "p") == 0
+
+
+def _brute_path_count(g, src, dst_var):
+    """Enumerate every edge path from src to dst_var one by one."""
+    total = 0
+    stack = [src]
+    while stack:
+        node = stack.pop()
+        if node == Var(dst_var):
+            total += 1
+            continue
+        stack.extend(Var(e.dst) for e in g.edges if e.src == node)
+    return total
+
+
+def _check_path_counts(g, variables, rng):
+    atoms = list({e.src for e in g.edges} | {Var(v) for v in variables}
+                 | {SymConst("absent"), Var("absent")})
+    queries = [(a, v) for a in atoms for v in list(variables) + ["absent"]]
+    rng.shuffle(queries)  # interleave targets against the per-target memo
+    for a, v in queries:
+        assert g.path_count(a, v) == _brute_path_count(g, a, v), (a, v)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.dcp")))
+def test_path_counts_match_enumeration_on_data(name):
+    d = load_dcp(name)
+    _check_path_counts(build_reset_graph(d).graph, d.variables, random.Random(name))
+
+
+def test_path_counts_match_enumeration_on_random_dags():
+    rng = random.Random(4242)
+    for _ in range(300):
+        variables = [f"v{i}" for i in range(rng.randint(1, 7))]
+        edges = []
+        for k in range(rng.randint(0, 14)):
+            j = rng.randrange(len(variables))
+            src = rng.choice([Var(v) for v in variables[:j]]
+                             + [SymConst("n"), IntConst(0), IntConst(1)])
+            t = Transition(f"t{k % 5}", "l", "l", (), ())
+            edges.append(ResetEdge(src, t, rng.randint(-1, 1), variables[j]))
+        _check_path_counts(ResetGraph(tuple(edges)), variables, rng)
 
 
 def test_overflow_cap():
