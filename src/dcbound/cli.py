@@ -4,10 +4,11 @@ Commands: analyze (bounds + complexity report), abstract (concrete program ->
 difference constraint program), validate (compare bounds against exhaustive
 concrete exploration), resets (optimal reset paths / DOT export).
 
-Exit codes: 0 success or PASS; 1 usage or parse error; 2 the requested
-complexity is undefined, or a .prog input has more simple cycles than the
-abstraction lists; 3 validation did not fully PASS (FAIL, or PASS-PARTIAL
-from a capped exploration).
+Exit codes: 0 success or PASS; 1 usage, input/output or parse error; 2 the
+requested complexity is undefined, a .prog input has more simple cycles than
+the abstraction lists, or `resets` finds more optimal reset paths than
+--max-reset-paths allows; 3 validation did not fully PASS (FAIL, or
+PASS-PARTIAL from a capped exploration).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dcbound.dcp import Dcp, DcpError, format_dcp, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.oracle import DEFAULT_STEP_CAP, Verdict, check_soundness
 from dcbound.program import ProgramError, parse_program
-from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, build_reset_graph, \
-    optimal_reset_paths, to_dot
+from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPathOverflow, \
+    build_reset_graph, optimal_reset_paths, to_dot
 
 __all__ = ["main"]
 
@@ -44,6 +45,17 @@ class _UsageError(Exception):
     pass
 
 
+def _count(text: str) -> int:
+    """argparse type of the cap and limit flags: an integer of 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="dcbound", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -54,7 +66,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("file", help="input .dcp or .prog file")
         sp.add_argument("--format", choices=["dcp", "prog"],
                         help="override input format sniffing")
-        sp.add_argument("--abstraction-depth", type=int,
+        sp.add_argument("--abstraction-depth", type=_count,
                         default=DEFAULT_DEPTH_LIMIT, metavar="N",
                         help="max chained norm discoveries before a chain "
                              f"is discarded (default {DEFAULT_DEPTH_LIMIT})")
@@ -62,7 +74,7 @@ def _build_parser() -> _Parser:
                         help="name abstract variables after their norms, "
                              "e.g. (l-i)")
         if analysis:
-            sp.add_argument("--max-reset-paths", type=int, metavar="N",
+            sp.add_argument("--max-reset-paths", type=_count, metavar="N",
                             default=DEFAULT_RESET_PATH_CAP,
                             help="optimal reset path cap per variable "
                                  f"(default {DEFAULT_RESET_PATH_CAP})")
@@ -89,7 +101,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--sweep", metavar="LO..HI",
                    help="cartesian sweep over all constants (default 0..3 "
                         "when no --assign is given)")
-    c.add_argument("--max-steps", type=int, default=DEFAULT_STEP_CAP, metavar="S",
+    c.add_argument("--max-steps", type=_count, default=DEFAULT_STEP_CAP, metavar="S",
                    help=f"state cap per valuation (default {DEFAULT_STEP_CAP})")
     c.add_argument("--override-bound", action="append", default=[],
                    metavar="TRANS=EXPR",
@@ -129,10 +141,20 @@ def _read(args) -> tuple[str, str]:
     """The input file's text and format."""
     path = Path(args.file)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path} is not UTF-8 text: byte {exc.start} "
+                          f"({exc.object[exc.start]:#04x})") from None
     return text, _sniff_format(path, args.format, text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _abstract(args, text: str) -> AbstractionResult:
@@ -176,7 +198,7 @@ def _cmd_abstract(args) -> int:
     result = _abstract(args, text)
     out = format_dcp(result.dcp, result.rename_comment())
     if args.output:
-        Path(args.output).write_text(out)
+        _write(args.output, out)
     else:
         sys.stdout.write(out)
     return EXIT_OK
@@ -263,7 +285,7 @@ def _cmd_resets(args) -> int:
         print("removed (reset cycles): " + ", ".join(sorted(reset.removed_vars)),
               file=sys.stderr)
     if args.dot:
-        Path(args.dot).write_text(to_dot(reset.graph))
+        _write(args.dot, to_dot(reset.graph))
         return EXIT_OK
     names = args.var or [v for v in reset.pruned.variables]
     for v in names:
@@ -295,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"{getattr(args, 'file', '<input>')}:{d}", file=sys.stderr)
         return EXIT_USAGE
-    except TooManyCycles as exc:
+    except (TooManyCycles, ResetPathOverflow) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_UNDEF
     except expr.ExprParseError as exc:

@@ -12,28 +12,33 @@ transition bound accounts for the resets of its local bound:
   OPT   refines CTX: atoms with a single flow path into the local bound have
         their increment total counted once globally instead of once per chain.
 
-Results are memoized; a query that re-enters itself while being computed
-yields the undefined element for that query.
+TB(t) depends on t only through its local bound v, so it is 1, undef or
+the node ("TB", v); with ("VB", v) per variable these nodes are solved once.
+Each node's rule reads other nodes only through `get` and never branches on
+a value it reads, so one run with a recording `get` lists its dependencies.
+Nodes are evaluated bottom-up in strongly-connected-component order, without
+recursion; a node on a dependency cycle (a component of two or more, or a
+self-edge) is undefined, and undef absorbs every operator that reads it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from dcbound import expr
-from dcbound.dcp import Atom, Dcp, Transition, Var
+from dcbound.dcp import Atom, Dcp, Transition, Var, strongly_connected_components
 from dcbound.localbounds import ONE, local_bound_map
-from dcbound.resetgraph import (
-    DEFAULT_RESET_PATH_CAP,
-    ResetAnalysis,
-    ResetPath,
-    ResetPathOverflow,
-    build_reset_graph,
-    optimal_reset_paths,
-)
+from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetAnalysis, ResetPath, \
+    ResetPathOverflow, build_reset_graph, optimal_reset_paths
 
 __all__ = ["AnalysisMode", "Analysis", "BoundReport"]
+
+Key = tuple[str, str]  # ("TB" | "VB", variable name)
+Get = Callable[[Key], expr.BoundExpr]
 
 
 class AnalysisMode(enum.Enum):
@@ -72,15 +77,11 @@ class Analysis:
     """
 
     def __init__(self, program: Dcp, mode: AnalysisMode, *,
-                 max_reset_paths: int = DEFAULT_RESET_PATH_CAP,
-                 memoize: bool = True):
+                 max_reset_paths: int = DEFAULT_RESET_PATH_CAP):
         self.mode = mode
         self.original = program
         self.warnings: list[str] = []
-        self._memoize = memoize
         self._max_reset_paths = max_reset_paths
-        self._memo: dict[tuple[str, str], expr.BoundExpr] = {}
-        self._active: set[tuple[str, str]] = set()
         self._paths: dict[str, list[ResetPath] | None] = {}
 
         self._reset: ResetAnalysis | None = None
@@ -95,80 +96,64 @@ class Analysis:
                     f"removed variables on reset cycles (and dependents): {names}")
         self.zeta = local_bound_map(self.working)
 
-    # -- memoized recursion ------------------------------------------------
+    # -- the solve -----------------------------------------------------------
 
-    def _cached(self, key: tuple[str, str], compute) -> expr.BoundExpr:
-        if self._memoize and key in self._memo:
-            return self._memo[key]
-        if key in self._active:
+    @cached_property
+    def _bounds(self) -> dict[Key, expr.BoundExpr]:
+        """Every node's bound, solved after the nodes it reads (ascending
+        component numbers); a rule that read none keeps its recorded value."""
+        keys = [("TB", v) for v in sorted(set(self.zeta.values()) - {None, ONE})]
+        keys += [("VB", v) for v in self.working.variables]
+        number = {key: i for i, key in enumerate(keys)}
+        succ: list[set[int]] = [set() for _ in keys]
+        recorded = [self._rule(key, lambda dep, i=i:
+                               succ[i].add(number[dep]) or expr.UNDEFINED)
+                    for i, key in enumerate(keys)]
+        comp = strongly_connected_components(succ)
+        size = Counter(comp)
+        bounds: dict[Key, expr.BoundExpr] = {}
+        for i in sorted(range(len(keys)), key=comp.__getitem__):
+            if size[comp[i]] > 1 or i in succ[i]:
+                bounds[keys[i]] = expr.UNDEFINED
+            else:
+                bounds[keys[i]] = (self._rule(keys[i], bounds.__getitem__)
+                                   if succ[i] else recorded[i])
+        return bounds
+
+    # -- rules: bounds are read only through `get` ---------------------------
+
+    def _rule(self, key: Key, get: Get) -> expr.BoundExpr:
+        kind, v = key
+        if kind == "TB" and self.mode is not AnalysisMode.FREE:
+            return self._tb_context(v, get)
+        resets = self.working.resets(v)
+        if not resets:
             return expr.UNDEFINED
-        self._active.add(key)
-        try:
-            result = compute()
-        finally:
-            self._active.discard(key)
-        if self._memoize:
-            self._memo[key] = result
-        return result
+        caps = [expr.add(self._vb(a, get), c) for _, a, c in resets]
+        if kind == "VB":
+            return expr.add(self._incr(Var(v), get), expr.maximum(*caps))
+        return expr.add(self._incr(Var(v), get), *[  # FREE: one term per reset
+            expr.mul(self._tb(t, get), expr.maximum(cap, 0))
+            for (t, _, _), cap in zip(resets, caps)])
 
-    # -- core functions ------------------------------------------------------
-
-    def incr(self, atom: Atom | str) -> expr.BoundExpr:
-        """Total amount the atom's value can gain over a whole run; zero for
-        rigid atoms and for variables with no positive self-update."""
-        if isinstance(atom, str):
-            atom = Var(atom)
-        if not isinstance(atom, Var):
-            return expr.IntConst(0)
-        incs = self.working.increments(atom.name)
-        if not incs:
-            return expr.IntConst(0)
-        terms = [expr.mul(self.tb(t), c) for t, c in incs]
-        return expr.add(*terms)
-
-    def vb(self, atom: Atom | str) -> expr.BoundExpr:
-        """Upper bound on the atom's value anywhere it is defined."""
-        if isinstance(atom, str):
-            atom = Var(atom)
-        if not isinstance(atom, Var):
-            return atom
-        v = atom.name
-        if v not in self.working.variables:
-            raise ValueError(f"unknown variable {v!r}")
-
-        def compute() -> expr.BoundExpr:
-            resets = self.working.resets(v)
-            if not resets:
-                return expr.UNDEFINED
-            reset_caps = [expr.add(self.vb(a), c) for _, a, c in resets]
-            return expr.add(self.incr(v), expr.maximum(*reset_caps))
-
-        return self._cached(("VB", v), compute)
-
-    def tb(self, t: Transition | str) -> expr.BoundExpr:
-        """Upper bound on how often the transition can run."""
-        if isinstance(t, str):
-            t = self.working.transition(t)
-        return self._cached(("TB", t.id), lambda: self._tb_compute(t))
-
-    def _tb_compute(self, t: Transition) -> expr.BoundExpr:
+    def _tb(self, t: Transition, get: Get) -> expr.BoundExpr:
         bound_var = self.zeta[t.id]
         if bound_var == ONE:
             return expr.IntConst(1)
         if bound_var is None:
             return expr.UNDEFINED
-        if self.mode is AnalysisMode.FREE:
-            return self._tb_free(bound_var)
-        return self._tb_context(bound_var)
+        return get(("TB", bound_var))
 
-    def _tb_free(self, v: str) -> expr.BoundExpr:
-        resets = self.working.resets(v)
-        if not resets:
-            return expr.UNDEFINED
-        terms = [self.incr(v)]
-        for rt, a, c in resets:
-            terms.append(expr.mul(self.tb(rt), expr.maximum(expr.add(self.vb(a), c), 0)))
-        return expr.add(*terms)
+    def _vb(self, atom: Atom, get: Get) -> expr.BoundExpr:
+        return get(("VB", atom.name)) if isinstance(atom, Var) else atom
+
+    def _incr(self, atom: Atom, get: Get) -> expr.BoundExpr:
+        if not isinstance(atom, Var):
+            return expr.IntConst(0)
+        incs = self.working.increments(atom.name)
+        if not incs:
+            return expr.IntConst(0)
+        return expr.add(*[expr.mul(self._tb(t, get), c) for t, c in incs])
 
     def _reset_paths(self, v: str) -> list[ResetPath] | None:
         if v not in self._paths:
@@ -181,11 +166,7 @@ class Analysis:
                 self._paths[v] = None
         return self._paths[v]
 
-    def _tb_set(self, transitions: tuple[Transition, ...]) -> expr.BoundExpr:
-        return expr.minimum(*[self.tb(t) for t in
-                              sorted(transitions, key=lambda t: t.id)])
-
-    def _tb_context(self, v: str) -> expr.BoundExpr:
+    def _tb_context(self, v: str, get: Get) -> expr.BoundExpr:
         paths = self._reset_paths(v)
         if not paths:
             return expr.UNDEFINED
@@ -207,13 +188,35 @@ class Analysis:
                 elif a not in once:
                     once.append(a)
             charged.append(tuple(multi))
-        terms = [self.incr(a) for a in once]
+        terms = [self._incr(a, get) for a in once]
         for k, atoms in zip(paths, charged):
             contrib = expr.mul(
-                self._tb_set(k.transitions),
-                expr.maximum(expr.add(self.vb(k.in_atom), k.offset), 0))
-            terms.append(expr.add(contrib, *[self.incr(a) for a in atoms]))
+                expr.minimum(*[self._tb(t, get) for t in k.transitions]),
+                expr.maximum(expr.add(self._vb(k.in_atom, get), k.offset), 0))
+            terms.append(expr.add(contrib, *[self._incr(a, get) for a in atoms]))
         return expr.add(*terms)
+
+    # -- queries -------------------------------------------------------------
+
+    def incr(self, atom: Atom | str) -> expr.BoundExpr:
+        """Total amount the atom's value can gain over a whole run; zero for
+        rigid atoms and for variables with no positive self-update."""
+        return self._incr(Var(atom) if isinstance(atom, str) else atom,
+                          self._bounds.__getitem__)
+
+    def vb(self, atom: Atom | str) -> expr.BoundExpr:
+        """Upper bound on the atom's value anywhere it is defined."""
+        if isinstance(atom, str):
+            atom = Var(atom)
+        if isinstance(atom, Var) and atom.name not in self.working.variables:
+            raise ValueError(f"unknown variable {atom.name!r}")
+        return self._vb(atom, self._bounds.__getitem__)
+
+    def tb(self, t: Transition | str) -> expr.BoundExpr:
+        """Upper bound on how often the transition can run."""
+        if isinstance(t, str):
+            t = self.working.transition(t)
+        return self._tb(t, self._bounds.__getitem__)
 
     def complexity(self) -> expr.BoundExpr:
         back = self.original.back_edges()

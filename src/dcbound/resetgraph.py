@@ -76,7 +76,7 @@ class ResetPath:
     def target(self) -> str:
         return self.edges[-1].dst
 
-    @property
+    @cached_property
     def transitions(self) -> tuple[Transition, ...]:
         """Distinct transitions along the path, in path order."""
         seen: dict[str, Transition] = {}
@@ -84,7 +84,7 @@ class ResetPath:
             seen.setdefault(e.trans.id, e.trans)
         return tuple(seen.values())
 
-    @property
+    @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         """Distinct atoms along the path, origin first."""
         out: list[Atom] = [self.edges[0].src]
@@ -281,26 +281,23 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
 
     Soundness is monotone under truncation (each interior condition depends
     only on its own edge pair and the fixed last edge), so pruning unsound
-    extensions is complete.
+    extensions is complete. The search is depth-first over an explicit
+    stack, trying extensions in `graph.into` order.
     """
     results: list[ResetPath] = []
-
-    def extend(path: ResetPath) -> None:
+    stack = [ResetPath((e,)) for e in reversed(graph.into(var))]
+    while stack:
+        path = stack.pop()
         head = path.in_atom
-        extended = False
-        if isinstance(head, Var):
-            for e in graph.into(head.name):
-                cand = ResetPath((e,) + path.edges)
-                if is_sound(dcp, cand):
-                    extended = True
-                    extend(cand)
-        if not extended:
-            results.append(path)
-            if len(results) > cap:
-                raise ResetPathOverflow(cap, var)
-
-    for e in graph.into(var):
-        extend(ResetPath((e,)))
+        into = graph.into(head.name) if isinstance(head, Var) else []
+        sound = [cand for cand in (ResetPath((e,) + path.edges) for e in into)
+                 if is_sound(dcp, cand)]
+        if sound:
+            stack.extend(reversed(sound))
+            continue
+        results.append(path)
+        if len(results) > cap:
+            raise ResetPathOverflow(cap, var)
     return results
 
 

@@ -271,3 +271,51 @@ def test_validate_prog_input(capsys):
                        "--mode", "opt", "--sweep", "0..3")
     assert code == 0
     assert out.strip().endswith("PASS")
+
+
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "dcbound.cli", *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+def test_resets_past_path_cap_exit_2():
+    proc = _cli("resets", DATA / "example1.dcp", "--max-reset-paths", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"{DATA / 'example1.dcp'}: "
+                           "more than 1 optimal reset paths end in p\n")
+
+
+def test_non_utf8_input_exit_1(tmp_path):
+    bad = tmp_path / "bad.dcp"
+    bad.write_bytes(b"dcp\nconsts: n\xff\n")
+    proc = _cli("analyze", bad)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("dcbound: error:") and "UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_resets_dot_into_missing_directory_exit_1(tmp_path):
+    proc = _cli("resets", DATA / "exampleB.dcp", "--dot", tmp_path / "no" / "g.dot")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("dcbound: error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_abstract_output_into_missing_directory_exit_1(tmp_path):
+    proc = _cli("abstract", DATA / "example3.prog", "-o", tmp_path / "no" / "x.dcp")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("dcbound: error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", DATA / "example1.dcp", "--max-reset-paths"),
+    ("analyze", DATA / "example3.prog", "--abstraction-depth"),
+    ("validate", DATA / "exampleA.dcp", "--max-steps"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv, "-1")
+    assert code == 1 and out == ""
+    assert "must be 0 or more, got -1" in err
+    code, _, _ = run(capsys, *argv, "0")
+    assert code != 1
