@@ -16,7 +16,6 @@ from dcbound.expr import (
     maximum,
     minimum,
     evaluate,
-    normalize,
     parse_expr,
     to_str,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "maximum",
     "minimum",
     "evaluate",
-    "normalize",
     "parse_expr",
     "to_str",
     "Dcp",

@@ -85,13 +85,19 @@ class Transition:
     def defines(self, var: str) -> bool:
         return var in self._by_lhs
 
-    def reads(self) -> set[str]:
-        """Variable names read in the pre-state (guards and rhs atoms)."""
+    @cached_property
+    def _reads(self) -> frozenset[str]:
         used = set(self.guard)
         for u in self.updates:
             if isinstance(u.rhs, Var):
                 used.add(u.rhs.name)
-        return used
+        # frozenset(set) sizes its table for the final length; growing a
+        # frozenset one name at a time can leave a table twice as large
+        return frozenset(used)
+
+    def reads(self) -> frozenset[str]:
+        """Variable names read in the pre-state (guards and rhs atoms)."""
+        return self._reads
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,29 @@
 """Symbolic bound expressions over integers and named nonnegative constants.
 
 Every bound the analyses produce is one of these expressions. Construction
-goes through the smart constructors (add, mul, maximum, minimum), which keep
-expressions in a canonical normal form so that equal bounds print identically:
-nested sums/products/max/min are flattened, integer constants are folded,
-like terms are collected, and argument lists are sorted by their printed form.
-The undefined element absorbs every operator.
+goes through the smart constructors (add, mul, maximum, minimum) or
+parse_expr, and only they normalize: they keep expressions in a canonical
+normal form so that equal bounds print identically. Nested sums/products/
+max/min are flattened, integer constants are folded, like terms are
+collected, and argument lists are sorted by their printed form. The
+undefined element absorbs every operator.
 
 The constructors normalize one level only: each argument must be an int, a
-leaf (IntConst, SymConst, UNDEFINED), or the result of a constructor,
-parse_expr or normalize. A tree built by hand from the node classes goes
-through normalize first.
+leaf (IntConst, SymConst, UNDEFINED), or the result of a constructor or
+parse_expr. A node built by hand from the node classes is a valid
+expression, but not a normal one.
+
+Bounds reuse the bounds below them, so expressions are DAGs that share
+subterms. Every compound node therefore stores its printed form, its hash
+and whether it is provably nonnegative, each computed once, when the node
+is built, from its operands' values. Printing and hashing read a field,
+equality walks node pairs with an explicit stack, and evaluation visits
+each shared node once; none of them recurses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -32,7 +41,6 @@ __all__ = [
     "mul",
     "maximum",
     "minimum",
-    "normalize",
     "evaluate",
     "to_str",
     "parse_expr",
@@ -53,47 +61,134 @@ class ExprParseError(ValueError):
 
 
 class BoundExpr:
-    """Base class; concrete nodes are the frozen dataclasses below."""
+    """Base class; concrete nodes are the frozen dataclasses below.
+
+    Every node answers `_str`, its printed form, and `_nonneg`, whether it
+    is provably nonnegative: a leaf from its own value, a compound node from
+    the values it stored when it was built.
+    """
 
     __slots__ = ()
+    _str: str
+    _nonneg: bool
 
     def __str__(self) -> str:
-        return to_str(self)
+        return self._str
 
 
 @dataclass(frozen=True)
 class IntConst(BoundExpr):
     value: int
 
+    @property
+    def _str(self) -> str:  # type: ignore[override]
+        return str(self.value)
+
+    @property
+    def _nonneg(self) -> bool:  # type: ignore[override]
+        return self.value >= 0
+
 
 @dataclass(frozen=True)
 class SymConst(BoundExpr):
     name: str
+    _nonneg = True  # symbolic constants range over the naturals
 
-
-@dataclass(frozen=True)
-class Sum(BoundExpr):
-    terms: tuple[BoundExpr, ...]
-
-
-@dataclass(frozen=True)
-class Product(BoundExpr):
-    factors: tuple[BoundExpr, ...]
-
-
-@dataclass(frozen=True)
-class Max(BoundExpr):
-    args: tuple[BoundExpr, ...]
-
-
-@dataclass(frozen=True)
-class Min(BoundExpr):
-    args: tuple[BoundExpr, ...]
+    @property
+    def _str(self) -> str:  # type: ignore[override]
+        return self.name
 
 
 @dataclass(frozen=True)
 class Undefined(BoundExpr):
-    pass
+    _str = "undef"
+    _nonneg = False
+
+
+class _Compound(BoundExpr):
+    """Sum, Product, Max and Min: a tuple of operands, plus the printed
+    form, hash and sign that `__post_init__` stores, each computed from the
+    operands' values. The hash is the one a plain frozen dataclass computes
+    (the hash of its field tuple), so the order in which a set of
+    expressions iterates does not depend on the stored values.
+    """
+
+    __slots__ = ()
+    _hash: int
+
+    def _store(self, text: str, operands: tuple[BoundExpr, ...], nonneg: bool) -> None:
+        object.__setattr__(self, "_str", text)
+        object.__setattr__(self, "_hash", hash((operands,)))
+        object.__setattr__(self, "_nonneg", nonneg)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, BoundExpr):
+            return NotImplemented
+        stack: list[tuple[BoundExpr, BoundExpr]] = [(self, other)]
+        seen: set[tuple[int, int]] = set()  # pairs already compared in a DAG
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if not isinstance(a, _Compound):
+                if a != b:  # leaves compare their value
+                    return False
+                continue
+            ka, kb = _children(a), _children(b)
+            if a._hash != b._hash or len(ka) != len(kb):  # type: ignore[attr-defined]
+                return False
+            pair = (id(a), id(b))
+            if pair not in seen:
+                seen.add(pair)
+                stack.extend(zip(ka, kb))
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Sum(_Compound):
+    terms: tuple[BoundExpr, ...]
+
+    def __post_init__(self) -> None:
+        terms = self.terms
+        self._store(" + ".join([t._str for t in terms]), terms,
+                    all(t._nonneg for t in terms))
+
+
+@dataclass(frozen=True, eq=False)
+class Product(_Compound):
+    factors: tuple[BoundExpr, ...]
+
+    def __post_init__(self) -> None:
+        factors = self.factors
+        self._store("*".join([_factor_str(f) for f in factors]), factors,
+                    all(f._nonneg for f in factors))
+
+
+@dataclass(frozen=True, eq=False)
+class Max(_Compound):
+    args: tuple[BoundExpr, ...]
+
+    def __post_init__(self) -> None:
+        args = self.args
+        self._store("max(" + ",".join([a._str for a in args]) + ")", args,
+                    any(a._nonneg for a in args))
+
+
+@dataclass(frozen=True, eq=False)
+class Min(_Compound):
+    args: tuple[BoundExpr, ...]
+
+    def __post_init__(self) -> None:
+        args = self.args
+        self._store("min(" + ",".join([a._str for a in args]) + ")", args,
+                    all(a._nonneg for a in args))
 
 
 UNDEFINED = Undefined()
@@ -102,33 +197,30 @@ ZERO = IntConst(0)
 ONE_EXPR = IntConst(1)
 
 
+def _children(e: _Compound) -> tuple[BoundExpr, ...]:
+    """The operands of a compound node."""
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    return e.args  # type: ignore[attr-defined]
+
+
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
 
 def to_str(e: BoundExpr) -> str:
-    if isinstance(e, IntConst):
-        return str(e.value)
-    if isinstance(e, SymConst):
-        return e.name
-    if isinstance(e, Undefined):
-        return "undef"
-    if isinstance(e, Sum):
-        return " + ".join(to_str(t) for t in e.terms)
-    if isinstance(e, Product):
-        return "*".join(_factor_str(f) for f in e.factors)
-    if isinstance(e, Max):
-        return "max(" + ",".join(to_str(a) for a in e.args) + ")"
-    if isinstance(e, Min):
-        return "min(" + ",".join(to_str(a) for a in e.args) + ")"
-    raise TypeError(f"not a BoundExpr: {e!r}")
+    if not isinstance(e, BoundExpr):
+        raise TypeError(f"not a BoundExpr: {e!r}")
+    return e._str
 
 
 def _factor_str(f: BoundExpr) -> str:
     # Sums need parentheses in factor position; everything else is atomic.
     if isinstance(f, Sum):
-        return "(" + to_str(f) + ")"
-    return to_str(f)
+        return "(" + f._str + ")"
+    return f._str
 
 
 # ---------------------------------------------------------------------------
@@ -138,33 +230,7 @@ def _factor_str(f: BoundExpr) -> str:
 def is_provably_nonneg(e: BoundExpr) -> bool:
     """Syntactic nonnegativity: symbolic constants range over the naturals,
     so sums/products of them with nonnegative integer parts cannot be < 0."""
-    if isinstance(e, IntConst):
-        return e.value >= 0
-    if isinstance(e, SymConst):
-        return True
-    if isinstance(e, Sum):
-        return all(is_provably_nonneg(t) for t in e.terms)
-    if isinstance(e, Product):
-        return all(is_provably_nonneg(f) for f in e.factors)
-    if isinstance(e, Max):
-        return any(is_provably_nonneg(a) for a in e.args)
-    if isinstance(e, Min):
-        return all(is_provably_nonneg(a) for a in e.args)
-    return False
-
-
-def normalize(e: BoundExpr) -> BoundExpr:
-    if isinstance(e, (IntConst, SymConst, Undefined)):
-        return e
-    if isinstance(e, Sum):
-        return _norm_sum([normalize(t) for t in e.terms])
-    if isinstance(e, Product):
-        return _norm_product([normalize(f) for f in e.factors])
-    if isinstance(e, Max):
-        return _norm_maxmin([normalize(a) for a in e.args], Max)
-    if isinstance(e, Min):
-        return _norm_maxmin([normalize(a) for a in e.args], Min)
-    raise TypeError(f"not a BoundExpr: {e!r}")
+    return getattr(e, "_nonneg", False)
 
 
 def _sorted_by_print(items: Iterable[BoundExpr]) -> list[BoundExpr]:
@@ -352,8 +418,34 @@ def evaluate(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
     """Evaluate under a total assignment of the symbolic constants.
 
     Returns None for the undefined element. Raises EvaluationError when a
-    symbolic constant has no value.
+    symbolic constant has no value. Operands are evaluated left to right,
+    depth first, and a product stops at its first undefined factor; a node
+    shared in the DAG is evaluated once.
     """
+    if not isinstance(e, _Compound):
+        return _leaf_value(e, valuation)
+    memo: dict[int, int | None] = {}  # id(node) -> value; e keeps every node alive
+    stack: list[tuple[BoundExpr, tuple[BoundExpr, ...], list[int | None]]] = [
+        (e, _children(e), [])]
+    while stack:
+        node, kids, vals = stack[-1]
+        stop = isinstance(node, Product)
+        while len(vals) < len(kids) and not (stop and vals and vals[-1] is None):
+            k = kids[len(vals)]
+            if not isinstance(k, _Compound):
+                vals.append(_leaf_value(k, valuation))
+            elif id(k) in memo:
+                vals.append(memo[id(k)])
+            else:
+                stack.append((k, _children(k), []))
+                break
+        else:
+            stack.pop()
+            memo[id(node)] = _combine(node, vals)
+    return memo[id(e)]
+
+
+def _leaf_value(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
     if isinstance(e, IntConst):
         return e.value
     if isinstance(e, SymConst):
@@ -363,24 +455,20 @@ def evaluate(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
             raise EvaluationError(f"no value for symbolic constant {e.name!r}") from None
     if isinstance(e, Undefined):
         return None
-    if isinstance(e, Sum):
-        vals = [evaluate(t, valuation) for t in e.terms]
-        return None if None in vals else sum(vals)  # type: ignore[arg-type]
-    if isinstance(e, Product):
-        acc = 1
-        for f in e.factors:
-            v = evaluate(f, valuation)
-            if v is None:
-                return None
-            acc *= v
-        return acc
-    if isinstance(e, Max):
-        vals = [evaluate(a, valuation) for a in e.args]
-        return None if None in vals else max(vals)  # type: ignore[type-var]
-    if isinstance(e, Min):
-        vals = [evaluate(a, valuation) for a in e.args]
-        return None if None in vals else min(vals)  # type: ignore[type-var]
     raise TypeError(f"not a BoundExpr: {e!r}")
+
+
+def _combine(node: BoundExpr, vals: list[int | None]) -> int | None:
+    """The value of a compound node, given the values of its operands."""
+    if None in vals:
+        return None
+    if isinstance(node, Sum):
+        return sum(vals)  # type: ignore[arg-type]
+    if isinstance(node, Product):
+        return math.prod(vals)  # type: ignore[arg-type]
+    if isinstance(node, Max):
+        return max(vals)  # type: ignore[type-var]
+    return min(vals)  # type: ignore[type-var]
 
 
 # ---------------------------------------------------------------------------

@@ -162,13 +162,13 @@ def test_criterion_8_tightness_spot_checks():
 
 
 def test_criterion_9a_normalization_properties():
-    from test_expr import _random_expr, _CONSTS
+    from test_expr import _CONSTS, _normalize, _random_expr
 
     rng = random.Random(20240817)
     for _ in range(1000):
         e = _random_expr(rng, rng.randint(1, 4))
-        ne = expr.normalize(e)
-        assert expr.normalize(ne) == ne
+        ne = _normalize(e)
+        assert _normalize(ne) == ne
         v = {c: rng.randint(0, 16) for c in _CONSTS}
         assert expr.evaluate(ne, v) == expr.evaluate(e, v)
     _ok("9a (normalization idempotent and value-preserving, 1000 samples)")

@@ -1,6 +1,7 @@
 """Bound-expression normalization, evaluation, printing, parsing."""
 
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,6 @@ from dcbound.expr import (
     maximum,
     minimum,
     mul,
-    normalize,
     parse_expr,
     to_str,
 )
@@ -30,19 +30,19 @@ M2 = SymConst("m2")
 
 def test_constant_folding_and_flattening():
     # n + (n + 0) collapses to one term with coefficient 2
-    e = normalize(Sum((N, Sum((N, IntConst(0))))))
+    e = add(N, add(N, IntConst(0)))
     assert e == Product((IntConst(2), N))
     assert to_str(e) == "2*n"
 
 
 def test_max_set_semantics():
-    e = normalize(Max((Max((M1, M2)), Max((M2, M1)))))
+    e = maximum(maximum(M1, M2), maximum(M2, M1))
     assert e == Max((M1, M2))
     assert to_str(e) == "max(m1,m2)"
 
 
 def test_undef_absorption():
-    assert normalize(Product((N, UNDEFINED))) == UNDEFINED
+    assert mul(N, UNDEFINED) == UNDEFINED
     assert add(N, UNDEFINED) == UNDEFINED
     assert maximum(IntConst(3), UNDEFINED) == UNDEFINED
     assert minimum(UNDEFINED, UNDEFINED) == UNDEFINED
@@ -151,12 +151,25 @@ def _children(e: expr.BoundExpr) -> tuple[expr.BoundExpr, ...]:
     return ()
 
 
+def _normalize(e: expr.BoundExpr) -> expr.BoundExpr:
+    """The normal form of a tree built by hand from the node classes: each
+    node's normalized operands go through the constructor's normalization
+    (the former `expr.normalize`, kept here to test the constructors)."""
+    if isinstance(e, Sum):
+        return expr._norm_sum([_normalize(t) for t in e.terms])
+    if isinstance(e, Product):
+        return expr._norm_product([_normalize(f) for f in e.factors])
+    if isinstance(e, (Max, Min)):
+        return expr._norm_maxmin([_normalize(a) for a in e.args], type(e))
+    return e
+
+
 def test_normalize_idempotent_and_semantics_preserved():
     rng = random.Random(12345)
     for _ in range(1000):
         e = _random_expr(rng, rng.randint(1, 4))
-        ne = normalize(e)
-        assert normalize(ne) == ne
+        ne = _normalize(e)
+        assert _normalize(ne) == ne
         v = {c: rng.randint(0, 16) for c in _CONSTS}
         assert evaluate(ne, v) == evaluate(e, v)
         # the constructors, given normal arguments, agree with normalize on
@@ -167,21 +180,168 @@ def test_normalize_idempotent_and_semantics_preserved():
             children = _children(node)
             if children:
                 ctor = _CONSTRUCTOR[type(node)]
-                assert ctor(*map(normalize, children)) == normalize(node)
+                assert ctor(*map(_normalize, children)) == _normalize(node)
                 stack.extend(children)
 
 
 def test_round_trip_random():
     rng = random.Random(99)
     for _ in range(500):
-        e = normalize(_random_expr(rng, rng.randint(1, 4)))
+        e = _normalize(_random_expr(rng, rng.randint(1, 4)))
         assert parse_expr(to_str(e)) == e
 
 
 def test_undef_absorption_random():
     rng = random.Random(7)
     for _ in range(200):
-        args = [normalize(_random_expr(rng, 2)) for _ in range(rng.randint(1, 3))]
+        args = [_normalize(_random_expr(rng, 2)) for _ in range(rng.randint(1, 3))]
         args.insert(rng.randrange(len(args) + 1), UNDEFINED)
         ctor = rng.choice([add, mul, maximum, minimum])
         assert ctor(*args) == UNDEFINED
+
+
+# ---------------------------------------------------------------------------
+# stored printed form, hash and sign, against the recursive definitions
+# ---------------------------------------------------------------------------
+
+def _ref_to_str(e: expr.BoundExpr) -> str:
+    """Printing as a recursive walk of the tree (the definition)."""
+    if isinstance(e, IntConst):
+        return str(e.value)
+    if isinstance(e, SymConst):
+        return e.name
+    if isinstance(e, expr.Undefined):
+        return "undef"
+    if isinstance(e, Sum):
+        return " + ".join(_ref_to_str(t) for t in e.terms)
+    if isinstance(e, Product):
+        return "*".join("(" + _ref_to_str(f) + ")" if isinstance(f, Sum)
+                        else _ref_to_str(f) for f in e.factors)
+    if isinstance(e, Max):
+        return "max(" + ",".join(_ref_to_str(a) for a in e.args) + ")"
+    return "min(" + ",".join(_ref_to_str(a) for a in e.args) + ")"
+
+
+def _ref_nonneg(e: expr.BoundExpr) -> bool:
+    if isinstance(e, IntConst):
+        return e.value >= 0
+    if isinstance(e, SymConst):
+        return True
+    if isinstance(e, (Sum, Product, Min)):
+        return all(_ref_nonneg(c) for c in _children(e))
+    if isinstance(e, Max):
+        return any(_ref_nonneg(a) for a in e.args)
+    return False
+
+
+def _ref_evaluate(e: expr.BoundExpr, v: dict[str, int]) -> int | None:
+    if isinstance(e, IntConst):
+        return e.value
+    if isinstance(e, SymConst):
+        return v[e.name]
+    if isinstance(e, expr.Undefined):
+        return None
+    if isinstance(e, Product):
+        acc = 1
+        for f in e.factors:
+            x = _ref_evaluate(f, v)
+            if x is None:
+                return None
+            acc *= x
+        return acc
+    vals = [_ref_evaluate(c, v) for c in _children(e)]
+    if None in vals:
+        return None
+    return sum(vals) if isinstance(e, Sum) else max(vals) if isinstance(e, Max) else min(vals)
+
+
+def _random_dag(rng: random.Random, size: int) -> list[expr.BoundExpr]:
+    """`size` expressions built through the constructors, each from earlier
+    ones, so that later expressions reuse subterms many times over."""
+    pool: list[expr.BoundExpr] = [SymConst(c) for c in _CONSTS]
+    pool += [IntConst(rng.randint(-2, 3)) for _ in range(2)]
+    if rng.random() < 0.2:
+        pool.append(UNDEFINED)
+    for _ in range(size):
+        ctor = rng.choice([add, mul, maximum, minimum])
+        # favour recent entries: deep chains with wide sharing
+        args = [pool[max(0, len(pool) - 1 - int(rng.expovariate(0.4)))]
+                for _ in range(rng.randint(1, 3))]
+        pool.append(ctor(*args))
+    return pool
+
+
+def test_stored_fields_match_recursive_definitions():
+    rng = random.Random(4242)
+    built = 0
+    for _ in range(60):
+        size = rng.randint(5, 14)
+        pool = _random_dag(rng, size)
+        v = {c: rng.randint(0, 5) for c in _CONSTS}
+        for e in pool:
+            assert str(e) == to_str(e) == _ref_to_str(e)
+            assert expr.is_provably_nonneg(e) == _ref_nonneg(e)
+            assert evaluate(e, v) == _ref_evaluate(e, v)
+        built += size
+    assert built >= 500
+
+
+def test_hand_built_nodes_evaluate_like_the_tree():
+    # a product stops at its first undefined factor, so a missing constant
+    # after it is never looked up; a sum evaluates every term
+    assert evaluate(Product((UNDEFINED, SymConst("x"))), {}) is None
+    with pytest.raises(expr.EvaluationError, match="'x'"):
+        evaluate(Sum((UNDEFINED, SymConst("x"))), {})
+    with pytest.raises(expr.EvaluationError, match="'m1'"):
+        evaluate(Sum((Max((M1, M2)), SymConst("x"))), {})
+    rng = random.Random(31)
+    for _ in range(500):
+        e = _random_expr(rng, rng.randint(1, 4))
+        v = {c: rng.randint(0, 9) for c in _CONSTS}
+        assert str(e) == _ref_to_str(e)
+        assert expr.is_provably_nonneg(e) == _ref_nonneg(e)
+        assert evaluate(e, v) == _ref_evaluate(e, v)
+
+
+def test_equality_and_hash_are_structural():
+    a = add(mul(N, maximum(M1, M2)), mul(2, N), 1)
+    b = add(1, mul(maximum(M2, M1), N), mul(N, 2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # a hand-built node that prints like a leaf is still a different node
+    assert str(Sum((N,))) == "n"
+    assert Sum((N,)) != N and N != Sum((N,))
+    assert Max((N,)) != Min((N,))
+    assert Sum((N, M1)) != Product((N, M1))
+    assert IntConst(2) != SymConst("2") and IntConst(2) == IntConst(2)
+    assert N != "n" and UNDEFINED == expr.Undefined()
+    # the hash is the frozen dataclass's: the hash of the field tuple
+    assert hash(a) == hash((a.terms,)) and hash(N) == hash(("n",))
+    # independent builds of a DAG with heavy sharing (each level uses the
+    # one below three times, so the printed form triples per level)
+    x, y = N, SymConst("n")
+    for _ in range(9):
+        x, y = maximum(add(x, 1), mul(x, x)), maximum(add(y, 1), mul(y, y))
+    assert x == y and x != maximum(add(y, 2), mul(y, y))
+
+
+def _deep_chain(depth: int) -> expr.BoundExpr:
+    e = N
+    for _ in range(depth):
+        e = add(mul(e, N), 1)
+    return e
+
+
+def test_deep_expressions_do_not_recurse():
+    start = time.perf_counter()
+    e, f = _deep_chain(2000), _deep_chain(2000)
+    text = "1 + n*n"
+    for _ in range(1999):
+        text = "(" + text + ")*n + 1"
+    assert str(e) == text
+    assert hash(e) == hash(f) and e == f and e is not f
+    assert e != _deep_chain(1999)
+    assert evaluate(e, {"n": 1}) == 2001
+    assert evaluate(e, {"n": 2}) == 3 * 2 ** 2000 - 1
+    assert expr.is_provably_nonneg(e)
+    assert time.perf_counter() - start < 2.0

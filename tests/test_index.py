@@ -80,13 +80,17 @@ def ref_increments(d, var):
     return out
 
 
+def ref_reads(t):
+    return set(t.guard) | {u.rhs.name for u in t.updates if isinstance(u.rhs, Var)}
+
+
 def ref_liveness(d):
     live = {loc: set() for loc in d.locations}
     changed = True
     while changed:
         changed = False
         for t in d.transitions:
-            wanted = t.reads() | {
+            wanted = ref_reads(t) | {
                 v for v in live.get(t.target, set()) if not ref_defines(t, v)}
             cur = live[t.source]
             if not wanted <= cur:
@@ -130,6 +134,7 @@ def check_program(d: Dcp) -> None:
     names = ([t.id for t in d.transitions] + list(d.variables)
              + list(d.sym_consts) + [MISSING])
     for t in d.transitions:
+        assert t.reads() == ref_reads(t) and isinstance(t.reads(), frozenset)
         for v in names:
             assert t.update_for(v) == ref_update_for(t, v)
             assert t.defines(v) == ref_defines(t, v)
