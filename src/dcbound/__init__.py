@@ -22,7 +22,7 @@ from dcbound.expr import (
 from dcbound.dcp import Dcp, Transition, DifferenceConstraint, parse_dcp, DcpError
 from dcbound.engine import AnalysisMode, Analysis, BoundReport
 from dcbound.oracle import explore, check_soundness, RunStats
-from dcbound.program import ConcreteProgram, parse_program, ProgramError
+from dcbound.program import ConcreteProgram, parse_program
 from dcbound.abstraction import abstract_program, AbstractionResult
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "RunStats",
     "ConcreteProgram",
     "parse_program",
-    "ProgramError",
     "abstract_program",
     "AbstractionResult",
     "__version__",

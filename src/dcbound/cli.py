@@ -20,10 +20,10 @@ from pathlib import Path
 from dcbound import __version__, expr
 from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, \
     TooManyCycles, abstract_program
-from dcbound.dcp import Dcp, DcpError, format_dcp, parse_dcp
+from dcbound.dcp import Dcp, DcpError, format_dcp, input_format, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.oracle import DEFAULT_STEP_CAP, Verdict, check_soundness
-from dcbound.program import ProgramError, parse_program
+from dcbound.program import parse_program
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPathOverflow, \
     build_reset_graph, optimal_reset_paths, to_dot
 
@@ -63,9 +63,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, *, analysis=True):
-        sp.add_argument("file", help="input .dcp or .prog file")
-        sp.add_argument("--format", choices=["dcp", "prog"],
-                        help="override input format sniffing")
+        sp.add_argument("file", help="input file whose first line is dcp or prog")
         sp.add_argument("--abstraction-depth", type=_count,
                         default=DEFAULT_DEPTH_LIMIT, metavar="N",
                         help="max chained norm discoveries before a chain "
@@ -120,25 +118,8 @@ def _build_parser() -> _Parser:
 # input loading
 # ---------------------------------------------------------------------------
 
-def _sniff_format(path: Path, override: str | None, text: str) -> str:
-    if override:
-        return override
-    if path.suffix == ".dcp":
-        return "dcp"
-    if path.suffix == ".prog":
-        return "prog"
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            if line in ("dcp", "prog"):
-                return line
-            break
-    raise _UsageError(
-        f"cannot determine format of {path}; pass --format dcp|prog")
-
-
 def _read(args) -> tuple[str, str]:
-    """The input file's text and format."""
+    """The input file's text and the format its first line names."""
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
@@ -147,7 +128,7 @@ def _read(args) -> tuple[str, str]:
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path} is not UTF-8 text: byte {exc.start} "
                           f"({exc.object[exc.start]:#04x})") from None
-    return text, _sniff_format(path, args.format, text)
+    return text, input_format(text)
 
 
 def _write(path: str, text: str) -> None:
@@ -313,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"dcbound: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DcpError, ProgramError) as exc:
+    except DcpError as exc:
         for d in exc.diagnostics:
             print(f"{getattr(args, 'file', '<input>')}:{d}", file=sys.stderr)
         return EXIT_USAGE

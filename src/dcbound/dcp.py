@@ -1,4 +1,5 @@
-"""Guarded difference constraint programs: data model, parser, validation.
+"""Guarded difference constraint programs: data model, parser, validation,
+and the line reader that `.dcp` and `.prog` inputs share.
 
 A transition carries a set of variables required to be positive (the guard)
 and a deterministic set of inequalities x' <= a + c, one per updated variable,
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from dcbound.expr import IntConst, SymConst
 
@@ -298,14 +299,15 @@ def defined_at(dcp: Dcp) -> dict[str, set[str]]:
     return out
 
 
-def validate(dcp: Dcp) -> list[Diagnostic]:
-    """Structural and semantic checks; an empty list means the program is
-    deterministic and well-defined."""
+def check_structure(program, consts: Iterable[str]) -> list[Diagnostic]:
+    """The checks both input formats share: no name is two of constant,
+    variable and location, transition ids are unique, and no transition
+    enters the entry or leaves the exit. `program` is a Dcp with its
+    symbolic constants or a ConcreteProgram with its parameters."""
     diags: list[Diagnostic] = []
-    vars_ = set(dcp.variables)
-    consts = set(dcp.sym_consts)
-    locs = set(dcp.locations)
-
+    vars_ = set(program.variables)
+    consts = set(consts)
+    locs = set(program.locations)
     for a, b, what in [
         (vars_, consts, "variable and constant"),
         (vars_, locs, "variable and location"),
@@ -313,12 +315,26 @@ def validate(dcp: Dcp) -> list[Diagnostic]:
     ]:
         for name in sorted(a & b):
             diags.append(Diagnostic(0, 0, f"name {name!r} used as both {what}"))
-
     seen_ids: set[str] = set()
-    for t in dcp.transitions:
+    for t in program.transitions:
         if t.id in seen_ids:
             diags.append(Diagnostic(t.line, 1, f"duplicate transition id {t.id!r}"))
         seen_ids.add(t.id)
+        if t.source == program.exit:
+            diags.append(Diagnostic(
+                t.line, 1, f"transition {t.id} leaves the exit location"))
+        if t.target == program.entry:
+            diags.append(Diagnostic(
+                t.line, 1, f"transition {t.id} enters the entry location"))
+    return diags
+
+
+def validate(dcp: Dcp) -> list[Diagnostic]:
+    """Structural and semantic checks; an empty list means the program is
+    deterministic and well-defined."""
+    diags = check_structure(dcp, dcp.sym_consts)
+    vars_ = set(dcp.variables)
+    for t in dcp.transitions:
         for g in t.guard:
             if g not in vars_:
                 diags.append(Diagnostic(
@@ -335,18 +351,8 @@ def validate(dcp: Dcp) -> list[Diagnostic]:
                     f"variable {u.lhs!r} constrained twice"))
             lhs_seen.add(u.lhs)
             if isinstance(u.rhs, Var) and u.rhs.name not in vars_:
-                if u.rhs.name in consts:
-                    pass  # parser already classified; defensive only
-                else:
-                    diags.append(Diagnostic(
-                        t.line, 1,
-                        f"transition {t.id}: unknown atom {u.rhs.name!r}"))
-        if t.source == dcp.exit:
-            diags.append(Diagnostic(
-                t.line, 1, f"transition {t.id} leaves the exit location"))
-        if t.target == dcp.entry:
-            diags.append(Diagnostic(
-                t.line, 1, f"transition {t.id} enters the entry location"))
+                diags.append(Diagnostic(
+                    t.line, 1, f"transition {t.id}: unknown atom {u.rhs.name!r}"))
 
     if diags:
         return diags  # liveness needs a structurally sane program
@@ -435,23 +441,26 @@ def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# reading
 # ---------------------------------------------------------------------------
 #
-# Line-oriented format, '#' starts a comment:
+# Both input languages are line-oriented; '#' starts a comment and the first
+# line names the format. `read_source` reads all but the transition lines,
+# which each format parses with its own pattern:
 #
-#   dcp
-#   consts: n, m1, m2
-#   vars:   x, y, z
-#   entry:  lb
-#   exit:   le
+#   dcp                                  prog
+#   consts: n, m1, m2                    params: l
+#   vars:   x, y, z                      vars:   i, b, e, k
+#   entry:  lb                           entry:  l0
+#   exit:   le                           exit:   le
 #   trans t1: l1 -> l2 guard(x) { x' <= x - 1; r' <= r + 1; }
 #
 # Variable names may also be written in parenthesized-expression form, e.g.
 # (l-i), as produced by `abstract --keep-names`.
 
+_DECL_RE = {tag: re.compile(rf"^({consts}|vars|entry|exit)\s*:\s*(.*)$")
+            for tag, consts in (("dcp", "consts"), ("prog", "params"))}
 _NAME = r"(?:[A-Za-z_][A-Za-z0-9_]*|\([A-Za-z0-9_+\-*]+\))"
-_HEADER_RE = re.compile(r"^(consts|vars|entry|exit)\s*:\s*(.*)$")
 _TRANS_RE = re.compile(
     rf"^trans\s+(?P<id>{_NAME})\s*:\s*(?P<src>{_NAME})\s*->\s*(?P<tgt>{_NAME})"
     rf"\s*(?:guard\(\s*(?P<guard>{_NAME}(?:\s*,\s*{_NAME})*)\s*\))?"
@@ -464,110 +473,127 @@ _UPDATE_RE = re.compile(
 _INT_RE = re.compile(r"-?\d+")
 
 
-def _split_names(raw: str) -> list[str]:
-    raw = raw.strip()
-    if not raw:
-        return []
-    return [p.strip() for p in raw.split(",")]
+@dataclass
+class Source:
+    """One input as `read_source` collected it: declarations in file order
+    (the constants are a `.prog` input's parameters), the locations named
+    anywhere, the transitions and the diagnostics so far."""
+
+    consts: list[str] = field(default_factory=list)
+    variables: list[str] = field(default_factory=list)
+    entry: str | None = None
+    exit: str | None = None
+    locations: set[str] = field(default_factory=set)
+    transitions: list = field(default_factory=list)
+    diags: list[Diagnostic] = field(default_factory=list)
+
+
+def _lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, raw line, content) of each line that has content once
+    its comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, line
+
+
+def input_format(text: str) -> str:
+    """The format named by the first line: 'dcp' or 'prog'."""
+    for lineno, _, line in _lines(text):
+        if line in _DECL_RE:
+            return line
+        raise DcpError([Diagnostic(lineno, 1, "expected 'dcp' or 'prog' header")])
+    raise DcpError([Diagnostic(0, 0, "expected 'dcp' or 'prog' header")])
+
+
+def read_source(text: str, tag: str, trans_re: re.Pattern,
+                transition: Callable[[re.Match, int, str, Source], object]) -> Source:
+    """Read an input in format `tag`. Each line that `trans_re` matches goes
+    to `transition(match, line number, raw line, source so far)`, which
+    returns the transition and adds its own diagnostics to `source.diags`;
+    the match's groups `src` and `tgt` are locations. Raises DcpError when
+    a line does not parse or entry or exit is missing."""
+    src = Source()
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is not None and first[2] != tag:
+        raise DcpError([Diagnostic(first[0], 1, f"expected {tag!r} header")])
+    decl_re = _DECL_RE[tag]
+    for lineno, raw, line in lines:
+        m = decl_re.match(line)
+        if m:
+            key, rest = m.groups()
+            names = [p.strip() for p in rest.split(",")] if rest else []
+            if "" in names:
+                src.diags.append(Diagnostic(lineno, 1, f"empty name in {key} list"))
+            elif key == "vars":
+                src.variables.extend(names)
+            elif key == "entry":
+                src.entry = names[0] if names else None
+                src.locations.update(names[:1])
+            elif key == "exit":
+                src.exit = names[0] if names else None
+                src.locations.update(names[:1])
+            else:
+                src.consts.extend(names)
+            continue
+        m = trans_re.match(line)
+        if m:
+            src.transitions.append(transition(m, lineno, raw, src))
+            src.locations.update((m.group("src"), m.group("tgt")))
+            continue
+        src.diags.append(Diagnostic(lineno, 1, f"cannot parse line {line!r}"))
+    if src.entry is None:
+        src.diags.append(Diagnostic(0, 0, "missing entry declaration"))
+    if src.exit is None:
+        src.diags.append(Diagnostic(0, 0, "missing exit declaration"))
+    if src.diags:
+        raise DcpError(src.diags)
+    return src
+
+
+def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
+    updates = []
+    for part in m.group("body").split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        um = _UPDATE_RE.match(part)
+        if um is None:
+            col = raw.find(part) + 1
+            src.diags.append(Diagnostic(lineno, max(col, 1),
+                                        f"cannot parse update {part!r}"))
+            continue
+        rhs_txt = um.group("rhs")
+        if _INT_RE.fullmatch(rhs_txt):
+            rhs: Atom = IntConst(int(rhs_txt))
+        elif rhs_txt in src.consts:
+            rhs = SymConst(rhs_txt)
+        else:
+            rhs = Var(rhs_txt)
+        off = int(um.group("off") or 0)
+        if um.group("sign") == "-":
+            off = -off
+        updates.append(DifferenceConstraint(um.group("lhs"), rhs, off))
+    guard = m.group("guard")
+    return Transition(
+        id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
+        guard=tuple(sorted(g.strip() for g in guard.split(","))) if guard else (),
+        updates=tuple(sorted(updates, key=lambda u: u.lhs)),
+        line=lineno,
+    )
 
 
 def parse_dcp(text: str) -> Dcp:
     """Parse and validate; raises DcpError carrying positioned diagnostics."""
-    diags: list[Diagnostic] = []
-    consts: list[str] = []
-    variables: list[str] = []
-    entry = exit_ = None
-    transitions: list[Transition] = []
-    locations: list[str] = []
-    seen_tag = False
-
-    def add_loc(name: str) -> None:
-        if name not in locations:
-            locations.append(name)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not seen_tag:
-            if line != "dcp":
-                diags.append(Diagnostic(lineno, 1, "expected 'dcp' header"))
-                break
-            seen_tag = True
-            continue
-        m = _HEADER_RE.match(line)
-        if m:
-            key, rest = m.group(1), m.group(2)
-            names = _split_names(rest)
-            if any(not n for n in names):
-                diags.append(Diagnostic(lineno, 1, f"empty name in {key} list"))
-                continue
-            if key == "consts":
-                consts.extend(names)
-            elif key == "vars":
-                variables.extend(names)
-            elif key == "entry":
-                entry = names[0] if names else None
-                if entry:
-                    add_loc(entry)
-            else:
-                exit_ = names[0] if names else None
-                if exit_:
-                    add_loc(exit_)
-            continue
-        m = _TRANS_RE.match(line)
-        if m:
-            guard = tuple(_split_names(m.group("guard") or ""))
-            updates = []
-            body = m.group("body").strip()
-            parts = [p.strip() for p in body.split(";") if p.strip()]
-            bad = False
-            for part in parts:
-                um = _UPDATE_RE.match(part)
-                if um is None:
-                    col = raw.find(part) + 1
-                    diags.append(Diagnostic(lineno, max(col, 1),
-                                            f"cannot parse update {part!r}"))
-                    bad = True
-                    continue
-                rhs_txt = um.group("rhs")
-                if _INT_RE.fullmatch(rhs_txt):
-                    rhs: Atom = IntConst(int(rhs_txt))
-                elif rhs_txt in consts:
-                    rhs = SymConst(rhs_txt)
-                else:
-                    rhs = Var(rhs_txt)
-                off = int(um.group("off") or 0)
-                if um.group("sign") == "-":
-                    off = -off
-                updates.append(DifferenceConstraint(um.group("lhs"), rhs, off))
-            if bad:
-                continue
-            add_loc(m.group("src"))
-            add_loc(m.group("tgt"))
-            transitions.append(Transition(
-                id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
-                guard=tuple(sorted(guard)),
-                updates=tuple(sorted(updates, key=lambda u: u.lhs)),
-                line=lineno,
-            ))
-            continue
-        diags.append(Diagnostic(lineno, 1, f"cannot parse line {line!r}"))
-
-    if entry is None:
-        diags.append(Diagnostic(0, 0, "missing entry declaration"))
-    if exit_ is None:
-        diags.append(Diagnostic(0, 0, "missing exit declaration"))
-    if diags:
-        raise DcpError(diags)
-
+    src = read_source(text, "dcp", _TRANS_RE, _transition)
     dcp = Dcp(
-        locations=tuple(sorted(locations)),
-        transitions=tuple(sorted(transitions, key=lambda t: t.id)),
-        entry=entry,
-        exit=exit_,
-        variables=tuple(sorted(variables)),
-        sym_consts=tuple(sorted(consts)),
+        locations=tuple(sorted(src.locations)),
+        transitions=tuple(sorted(src.transitions, key=lambda t: t.id)),
+        entry=src.entry,
+        exit=src.exit,
+        variables=tuple(sorted(src.variables)),
+        sym_consts=tuple(sorted(src.consts)),
     )
     diags = validate(dcp)
     if diags:

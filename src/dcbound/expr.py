@@ -124,6 +124,9 @@ class _Compound(BoundExpr):
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:  # the dataclass repr would recurse
+        return f"<{type(self).__name__} {self._str}>"
+
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -151,7 +154,7 @@ class _Compound(BoundExpr):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(_Compound):
     terms: tuple[BoundExpr, ...]
 
@@ -161,7 +164,7 @@ class Sum(_Compound):
                     all(t._nonneg for t in terms))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(_Compound):
     factors: tuple[BoundExpr, ...]
 
@@ -171,7 +174,7 @@ class Product(_Compound):
                     all(f._nonneg for f in factors))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Max(_Compound):
     args: tuple[BoundExpr, ...]
 
@@ -181,7 +184,7 @@ class Max(_Compound):
                     any(a._nonneg for a in args))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Min(_Compound):
     args: tuple[BoundExpr, ...]
 
@@ -532,66 +535,66 @@ class _Tokens:
 
 
 def parse_expr(text: str) -> BoundExpr:
-    """Parse the canonical expression syntax; the result is normalized."""
+    """Parse the canonical expression syntax; the result is normalized.
+
+    Operator precedence parsing over an explicit stack of open groups: the
+    top level, each '(' and each max/min call. A group holds the finished
+    arguments (max/min only), the finished terms of the sum being read and
+    the factors of its current term.
+    """
     toks = _Tokens(text)
-    try:
-        e = _parse_sum(toks)
-    except RecursionError:
-        at = toks.peek()
-        raise ExprParseError("expression nested too deeply",
-                             len(text) if at is None else at[2]) from None
-    left = toks.peek()
-    if left is not None:
-        raise ExprParseError(f"trailing input {left[1]!r}", left[2])
-    return e
-
-
-def _parse_sum(toks: _Tokens) -> BoundExpr:
-    terms = [_parse_term(toks)]
+    # (opening token or None, args, terms, factors)
+    stack: list[tuple[tuple[str, str, int] | None, list[BoundExpr],
+                      list[BoundExpr], list[BoundExpr]]] = [(None, [], [], [])]
     while True:
-        t = toks.peek()
-        if t is not None and t[0] == "+":
-            toks.next()
-            terms.append(_parse_term(toks))
-        else:
-            return add(*terms)
-
-
-def _parse_term(toks: _Tokens) -> BoundExpr:
-    factors = [_parse_factor(toks)]
-    while True:
-        t = toks.peek()
-        if t is not None and t[0] == "*":
-            toks.next()
-            factors.append(_parse_factor(toks))
-        else:
-            return mul(*factors)
-
-
-def _parse_factor(toks: _Tokens) -> BoundExpr:
-    kind, val, pos = toks.next()
-    if kind == "INT":
-        return IntConst(int(val))
-    if kind == "(":
-        e = _parse_sum(toks)
-        toks.expect(")")
-        return e
-    if kind == "IDENT":
-        if val == "undef":
-            return UNDEFINED
-        if val in ("max", "min"):
+        kind, val, pos = toks.next()
+        if kind == "INT":
+            factor: BoundExpr = IntConst(int(val))
+        elif kind == "(":
+            stack.append(((kind, val, pos), [], [], []))
+            continue
+        elif kind != "IDENT":
+            raise ExprParseError(f"unexpected token {val!r}", pos)
+        elif val == "undef":
+            factor = UNDEFINED
+        elif val in ("max", "min"):
             toks.expect("(")
-            args = [_parse_sum(toks)]
-            while True:
-                t = toks.next()
-                if t[0] == ",":
-                    args.append(_parse_sum(toks))
-                elif t[0] == ")":
-                    break
-                else:
-                    raise ExprParseError(f"expected ',' or ')', found {t[1]!r}", t[2])
+            stack.append(((kind, val, pos), [], [], []))
+            continue
+        else:
+            factor = SymConst(val)
+        # close every group that this factor completes
+        while True:
+            opener, args, terms, factors = stack[-1]
+            factors.append(factor)
+            t = toks.peek()
+            if t is not None and t[0] == "*":
+                toks.next()
+                break
+            terms.append(mul(*factors))
+            factors.clear()
+            if t is not None and t[0] == "+":
+                toks.next()
+                break
+            group = add(*terms)
+            terms.clear()
+            if opener is None:
+                if t is not None:
+                    raise ExprParseError(f"trailing input {t[1]!r}", t[2])
+                return group
+            if opener[0] == "(":
+                toks.expect(")")
+                stack.pop()
+                factor = group
+                continue
+            args.append(group)
+            t = toks.next()
+            if t[0] == ",":
+                break
+            if t[0] != ")":
+                raise ExprParseError(f"expected ',' or ')', found {t[1]!r}", t[2])
             if len(args) < 2:
-                raise ExprParseError(f"{val}() needs at least two arguments", pos)
-            return maximum(*args) if val == "max" else minimum(*args)
-        return SymConst(val)
-    raise ExprParseError(f"unexpected token {val!r}", pos)
+                raise ExprParseError(f"{opener[1]}() needs at least two arguments",
+                                     opener[2])
+            stack.pop()
+            factor = maximum(*args) if opener[1] == "max" else minimum(*args)

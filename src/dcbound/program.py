@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from dcbound.dcp import Diagnostic
+from dcbound.dcp import DcpError, Diagnostic, Source, check_structure, read_source
 
 __all__ = [
     "LinExpr",
@@ -19,16 +19,9 @@ __all__ = [
     "Relation",
     "ConcreteTransition",
     "ConcreteProgram",
-    "ProgramError",
     "parse_program",
     "parse_linexpr",
 ]
-
-
-class ProgramError(ValueError):
-    def __init__(self, diagnostics: list[Diagnostic]):
-        super().__init__("; ".join(str(d) for d in diagnostics))
-        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -54,12 +47,6 @@ class LinExpr:
     @property
     def is_const(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, name: str) -> int:
-        for n, c in self.coeffs:
-            if n == name:
-                return c
-        return 0
 
     def add(self, other: "LinExpr") -> "LinExpr":
         acc = dict(self.coeffs)
@@ -186,21 +173,19 @@ class ConcreteProgram:
 # parsing
 # ---------------------------------------------------------------------------
 #
-#   prog
-#   params: l
-#   vars:   i, b, e, k
-#   entry:  l0
-#   exit:   le
+# `dcp.read_source` reads the tag line `prog` and the declarations (`params`,
+# `vars`, `entry`, `exit`); the transition lines are this module's:
+#
 #   trans t1: l1 -> l2 when i < l { i := i + 1; }
 #   trans t2: l2 -> l3 { e := i; }           # unmentioned vars keep value
 #   trans t3: l3 -> l4 { k := ?; }           # havoc
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_HEADER_RE = re.compile(r"^(params|vars|entry|exit)\s*:\s*(.*)$")
 _TRANS_RE = re.compile(
     rf"^trans\s+(?P<id>{_IDENT})\s*:\s*(?P<src>{_IDENT})\s*->\s*(?P<tgt>{_IDENT})"
     r"\s*(?:when\s+(?P<guard>[^{]*?))?\s*\{(?P<body>.*)\}\s*$"
 )
+_ASSIGN_RE = re.compile(rf"^(?P<lhs>{_IDENT})\s*:=\s*(?P<rhs>.*)$")
 _REL_RE = re.compile(r"(<=|>=|==|<|>|=)")
 _TERM_RE = re.compile(rf"^\s*(?:(?P<coef>\d+)\s*\*\s*)?(?P<name>{_IDENT})\s*$|^\s*(?P<int>-?\d+)\s*$")
 
@@ -214,8 +199,7 @@ def parse_linexpr(text: str, known: set[str], lineno: int,
         return LinExpr()
     # split into signed chunks
     chunks: list[tuple[int, str]] = []
-    sign, buf = 1, ""
-    depth_ok = True
+    sign = 1
     i = 0
     if s[0] in "+-":
         sign = -1 if s[0] == "-" else 1
@@ -232,7 +216,7 @@ def parse_linexpr(text: str, known: set[str], lineno: int,
     coeffs: dict[str, int] = {}
     for sg, chunk in chunks:
         m = _TERM_RE.match(chunk)
-        if not m or not depth_ok:
+        if not m:
             diags.append(Diagnostic(lineno, 1, f"cannot parse term {chunk.strip()!r}"))
             continue
         if m.group("int") is not None:
@@ -247,109 +231,58 @@ def parse_linexpr(text: str, known: set[str], lineno: int,
     return LinExpr.from_mapping(const, coeffs)
 
 
+def _transition(m: re.Match, lineno: int, raw: str,
+                src: Source) -> ConcreteTransition:
+    diags = src.diags
+    known = set(src.consts) | set(src.variables)
+    guard: list[Relation] = []
+    for g in [p.strip() for p in (m.group("guard") or "").split(",") if p.strip()]:
+        parts = _REL_RE.split(g, maxsplit=1)
+        if len(parts) != 3:
+            diags.append(Diagnostic(lineno, 1, f"cannot parse condition {g!r}"))
+            continue
+        lhs = parse_linexpr(parts[0], known, lineno, diags)
+        rhs = parse_linexpr(parts[2], known, lineno, diags)
+        guard.append(Relation(parts[1], lhs, rhs))
+    updates: list[tuple[str, LinExpr | _Havoc]] = []
+    assigned: set[str] = set()
+    for stmt in [p.strip() for p in m.group("body").split(";") if p.strip()]:
+        am = _ASSIGN_RE.match(stmt)
+        if not am:
+            diags.append(Diagnostic(lineno, 1, f"cannot parse update {stmt!r}"))
+            continue
+        lhs = am.group("lhs")
+        if lhs in src.consts:
+            diags.append(Diagnostic(lineno, 1,
+                                    f"parameter {lhs!r} cannot be assigned"))
+            continue
+        if lhs not in src.variables:
+            diags.append(Diagnostic(lineno, 1, f"unknown variable {lhs!r}"))
+            continue
+        if lhs in assigned:
+            diags.append(Diagnostic(
+                lineno, 1, f"variable {lhs!r} assigned twice on one transition"))
+            continue
+        assigned.add(lhs)
+        rhs_txt = am.group("rhs").strip()
+        if rhs_txt == "?":
+            updates.append((lhs, HAVOC))
+        else:
+            updates.append((lhs, parse_linexpr(rhs_txt, known, lineno, diags)))
+    return ConcreteTransition(
+        id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
+        guard=tuple(guard), updates=tuple(updates), line=lineno)
+
+
 def parse_program(text: str) -> ConcreteProgram:
-    """Parse and validate; raises ProgramError with positioned diagnostics."""
-    diags: list[Diagnostic] = []
-    params: list[str] = []
-    variables: list[str] = []
-    entry = exit_ = None
-    transitions: list[ConcreteTransition] = []
-    locations: list[str] = []
-    seen_tag = False
-
-    def add_loc(name: str) -> None:
-        if name not in locations:
-            locations.append(name)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not seen_tag:
-            if line != "prog":
-                diags.append(Diagnostic(lineno, 1, "expected 'prog' header"))
-                break
-            seen_tag = True
-            continue
-        m = _HEADER_RE.match(line)
-        if m:
-            key, rest = m.group(1), m.group(2)
-            names = [p.strip() for p in rest.split(",") if p.strip()]
-            if key == "params":
-                params.extend(names)
-            elif key == "vars":
-                variables.extend(names)
-            elif key == "entry":
-                entry = names[0] if names else None
-                if entry:
-                    add_loc(entry)
-            else:
-                exit_ = names[0] if names else None
-                if exit_:
-                    add_loc(exit_)
-            continue
-        m = _TRANS_RE.match(line)
-        if m:
-            known = set(params) | set(variables)
-            guard: list[Relation] = []
-            for g in [p.strip() for p in (m.group("guard") or "").split(",") if p.strip()]:
-                parts = _REL_RE.split(g, maxsplit=1)
-                if len(parts) != 3:
-                    diags.append(Diagnostic(lineno, 1, f"cannot parse condition {g!r}"))
-                    continue
-                lhs = parse_linexpr(parts[0], known, lineno, diags)
-                rhs = parse_linexpr(parts[2], known, lineno, diags)
-                guard.append(Relation(parts[1], lhs, rhs))
-            updates: list[tuple[str, LinExpr | _Havoc]] = []
-            assigned: set[str] = set()
-            for stmt in [p.strip() for p in m.group("body").split(";") if p.strip()]:
-                am = re.match(rf"^(?P<lhs>{_IDENT})\s*:=\s*(?P<rhs>.*)$", stmt)
-                if not am:
-                    diags.append(Diagnostic(lineno, 1, f"cannot parse update {stmt!r}"))
-                    continue
-                lhs = am.group("lhs")
-                if lhs in params:
-                    diags.append(Diagnostic(lineno, 1,
-                                            f"parameter {lhs!r} cannot be assigned"))
-                    continue
-                if lhs not in variables:
-                    diags.append(Diagnostic(lineno, 1, f"unknown variable {lhs!r}"))
-                    continue
-                if lhs in assigned:
-                    diags.append(Diagnostic(
-                        lineno, 1, f"variable {lhs!r} assigned twice on one transition"))
-                    continue
-                assigned.add(lhs)
-                rhs_txt = am.group("rhs").strip()
-                if rhs_txt == "?":
-                    updates.append((lhs, HAVOC))
-                else:
-                    updates.append((lhs, parse_linexpr(rhs_txt, known, lineno, diags)))
-            add_loc(m.group("src"))
-            add_loc(m.group("tgt"))
-            transitions.append(ConcreteTransition(
-                id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
-                guard=tuple(guard), updates=tuple(updates), line=lineno))
-            continue
-        diags.append(Diagnostic(lineno, 1, f"cannot parse line {line!r}"))
-
-    if entry is None:
-        diags.append(Diagnostic(0, 0, "missing entry declaration"))
-    if exit_ is None:
-        diags.append(Diagnostic(0, 0, "missing exit declaration"))
-    seen = set()
-    for t in transitions:
-        if t.id in seen:
-            diags.append(Diagnostic(t.line, 1, f"duplicate transition id {t.id!r}"))
-        seen.add(t.id)
-        if entry is not None and t.target == entry:
-            diags.append(Diagnostic(t.line, 1, f"transition {t.id} enters the entry"))
-        if exit_ is not None and t.source == exit_:
-            diags.append(Diagnostic(t.line, 1, f"transition {t.id} leaves the exit"))
+    """Parse and check; raises DcpError carrying positioned diagnostics."""
+    src = read_source(text, "prog", _TRANS_RE, _transition)
+    prog = ConcreteProgram(
+        locations=tuple(sorted(src.locations)),
+        transitions=tuple(sorted(src.transitions, key=lambda t: t.id)),
+        entry=src.entry, exit=src.exit,
+        params=tuple(sorted(src.consts)), variables=tuple(sorted(src.variables)))
+    diags = check_structure(prog, prog.params)
     if diags:
-        raise ProgramError(diags)
-    return ConcreteProgram(
-        locations=tuple(sorted(locations)),
-        transitions=tuple(sorted(transitions, key=lambda t: t.id)),
-        entry=entry, exit=exit_,
-        params=tuple(sorted(params)), variables=tuple(sorted(variables)))
+        raise DcpError(diags)
+    return prog

@@ -105,9 +105,8 @@ class ResetPath:
 @dataclass(frozen=True)
 class ResetGraph:
     """Reset edges with adjacency built lazily, once per instance: `into`
-    lists are sorted by (source, transition id, offset), `out_of` lists by
-    (target, transition id, offset). Accessors return fresh lists.
-    `path_count` memoizes per target variable on the graph."""
+    lists are sorted by (source, transition id, offset), and `into` returns
+    a fresh list. `path_count` memoizes per target variable on the graph."""
 
     edges: tuple[ResetEdge, ...]
 
@@ -128,21 +127,11 @@ class ResetGraph:
         return out
 
     @cached_property
-    def _out_of(self) -> dict[Atom, list[ResetEdge]]:
-        out: dict[Atom, list[ResetEdge]] = {}
-        for e in sorted(self.edges, key=lambda e: (e.dst, e.trans.id, e.offset)):
-            out.setdefault(e.src, []).append(e)
-        return out
-
-    @cached_property
     def _path_counts(self) -> dict[str, dict[str | Atom, int]]:
         return {}
 
     def into(self, var: str) -> list[ResetEdge]:
         return list(self._into.get(var, ()))
-
-    def out_of(self, atom: Atom) -> list[ResetEdge]:
-        return list(self._out_of.get(atom, ()))
 
     def path_count(self, src: Atom, dst_var: str) -> int:
         """Number of distinct edge paths from src to dst (1 for src == dst).
@@ -290,10 +279,12 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
         path = stack.pop()
         head = path.in_atom
         into = graph.into(head.name) if isinstance(head, Var) else []
-        sound = [cand for cand in (ResetPath((e,) + path.edges) for e in into)
-                 if is_sound(dcp, cand)]
-        if sound:
-            stack.extend(reversed(sound))
+        # the extensions all add the same interior atom and consumer edge,
+        # and `path` is sound, so one check decides them all
+        if into and not _reachable_without_reset(
+                dcp, path.edges[-1].trans.target, path.edges[0].trans.source,
+                head.name):
+            stack.extend(ResetPath((e,) + path.edges) for e in reversed(into))
             continue
         results.append(path)
         if len(results) > cap:

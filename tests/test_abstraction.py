@@ -15,9 +15,9 @@ from dcbound.abstraction import (
     infer_guard,
     sym_exec_norm,
 )
-from dcbound.dcp import Dcp, Var, validate
+from dcbound.dcp import Dcp, DcpError, Var, validate
 from dcbound.expr import IntConst, SymConst
-from dcbound.program import HAVOC, LinExpr, ProgramError, parse_program
+from dcbound.program import HAVOC, LinExpr, parse_program
 
 from conftest import load_dcp, load_prog
 from test_cli import _loop_text
@@ -41,7 +41,7 @@ def test_parse_havoc():
 
 
 def test_double_update_rejected():
-    with pytest.raises(ProgramError) as ei:
+    with pytest.raises(DcpError) as ei:
         parse_program("""
 prog
 params: n
@@ -54,7 +54,7 @@ trans t0: l0 -> l1 { x := 1; x := 2; }
 
 
 def test_param_assignment_rejected():
-    with pytest.raises(ProgramError) as ei:
+    with pytest.raises(DcpError) as ei:
         parse_program("""
 prog
 params: n

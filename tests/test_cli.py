@@ -1,7 +1,10 @@
 """End-to-end command-line behaviour, one test per exit path."""
 
+import io
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -65,7 +68,7 @@ def test_usage_error_exit_1(capsys, tmp_path):
     unknown.write_text("???\n")
     code, _, err = run(capsys, "analyze", unknown)
     assert code == 1
-    assert "--format" in err
+    assert "mystery.txt:1:1: expected 'dcp' or 'prog' header" in err
 
 
 def test_byte_identical_output(capsys):
@@ -122,15 +125,22 @@ def test_validate_injected_fault_exit_3(capsys):
 
 
 def test_override_bound_deep_nesting_exit_1():
-    deep = "(" * 3000 + "n" + ")" * 3000
+    unbalanced = "(" * 3000 + "n" + ")" * 2999
     proc = subprocess.run(
         [sys.executable, "-m", "dcbound.cli", "validate",
          str(DATA / "example1.dcp"), "--assign", "n=1",
-         "--override-bound", f"t1={deep}"],
+         "--override-bound", f"t1={unbalanced}"],
         capture_output=True, text=True)
     assert proc.returncode == 1
-    assert "dcbound: error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "dcbound: error: unexpected end of input (at offset 6000)\n"
+
+
+def test_override_bound_deep_nesting_is_read(capsys):
+    deep = "(" * 3000 + "n + 1" + ")" * 3000
+    code, out, err = run(capsys, "validate", DATA / "exampleA.dcp",
+                         "--assign", "n=3", "--override-bound", f"t1={deep}")
+    assert code == 0, err
+    assert "t1  3  4  OK" in out
 
 
 def test_validate_partial_exit_3(capsys):
@@ -230,9 +240,10 @@ def test_format_sniffed_from_content(tmp_path, capsys):
     oddly_named.write_text((DATA / "exampleA.dcp").read_text())
     code, out, _ = run(capsys, "analyze", oddly_named, "--mode", "free")
     assert code == 0 and out.endswith("complexity = 2*n\n")
-    code, out, _ = run(capsys, "analyze", oddly_named, "--format", "dcp",
-                       "--mode", "free")
-    assert code == 0
+    misnamed = tmp_path / "example3.dcp"  # the first line says prog
+    misnamed.write_text((DATA / "example3.prog").read_text())
+    code, out, _ = run(capsys, "analyze", misnamed, "--mode", "opt")
+    assert code == 0 and out.endswith("complexity = 2*l\n")
 
 
 def test_version_and_help():
@@ -319,3 +330,60 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "must be 0 or more, got -1" in err
     code, _, _ = run(capsys, *argv, "0")
     assert code != 1
+
+
+_COLLIDING = """prog
+params: {params}
+vars: {vars}
+entry: l0
+exit: {exit}
+trans t0: l0 -> l1 {{ i := 0; }}
+trans t1: l1 -> l1 when i < 5 {{ i := i + 1; }}
+trans t2: l1 -> {exit} when i >= 5 {{ }}
+"""
+
+
+@pytest.mark.parametrize("params, vars_, exit_, message", [
+    ("l", "i", "l", "name 'l' used as both constant and location"),
+    ("n", "i, n", "le", "name 'n' used as both variable and constant"),
+    ("n", "i, l1", "le", "name 'l1' used as both variable and location"),
+], ids=["param-location", "param-variable", "variable-location"])
+def test_prog_name_collisions_exit_1(tmp_path, params, vars_, exit_, message):
+    src = tmp_path / "collide.prog"
+    src.write_text(_COLLIDING.format(params=params, vars=vars_, exit=exit_))
+    proc = _cli("analyze", src)
+    assert proc.returncode == 1
+    assert proc.stderr == f"{src}:0:0: {message}\n"
+
+
+def _mutants(text: str, rng: random.Random) -> list[str]:
+    """A truncation, one line cut short, a few flipped characters and the
+    lines shuffled."""
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    cut = lines[:i] + [lines[i][:rng.randrange(len(lines[i]))] + "\n"] + lines[i + 1:]
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        chars[rng.randrange(len(chars))] = rng.choice("#(){};:,<=>+-*?' \nxnl0")
+    shuffled = lines[:]
+    rng.shuffle(shuffled)
+    return ["".join(lines[:rng.randrange(len(lines))]), "".join(cut),
+            "".join(chars), "".join(shuffled)]
+
+
+def test_mutated_inputs_exit_with_a_documented_code(tmp_path):
+    rng = random.Random(8)
+    commands = [["analyze"], ["abstract"], ["resets"],
+                ["validate", "--sweep", "0..1", "--max-steps", "2000"]]
+    for data in sorted(DATA.iterdir()):
+        mutants = [m for _ in range(3) for m in _mutants(data.read_text(), rng)]
+        for k, text in enumerate(mutants):
+            for suffix in (".dcp", ".prog", ""):
+                path = tmp_path / f"{data.stem}-{k}{suffix}"
+                path.write_text(text)
+                for command in commands:
+                    argv = [command[0], str(path), *command[1:]]
+                    with redirect_stdout(io.StringIO()), \
+                            redirect_stderr(io.StringIO()):
+                        code = main(argv)
+                    assert code in (0, 1, 2, 3), (argv, text)

@@ -345,3 +345,12 @@ def test_deep_expressions_do_not_recurse():
     assert evaluate(e, {"n": 2}) == 3 * 2 ** 2000 - 1
     assert expr.is_provably_nonneg(e)
     assert time.perf_counter() - start < 2.0
+
+
+def test_deep_expressions_read_back():
+    e = _deep_chain(2000)
+    start = time.perf_counter()
+    back = parse_expr(str(e))
+    assert back == e and str(back) == str(e) and hash(back) == hash(e)
+    assert repr(e) == f"<Sum {e}>"
+    assert time.perf_counter() - start < 2.0

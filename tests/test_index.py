@@ -165,8 +165,6 @@ def check_graph(d: Dcp, rng: random.Random) -> None:
                  | {Var(MISSING), SymConst(MISSING), IntConst(0)})
     for v in list(d.variables) + [MISSING]:
         assert g.into(v) == ref_into(g, v)
-    for a in atoms:
-        assert g.out_of(a) == ref_out_of(g, a)
     queries = [(a, v) for a in atoms for v in d.variables]
     rng.shuffle(queries)  # interleave targets against the per-target memo
     for a, v in queries + queries[::-1]:
@@ -229,7 +227,7 @@ def test_returned_lists_are_copies():
     calls = [lambda: d.outgoing(d.transitions[1].source),
              lambda: d.incoming(d.transitions[1].target),
              lambda: d.resets("r"), lambda: d.increments("r"),
-             lambda: g.into("p"), lambda: g.out_of(IntConst(0))]
+             lambda: g.into("p")]
     for call in calls:
         before = call()
         assert before
