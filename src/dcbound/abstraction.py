@@ -1,19 +1,23 @@
 """Abstraction of concrete linear programs into difference constraint programs.
 
-Integer-valued linear expressions over the concrete state (norms) become the
-abstract variables. For each norm e and concrete transition, e's post-state
-value is computed by substituting the updates; the result is matched against
-an existing norm plus an integer offset, or split into a non-constant part
-(a new norm) plus its constant. Norms over parameters only become symbolic
-constants; chains of newly discovered norms are cut at a configurable depth
-and the cut norms discarded. Guards e > 0 are added where the concrete guard
-syntactically entails them.
+Norms are integer-valued linear expressions over the concrete state
+(`LinExpr`); those guessed from loop conditions start the norm table at
+depth 0. Each norm e is taken from a FIFO queue once, and for each concrete
+transition its post-state value is computed by substituting the updates.
+The result is matched against e itself or a known norm plus an integer
+offset; otherwise its non-constant part enters the table one deeper than e
+and its constant becomes the offset. Norms over parameters only become
+symbolic constants. Discovery stops `_DISCOVERY_SLACK` levels past the depth
+limit, and every variable norm past the limit is discarded, with a warning,
+together with the constraints that mention it. Guards e > 0 are added where
+the concrete guard syntactically entails them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from dcbound.dcp import (
     Atom,
@@ -30,7 +34,6 @@ from dcbound.program import HAVOC, ConcreteProgram, ConcreteTransition, LinExpr
 __all__ = [
     "DEFAULT_DEPTH_LIMIT",
     "TooManyCycles",
-    "Norm",
     "AbstractStep",
     "AbstractionResult",
     "guess_norms",
@@ -42,11 +45,11 @@ __all__ = [
 
 DEFAULT_DEPTH_LIMIT = 5
 
-# Norm discovery descends this far past the discard limit so that the full
-# chain of a too-deep norm is known (and reported) before being discarded.
+# Discovery descends this far past the discard limit so that the full chain
+# of a too-deep norm is known (and reported) before being discarded.
 _DISCOVERY_SLACK = 8
 
-# Norm guessing lists the simple cycles of the concrete program; it gives up
+# Guessing norms lists the simple cycles of the concrete program; it gives up
 # past this many.
 _CYCLE_CAP = 10_000
 
@@ -55,14 +58,9 @@ class TooManyCycles(Exception):
     """The program has more simple cycles than norm guessing lists."""
 
 
-class _Edge(Protocol):
-    id: str
-    source: str
-    target: str
-
-
-def _enumerate_simple_cycles(locations: Sequence[str],
-                             edges: Sequence[_Edge]) -> list[tuple[_Edge, ...]]:
+def _enumerate_simple_cycles(
+        locations: Sequence[str], edges: Sequence[ConcreteTransition],
+) -> list[tuple[ConcreteTransition, ...]]:
     """All edge-level simple cycles of a directed multigraph.
 
     Each cycle is anchored at its smallest location and the interior visits
@@ -72,13 +70,13 @@ def _enumerate_simple_cycles(locations: Sequence[str],
     own stack, so its depth does not grow the interpreter's.
     """
     order = {loc: i for i, loc in enumerate(sorted(locations))}
-    outgoing: dict[str, list[_Edge]] = {loc: [] for loc in order}
+    outgoing: dict[str, list[ConcreteTransition]] = {loc: [] for loc in order}
     for e in sorted(edges, key=lambda e: e.id):
         outgoing[e.source].append(e)
 
-    cycles: list[tuple[_Edge, ...]] = []
+    cycles: list[tuple[ConcreteTransition, ...]] = []
     for start, s in order.items():
-        path: list[_Edge] = []
+        path: list[ConcreteTransition] = []
         on_path = {start}
         work = [iter(outgoing[start])]
         while work:
@@ -103,20 +101,6 @@ def _enumerate_simple_cycles(locations: Sequence[str],
     return cycles
 
 
-@dataclass(frozen=True)
-class Norm:
-    """A linear state expression with a stable printed name."""
-
-    expr: LinExpr
-
-    @property
-    def name(self) -> str:
-        return self.expr.name()
-
-    def __str__(self) -> str:
-        return self.name
-
-
 def _counter_updates(t: ConcreteTransition) -> set[str]:
     """Variables this transition moves by a nonzero constant: v := v + c."""
     out = set()
@@ -128,7 +112,7 @@ def _counter_updates(t: ConcreteTransition) -> set[str]:
     return out
 
 
-def guess_norms(prog: ConcreteProgram) -> list[Norm]:
+def guess_norms(prog: ConcreteProgram) -> list[LinExpr]:
     """Initial norms from loop conditions.
 
     A guard relation on transition t contributes its positivity facts
@@ -144,8 +128,7 @@ def guess_norms(prog: ConcreteProgram) -> list[Norm]:
         counters = set().union(*(_counter_updates(t) for t in cycle))
         for t in cycle:
             relevant[t.id] |= counters
-    norms: list[Norm] = []
-    seen: set[LinExpr] = set()
+    norms: dict[LinExpr, None] = {}
     for t in prog.transitions:
         for rel in t.guard:
             involved = (rel.lhs.names | rel.rhs.names) & relevant[t.id]
@@ -154,10 +137,8 @@ def guess_norms(prog: ConcreteProgram) -> list[Norm]:
             for fact in rel.facts():
                 if fact.is_const or _names_only_params(fact, prog):
                     continue
-                if fact not in seen:
-                    seen.add(fact)
-                    norms.append(Norm(fact))
-    return norms
+                norms[fact] = None
+    return list(norms)
 
 
 def _names_only_params(e: LinExpr, prog: ConcreteProgram) -> bool:
@@ -182,34 +163,31 @@ def sym_exec_norm(e: LinExpr, t: ConcreteTransition) -> LinExpr | None:
 class AbstractStep:
     """One derived constraint e' <= rhs + offset. rhs is a constant-free
     linear expression, or constant-only, in which case the constraint's
-    right side is the integer atom rhs.const. new_norm is set when the rhs
-    had to be added to the norm set."""
+    right side is the integer atom rhs.const."""
 
     rhs: LinExpr
     offset: int
-    new_norm: LinExpr | None
 
 
 def abstract_transition(e: LinExpr, t: ConcreteTransition,
-                        norms: list[LinExpr]) -> AbstractStep | None:
+                        norms: Iterable[LinExpr]) -> AbstractStep | None:
     """Derive the constraint for norm e across t, or None on havoc.
 
-    Tries e itself first (self-increment), then the known norms in insertion
+    Tries e itself first (self-increment), then the known norms in their
     order, as targets whose difference from the post-state value is a
-    constant; otherwise splits off the integer constant and introduces the
-    non-constant remainder as a new norm.
+    constant; otherwise splits off the integer constant, and the non-constant
+    remainder is a norm not among `norms`.
     """
     r = sym_exec_norm(e, t)
     if r is None:
         return None
     if r.is_const:
-        return AbstractStep(rhs=LinExpr(r.const), offset=0, new_norm=None)
+        return AbstractStep(rhs=LinExpr(r.const), offset=0)
     for cand in [e] + [n for n in norms if n != e]:
         diff = r.sub(cand)
         if diff.is_const:
-            return AbstractStep(rhs=cand, offset=diff.const, new_norm=None)
-    e4 = r.drop_const()
-    return AbstractStep(rhs=e4, offset=r.const, new_norm=e4)
+            return AbstractStep(rhs=cand, offset=diff.const)
+    return AbstractStep(rhs=r.drop_const(), offset=r.const)
 
 
 def infer_guard(e: LinExpr, t: ConcreteTransition) -> bool:
@@ -227,45 +205,17 @@ def infer_guard(e: LinExpr, t: ConcreteTransition) -> bool:
 @dataclass
 class AbstractionResult:
     dcp: Dcp
-    norm_vars: dict[str, Norm]          # dcp variable name -> norm
+    norm_vars: dict[str, LinExpr]       # dcp variable name -> norm
     derived_consts: dict[str, LinExpr]  # dcp constant name -> defining expression
-    discarded: list[str]                # canonical names of discarded norms
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
     def rename_comment(self) -> list[str]:
-        out = [f"{name} := {norm.name}"
-               for name, norm in sorted(self.norm_vars.items())
-               if name != norm.name]
+        out = [f"{name} := {e.name()}"
+               for name, e in sorted(self.norm_vars.items())
+               if name != e.name()]
         out += [f"{name} := {e.name()} (symbolic constant)"
                 for name, e in sorted(self.derived_consts.items())]
         return out
-
-
-class _NormTable:
-    """Norm interning with discovery depths and deterministic order."""
-
-    def __init__(self, prog: ConcreteProgram, discovery_cap: int):
-        self.prog = prog
-        self.cap = discovery_cap
-        self.order: list[LinExpr] = []
-        self.depth: dict[LinExpr, int] = {}
-        self.kind: dict[LinExpr, str] = {}  # "var" | "const"
-        self.too_deep: list[LinExpr] = []
-
-    def intern(self, e: LinExpr, depth: int) -> LinExpr | None:
-        if e in self.depth:
-            if depth < self.depth[e]:
-                self.depth[e] = depth
-            return e
-        kind = "const" if _names_only_params(e, self.prog) else "var"
-        if kind == "var" and depth > self.cap:
-            if e not in self.too_deep:
-                self.too_deep.append(e)
-            return None
-        self.order.append(e)
-        self.depth[e] = depth
-        self.kind[e] = kind
-        return e
 
 
 def abstract_program(prog: ConcreteProgram,
@@ -273,60 +223,57 @@ def abstract_program(prog: ConcreteProgram,
                      keep_names: bool = False) -> AbstractionResult:
     """Abstract a concrete program into a deterministic, well-defined DCP."""
     warnings: list[str] = []
-    table = _NormTable(prog, depth_limit + _DISCOVERY_SLACK)
-    for n in guess_norms(prog):
-        table.intern(n.expr, 0)
+    cap = depth_limit + _DISCOVERY_SLACK
+    # every known norm, in discovery order, with its discovery depth; the
+    # guessed norms are never over parameters only
+    depth = dict.fromkeys(guess_norms(prog), 0)
+    too_deep: set[LinExpr] = set()  # variable norms found past the cap
 
     # fixpoint: derive one constraint per (norm, transition)
     constraints: dict[tuple[LinExpr, str], AbstractStep] = {}
-    processed: set[LinExpr] = set()
-    queue = [e for e in table.order if table.kind[e] == "var"]
+    queue = deque(depth)
     while queue:
-        e = queue.pop(0)
-        if e in processed:
-            continue
-        processed.add(e)
+        e = queue.popleft()
+        d = depth[e] + 1  # the depth of a norm that e's constraints discover
         for t in prog.transitions:
-            step = abstract_transition(e, t, table.order)
+            step = abstract_transition(e, t, depth)
             if step is None:
                 continue  # havoc: no constraint for this norm here
-            if step.new_norm is not None:
-                interned = table.intern(step.new_norm, table.depth[e] + 1)
-                if interned is None:
+            new = step.rhs
+            if not new.is_const and new not in depth:
+                if _names_only_params(new, prog):
+                    depth[new] = d
+                elif d > cap:
+                    too_deep.add(new)
                     warnings.append(
-                        f"norm {step.new_norm.name()} exceeds the discovery "
+                        f"norm {new.name()} exceeds the discovery "
                         f"depth; no constraint for {e.name()} on {t.id}")
                     continue
-                if table.kind[interned] == "var" and interned not in processed:
-                    queue.append(interned)
+                else:
+                    depth[new] = d
+                    queue.append(new)
             constraints[(e, t.id)] = step
 
     # discard variable norms past the depth limit, with their constraints
-    discarded_set = {
-        e for e in table.order
-        if table.kind[e] == "var" and table.depth[e] > depth_limit
-    } | set(table.too_deep)
-    discarded_names = [e.name() for e in sorted(
-        discarded_set, key=lambda e: (table.depth.get(e, table.cap + 1), e.name()))]
-    if discarded_set:
-        for name in discarded_names:
-            warnings.append(f"discarded norm {name} (depth limit {depth_limit})")
-        constraints = {
-            (e, tid): step for (e, tid), step in constraints.items()
-            if e not in discarded_set
-            and (step.rhs.is_const or step.rhs not in discarded_set)
-        }
-
-    surviving = [e for e in table.order
-                 if e not in discarded_set and table.kind[e] == "var"]
-    const_norms = [e for e in table.order if table.kind[e] == "const"]
+    var_norms: list[LinExpr] = []
+    const_norms: list[LinExpr] = []
+    for e in depth:
+        (const_norms if _names_only_params(e, prog) else var_norms).append(e)
+    cut = too_deep | {e for e in var_norms if depth[e] > depth_limit}
+    for e in sorted(cut, key=lambda e: (depth.get(e, cap + 1), e.name())):
+        warnings.append(f"discarded norm {e.name()} (depth limit {depth_limit})")
+    constraints = {
+        (e, tid): step for (e, tid), step in constraints.items()
+        if e not in cut and step.rhs not in cut
+    }
+    surviving = [e for e in var_norms if e not in cut]
 
     # names
     taken = set(prog.params) | set(prog.locations) | {t.id for t in prog.transitions}
     var_name: dict[LinExpr, str] = {}
     for i, e in enumerate(surviving):
         name = e.name() if keep_names else f"v{i}"
-        while name in taken or name in var_name.values():
+        while name in taken:
             name += "_"
         var_name[e] = name
         taken.add(name)
@@ -388,9 +335,8 @@ def abstract_program(prog: ConcreteProgram,
     kept_names = set(final.variables)
     return AbstractionResult(
         dcp=final,
-        norm_vars={name: Norm(e) for e, name in var_name.items()
+        norm_vars={name: e for e, name in var_name.items()
                    if name in kept_names},
         derived_consts=derived,
-        discarded=discarded_names,
         warnings=warnings,
     )

@@ -185,34 +185,40 @@ def _cmd_abstract(args) -> int:
     return EXIT_OK
 
 
-def _parse_assign(text: str) -> dict[str, int]:
+def _parse_assign(text: str, consts: list[str]) -> dict[str, int]:
     out = {}
     for part in text.split(","):
-        if "=" not in part:
+        name, sep, value = part.partition("=")
+        name = name.strip()
+        if not sep or not name:
             raise _UsageError(f"bad assignment {part!r}; expected NAME=VALUE")
-        name, _, value = part.partition("=")
+        if name in out:
+            raise _UsageError(f"assignment {text!r} gives {name!r} twice")
+        if name not in consts:
+            raise _UsageError(f"assignment {text!r}: {name!r} is not a "
+                              f"constant of the program")
         try:
             v = int(value)
         except ValueError:
             raise _UsageError(f"bad value in {part!r}") from None
         if v < 0:
             raise _UsageError(f"constants are nonnegative; got {part!r}")
-        out[name.strip()] = v
+        out[name] = v
     return out
 
 
 def _valuations(args, dcp: Dcp) -> list[dict[str, int]]:
     consts = list(dcp.sym_consts)
     if args.assign:
-        vals = []
+        vals: dict[tuple, dict[str, int]] = {}  # each valuation once, first seen first
         for raw in args.assign:
-            v = _parse_assign(raw)
+            v = _parse_assign(raw, consts)
             missing = [c for c in consts if c not in v]
             if missing:
                 raise _UsageError(
                     f"assignment {raw!r} misses constants: {', '.join(missing)}")
-            vals.append(v)
-        return vals
+            vals.setdefault(tuple(sorted(v.items())), v)
+        return list(vals.values())
     lo, hi = 0, 3
     if args.sweep:
         text = args.sweep
@@ -241,7 +247,12 @@ def _cmd_validate(args) -> int:
         tid = tid.strip()
         if not sep or tid not in report.tb:
             raise _UsageError(f"bad --override-bound {raw!r}")
-        report.tb[tid] = expr.parse_expr(text)
+        bound = expr.parse_expr(text)
+        try:  # every constant the bound names must be one of the program's
+            expr.evaluate(bound, dict.fromkeys(dcp.sym_consts, 0))
+        except expr.EvaluationError as exc:
+            raise _UsageError(f"bad --override-bound {raw!r}: {exc}") from None
+        report.tb[tid] = bound
     valuations = _valuations(args, dcp)
     result = check_soundness(dcp, report, valuations, step_cap=args.max_steps)
     rows_by_valuation: dict[tuple, list] = {}

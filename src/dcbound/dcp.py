@@ -512,13 +512,16 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
     to `transition(match, line number, raw line, source so far)`, which
     returns the transition and adds its own diagnostics to `source.diags`;
     the match's groups `src` and `tgt` are locations. Raises DcpError when
-    a line does not parse or entry or exit is missing."""
+    a line does not parse, a declaration lists a name twice (also across
+    repeated lines), entry or exit names more than one location, or entry
+    or exit is missing."""
     src = Source()
     lines = _lines(text)
     first = next(lines, None)
     if first is not None and first[2] != tag:
         raise DcpError([Diagnostic(first[0], 1, f"expected {tag!r} header")])
     decl_re = _DECL_RE[tag]
+    declared: set[tuple[str, str]] = set()  # (list, name) of each declared name
     for lineno, raw, line in lines:
         m = decl_re.match(line)
         if m:
@@ -526,16 +529,19 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
             names = [p.strip() for p in rest.split(",")] if rest else []
             if "" in names:
                 src.diags.append(Diagnostic(lineno, 1, f"empty name in {key} list"))
-            elif key == "vars":
-                src.variables.extend(names)
-            elif key == "entry":
-                src.entry = names[0] if names else None
-                src.locations.update(names[:1])
-            elif key == "exit":
-                src.exit = names[0] if names else None
+            elif key in ("entry", "exit"):
+                if len(names) > 1:
+                    src.diags.append(Diagnostic(
+                        lineno, 1, f"{key} names more than one location"))
+                setattr(src, key, names[0] if names else None)
                 src.locations.update(names[:1])
             else:
-                src.consts.extend(names)
+                for name in names:
+                    if (key, name) in declared:
+                        src.diags.append(Diagnostic(
+                            lineno, 1, f"duplicate name {name!r} in {key} list"))
+                    declared.add((key, name))
+                (src.variables if key == "vars" else src.consts).extend(names)
             continue
         m = trans_re.match(line)
         if m:

@@ -15,7 +15,7 @@ from dcbound.abstraction import (
     infer_guard,
     sym_exec_norm,
 )
-from dcbound.dcp import Dcp, DcpError, Var, validate
+from dcbound.dcp import Dcp, DcpError, Var, format_dcp, validate
 from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, parse_program
 
@@ -70,7 +70,7 @@ trans t0: l0 -> l1 { n := 3; }
 
 def test_guess_norms_example3():
     p = load_prog("example3.prog")
-    norms = [n.name for n in guess_norms(p)]
+    norms = [n.name() for n in guess_norms(p)]
     # the inner loop's exit condition k >= e contributes nothing: its
     # counters only move on cycles that do not contain the exit edge
     assert norms == ["(l-i)", "(e-k)"]
@@ -98,7 +98,7 @@ trans t1: l1 -> l1 when i >= 0 { i := i - 1; }
 
 def test_guess_norms_shifted_for_weak_inequality():
     p = parse_program(COUNTDOWN_GE)
-    assert [n.name for n in guess_norms(p)] == ["(i+1)"]
+    assert [n.name() for n in guess_norms(p)] == ["(i+1)"]
 
 
 def test_guess_norms_straight_line():
@@ -134,6 +134,12 @@ def test_sym_exec_norm_values():
     assert sym_exec_norm(l_i, trans(p, "t6")) == l_i  # identity
 
 
+def creates_norm(step, norms) -> bool:
+    """abstract_program adds a step's rhs to its norms exactly when the rhs
+    is not constant and not known yet."""
+    return not step.rhs.is_const and step.rhs not in norms
+
+
 def test_abstract_transition_cases():
     p = load_prog("example3.prog")
     e_k = lin(e=1, k=-1)
@@ -141,7 +147,7 @@ def test_abstract_transition_cases():
     # reset to a brand-new norm
     step = abstract_transition(e_k, trans(p, "t3a"), norms)
     assert step.rhs == lin(e=1, b=-1) and step.offset == 0
-    assert step.new_norm == lin(e=1, b=-1)
+    assert creates_norm(step, norms)
     # self-increment keeps the norm set unchanged
     q = parse_program("""
 prog
@@ -153,12 +159,13 @@ trans t0: l0 -> l1 { x := n; }
 trans t1: l1 -> l1 when x > 0 { x := x + 5; }
 """)
     step = abstract_transition(lin(x=1), trans(q, "t1"), [lin(x=1)])
-    assert step.rhs == lin(x=1) and step.offset == 5 and step.new_norm is None
+    assert step.rhs == lin(x=1) and step.offset == 5
+    assert not creates_norm(step, [lin(x=1)])
     # a constant result becomes the integer atom
     i_b = lin(i=1, b=-1)
     step = abstract_transition(i_b, trans(p, "t5"), norms + [i_b])
     assert step.rhs == lin(0) and step.rhs.is_const and step.offset == 0
-    assert step.new_norm is None
+    assert not creates_norm(step, norms + [i_b])
 
 
 def test_infer_guard():
@@ -213,9 +220,9 @@ def test_abstract_example3_matches_expected():
     rename = structurally_equal(result.dcp, expected)
     assert rename is not None
     # the discovered norms are exactly the four from the walkthrough
-    norms = {n.name for n in result.norm_vars.values()}
+    norms = {n.name() for n in result.norm_vars.values()}
     assert norms == {"(l-i)", "(e-k)", "(e-b)", "(i-b)"}
-    assert result.discarded == []
+    assert discard_warnings(result) == []
     assert validate(result.dcp) == []
 
 
@@ -248,13 +255,151 @@ trans t1: l1 -> l1 when i > 0 { i := i - 1; }
     assert [(u.lhs, u.rhs, u.offset) for u in t0.updates] == [(v, SymConst("n"), 0)]
 
 
+def discard_warnings(result: AbstractionResult) -> list[str]:
+    return [w for w in result.warnings if w.startswith("discarded norm ")]
+
+
 def test_depth_limit_zero_discards_chain():
     result = abstract_program(load_prog("example3.prog"), depth_limit=0)
-    assert result.discarded == ["(e-b)", "(i-b)"]
-    assert {n.name for n in result.norm_vars.values()} == {"(l-i)"}
+    assert discard_warnings(result) == [
+        "discarded norm (e-b) (depth limit 0)",
+        "discarded norm (i-b) (depth limit 0)",
+    ]
+    assert {n.name() for n in result.norm_vars.values()} == {"(l-i)"}
     assert validate(result.dcp) == []
     # (e-k) lost its only reset, so the repair pruned it entirely
     assert any("(e-k)" in w for w in result.warnings)
+
+
+PROGNEST3 = """
+prog
+params: n
+vars: i1, i2, i3
+entry: l0
+exit: le
+trans t0: l0 -> l1 { i1 := 0; }
+trans in1: l1 -> l2 when i1 < n { i1 := i1 + 1; i2 := 0; }
+trans done: l1 -> le when i1 >= n { i1 := ?; }
+trans in2: l2 -> l3 when i2 < i1 { i2 := i2 + 1; i3 := 0; }
+trans out2: l2 -> l1 when i2 >= i1 { i2 := ?; }
+trans in3: l3 -> l3 when i3 < i2 { i3 := i3 + 1; }
+trans out3: l3 -> l2 when i3 >= i2 { i3 := ?; }
+"""
+
+SHALLOW_ABSTRACTIONS = {
+    ("example3.prog", 0): ([
+        "discarded norm (e-b) (depth limit 0)",
+        "discarded norm (i-b) (depth limit 0)",
+        "dropped guard v1 on t4: not defined at l4",
+        "dropped v1' <= v1 - 1 on t4: v1 not defined at l4",
+        "pruned variable v1: no constraints remain",
+        "dropped variable v1 := (e-k) during the well-definedness repair",
+    ], """\
+# v0 := (l-i)
+dcp
+consts: l
+vars:   v0
+entry:  l0
+exit:   le
+trans t0: l0 -> l1 { v0' <= l; }
+trans t1: l1 -> l2 guard(v0) { v0' <= v0 - 1; }
+trans t2a: l2 -> l3 { v0' <= v0; }
+trans t2b: l2 -> l3 { v0' <= v0; }
+trans t3a: l3 -> l4 { v0' <= v0; }
+trans t3b: l3 -> l5 { v0' <= v0; }
+trans t4: l4 -> l4 { v0' <= v0; }
+trans t5: l4 -> l5 { v0' <= v0; }
+trans t6: l5 -> l1 { v0' <= v0; }
+"""),
+    ("example3.prog", 1): ([
+        "discarded norm (i-b) (depth limit 1)",
+        "dropped v1' <= v2 on t3a: v2 not defined at l3",
+        "dropped v2' <= v2 on t3a: v2 not defined at l3",
+        "dropped v2' <= v2 on t3b: v2 not defined at l3",
+        "dropped guard v1 on t4: not defined at l4",
+        "dropped v1' <= v1 - 1 on t4: v1 not defined at l4",
+        "dropped v2' <= v2 on t4: v2 not defined at l4",
+        "dropped v2' <= v2 on t6: v2 not defined at l5",
+        "dropped v2' <= v2 on t1: v2 not defined at l1",
+        "dropped v2' <= v2 on t2b: v2 not defined at l2",
+        "pruned variable v1: no constraints remain",
+        "dropped variable v1 := (e-k) during the well-definedness repair",
+    ], """\
+# v0 := (l-i)
+# v2 := (e-b)
+dcp
+consts: l
+vars:   v0, v2
+entry:  l0
+exit:   le
+trans t0: l0 -> l1 { v0' <= l; v2' <= 0; }
+trans t1: l1 -> l2 guard(v0) { v0' <= v0 - 1; }
+trans t2a: l2 -> l3 { v0' <= v0; }
+trans t2b: l2 -> l3 { v0' <= v0; }
+trans t3a: l3 -> l4 { v0' <= v0; }
+trans t3b: l3 -> l5 { v0' <= v0; }
+trans t4: l4 -> l4 { v0' <= v0; }
+trans t5: l4 -> l5 { v0' <= v0; v2' <= 0; }
+trans t6: l5 -> l1 { v0' <= v0; }
+"""),
+    ("prognest(3)", 0): ([
+        "discarded norm (-i1) (depth limit 0)",
+        "discarded norm (-i2) (depth limit 0)",
+        "discarded norm (-i3) (depth limit 0)",
+        "discarded norm (i1) (depth limit 0)",
+        "discarded norm (i2) (depth limit 0)",
+        "discarded norm (i3) (depth limit 0)",
+        "dropped v2' <= v2 on done: v2 not defined at l1",
+        "dropped v4' <= v4 on done: v4 not defined at l1",
+        "dropped guard v1 on in2: not defined at l2",
+        "dropped v1' <= v1 - 1 on in2: v1 not defined at l2",
+        "dropped v3' <= v3 + 1 on in2: v3 not defined at l2",
+        "dropped guard v2 on in3: not defined at l3",
+        "dropped v2' <= v2 - 1 on in3: v2 not defined at l3",
+        "dropped v4' <= v4 + 1 on in3: v4 not defined at l3",
+        "dropped guard v3 on out2: not defined at l2",
+        "dropped guard v4 on out3: not defined at l3",
+        "dropped v2' <= v2 on t0: v2 not defined at l0",
+        "dropped v4' <= v4 on t0: v4 not defined at l0",
+        "dropped v1' <= v1 on in3: v1 not defined at l3",
+        "dropped v3' <= v3 on in3: v3 not defined at l3",
+        "dropped v1' <= v1 on out3: v1 not defined at l3",
+        "dropped v3' <= v3 on out3: v3 not defined at l3",
+        "pruned variable v1: no constraints remain",
+        "pruned variable v2: no constraints remain",
+        "pruned variable v3: no constraints remain",
+        "pruned variable v4: no constraints remain",
+        "dropped variable v1 := (i1-i2) during the well-definedness repair",
+        "dropped variable v2 := (i2-i3) during the well-definedness repair",
+        "dropped variable v3 := (i2-i1+1) during the well-definedness repair",
+        "dropped variable v4 := (i3-i2+1) during the well-definedness repair",
+    ], """\
+# v0 := (n-i1)
+dcp
+consts: n
+vars:   v0
+entry:  l0
+exit:   le
+trans done: l1 -> le { }
+trans in1: l1 -> l2 guard(v0) { v0' <= v0 - 1; }
+trans in2: l2 -> l3 { v0' <= v0; }
+trans in3: l3 -> l3 { v0' <= v0; }
+trans out2: l2 -> l1 { v0' <= v0; }
+trans out3: l3 -> l2 { v0' <= v0; }
+trans t0: l0 -> l1 { v0' <= n; }
+"""),
+}
+
+
+@pytest.mark.parametrize("source,depth", sorted(SHALLOW_ABSTRACTIONS))
+def test_shallow_abstraction_warnings_and_output(source, depth):
+    # pins the discard warnings, the repair that follows and the program
+    # printed after both, in order
+    prog = parse_program(PROGNEST3) if source == "prognest(3)" else load_prog(source)
+    result = abstract_program(prog, depth_limit=depth)
+    warnings, text = SHALLOW_ABSTRACTIONS[source, depth]
+    assert result.warnings == warnings
+    assert format_dcp(result.dcp, result.rename_comment()) == text
 
 
 def test_uninitialized_counter_degrades_gracefully():
@@ -306,7 +451,8 @@ trans t0: l0 -> l1 { i := 0; y := 1; }
 trans t1: l1 -> l1 when i < n { i := i + 1; }
 trans t2: l1 -> l1 { i := i - y; y := 2 * y; }
 """), depth_limit=2)
-    assert result.discarded  # (n-i+7*y) and deeper
+    assert discard_warnings(result)  # (n+7*y-i) and deeper
+    assert discard_warnings(result)[0] == "discarded norm (n+7*y-i) (depth limit 2)"
     assert validate(result.dcp) == []
 
 
@@ -332,7 +478,7 @@ def _norm_expr_of_atom(result: AbstractionResult, atom, params):
     if isinstance(atom, IntConst):
         return LinExpr(atom.value)
     if isinstance(atom, Var):
-        return result.norm_vars[atom.name].expr
+        return result.norm_vars[atom.name]
     if atom.name in result.derived_consts:
         return result.derived_consts[atom.name]
     assert atom.name in params
@@ -366,9 +512,9 @@ def test_emitted_constraints_are_invariant(source, n_samples, data_dir):
             for v, rhs in ct.updates:
                 s2[v] = rng.randint(-8, 8) if rhs is HAVOC else rhs.evaluate(s1)
             for u in t.updates:
-                e1 = result.norm_vars[u.lhs].expr
+                e1 = result.norm_vars[u.lhs]
                 e2 = _norm_expr_of_atom(result, u.rhs, prog.params)
                 assert e1.evaluate(s2) <= e2.evaluate(s1) + u.offset, (t.id, str(u))
             for g in t.guard:
-                assert result.norm_vars[g].expr.evaluate(s1) > 0, (t.id, g)
+                assert result.norm_vars[g].evaluate(s1) > 0, (t.id, g)
         assert checked > 0, f"guard of {t.id} never satisfied in sampling"

@@ -104,7 +104,7 @@ def test_criterion_6_abstraction_pipeline():
     rename = structurally_equal(d, load_dcp("example3_expected.dcp"))
     assert rename is not None
 
-    name_of = {n.name: v for v, n in result.norm_vars.items()}
+    name_of = {n.name(): v for v, n in result.norm_vars.items()}
     x, p = name_of["(l-i)"], name_of["(e-k)"]
     q, r = name_of["(e-b)"], name_of["(i-b)"]
 
@@ -130,7 +130,10 @@ def test_criterion_6_abstraction_pipeline():
 
     # depth limit 0 cuts the discovered chain, reported by name
     shallow = abstract_program(load_prog("example3.prog"), depth_limit=0)
-    assert shallow.discarded == ["(e-b)", "(i-b)"]
+    assert [w for w in shallow.warnings if w.startswith("discarded norm ")] == [
+        "discarded norm (e-b) (depth limit 0)",
+        "discarded norm (i-b) (depth limit 0)",
+    ]
     _ok("6 (whole abstraction pipeline reproduces the expected program)")
 
 
@@ -217,12 +220,12 @@ def test_criterion_9c_abstraction_invariance():
             for v, rhs in ct.updates:
                 s2[v] = rng.randint(-8, 8) if rhs is HAVOC else rhs.evaluate(s1)
             for u in t.updates:
-                e1 = result.norm_vars[u.lhs].expr
+                e1 = result.norm_vars[u.lhs]
                 e2 = _norm_expr_of_atom(result, u.rhs, prog.params)
                 if e1.evaluate(s2) > e2.evaluate(s1) + u.offset:
                     violations += 1
             for g in t.guard:
-                if result.norm_vars[g].expr.evaluate(s1) <= 0:
+                if result.norm_vars[g].evaluate(s1) <= 0:
                     violations += 1
     assert violations == 0
     _ok("9c (every emitted constraint invariant over 1000 samples each)")

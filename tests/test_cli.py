@@ -356,6 +356,60 @@ def test_prog_name_collisions_exit_1(tmp_path, params, vars_, exit_, message):
     assert proc.stderr == f"{src}:0:0: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dcp\nvars: x, x\nentry: a\nexit: b\ntrans t: a -> b { x' <= 0; }\n",
+     "2:1: duplicate name 'x' in vars list"),
+    ("dcp\nconsts: n\nvars: x\nconsts: m, n\nentry: a\nexit: b\n"
+     "trans t: a -> b { x' <= n; }\n",
+     "4:1: duplicate name 'n' in consts list"),
+    ("dcp\nvars: x\nentry: a, c\nexit: b\ntrans t: a -> b { x' <= 0; }\n",
+     "3:1: entry names more than one location"),
+    ("prog\nparams: n, n\nvars: i\nentry: a\nexit: b\ntrans t: a -> b { i := n; }\n",
+     "2:1: duplicate name 'n' in params list"),
+    ("prog\nparams: n\nvars: i\nvars: i\nentry: a\nexit: b\n"
+     "trans t: a -> b { i := n; }\n",
+     "4:1: duplicate name 'i' in vars list"),
+    ("prog\nparams: n\nvars: i\nentry: a\nexit: b, z\ntrans t: a -> b { i := n; }\n",
+     "5:1: exit names more than one location"),
+], ids=["dcp-vars", "dcp-consts-across-lines", "dcp-entry", "prog-params",
+        "prog-vars-across-lines", "prog-exit"])
+def test_duplicate_declarations_exit_1(tmp_path, text, message):
+    src = tmp_path / "dup.txt"
+    src.write_text(text)
+    proc = _cli("analyze", src)
+    assert proc.returncode == 1
+    assert proc.stderr == f"{src}:{message}\n"
+
+
+def test_validate_repeated_assign_prints_once():
+    once = _cli("validate", DATA / "exampleC.dcp", "--assign", "n=1")
+    twice = _cli("validate", DATA / "exampleC.dcp",
+                 "--assign", "n=1", "--assign", "n=1")
+    assert (twice.returncode, twice.stderr) == (0, "")
+    assert twice.stdout == once.stdout
+    assert len(twice.stdout.splitlines()) == 9
+    assert twice.stdout.count("# n=1\n") == 1
+
+
+@pytest.mark.parametrize("assign, message", [
+    ("n=1,n=2", "assignment 'n=1,n=2' gives 'n' twice"),
+    ("n=1,=1", "bad assignment '=1'; expected NAME=VALUE"),
+    ("n=1,m=1", "assignment 'n=1,m=1': 'm' is not a constant of the program"),
+], ids=["name-twice", "empty-name", "unknown-name"])
+def test_validate_bad_assign_exit_1(assign, message):
+    proc = _cli("validate", DATA / "exampleC.dcp", "--assign", assign)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"dcbound: error: {message}\n"
+
+
+def test_override_bound_unknown_constant_exit_1():
+    proc = _cli("validate", DATA / "exampleC.dcp", "--sweep", "0..1",
+                "--override-bound", "t1=m")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("dcbound: error: bad --override-bound 't1=m': "
+                           "no value for symbolic constant 'm'\n")
+
+
 def _mutants(text: str, rng: random.Random) -> list[str]:
     """A truncation, one line cut short, a few flipped characters and the
     lines shuffled."""
