@@ -255,10 +255,7 @@ def abstract_program(prog: ConcreteProgram,
             constraints[(e, t.id)] = step
 
     # discard variable norms past the depth limit, with their constraints
-    var_norms: list[LinExpr] = []
-    const_norms: list[LinExpr] = []
-    for e in depth:
-        (const_norms if _names_only_params(e, prog) else var_norms).append(e)
+    var_norms = [e for e in depth if not _names_only_params(e, prog)]
     cut = too_deep | {e for e in var_norms if depth[e] > depth_limit}
     for e in sorted(cut, key=lambda e: (depth.get(e, cap + 1), e.name())):
         warnings.append(f"discarded norm {e.name()} (depth limit {depth_limit})")
@@ -267,6 +264,9 @@ def abstract_program(prog: ConcreteProgram,
         if e not in cut and step.rhs not in cut
     }
     surviving = [e for e in var_norms if e not in cut]
+    # only the parameter-only norms that a kept constraint resets to
+    targets = {step.rhs for step in constraints.values()}
+    const_norms = [e for e in depth if e in targets and _names_only_params(e, prog)]
 
     # names
     taken = set(prog.params) | set(prog.locations) | {t.id for t in prog.transitions}

@@ -163,7 +163,7 @@ def _cmd_analyze(args) -> int:
     dcp, abstraction = _load(args)
     if abstraction is not None and args.verbose:
         sys.stderr.write(format_dcp(dcp, abstraction.rename_comment()))
-    analysis = Analysis(dcp, AnalysisMode.from_name(args.mode),
+    analysis = Analysis(dcp, AnalysisMode(args.mode),
                         max_reset_paths=args.max_reset_paths)
     report = analysis.report()
     for w in report.warnings:
@@ -239,7 +239,7 @@ def _valuations(args, dcp: Dcp) -> list[dict[str, int]]:
 
 def _cmd_validate(args) -> int:
     dcp, _ = _load(args)
-    analysis = Analysis(dcp, AnalysisMode.from_name(args.mode),
+    analysis = Analysis(dcp, AnalysisMode(args.mode),
                         max_reset_paths=args.max_reset_paths)
     report = analysis.report()
     for raw in args.override_bound:

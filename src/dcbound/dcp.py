@@ -71,35 +71,6 @@ class Transition:
     updates: tuple[DifferenceConstraint, ...]
     line: int = field(default=0, compare=False)  # source position only
 
-    @cached_property
-    def _by_lhs(self) -> dict[str, DifferenceConstraint]:
-        """lhs -> update; the first update wins where a malformed transition
-        constrains a variable twice."""
-        out: dict[str, DifferenceConstraint] = {}
-        for u in self.updates:
-            out.setdefault(u.lhs, u)
-        return out
-
-    def update_for(self, var: str) -> DifferenceConstraint | None:
-        return self._by_lhs.get(var)
-
-    def defines(self, var: str) -> bool:
-        return var in self._by_lhs
-
-    @cached_property
-    def _reads(self) -> frozenset[str]:
-        used = set(self.guard)
-        for u in self.updates:
-            if isinstance(u.rhs, Var):
-                used.add(u.rhs.name)
-        # frozenset(set) sizes its table for the final length; growing a
-        # frozenset one name at a time can leave a table twice as large
-        return frozenset(used)
-
-    def reads(self) -> frozenset[str]:
-        """Variable names read in the pre-state (guards and rhs atoms)."""
-        return self._reads
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -119,10 +90,10 @@ class DcpError(ValueError):
 
 class _DcpIndex(NamedTuple):
     by_id: dict[str, Transition]
-    outgoing: dict[str, list[Transition]]
-    incoming: dict[str, list[Transition]]
-    resets: dict[str, list[tuple[Transition, Atom, int]]]
-    increments: dict[str, list[tuple[Transition, int]]]
+    outgoing: dict[str, tuple[Transition, ...]]
+    incoming: dict[str, tuple[Transition, ...]]
+    resets: dict[str, tuple[tuple[Transition, Atom, int], ...]]
+    increments: dict[str, tuple[tuple[Transition, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -131,9 +102,9 @@ class Dcp:
 
     The lookups `transition`, `outgoing`, `incoming`, `resets` and
     `increments` are answered from an index built lazily, once per instance,
-    in one pass over the transitions; every list is in `transitions` order
-    and where a malformed program has duplicates the first match wins.
-    Accessors return fresh lists, so callers may mutate them.
+    in one pass over the transitions. The accessors return the stored
+    tuples, each in `transitions` order; where a malformed program has
+    duplicates the first match wins.
     `dataclasses.replace` builds a new instance with its own index.
     """
 
@@ -146,20 +117,27 @@ class Dcp:
 
     @cached_property
     def _index(self) -> _DcpIndex:
-        idx = _DcpIndex({}, {}, {}, {v: [] for v in self.variables},
-                        {v: [] for v in self.variables})
+        by_id: dict[str, Transition] = {}
+        outgoing: dict[str, list] = {}
+        incoming: dict[str, list] = {}
+        resets: dict[str, list] = {v: [] for v in self.variables}
+        increments: dict[str, list] = {v: [] for v in self.variables}
         for t in self.transitions:
-            idx.by_id.setdefault(t.id, t)
-            idx.outgoing.setdefault(t.source, []).append(t)
-            idx.incoming.setdefault(t.target, []).append(t)
-            for var, u in t._by_lhs.items():
-                if var not in idx.resets:
-                    continue  # undeclared; validate() reports it
+            by_id.setdefault(t.id, t)
+            outgoing.setdefault(t.source, []).append(t)
+            incoming.setdefault(t.target, []).append(t)
+            seen: set[str] = set()
+            for u in t.updates:
+                var = u.lhs
+                if var in seen or var not in resets:
+                    continue  # duplicate or undeclared; validate() reports it
+                seen.add(var)
                 if u.rhs != Var(var):
-                    idx.resets[var].append((t, u.rhs, u.offset))
+                    resets[var].append((t, u.rhs, u.offset))
                 elif u.offset > 0:
-                    idx.increments[var].append((t, u.offset))
-        return idx
+                    increments[var].append((t, u.offset))
+        return _DcpIndex(by_id, *({k: tuple(v) for k, v in d.items()}
+                                  for d in (outgoing, incoming, resets, increments)))
 
     def transition(self, tid: str) -> Transition:
         try:
@@ -167,25 +145,25 @@ class Dcp:
         except KeyError:
             raise KeyError(tid) from None
 
-    def outgoing(self, loc: str) -> list[Transition]:
-        return list(self._index.outgoing.get(loc, ()))
+    def outgoing(self, loc: str) -> tuple[Transition, ...]:
+        return self._index.outgoing.get(loc, ())
 
-    def incoming(self, loc: str) -> list[Transition]:
-        return list(self._index.incoming.get(loc, ()))
+    def incoming(self, loc: str) -> tuple[Transition, ...]:
+        return self._index.incoming.get(loc, ())
 
-    def resets(self, var: str) -> list[tuple[Transition, Atom, int]]:
+    def resets(self, var: str) -> tuple[tuple[Transition, Atom, int], ...]:
         """All (transition, source atom, offset) where var is set from a
         different atom: the update var' <= a + c with a != var."""
         try:
-            return list(self._index.resets[var])
+            return self._index.resets[var]
         except KeyError:
             raise ValueError(f"unknown variable {var!r}") from None
 
-    def increments(self, var: str) -> list[tuple[Transition, int]]:
+    def increments(self, var: str) -> tuple[tuple[Transition, int], ...]:
         """All (transition, offset) with a self-sourced positive offset:
         var' <= var + c and c > 0."""
         try:
-            return list(self._index.increments[var])
+            return self._index.increments[var]
         except KeyError:
             raise ValueError(f"unknown variable {var!r}") from None
 
@@ -272,14 +250,23 @@ def _liveness(dcp: Dcp) -> dict[str, set[str]]:
     Worklist: a transition is revisited only when the live set at its target
     grew, so each set grows at most len(variables) times."""
     live: dict[str, set[str]] = {loc: set() for loc in dcp.locations}
-    work = list(dcp.transitions)
+    # (transition, names it uses, names it constrains), each built once;
+    # frozenset(set) sizes its table for the final length, where growing a
+    # frozenset one name at a time can leave a table twice as large
+    facts = [(t, frozenset({*t.guard, *(u.rhs.name for u in t.updates
+                                         if isinstance(u.rhs, Var))}),
+              frozenset({u.lhs for u in t.updates})) for t in dcp.transitions]
+    into: dict[str, list] = {}
+    for f in facts:
+        into.setdefault(f[0].target, []).append(f)
+    work = list(facts)
     while work:
-        t = work.pop()
-        wanted = t.reads() | (live.get(t.target, set()) - t._by_lhs.keys())
+        t, used, constrained = work.pop()
+        wanted = used | (live.get(t.target, set()) - constrained)
         cur = live[t.source]
         if not wanted <= cur:
             cur |= wanted
-            work.extend(dcp._index.incoming.get(t.source, ()))
+            work.extend(into.get(t.source, ()))
     return live
 
 
@@ -367,7 +354,8 @@ def validate(dcp: Dcp) -> list[Diagnostic]:
                     f"variable {v!r} may be read at the entry {loc!r} "
                     f"before it is constrained"))
             elif v not in defined[loc]:
-                missing = [t.id for t in dcp.incoming(loc) if not t.defines(v)]
+                missing = [t.id for t in dcp.incoming(loc)
+                           if all(u.lhs != v for u in t.updates)]
                 diags.append(Diagnostic(
                     0, 0,
                     f"variable {v!r} is live at {loc!r} but transition(s) "

@@ -46,13 +46,6 @@ class AnalysisMode(enum.Enum):
     CTX = "ctx"
     OPT = "opt"
 
-    @classmethod
-    def from_name(cls, name: str) -> "AnalysisMode":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown mode {name!r}; expected free, ctx or opt") from None
-
 
 @dataclass
 class BoundReport:

@@ -500,9 +500,9 @@ class _Tokens:
                 self.toks.append((ch, ch, i))
                 i += 1
                 continue
-            if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.toks.append(("INT", text[i:j], i))
                 i = j

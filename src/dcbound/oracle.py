@@ -4,17 +4,17 @@ Updates are upper bounds and guards are positivity tests, so pointwise-larger
 states enable a superset of behaviour; exploring only the extreme choice
 x' = y + c therefore dominates every admissible run for counting purposes.
 
-All three interpreters (explore, enumerate_runs, random_run) run on one
-compiled view of the program, built once per call: each variable has a slot
-(in `dcp.variables` order), and each location a tuple of its outgoing
-transitions sorted by id, with guards and updates given as slots and with
-constant right-hand sides already resolved against the valuation. A state
-is (location, tuple of every slot's value), None where the variable is
-undefined; this is one-to-one with the (location, defined variable values)
-pairs of the semantics. explore() walks all branch choices depth first,
-successors in transition-id order, memoizing per-transition worst-case
-counts per state. That order decides which states a capped exploration
-visits before it stops, so it is part of the result.
+The one interpreter, explore(), runs on a compiled view of the program,
+built once per call: each variable has a slot (in `dcp.variables` order),
+and each location a tuple of its outgoing transitions sorted by id, with
+guards and updates given as slots and with constant right-hand sides
+already resolved against the valuation. A state is (location, tuple of
+every slot's value), None where the variable is undefined; this is
+one-to-one with the (location, defined variable values) pairs of the
+semantics. explore() walks all branch choices depth first, successors in
+transition-id order, memoizing per-transition worst-case counts per state.
+That order decides which states a capped exploration visits before it
+stops, so it is part of the result.
 
 Variables with no constraint on the taken transition become undefined in the
 successor. Well-defined programs never read an undefined variable; such a
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from random import Random
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from dcbound import expr
 from dcbound.dcp import Dcp, Transition, Var, defined_at
@@ -37,8 +36,6 @@ __all__ = [
     "DEFAULT_STEP_CAP",
     "RunStats",
     "explore",
-    "enumerate_runs",
-    "random_run",
     "Verdict",
     "SoundnessRow",
     "SoundnessResult",
@@ -66,10 +63,10 @@ class _UndefinedRead(RuntimeError):
 
 
 # One outgoing transition, compiled: (position of its id in _View.ids,
-# target, guard slots, updates, the transition). An update is (lhs slot,
-# source slot, constant): the value is the constant plus the source slot's
-# value, or the constant alone where the source slot is -1.
-_Step = tuple[int, str, tuple[int, ...], tuple[tuple[int, int, int], ...], Transition]
+# target, guard slots, updates). An update is (lhs slot, source slot,
+# constant): the value is the constant plus the source slot's value, or the
+# constant alone where the source slot is -1.
+_Step = tuple[int, str, tuple[int, ...], tuple[tuple[int, int, int], ...]]
 
 
 class _View:
@@ -103,7 +100,7 @@ def _compile(dcp: Dcp, valuation: Mapping[str, int]) -> _View:
             else:
                 updates.append((lhs, -1, u.rhs.value + u.offset))
         guard = tuple(slot.setdefault(g, len(slot)) for g in t.guard)
-        return pos[t.id], t.target, guard, tuple(updates), t
+        return pos[t.id], t.target, guard, tuple(updates)
 
     steps = {loc: tuple(step(t) for t in sorted(dcp.outgoing(loc), key=lambda t: t.id))
              for loc in dcp.locations}
@@ -121,7 +118,7 @@ def _successors(view: _View, loc: str,
     order, under extreme updates."""
     out = []
     for step in view.steps[loc]:
-        _, target, guard, updates, _ = step
+        _, target, guard, updates = step
         for g in guard:
             x = values[g]
             if x is None:
@@ -206,64 +203,6 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
                     exhausted=exhausted, states=states_seen)
 
 
-def enumerate_runs(dcp: Dcp, valuation: Mapping[str, int], *,
-                   max_runs: int = 10_000,
-                   max_len: int = 10_000) -> Iterator[list[tuple[Transition, dict[str, int]]]]:
-    """Yield maximal runs under extreme updates as (transition, post-state)
-    sequences, depth first with branches in transition-id order. A post-state
-    maps each variable the transition updates to its value. A run that
-    reaches max_len transitions is dropped. Unmemoized; intended for small
-    assignments in tests."""
-    view = _compile(dcp, valuation)
-    emitted = 0
-    trail: list[tuple[Transition, dict[str, int]]] = []
-    # one frame per location on the current run: [successors not yet
-    # walked, whether any transition was enabled]; frame k > 0 entered its
-    # location by trail[k - 1]
-    stack = []
-    if max_runs > 0 and max_len > 0:
-        values = (None,) * len(view.names)
-        stack.append([iter(_successors(view, dcp.entry, values)), False])
-    while stack:
-        frame = stack[-1]
-        for step, (loc, values) in frame[0]:
-            frame[1] = True
-            _, _, _, updates, t = step
-            trail.append((t, {view.names[lhs]: values[lhs] for lhs, _, _ in updates}))
-            if emitted < max_runs and len(trail) < max_len:
-                stack.append([iter(_successors(view, loc, values)), False])
-                break
-            trail.pop()
-        else:
-            stack.pop()
-            if not frame[1]:
-                emitted += 1
-                yield list(trail)
-            if stack:
-                trail.pop()
-
-
-def random_run(dcp: Dcp, valuation: Mapping[str, int], rng: Random, *,
-               max_len: int = 10_000, slack: int = 4) -> dict[str, int]:
-    """One random admissible run: random branch choices and random update
-    values from [extreme - slack, extreme]. Returns per-transition counts."""
-    view = _compile(dcp, valuation)
-    counts = [0] * len(view.ids)
-    loc, values = dcp.entry, (None,) * len(view.names)
-    for _ in range(max_len):
-        enabled = _successors(view, loc, values)
-        if not enabled:
-            break
-        (pos, _, _, updates, _), (loc, _) = rng.choice(enabled)
-        nxt: list[int | None] = [None] * len(values)
-        for lhs, src, c in updates:
-            cap = c if src < 0 else values[src] + c
-            nxt[lhs] = rng.randint(cap - slack, cap)
-        counts[pos] += 1
-        values = tuple(nxt)
-    return dict(zip(view.ids, counts))
-
-
 # ---------------------------------------------------------------------------
 # soundness checking
 # ---------------------------------------------------------------------------
@@ -299,10 +238,6 @@ class SoundnessRow:
 class SoundnessResult:
     verdict: Verdict
     rows: list[SoundnessRow]
-
-    @property
-    def violations(self) -> list[SoundnessRow]:
-        return [r for r in self.rows if r.ok is False]
 
 
 def check_soundness(dcp: Dcp, report: BoundReport,

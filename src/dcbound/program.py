@@ -165,9 +165,6 @@ class ConcreteProgram:
     params: tuple[str, ...]
     variables: tuple[str, ...]
 
-    def outgoing(self, loc: str) -> list[ConcreteTransition]:
-        return [t for t in self.transitions if t.source == loc]
-
 
 # ---------------------------------------------------------------------------
 # parsing

@@ -105,33 +105,25 @@ class ResetPath:
 @dataclass(frozen=True)
 class ResetGraph:
     """Reset edges with adjacency built lazily, once per instance: `into`
-    lists are sorted by (source, transition id, offset), and `into` returns
-    a fresh list. `path_count` memoizes per target variable on the graph."""
+    returns the stored tuple of edges into a variable, sorted by (source,
+    transition id, offset). `path_count` memoizes per target variable on
+    the graph."""
 
     edges: tuple[ResetEdge, ...]
 
-    @property
-    def nodes(self) -> tuple[Atom, ...]:
-        seen: list[Atom] = []
-        for e in self.edges:
-            for node in (e.src, Var(e.dst)):
-                if node not in seen:
-                    seen.append(node)
-        return tuple(sorted(seen, key=str))
-
     @cached_property
-    def _into(self) -> dict[str, list[ResetEdge]]:
+    def _into(self) -> dict[str, tuple[ResetEdge, ...]]:
         out: dict[str, list[ResetEdge]] = {}
         for e in sorted(self.edges, key=lambda e: (str(e.src), e.trans.id, e.offset)):
             out.setdefault(e.dst, []).append(e)
-        return out
+        return {v: tuple(es) for v, es in out.items()}
 
     @cached_property
     def _path_counts(self) -> dict[str, dict[str | Atom, int]]:
         return {}
 
-    def into(self, var: str) -> list[ResetEdge]:
-        return list(self._into.get(var, ()))
+    def into(self, var: str) -> tuple[ResetEdge, ...]:
+        return self._into.get(var, ())
 
     def path_count(self, src: Atom, dst_var: str) -> int:
         """Number of distinct edge paths from src to dst (1 for src == dst).
@@ -278,7 +270,7 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
     while stack:
         path = stack.pop()
         head = path.in_atom
-        into = graph.into(head.name) if isinstance(head, Var) else []
+        into = graph.into(head.name) if isinstance(head, Var) else ()
         # the extensions all add the same interior atom and consumer edge,
         # and `path` is sound, so one check decides them all
         if into and not _reachable_without_reset(
@@ -295,7 +287,8 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
 def to_dot(graph: ResetGraph) -> str:
     """DOT rendering; zero offsets are omitted from edge labels."""
     lines = ["digraph reset_graph {"]
-    for node in graph.nodes:
+    nodes = dict.fromkeys(n for e in graph.edges for n in (e.src, Var(e.dst)))
+    for node in sorted(nodes, key=str):
         lines.append(f'  "{node}";')
     for e in sorted(graph.edges, key=lambda e: (str(e.src), e.dst, e.trans.id)):
         label = e.trans.id + (f",{e.offset:+d}" if e.offset else "")

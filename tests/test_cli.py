@@ -410,6 +410,41 @@ def test_override_bound_unknown_constant_exit_1():
                            "no value for symbolic constant 'm'\n")
 
 
+@pytest.mark.parametrize("bound", ["²", "①"], ids=["superscript", "circled"])
+def test_override_bound_non_decimal_digit_exit_1(capsys, bound):
+    # str.isdigit() holds for these, but int() reads only decimal digits
+    code, out, err = run(capsys, "validate", DATA / "exampleC.dcp", "--sweep",
+                         "0..1", "--override-bound", f"t1={bound}")
+    assert (code, out) == (1, "")
+    assert err == f"dcbound: error: unexpected character {bound!r} (at offset 0)\n"
+
+
+_UNUSED_CONSTANT_PROG = """prog
+params: n
+vars: x, y
+entry: l0
+exit: le
+trans t0: l0 -> l1 { x := n; y := n; }
+trans t1: l1 -> l2 when y < x { x := n; y := y - 2; }
+trans t2: l2 -> l1 when x >= 1 { x := 0; y := y - 2; }
+trans t3: l1 -> l1 when x >= 1 { y := y - 2; }
+"""
+
+
+def test_abstract_declares_only_used_constants(tmp_path, capsys):
+    # at depth 0 the only norm that resets to -n is discarded, so -n must
+    # not become a derived constant (it used to double the validate sweep)
+    path = tmp_path / "unused.prog"
+    path.write_text(_UNUSED_CONSTANT_PROG)
+    code, out, _ = run(capsys, "abstract", path, "--abstraction-depth", "0")
+    assert code == 0
+    assert "consts: n\n" in out and "symbolic constant" not in out
+    code, out, _ = run(capsys, "validate", path, "--abstraction-depth", "0")
+    assert code == 3 and out.endswith("PASS-PARTIAL\n")  # t3 loops unguarded
+    assert [line for line in out.splitlines() if line.startswith("#")] == [
+        f"# n={k}" for k in range(4)]
+
+
 def _mutants(text: str, rng: random.Random) -> list[str]:
     """A truncation, one line cut short, a few flipped characters and the
     lines shuffled."""

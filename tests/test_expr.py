@@ -118,6 +118,24 @@ def test_parse_errors():
             parse_expr(bad)
 
 
+def test_parse_expr_fuzz_bad_flag_values():
+    # what --override-bound may be given: a normal form or ExprParseError,
+    # never another exception (int() rejected '²', which isdigit() accepts)
+    pieces = list("0123456789nm_+*(),-") + [
+        "max", "min", "undef", "²", "①", "٣", "é", " ", "\t", "\n"]
+    rng = random.Random(20261018)
+    parsed = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        try:
+            e = parse_expr(text)
+        except expr.ExprParseError:
+            continue
+        parsed += 1
+        assert parse_expr(to_str(e)) == e, text
+    assert parsed > 100
+
+
 # ---------------------------------------------------------------------------
 # randomized property suites (acceptance criterion: 1000 expressions)
 # ---------------------------------------------------------------------------

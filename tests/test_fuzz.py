@@ -135,7 +135,8 @@ def _random_concrete_run(prog, env0, rng, max_len=60):
     counts = {t.id: 0 for t in prog.transitions}
     loc, env = prog.entry, dict(env0)
     for _ in range(max_len):
-        enabled = [t for t in prog.outgoing(loc) if t.guard_holds(env)]
+        enabled = [t for t in prog.transitions
+                   if t.source == loc and t.guard_holds(env)]
         if not enabled:
             break
         t = rng.choice(enabled)

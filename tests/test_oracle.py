@@ -17,9 +17,7 @@ from dcbound.oracle import (
     Verdict,
     _UndefinedRead,
     check_soundness,
-    enumerate_runs,
     explore,
-    random_run,
 )
 
 from conftest import DATA, load_dcp, load_prog
@@ -84,12 +82,16 @@ trans t1: l1 -> l1 guard(x) { x' <= x; }
 
 # -- soundness verdicts --------------------------------------------------------
 
+def _violations(result):
+    return [r for r in result.rows if r.ok is False]
+
+
 def test_check_soundness_pass():
     d = load_dcp("exampleA.dcp")
     report = Analysis(d, AnalysisMode.FREE).report()
     result = check_soundness(d, report, [{"n": k} for k in range(5)])
     assert result.verdict is Verdict.PASS
-    assert result.violations == []
+    assert _violations(result) == []
 
 
 def test_check_soundness_injected_fault():
@@ -98,7 +100,7 @@ def test_check_soundness_injected_fault():
     report.tb["t2"] = expr.IntConst(0)  # deliberately corrupted
     result = check_soundness(d, report, [{"n": 1}])
     assert result.verdict is Verdict.FAIL
-    bad = result.violations
+    bad = _violations(result)
     assert len(bad) == 1
     assert bad[0].name == "t2" and bad[0].observed == 1 and bad[0].bound == 0
     assert bad[0].valuation == (("n", 1),)
@@ -118,12 +120,14 @@ def test_check_soundness_undefined_bounds_skipped():
     report = Analysis(d, AnalysisMode.FREE).report()
     result = check_soundness(d, report, [{"n": 2}], step_cap=2000)
     assert result.verdict is Verdict.PASS_PARTIAL
-    assert result.violations == []
+    assert _violations(result) == []
     skipped = [r for r in result.rows if r.ok is None]
     assert {r.name for r in skipped} >= {"t1", "t2", "x", "y"}
 
 
 # -- randomized runs never beat extreme updates --------------------------------
+#
+# Runs come from the dict-semantics references at the end of this module.
 
 @pytest.mark.parametrize("name", ["exampleA.dcp", "exampleB.dcp",
                                   "exampleC.dcp", "example1.dcp",
@@ -135,7 +139,7 @@ def test_random_runs_dominated(name):
         stats = explore(d, val)
         assert stats.exhausted
         for _ in range(500):
-            counts = random_run(d, val, rng)
+            counts = _ref_random_run(d, val, rng)
             for tid, c in counts.items():
                 assert c <= stats.counts[tid], (name, val, tid)
 
@@ -168,7 +172,7 @@ def test_local_bounds_validated_on_runs(name):
     d = load_dcp(name)
     zeta = local_bound_map(d)
     for val in _small_valuations(d, [0, 2]):
-        for run in enumerate_runs(d, val, max_runs=2000):
+        for run in _ref_enumerate_runs(d, val, max_runs=2000):
             states = [{}] + [post for _, post in run]
             for tid, v in zeta.items():
                 count = sum(1 for t, _ in run if t.id == tid)
@@ -178,16 +182,12 @@ def test_local_bounds_validated_on_runs(name):
                     assert count <= _decreases(states, v), (name, val, tid)
 
 
-def test_enumerate_runs_long_run_no_recursion():
-    run = next(enumerate_runs(load_dcp("exampleA.dcp"), {"n": 1500}, max_runs=1))
-    assert len(run) == 3001
-
-
-# -- differential: compiled interpreters against the dict semantics -------------
+# -- differential: the compiled interpreter against the dict semantics ----------
 #
-# The reference below interprets the program directly: a state is the
+# The references below interpret the program directly: a state is the
 # location and the sorted values of its defined variables, successors are
-# dicts, and counts are dicts keyed by transition id.
+# dicts, and counts are dicts keyed by transition id. `_ref_explore` checks
+# `explore`; the two run generators drive the property tests above.
 
 def _ref_atom_value(a, values, valuation):
     if isinstance(a, IntConst):
@@ -342,18 +342,6 @@ def test_explore_matches_reference_on_random_programs():
             _assert_same_stats(d, val, cap)
 
 
-@pytest.mark.parametrize("name", sorted(_data_programs()))
-def test_runs_match_reference_on_data(name):
-    d = _data_programs()[name]
-    for val in _valuations(d.sym_consts, range(3)):
-        got = list(enumerate_runs(d, val, max_runs=50, max_len=40))
-        assert got == list(_ref_enumerate_runs(d, val, max_runs=50, max_len=40))
-        for seed in range(5):
-            got = random_run(d, val, random.Random(seed), max_len=200)
-            assert got == _ref_random_run(d, val, random.Random(seed), max_len=200)
-            assert list(got) == [t.id for t in d.transitions]
-
-
 def test_undefined_read_in_hand_built_program():
     # not well-defined, built without parse_dcp: x is read before any
     # transition constrains it, once in a guard and once in an update
@@ -363,8 +351,6 @@ def test_undefined_read_in_hand_built_program():
         d = Dcp(locations=("l1", "lb"), transitions=(t0,), entry="lb",
                 exit="l1", variables=("x", "y"), sym_consts=())
         for interpret in (lambda: explore(d, {}),
-                          lambda: _ref_explore(d, {}),
-                          lambda: next(enumerate_runs(d, {})),
-                          lambda: random_run(d, {}, random.Random(0))):
+                          lambda: _ref_explore(d, {})):
             with pytest.raises(_UndefinedRead, match="read of undefined variable 'x'"):
                 interpret()
