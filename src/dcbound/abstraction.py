@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from dcbound.dcp import (
     Atom,
@@ -25,6 +25,7 @@ from dcbound.dcp import (
     DifferenceConstraint,
     Transition,
     Var,
+    cyclic_components,
     enforce_well_definedness,
     validate,
 )
@@ -33,7 +34,6 @@ from dcbound.program import HAVOC, ConcreteProgram, ConcreteTransition, LinExpr
 
 __all__ = [
     "DEFAULT_DEPTH_LIMIT",
-    "TooManyCycles",
     "AbstractStep",
     "AbstractionResult",
     "guess_norms",
@@ -49,58 +49,6 @@ DEFAULT_DEPTH_LIMIT = 5
 # of a too-deep norm is known (and reported) before being discarded.
 _DISCOVERY_SLACK = 8
 
-# Guessing norms lists the simple cycles of the concrete program; it gives up
-# past this many.
-_CYCLE_CAP = 10_000
-
-
-class TooManyCycles(Exception):
-    """The program has more simple cycles than norm guessing lists."""
-
-
-def _enumerate_simple_cycles(
-        locations: Sequence[str], edges: Sequence[ConcreteTransition],
-) -> list[tuple[ConcreteTransition, ...]]:
-    """All edge-level simple cycles of a directed multigraph.
-
-    Each cycle is anchored at its smallest location and the interior visits
-    no location twice, so parallel edges yield distinct cycles and every
-    cycle appears exactly once. Deterministic: starts are taken in location
-    order and children in edge-id order. The depth-first search keeps its
-    own stack, so its depth does not grow the interpreter's.
-    """
-    order = {loc: i for i, loc in enumerate(sorted(locations))}
-    outgoing: dict[str, list[ConcreteTransition]] = {loc: [] for loc in order}
-    for e in sorted(edges, key=lambda e: e.id):
-        outgoing[e.source].append(e)
-
-    cycles: list[tuple[ConcreteTransition, ...]] = []
-    for start, s in order.items():
-        path: list[ConcreteTransition] = []
-        on_path = {start}
-        work = [iter(outgoing[start])]
-        while work:
-            for e in work[-1]:
-                if order[e.target] < s:
-                    continue
-                if e.target == start:
-                    cycles.append(tuple(path + [e]))
-                    if len(cycles) > _CYCLE_CAP:
-                        raise TooManyCycles(
-                            f"the program has more than {_CYCLE_CAP} simple "
-                            f"cycles; the abstraction does not list that many")
-                elif e.target not in on_path:
-                    path.append(e)
-                    on_path.add(e.target)
-                    work.append(iter(outgoing[e.target]))
-                    break
-            else:
-                work.pop()
-                if path:
-                    on_path.discard(path.pop().target)
-    return cycles
-
-
 def _counter_updates(t: ConcreteTransition) -> set[str]:
     """Variables this transition moves by a nonzero constant: v := v + c."""
     out = set()
@@ -112,27 +60,61 @@ def _counter_updates(t: ConcreteTransition) -> set[str]:
     return out
 
 
+def _loop_counters(prog: ConcreteProgram) -> dict[str, set[str]]:
+    """Map each transition on a loop to the counters of the innermost loop
+    that contains it (see `guess_norms`), decomposing with an explicit work
+    list rather than recursion."""
+    preds: dict[str, set[str]] = {loc: set() for loc in prog.locations}
+    for t in prog.transitions:
+        preds[t.target].add(t.source)
+    loops: list[list[ConcreteTransition]] = []
+    back_of: dict[str, int] = {}    # transition id -> the loop it closes
+    innermost: dict[str, int] = {}  # transition id -> its innermost loop
+    work = [(prog.locations, list(prog.transitions))]
+    while work:
+        locations, transitions = work.pop()
+        for inner in cyclic_components(locations, transitions):
+            k = len(loops)
+            loops.append(inner)
+            locs = list(dict.fromkeys(t.source for t in inner))
+            members = set(locs)
+            headers = {loc for loc in locs if preds[loc] - members} or {min(locs)}
+            for t in inner:
+                innermost[t.id] = k  # a nested loop overwrites this later
+                if t.target in headers:
+                    back_of[t.id] = k
+            work.append((locs, [t for t in inner if t.target not in headers]))
+    counters = [
+        set().union(*(_counter_updates(t) for t in inner
+                      if back_of.get(t.id, k) == k))
+        for k, inner in enumerate(loops)]
+    return {tid: counters[k] for tid, k in innermost.items()}
+
+
 def guess_norms(prog: ConcreteProgram) -> list[LinExpr]:
-    """Initial norms from loop conditions.
+    """Initial norms from loop conditions, read off the loop-nesting forest.
+
+    Each strongly connected component with a cycle is a loop. Its headers
+    are the locations that a transition from outside the component enters
+    (its smallest location if there is none), and its transitions into a
+    header are its back edges. Removing the back edges and decomposing the
+    rest again gives the loops nested inside. A loop's counters are the
+    variables moved by a nonzero constant on its transitions, leaving out
+    the back edges of the loops nested inside it. Taking every entry of a
+    loop as a header, as Steensgaard's forest does, keeps a cycle that runs
+    through two entries of an irreducible loop inside that loop.
 
     A guard relation on transition t contributes its positivity facts
-    (e.g. a > b gives a-b, a >= b gives a-b+1) whenever some simple cycle
-    through t moves a variable of the relation by a nonzero constant: such a
-    condition can limit how long the cyclic paths through t keep running.
-    Exit conditions whose counters only move on other cycles contribute
-    nothing. Raises TooManyCycles past the cycle cap.
+    (e.g. a > b gives a-b, a >= b gives a-b+1) when it names a counter of
+    the innermost loop that contains t: such a condition can limit how long
+    that loop keeps running. Conditions on no loop, and exit conditions
+    whose counters only move in other loops, contribute nothing.
     """
-    # transition id -> the counters moved on some simple cycle through it
-    relevant: dict[str, set[str]] = {t.id: set() for t in prog.transitions}
-    for cycle in _enumerate_simple_cycles(prog.locations, prog.transitions):
-        counters = set().union(*(_counter_updates(t) for t in cycle))
-        for t in cycle:
-            relevant[t.id] |= counters
+    counters = _loop_counters(prog)
     norms: dict[LinExpr, None] = {}
     for t in prog.transitions:
         for rel in t.guard:
-            involved = (rel.lhs.names | rel.rhs.names) & relevant[t.id]
-            if not involved:
+            if not (rel.lhs.names | rel.rhs.names) & counters.get(t.id, set()):
                 continue
             for fact in rel.facts():
                 if fact.is_const or _names_only_params(fact, prog):

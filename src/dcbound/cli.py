@@ -5,9 +5,8 @@ difference constraint program), validate (compare bounds against exhaustive
 concrete exploration), resets (optimal reset paths / DOT export).
 
 Exit codes: 0 success or PASS; 1 usage, input/output or parse error; 2 the
-requested complexity is undefined, a .prog input has more simple cycles than
-the abstraction lists, or `resets` finds more optimal reset paths than
---max-reset-paths allows; 3 validation did not fully PASS (FAIL, or
+requested complexity is undefined, or `resets` finds more optimal reset paths
+than --max-reset-paths allows; 3 validation did not fully PASS (FAIL, or
 PASS-PARTIAL from a capped exploration).
 """
 
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from dcbound import __version__, expr
 from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, \
-    TooManyCycles, abstract_program
+    abstract_program
 from dcbound.dcp import Dcp, DcpError, format_dcp, input_format, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.oracle import DEFAULT_STEP_CAP, Verdict, check_soundness
@@ -309,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"{getattr(args, 'file', '<input>')}:{d}", file=sys.stderr)
         return EXIT_USAGE
-    except (TooManyCycles, ResetPathOverflow) as exc:
+    except ResetPathOverflow as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_UNDEF
     except expr.ExprParseError as exc:

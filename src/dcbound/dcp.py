@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from dcbound.expr import IntConst, SymConst
 
@@ -31,6 +31,7 @@ __all__ = [
     "enforce_well_definedness",
     "format_dcp",
     "strongly_connected_components",
+    "cyclic_components",
 ]
 
 
@@ -237,6 +238,28 @@ def strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[int]:
                             break
                     found += 1
     return comp
+
+
+_T = TypeVar("_T")
+
+
+def cyclic_components(locations: Iterable[str],
+                      transitions: Sequence[_T]) -> list[list[_T]]:
+    """The transitions (anything with a `source` and a `target` location)
+    whose two ends share a strongly connected component, grouped by
+    component, each group in the order given. A component contributes a
+    group exactly when it holds a cycle."""
+    node = {loc: i for i, loc in enumerate(locations)}
+    succ: list[list[int]] = [[] for _ in node]
+    for t in transitions:
+        succ[node[t.source]].append(node[t.target])
+    comp = strongly_connected_components(succ)
+    inner: dict[int, list[_T]] = {}
+    for t in transitions:
+        c = comp[node[t.source]]
+        if c == comp[node[t.target]]:
+            inner.setdefault(c, []).append(t)
+    return list(inner.values())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ undefined element.
 
 from __future__ import annotations
 
-from dcbound.dcp import Dcp, Transition, Var, strongly_connected_components
+from dcbound.dcp import Dcp, Transition, Var, cyclic_components, \
+    strongly_connected_components
 
 __all__ = [
     "ONE",
@@ -77,18 +78,7 @@ def local_bound_map(dcp: Dcp) -> dict[str, str | None]:
     None (no local bound found; the transition may be unbounded). Among
     several qualifying variables the lexicographically smallest is chosen,
     for determinism."""
-    node = {loc: i for i, loc in enumerate(dcp.locations)}
-    succ: list[list[int]] = [[] for _ in node]
-    for t in dcp.transitions:
-        succ[node[t.source]].append(node[t.target])
-    comp = strongly_connected_components(succ)
-
-    inner: dict[int, list[Transition]] = {}
-    for t in dcp.transitions:
-        c = comp[node[t.source]]
-        if c == comp[node[t.target]]:
-            inner.setdefault(c, []).append(t)
     bounds: dict[str, str | None] = {}
-    for transitions in inner.values():
-        bounds.update(_component_bounds(transitions))
+    for inner in cyclic_components(dcp.locations, dcp.transitions):
+        bounds.update(_component_bounds(inner))
     return {t.id: bounds.get(t.id, ONE) for t in dcp.transitions}

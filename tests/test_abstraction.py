@@ -5,10 +5,9 @@ import random
 
 import pytest
 
+from dcbound import abstraction
 from dcbound.abstraction import (
     AbstractionResult,
-    TooManyCycles,
-    _enumerate_simple_cycles,
     abstract_program,
     abstract_transition,
     guess_norms,
@@ -16,11 +15,13 @@ from dcbound.abstraction import (
     sym_exec_norm,
 )
 from dcbound.dcp import Dcp, DcpError, Var, format_dcp, validate
+from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, parse_program
 
-from conftest import load_dcp, load_prog
+from conftest import load_dcp, load_prog, simple_cycles
 from test_cli import _loop_text
+from test_fuzz import _random_prog_text
 
 
 # -- parsing -------------------------------------------------------------------
@@ -77,12 +78,37 @@ def test_guess_norms_example3():
 
 
 
-def test_cycle_limit_overflow():
-    # 13 diamonds in a loop give 2^13 simple cycles, 14 give more than the cap
-    p13 = parse_program(_loop_text("prog", 13, diamonds=True))
-    assert len(_enumerate_simple_cycles(p13.locations, p13.transitions)) == 2 ** 13
-    with pytest.raises(TooManyCycles):
-        guess_norms(parse_program(_loop_text("prog", 14, diamonds=True)))
+def test_guess_norms_diamonds():
+    # 2^k simple cycles make one loop, which the forest finds without
+    # listing them
+    for k in (13, 14, 40):
+        p = parse_program(_loop_text("prog", k, diamonds=True))
+        assert [n.name() for n in guess_norms(p)] == ["(n-i)"], k
+
+
+TWO_ENTRY_LOOP = """
+prog
+params: n
+vars: x
+entry: l0
+exit: le
+trans t0: l0 -> l1 { x := 0; }
+trans e2: l0 -> l2 { x := 0; }
+trans t1: l1 -> l3 when x < n { }
+trans t2: l3 -> l2 { x := x + 1; }
+trans t3: l2 -> l1 { }
+trans t4: l2 -> l3 { }
+"""
+
+
+def test_guess_norms_irreducible_loop():
+    # the loop {l1, l2, l3} is entered at l1 and at l2; with l1 as its only
+    # header, l2 <-> l3 would be a nested loop that owns the increment t2,
+    # and the guard of t1 would name no counter of its own loop
+    p = parse_program(TWO_ENTRY_LOOP)
+    assert [n.name() for n in guess_norms(p)] == ["(n-x)"]
+    tb = Analysis(abstract_program(p).dcp, AnalysisMode.CTX).report().tb
+    assert str(tb["t1"]) == "2*n"
 
 
 COUNTDOWN_GE = """
@@ -112,6 +138,71 @@ trans t0: l0 -> l1 when n > 0 { x := n; }
 trans t1: l1 -> le { x := x + 1; }
 """)
     assert guess_norms(p) == []
+
+
+def simple_cycle_norms(prog):
+    """The rule the loop-nesting forest replaced: a guard relation on t
+    contributes when some simple cycle through t moves one of its variables
+    by a nonzero constant."""
+    relevant = {t.id: set() for t in prog.transitions}
+    for cycle in simple_cycles(prog.locations, prog.transitions):
+        counters = set().union(*(abstraction._counter_updates(t) for t in cycle))
+        for t in cycle:
+            relevant[t.id] |= counters
+    norms = {}
+    for t in prog.transitions:
+        for rel in t.guard:
+            if (rel.lhs.names | rel.rhs.names) & relevant[t.id]:
+                for fact in rel.facts():
+                    if not fact.is_const and not fact.names <= set(prog.params):
+                        norms[fact] = None
+    return list(norms)
+
+
+def _random_nested_prog_text(rng: random.Random) -> str:
+    """2-5 locations, 3 variables and 2-8 transitions, with forward edges
+    more likely than backward ones, so loops often nest."""
+    k = rng.randint(2, 5)
+    lines = ["prog", "params: n", "vars: x, y, z", "entry: l0", "exit: le",
+             "trans t0: l0 -> l1 { x := 0; y := n; z := 0; }"]
+    guards = ["x < n", "y > 0", "z < y", "x >= n", "z >= y", "y > x", ""]
+    for i in range(rng.randint(2, 8)):
+        src = rng.randint(1, k)
+        tgt = rng.choice([src, min(src + 1, k), rng.randint(1, k)])
+        target = "le" if rng.random() < 0.1 else f"l{tgt}"
+        guard = rng.choice(guards)
+        when = f" when {guard}" if guard else ""
+        updates = []
+        for v in "xyz":
+            kind = rng.random()
+            if kind < 0.1:
+                updates.append(f"{v} := ?;")
+            elif kind < 0.45:
+                updates.append(f"{v} := {v} {rng.choice('+-')} 1;")
+            elif kind < 0.6:
+                updates.append(f"{v} := {rng.choice([w for w in 'xyzn' if w != v])};")
+            elif kind < 0.7:
+                updates.append(f"{v} := 0;")
+        lines.append(f"trans t{i + 1}: l{src} -> {target}{when} "
+                     f"{{ {' '.join(updates)} }}")
+    return "\n".join(lines) + "\n"
+
+
+def _all_bounds(prog):
+    dcp = abstract_program(prog).dcp
+    return [Analysis(dcp, mode).report().tb for mode in AnalysisMode]
+
+
+def test_forest_keeps_every_bound_of_the_cycle_rule(monkeypatch):
+    # the forest may guess other norms than the cycle rule (more, fewer or
+    # reordered), but on these programs every transition bound is the same
+    rng = random.Random(5)
+    texts = [_random_prog_text(rng) for _ in range(200)]
+    texts += [_random_nested_prog_text(rng) for _ in range(200)]
+    forest = [_all_bounds(parse_program(text)) for text in texts]
+    monkeypatch.setattr(abstraction, "guess_norms", simple_cycle_norms)
+    for text, bounds in zip(texts, forest):
+        assert _all_bounds(parse_program(text)) == bounds, text
 
 
 # -- symbolic execution ------------------------------------------------------------

@@ -200,31 +200,26 @@ def _loop_text(kind, k, *, diamonds):
     return "\n".join(head + body + back) + "\n"
 
 
-@pytest.mark.parametrize("diamonds,k", [(True, 14), (False, 1500)],
-                         ids=["branchy14", "long1500"])
-def test_dcp_without_cycle_limit(tmp_path, capsys, diamonds, k):
-    # 2^14 simple cycles, or one cycle through 1500 locations: the bound is n
-    src = tmp_path / "loop.dcp"
-    src.write_text(_loop_text("dcp", k, diamonds=diamonds))
+@pytest.mark.parametrize("kind,diamonds,k", [
+    ("dcp", True, 14), ("dcp", False, 1500),
+    ("prog", True, 14), ("prog", True, 40),
+], ids=["branchy14", "long1500", "prog-branchy14", "prog-branchy40"])
+def test_dcp_without_cycle_limit(tmp_path, capsys, kind, diamonds, k):
+    # 2^k simple cycles, or one cycle through 1500 locations: the bound is n,
+    # and the abstraction of a .prog input lists no cycles either
+    src = tmp_path / f"loop.{kind}"
+    src.write_text(_loop_text(kind, k, diamonds=diamonds))
     code, out, err = run(capsys, "analyze", src, "--mode", "ctx")
     assert code == 0, err
     assert out.endswith("complexity = n\n")
-
-
-def test_abstraction_cycle_limit_exit_2(tmp_path, capsys):
-    # 2^14 simple cycles exceed the abstraction's fixed limit
-    src = tmp_path / "diamonds.prog"
-    src.write_text(_loop_text("prog", 14, diamonds=True))
-    for command in ("analyze", "abstract"):
-        code, out, err = run(capsys, command, src)
-        assert code == 2
-        assert out == ""
-        assert "more than 10000 simple cycles" in err
-        assert "--max-cycles" not in err and "Traceback" not in err
+    if kind == "prog":
+        code, out, err = run(capsys, "abstract", src)
+        assert code == 0, err
+        assert "trans step: l0 -> l1 guard(v0)" in out
 
 
 def test_abstraction_long_loop(tmp_path, capsys):
-    # one cycle through 1500 locations, enumerated without recursion
+    # one loop through 1500 locations, decomposed without recursion
     src = tmp_path / "long.prog"
     src.write_text(_loop_text("prog", 1500, diamonds=False))
     code, out, err = run(capsys, "abstract", src)

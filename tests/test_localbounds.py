@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from dcbound.abstraction import _enumerate_simple_cycles, abstract_program
+from dcbound.abstraction import abstract_program
 from dcbound.dcp import Dcp, DifferenceConstraint, Transition, Var, parse_dcp
 from dcbound.expr import IntConst, SymConst
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.resetgraph import build_reset_graph
 
-from conftest import DATA, load_dcp, load_prog
+from conftest import DATA, load_dcp, load_prog, simple_cycles
 from test_fuzz import _random_dcp_text
 
 
@@ -20,7 +20,7 @@ def ids(cycle):
 
 
 def cycle_sets(dcp):
-    return {ids(c) for c in _enumerate_simple_cycles(dcp.locations, dcp.transitions)}
+    return {ids(c) for c in simple_cycles(dcp.locations, dcp.transitions)}
 
 
 def test_cycles_example_a():
@@ -113,7 +113,7 @@ def reference_map(dcp):
     """v bounds t when every simple cycle through t guards and decreases v;
     transitions on no cycle get ONE; the smallest such name wins."""
     candidates = {}
-    for cycle in _enumerate_simple_cycles(dcp.locations, dcp.transitions):
+    for cycle in simple_cycles(dcp.locations, dcp.transitions):
         guarded = {g for t in cycle for g in t.guard}
         decreased = {u.lhs for t in cycle for u in t.updates
                      if u.rhs == Var(u.lhs) and u.offset < 0}
