@@ -49,6 +49,7 @@ DEFAULT_DEPTH_LIMIT = 5
 # of a too-deep norm is known (and reported) before being discarded.
 _DISCOVERY_SLACK = 8
 
+
 def _counter_updates(t: ConcreteTransition) -> set[str]:
     """Variables this transition moves by a nonzero constant: v := v + c."""
     out = set()
@@ -61,33 +62,34 @@ def _counter_updates(t: ConcreteTransition) -> set[str]:
 
 
 def _loop_counters(prog: ConcreteProgram) -> dict[str, set[str]]:
-    """Map each transition on a loop to the counters of the innermost loop
-    that contains it (see `guess_norms`), decomposing with an explicit work
-    list rather than recursion."""
+    """Map each transition on a loop to the counters of every loop that
+    contains it (see `guess_norms`), decomposing with an explicit work list
+    rather than recursion."""
     preds: dict[str, set[str]] = {loc: set() for loc in prog.locations}
     for t in prog.transitions:
         preds[t.target].add(t.source)
-    loops: list[list[ConcreteTransition]] = []
-    back_of: dict[str, int] = {}    # transition id -> the loop it closes
+    loops: list[tuple[list[ConcreteTransition], int]] = []  # (loop, parent)
+    back_of: dict[str, int] = {}    # id -> the single-header loop it closes
     innermost: dict[str, int] = {}  # transition id -> its innermost loop
-    work = [(prog.locations, list(prog.transitions))]
+    work = [(prog.locations, list(prog.transitions), -1)]  # -1: no loop
     while work:
-        locations, transitions = work.pop()
+        locations, transitions, outer = work.pop()
         for inner in cyclic_components(locations, transitions):
             k = len(loops)
-            loops.append(inner)
+            loops.append((inner, outer))
             locs = list(dict.fromkeys(t.source for t in inner))
             members = set(locs)
             headers = {loc for loc in locs if preds[loc] - members} or {min(locs)}
             for t in inner:
                 innermost[t.id] = k  # a nested loop overwrites this later
-                if t.target in headers:
+                if t.target in headers and len(headers) == 1:
                     back_of[t.id] = k
-            work.append((locs, [t for t in inner if t.target not in headers]))
-    counters = [
-        set().union(*(_counter_updates(t) for t in inner
-                      if back_of.get(t.id, k) == k))
-        for k, inner in enumerate(loops)]
+            work.append((locs, [t for t in inner if t.target not in headers], k))
+    # a parent loop precedes its children, so its counters are ready
+    counters: dict[int, set[str]] = {-1: set()}
+    for k, (inner, outer) in enumerate(loops):
+        counters[k] = counters[outer].union(*(
+            _counter_updates(t) for t in inner if back_of.get(t.id, k) == k))
     return {tid: counters[k] for tid, k in innermost.items()}
 
 
@@ -96,19 +98,20 @@ def guess_norms(prog: ConcreteProgram) -> list[LinExpr]:
 
     Each strongly connected component with a cycle is a loop. Its headers
     are the locations that a transition from outside the component enters
-    (its smallest location if there is none), and its transitions into a
-    header are its back edges. Removing the back edges and decomposing the
-    rest again gives the loops nested inside. A loop's counters are the
-    variables moved by a nonzero constant on its transitions, leaving out
-    the back edges of the loops nested inside it. Taking every entry of a
-    loop as a header, as Steensgaard's forest does, keeps a cycle that runs
-    through two entries of an irreducible loop inside that loop.
+    (its smallest location if there is none; every entry is a header, as in
+    Steensgaard's forest), and its transitions into a header are its back
+    edges. Removing the back edges and decomposing the rest again gives the
+    loops nested inside. A loop's counters are the variables moved by a
+    nonzero constant on its transitions, except the back edges of nested
+    loops with a single header: a simple cycle that leaves such a loop can
+    come back only through its header, so it never takes them.
 
     A guard relation on transition t contributes its positivity facts
     (e.g. a > b gives a-b, a >= b gives a-b+1) when it names a counter of
-    the innermost loop that contains t: such a condition can limit how long
-    that loop keeps running. Conditions on no loop, and exit conditions
-    whose counters only move in other loops, contribute nothing.
+    some loop that contains t: such a condition can limit how long that
+    loop keeps running. A variable that a simple cycle through t moves by a
+    constant is a counter of the smallest loop holding that cycle, so it is
+    seen. Conditions on no loop contribute nothing.
     """
     counters = _loop_counters(prog)
     norms: dict[LinExpr, None] = {}

@@ -159,14 +159,19 @@ def simple_cycle_norms(prog):
     return list(norms)
 
 
-def _random_nested_prog_text(rng: random.Random) -> str:
-    """2-5 locations, 3 variables and 2-8 transitions, with forward edges
-    more likely than backward ones, so loops often nest."""
-    k = rng.randint(2, 5)
+def _random_nested_prog_text(rng: random.Random, locations: int = 5,
+                             transitions: int = 8, entries: int = 1) -> str:
+    """2 up to `locations` locations, 3 variables and 2 up to `transitions`
+    transitions, with forward edges more likely than backward ones, so loops
+    often nest; `entries` transitions leave the entry location."""
+    k = rng.randint(2, locations)
     lines = ["prog", "params: n", "vars: x, y, z", "entry: l0", "exit: le",
              "trans t0: l0 -> l1 { x := 0; y := n; z := 0; }"]
+    for j in range(1, entries):
+        lines.append(f"trans e{j}: l0 -> l{rng.randint(1, k)} "
+                     "{ x := 0; y := n; z := 0; }")
     guards = ["x < n", "y > 0", "z < y", "x >= n", "z >= y", "y > x", ""]
-    for i in range(rng.randint(2, 8)):
+    for i in range(rng.randint(2, transitions)):
         src = rng.randint(1, k)
         tgt = rng.choice([src, min(src + 1, k), rng.randint(1, k)])
         target = "le" if rng.random() < 0.1 else f"l{tgt}"
@@ -188,21 +193,84 @@ def _random_nested_prog_text(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def test_forest_norms_include_those_of_the_cycle_rule():
+    # several entries give irreducible loops, where a simple cycle can leave
+    # a nested loop through a back edge into a header it did not enter by
+    rng = random.Random(7)
+    for _ in range(600):
+        text = _random_nested_prog_text(rng, locations=7, transitions=14,
+                                        entries=3)
+        p = parse_program(text)
+        assert set(simple_cycle_norms(p)) <= set(guess_norms(p)), text
+
+
 def _all_bounds(prog):
     dcp = abstract_program(prog).dcp
     return [Analysis(dcp, mode).report().tb for mode in AnalysisMode]
 
 
+# t3 lies in the inner loop l2 <-> l4, whose only counter is x; y moves on
+# the outer back edge t2, so the guard y > 0 counts through the loop headed
+# at l1 that contains the inner one, and y bounds t2
+OUTER_COUNTER_IN_INNER_LOOP = """
+prog
+params: n
+vars: x, y
+entry: l0
+exit: le
+trans t0: l0 -> l1 { x := 0; y := n; }
+trans t1: l1 -> l2 { x := n; }
+trans t3: l2 -> l4 when y > 0 { }
+trans t4: l4 -> l2 when x > 0 { x := x - 1; }
+trans t2: l4 -> l1 { y := y - 1; }
+trans done: l1 -> le { }
+"""
+
+# l1 <-> l3 is nested in the loop headed at l2 and is entered at both l1
+# and l3, so t3 is one of its back edges; the simple cycle t2, t3, t5
+# enters it at l3 and leaves through t3, and y still counts for t2
+TWO_HEADER_INNER_LOOP = """
+prog
+params: n
+vars: y, z
+entry: l0
+exit: le
+trans t0: l0 -> l2 { y := 0; z := n; }
+trans t1: l2 -> l1 { }
+trans t2: l2 -> l3 when z >= y { }
+trans t3: l3 -> l1 { y := y + 1; }
+trans t4: l1 -> l3 { }
+trans t5: l1 -> l2 { }
+trans done: l2 -> le { }
+"""
+
+
+@pytest.mark.parametrize("text, norms, bound", [
+    (OUTER_COUNTER_IN_INNER_LOOP, ["(y)", "(x)"], "n"),
+    (TWO_HEADER_INNER_LOOP, ["(z-y+1)"], "1 + n"),
+], ids=["outer-counter-in-inner-loop", "two-header-inner-loop"])
+def test_guard_counts_for_enclosing_loops(monkeypatch, text, norms, bound):
+    p = parse_program(text)
+    assert [n.name() for n in guess_norms(p)] == norms
+    bounds = _all_bounds(p)
+    assert all(str(tb["t2"]) == bound for tb in bounds)
+    monkeypatch.setattr(abstraction, "guess_norms", simple_cycle_norms)
+    assert _all_bounds(p) == bounds
+
+
 def test_forest_keeps_every_bound_of_the_cycle_rule(monkeypatch):
-    # the forest may guess other norms than the cycle rule (more, fewer or
-    # reordered), but on these programs every transition bound is the same
+    # the forest guesses every norm of the cycle rule, possibly more and in
+    # another order, and on these programs every transition bound is the same
     rng = random.Random(5)
     texts = [_random_prog_text(rng) for _ in range(200)]
     texts += [_random_nested_prog_text(rng) for _ in range(200)]
-    forest = [_all_bounds(parse_program(text)) for text in texts]
+    progs = [parse_program(text) for text in texts]
+    for text, p in zip(texts, progs):
+        assert set(simple_cycle_norms(p)) <= set(guess_norms(p)), text
+    forest = [_all_bounds(p) for p in progs]
     monkeypatch.setattr(abstraction, "guess_norms", simple_cycle_norms)
-    for text, bounds in zip(texts, forest):
-        assert _all_bounds(parse_program(text)) == bounds, text
+    for text, p, bounds in zip(texts, progs, forest):
+        assert _all_bounds(p) == bounds, text
 
 
 # -- symbolic execution ------------------------------------------------------------
