@@ -93,11 +93,12 @@ def _build_parser() -> _Parser:
                        help="check bounds against exhaustive concrete exploration")
     common(c)
     c.add_argument("--mode", default="ctx", choices=["free", "ctx", "opt"])
-    c.add_argument("--assign", action="append", default=[], metavar="N=V[,M=V]",
-                   help="one valuation of the symbolic constants (repeatable)")
-    c.add_argument("--sweep", metavar="LO..HI",
-                   help="cartesian sweep over all constants (default 0..3 "
-                        "when no --assign is given)")
+    one_of = c.add_mutually_exclusive_group()
+    one_of.add_argument("--assign", action="append", default=[], metavar="N=V[,M=V]",
+                        help="one valuation of the symbolic constants (repeatable)")
+    one_of.add_argument("--sweep", metavar="LO..HI",
+                        help="cartesian sweep over all constants (default 0..3 "
+                             "when no --assign is given)")
     c.add_argument("--max-steps", type=_count, default=DEFAULT_STEP_CAP, metavar="S",
                    help=f"state cap per valuation (default {DEFAULT_STEP_CAP})")
     c.add_argument("--override-bound", action="append", default=[],

@@ -4,8 +4,8 @@ and the line reader that `.dcp` and `.prog` inputs share.
 A transition carries a set of variables required to be positive (the guard)
 and a deterministic set of inequalities x' <= a + c, one per updated variable,
 where a is a variable, a named constant, or an integer. Programs are validated
-for determinism and well-definedness (every variable that may be read from a
-location is constrained on all of that location's incoming transitions).
+for determinism and well-definedness: every variable a transition reads is
+constrained on every transition into its source.
 """
 
 from __future__ import annotations
@@ -266,47 +266,28 @@ def cyclic_components(locations: Iterable[str],
 # validation
 # ---------------------------------------------------------------------------
 
-def _liveness(dcp: Dcp) -> dict[str, set[str]]:
-    """Backward fixpoint: v is live at l if some path from l reaches a read of
-    v (guard or rhs) with no intervening transition that constrains v.
-
-    Worklist: a transition is revisited only when the live set at its target
-    grew, so each set grows at most len(variables) times."""
-    live: dict[str, set[str]] = {loc: set() for loc in dcp.locations}
-    # (transition, names it uses, names it constrains), each built once;
-    # frozenset(set) sizes its table for the final length, where growing a
-    # frozenset one name at a time can leave a table twice as large
-    facts = [(t, frozenset({*t.guard, *(u.rhs.name for u in t.updates
-                                         if isinstance(u.rhs, Var))}),
-              frozenset({u.lhs for u in t.updates})) for t in dcp.transitions]
-    into: dict[str, list] = {}
-    for f in facts:
-        into.setdefault(f[0].target, []).append(f)
-    work = list(facts)
-    while work:
-        t, used, constrained = work.pop()
-        wanted = used | (live.get(t.target, set()) - constrained)
-        cur = live[t.source]
-        if not wanted <= cur:
-            cur |= wanted
-            work.extend(into.get(t.source, ()))
-    return live
-
-
 def defined_at(dcp: Dcp) -> dict[str, set[str]]:
     """Variables constrained on every incoming transition of each location.
     Nothing is defined at the entry."""
     out: dict[str, set[str]] = {}
     for loc in dcp.locations:
-        if loc == dcp.entry:
-            out[loc] = set()
-            continue
-        inc = dcp.incoming(loc)
-        vars_ = set(dcp.variables)
-        for t in inc:
+        vars_ = set() if loc == dcp.entry else set(dcp.variables)
+        for t in dcp.incoming(loc):
             vars_ &= {u.lhs for u in t.updates}
         out[loc] = vars_
     return out
+
+
+def undefined_reads(dcp: Dcp) -> set[tuple[str, str]]:
+    """The (location, name) pairs where a transition from the location reads
+    the name (in its guard or a right-hand side) that some transition into
+    the location leaves unconstrained; empty when the program is
+    well-defined. Nothing is constrained at the entry."""
+    defined = defined_at(dcp)
+    return {(t.source, v) for t in dcp.transitions
+            for v in (*t.guard, *(u.rhs.name for u in t.updates
+                                  if isinstance(u.rhs, Var)))
+            if v not in defined[t.source]}
 
 
 def check_structure(program, consts: Iterable[str]) -> list[Diagnostic]:
@@ -365,24 +346,21 @@ def validate(dcp: Dcp) -> list[Diagnostic]:
                     t.line, 1, f"transition {t.id}: unknown atom {u.rhs.name!r}"))
 
     if diags:
-        return diags  # liveness needs a structurally sane program
+        return diags  # each read of an unknown name is reported once, above
 
-    live = _liveness(dcp)
-    defined = defined_at(dcp)
-    for loc in sorted(dcp.locations):
-        for v in sorted(live[loc]):
-            if loc == dcp.entry:
-                diags.append(Diagnostic(
-                    0, 0,
-                    f"variable {v!r} may be read at the entry {loc!r} "
-                    f"before it is constrained"))
-            elif v not in defined[loc]:
-                missing = [t.id for t in dcp.incoming(loc)
-                           if all(u.lhs != v for u in t.updates)]
-                diags.append(Diagnostic(
-                    0, 0,
-                    f"variable {v!r} is live at {loc!r} but transition(s) "
-                    f"{', '.join(sorted(missing))} into {loc!r} do not constrain it"))
+    for loc, v in sorted(undefined_reads(dcp)):
+        if loc == dcp.entry:
+            diags.append(Diagnostic(
+                0, 0,
+                f"variable {v!r} may be read at the entry {loc!r} "
+                f"before it is constrained"))
+        else:
+            missing = [t.id for t in dcp.incoming(loc)
+                       if all(u.lhs != v for u in t.updates)]
+            diags.append(Diagnostic(
+                0, 0,
+                f"variable {v!r} is live at {loc!r} but transition(s) "
+                f"{', '.join(sorted(missing))} into {loc!r} do not constrain it"))
     return diags
 
 
@@ -408,47 +386,61 @@ def drop_variables(dcp: Dcp, removed: Iterable[str]) -> Dcp:
 
 
 def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
-    """Iteratively drop guards and constraints that read a variable not
-    defined at the transition's source, then prune constraint-less variables.
+    """Make the program well-defined: every variable a transition reads is
+    constrained on every transition into its source. Drops each guard and
+    constraint that breaks this, then prunes the variables left without
+    constraints. Expects one constraint per variable per transition, as
+    `validate` requires.
 
-    Dropping constraints and guards only enlarges the run set, so any bound
-    computed for the result still covers the original behaviour.
+    Dropping x' <= w + c on t leaves x unconstrained on t, so the drops come
+    in rounds. The pairs of `undefined_reads` are round 1, and (t.target, x)
+    is round k + 1 when t's constraint on x reads a round-k pair at t.source.
+    A read is dropped in the round of the pair it reads; the warnings come
+    by round, then by transition, guards before updates. Dropping
+    constraints and guards only enlarges the run set, so any bound computed
+    for the result still covers the original behaviour.
     """
-    warnings: list[str] = []
-    cur = dcp
-    while True:
-        defined = defined_at(cur)
-        changed = False
-        new_ts = []
-        for t in cur.transitions:
-            ok = defined[t.source] if t.source != cur.entry else set()
-            guard = []
-            for g in t.guard:
-                if g in ok:
-                    guard.append(g)
-                else:
-                    warnings.append(
-                        f"dropped guard {g} on {t.id}: not defined at {t.source}")
-                    changed = True
-            ups = []
-            for u in t.updates:
-                if isinstance(u.rhs, Var) and u.rhs.name not in ok:
-                    warnings.append(
-                        f"dropped {u} on {t.id}: {u.rhs.name} not defined at {t.source}")
-                    changed = True
-                else:
-                    ups.append(u)
-            new_ts.append(replace(t, guard=tuple(guard), updates=tuple(ups)))
-        cur = replace(cur, transitions=tuple(new_ts))
-        if not changed:
-            break
-    constrained = {u.lhs for t in cur.transitions for u in t.updates}
-    dead = [v for v in cur.variables if v not in constrained]
-    if dead:
-        for v in dead:
-            warnings.append(f"pruned variable {v}: no constraints remain")
-        cur = replace(cur, variables=tuple(v for v in cur.variables if v not in dead))
-    return cur, warnings
+    level = dict.fromkeys(undefined_reads(dcp), 1)  # the round of each pair
+    spreads: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for t in dcp.transitions:
+        for u in t.updates:
+            if isinstance(u.rhs, Var):
+                spreads.setdefault((t.source, u.rhs.name), []).append(
+                    (t.target, u.lhs))
+    queue = list(level)  # breadth first: the loop visits what it appends
+    for pair in queue:
+        for p in spreads.get(pair, ()):
+            if p not in level:  # defined so far, or read nowhere
+                level[p] = level[pair] + 1
+                queue.append(p)
+
+    dropped: list[tuple[int, str]] = []
+    new_ts = []
+    for t in dcp.transitions:
+        guard = []
+        for g in t.guard:
+            r = level.get((t.source, g))
+            if r:
+                dropped.append((r, f"dropped guard {g} on {t.id}: "
+                                   f"not defined at {t.source}"))
+            else:
+                guard.append(g)
+        ups = []
+        for u in t.updates:
+            r = isinstance(u.rhs, Var) and level.get((t.source, u.rhs.name))
+            if r:
+                dropped.append((r, f"dropped {u} on {t.id}: "
+                                   f"{u.rhs.name} not defined at {t.source}"))
+            else:
+                ups.append(u)
+        new_ts.append(replace(t, guard=tuple(guard), updates=tuple(ups)))
+    # a stable sort: within a round, by transition, guards first
+    warnings = [w for _, w in sorted(dropped, key=lambda d: d[0])]
+    constrained = {u.lhs for t in new_ts for u in t.updates}
+    warnings += [f"pruned variable {v}: no constraints remain"
+                 for v in dcp.variables if v not in constrained]
+    kept = tuple(v for v in dcp.variables if v in constrained)
+    return replace(dcp, transitions=tuple(new_ts), variables=kept), warnings
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from dcbound.dcp import parse_dcp
+from dcbound.dcp import Var, defined_at, parse_dcp
 from dcbound.program import parse_program
 
 DATA = Path(__file__).parent / "data"
@@ -57,3 +58,89 @@ def simple_cycles(locations, edges):
                 if path:
                     on_path.discard(path.pop().target)
     return cycles
+
+
+def ref_liveness(d):
+    """Round-robin backward fixpoint, a test reference: v is live at l when
+    some path from l reaches a read of v (a guard or a right-hand side) with
+    no transition on the way that constrains v."""
+    live = {loc: set() for loc in d.locations}
+    changed = True
+    while changed:
+        changed = False
+        for t in d.transitions:
+            reads = set(t.guard) | {u.rhs.name for u in t.updates
+                                    if isinstance(u.rhs, Var)}
+            constrained = {u.lhs for u in t.updates}
+            wanted = reads | (live.get(t.target, set()) - constrained)
+            cur = live[t.source]
+            if not wanted <= cur:
+                cur |= wanted
+                changed = True
+    return live
+
+
+def ref_well_definedness_messages(d):
+    """The well-definedness diagnostics of the liveness check, a test
+    reference for `validate`: one for each (location, variable) pair, in
+    sorted order, where the variable is live at the location and the
+    location is the entry or some transition into it leaves the variable
+    unconstrained."""
+    live = ref_liveness(d)
+    defined = defined_at(d)
+    messages = []
+    for loc in sorted(d.locations):
+        for v in sorted(live[loc]):
+            if loc == d.entry:
+                messages.append(f"variable {v!r} may be read at the entry "
+                                f"{loc!r} before it is constrained")
+            elif v not in defined[loc]:
+                missing = [t.id for t in d.incoming(loc)
+                           if all(u.lhs != v for u in t.updates)]
+                messages.append(
+                    f"variable {v!r} is live at {loc!r} but transition(s) "
+                    f"{', '.join(sorted(missing))} into {loc!r} do not constrain it")
+    return messages
+
+
+def ref_enforce_well_definedness(d):
+    """The round loop, a test reference for `enforce_well_definedness`:
+    each round reruns `defined_at`, drops every guard and constraint that
+    reads a name not defined at the transition's source and rebuilds every
+    transition, until a round drops nothing; then constraint-less variables
+    are pruned."""
+    warnings = []
+    cur = d
+    while True:
+        defined = defined_at(cur)
+        changed = False
+        new_ts = []
+        for t in cur.transitions:
+            ok = defined[t.source] if t.source != cur.entry else set()
+            guard = []
+            for g in t.guard:
+                if g in ok:
+                    guard.append(g)
+                else:
+                    warnings.append(
+                        f"dropped guard {g} on {t.id}: not defined at {t.source}")
+                    changed = True
+            ups = []
+            for u in t.updates:
+                if isinstance(u.rhs, Var) and u.rhs.name not in ok:
+                    warnings.append(
+                        f"dropped {u} on {t.id}: {u.rhs.name} not defined at {t.source}")
+                    changed = True
+                else:
+                    ups.append(u)
+            new_ts.append(replace(t, guard=tuple(guard), updates=tuple(ups)))
+        cur = replace(cur, transitions=tuple(new_ts))
+        if not changed:
+            break
+    constrained = {u.lhs for t in cur.transitions for u in t.updates}
+    dead = [v for v in cur.variables if v not in constrained]
+    if dead:
+        for v in dead:
+            warnings.append(f"pruned variable {v}: no constraints remain")
+        cur = replace(cur, variables=tuple(v for v in cur.variables if v not in dead))
+    return cur, warnings

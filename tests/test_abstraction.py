@@ -561,6 +561,49 @@ def test_shallow_abstraction_warnings_and_output(source, depth):
     assert format_dcp(result.dcp, result.rename_comment()) == text
 
 
+def _cascade_text(k: int) -> str:
+    """A loop through k locations whose counter the entry havocs: each
+    edge steps x up and the back edge is taken while x < n. The repair
+    loses the counter's norm one location per round along the loop."""
+    lines = ["prog", "params: n", "vars: x", "entry: lb", "exit: le",
+             "trans t0: lb -> l1 { x := ?; }"]
+    lines += [f"trans s{j}: l{j} -> l{j + 1} {{ x := x + 1; }}" for j in range(1, k)]
+    lines += [f"trans back: l{k} -> l1 when x < n {{ x := x + 1; }}",
+              f"trans done: l{k} -> le when x >= n {{ }}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_repair_cascade_warnings():
+    result = abstract_program(parse_program(_cascade_text(3)))
+    assert result.warnings == [
+        "dropped v0' <= v0 - 1 on s1: v0 not defined at l1",
+        "dropped v0' <= v0 - 1 on s2: v0 not defined at l2",
+        "dropped guard v0 on back: not defined at l3",
+        "dropped v0' <= v0 - 1 on back: v0 not defined at l3",
+        "dropped v0' <= v0 on done: v0 not defined at l3",
+        "pruned variable v0: no constraints remain",
+        "dropped variable v0 := (n-x) during the well-definedness repair",
+    ]
+    assert result.dcp.variables == ()
+    assert validate(result.dcp) == []
+
+
+def test_repair_cascade_in_round_order():
+    # round j drops the step out of l{j}; the last round reaches l{k}
+    k = 300
+    result = abstract_program(parse_program(_cascade_text(k)))
+    repair = result.warnings[:-1]
+    assert len(repair) == k + 3
+    assert repair == [
+        *(f"dropped v0' <= v0 - 1 on s{j}: v0 not defined at l{j}"
+          for j in range(1, k)),
+        f"dropped guard v0 on back: not defined at l{k}",
+        f"dropped v0' <= v0 - 1 on back: v0 not defined at l{k}",
+        f"dropped v0' <= v0 on done: v0 not defined at l{k}",
+        "pruned variable v0: no constraints remain",
+    ]
+
+
 def test_uninitialized_counter_degrades_gracefully():
     result = abstract_program(parse_program("""
 prog

@@ -397,6 +397,17 @@ def test_validate_bad_assign_exit_1(assign, message):
     assert proc.stderr == f"dcbound: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--assign", "n=1", "--sweep", "0..2"),
+    ("--sweep", "0..2", "--assign", "n=1"),
+], ids=["assign-first", "sweep-first"])
+def test_validate_assign_and_sweep_exclude_each_other(argv):
+    proc = _cli("validate", DATA / "exampleC.dcp", *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "not allowed with argument" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_override_bound_unknown_constant_exit_1():
     proc = _cli("validate", DATA / "exampleC.dcp", "--sweep", "0..1",
                 "--override-bound", "t1=m")

@@ -94,6 +94,26 @@ trans t1: l1 -> l1 guard(v) { v' <= v - 1; }
     assert any("'v'" in m and "t0" in m for m in msgs)
 
 
+def test_well_definedness_reported_at_the_read():
+    # v passes unread through l1 and is read at l2: only the read is
+    # reported, not the entry or l1, where v is merely live
+    text = """
+dcp
+consts: n
+vars: v
+entry: lb
+exit: le
+trans t0: lb -> l1 { }
+trans t1: l1 -> l2 { }
+trans t2: l2 -> le guard(v) { v' <= v - 1; }
+"""
+    with pytest.raises(DcpError) as ei:
+        parse_dcp(text)
+    assert [d.message for d in ei.value.diagnostics] == [
+        "variable 'v' is live at 'l2' but transition(s) t1 into 'l2' "
+        "do not constrain it"]
+
+
 def test_entry_read_rejected():
     text = """
 dcp

@@ -15,7 +15,6 @@ from dcbound.dcp import (
     Dcp,
     Transition,
     Var,
-    _liveness,
     drop_variables,
     enforce_well_definedness,
     parse_dcp,
@@ -37,10 +36,6 @@ def ref_update_for(t, var):
         if u.lhs == var:
             return u
     return None
-
-
-def ref_defines(t, var):
-    return any(u.lhs == var for u in t.updates)
 
 
 def ref_transition(d, tid):
@@ -78,25 +73,6 @@ def ref_increments(d, var):
         if u is not None and u.rhs == Var(var) and u.offset > 0:
             out.append((t, u.offset))
     return tuple(out)
-
-
-def ref_reads(t):
-    return set(t.guard) | {u.rhs.name for u in t.updates if isinstance(u.rhs, Var)}
-
-
-def ref_liveness(d):
-    live = {loc: set() for loc in d.locations}
-    changed = True
-    while changed:
-        changed = False
-        for t in d.transitions:
-            wanted = ref_reads(t) | {
-                v for v in live.get(t.target, set()) if not ref_defines(t, v)}
-            cur = live[t.source]
-            if not wanted <= cur:
-                cur |= wanted
-                changed = True
-    return live
 
 
 def ref_into(g, var):
@@ -150,8 +126,6 @@ def check_program(d: Dcp) -> None:
     for accessor in (d.resets, d.increments):
         with pytest.raises(ValueError):
             accessor(MISSING)
-    if all(t.source in d.locations for t in d.transitions):
-        assert _liveness(d) == ref_liveness(d)
 
 
 def check_graph(d: Dcp, rng: random.Random) -> None:
