@@ -4,20 +4,24 @@ Norms are integer-valued linear expressions over the concrete state
 (`LinExpr`); those guessed from loop conditions start the norm table at
 depth 0. Each norm e is taken from a FIFO queue once, and for each concrete
 transition its post-state value is computed by substituting the updates.
-The result is matched against e itself or a known norm plus an integer
-offset; otherwise its non-constant part enters the table one deeper than e
-and its constant becomes the offset. Norms over parameters only become
-symbolic constants. Discovery stops `_DISCOVERY_SLACK` levels past the depth
-limit, and every variable norm past the limit is discarded, with a warning,
-together with the constraints that mention it. Guards e > 0 are added where
-the concrete guard syntactically entails them.
+The result r differs from a norm by a constant exactly when both have the
+same coefficients, so r is matched by its coefficient tuple: against e
+itself, else against the first known norm with that tuple, and the offset
+is the difference of the constants. Otherwise its non-constant part enters
+the table one deeper than e and its constant becomes the offset. Norms over
+parameters only become symbolic constants. Discovery stops
+`_DISCOVERY_SLACK` levels past the depth limit, and every variable norm
+past the limit is discarded, with a warning, together with the constraints
+that mention it. A guard e > 0 is added where e is literally one of the
+positivity facts of the concrete guard; no norm that survives is constant,
+because guessing skips constant facts and discovery never enters one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Mapping
 
 from dcbound.dcp import (
     Atom,
@@ -39,7 +43,6 @@ __all__ = [
     "guess_norms",
     "sym_exec_norm",
     "abstract_transition",
-    "infer_guard",
     "abstract_program",
 ]
 
@@ -134,14 +137,9 @@ def sym_exec_norm(e: LinExpr, t: ConcreteTransition) -> LinExpr | None:
     """e after t: substitute every updated variable; None if a variable of e
     is havoced (no difference constraint can be derived)."""
     updates = t.update_map()
-    subst: dict[str, LinExpr] = {}
-    for name in e.names:
-        rhs = updates.get(name)
-        if rhs is HAVOC:
-            return None
-        if rhs is not None:
-            subst[name] = rhs
-    return e.substitute(subst)
+    if any(updates.get(name) is HAVOC for name in e.names):
+        return None
+    return e.substitute(updates)
 
 
 @dataclass(frozen=True)
@@ -155,36 +153,27 @@ class AbstractStep:
 
 
 def abstract_transition(e: LinExpr, t: ConcreteTransition,
-                        norms: Iterable[LinExpr]) -> AbstractStep | None:
+                        index: Mapping[tuple, LinExpr]) -> AbstractStep | None:
     """Derive the constraint for norm e across t, or None on havoc.
 
-    Tries e itself first (self-increment), then the known norms in their
-    order, as targets whose difference from the post-state value is a
-    constant; otherwise splits off the integer constant, and the non-constant
-    remainder is a norm not among `norms`.
+    The post-state value r minus a norm is constant exactly when both have
+    the same coefficient tuple. So the target is e itself when r has e's
+    coefficients (self-increment), else the norm that `index` maps r's
+    coefficients to; the offset is the difference of the constants.
+    Otherwise the integer constant is split off, and the non-constant
+    remainder is a norm not in `index`. Guards are not derived here:
+    `abstract_program` makes a norm a guard of t exactly when it is one of
+    the positivity facts of t's guard, and no norm it keeps is constant.
     """
     r = sym_exec_norm(e, t)
     if r is None:
         return None
     if r.is_const:
         return AbstractStep(rhs=LinExpr(r.const), offset=0)
-    for cand in [e] + [n for n in norms if n != e]:
-        diff = r.sub(cand)
-        if diff.is_const:
-            return AbstractStep(rhs=cand, offset=diff.const)
+    cand = e if r.coeffs == e.coeffs else index.get(r.coeffs)
+    if cand is not None:
+        return AbstractStep(rhs=cand, offset=r.const - cand.const)
     return AbstractStep(rhs=r.drop_const(), offset=r.const)
-
-
-def infer_guard(e: LinExpr, t: ConcreteTransition) -> bool:
-    """Sound, syntactic entailment of e > 0 by t's guard: true only when e is
-    a positive constant or literally one of the guard's positivity facts."""
-    if e.is_const:
-        return e.const > 0
-    for rel in t.guard:
-        for fact in rel.facts():
-            if fact == e:
-                return True
-    return False
 
 
 @dataclass
@@ -212,6 +201,9 @@ def abstract_program(prog: ConcreteProgram,
     # every known norm, in discovery order, with its discovery depth; the
     # guessed norms are never over parameters only
     depth = dict.fromkeys(guess_norms(prog), 0)
+    # coefficient tuple -> the first norm of `depth` with it, kept in step
+    # with `depth`; guessed norms such as (n-i) and (n-i+1) can share one
+    index = {e.coeffs: e for e in reversed(depth)}
     too_deep: set[LinExpr] = set()  # variable norms found past the cap
 
     # fixpoint: derive one constraint per (norm, transition)
@@ -221,7 +213,7 @@ def abstract_program(prog: ConcreteProgram,
         e = queue.popleft()
         d = depth[e] + 1  # the depth of a norm that e's constraints discover
         for t in prog.transitions:
-            step = abstract_transition(e, t, depth)
+            step = abstract_transition(e, t, index)
             if step is None:
                 continue  # havoc: no constraint for this norm here
             new = step.rhs
@@ -237,6 +229,7 @@ def abstract_program(prog: ConcreteProgram,
                 else:
                     depth[new] = d
                     queue.append(new)
+                index.setdefault(new.coeffs, new)
             constraints[(e, t.id)] = step
 
     # discard variable norms past the depth limit, with their constraints
@@ -255,27 +248,24 @@ def abstract_program(prog: ConcreteProgram,
 
     # names
     taken = set(prog.params) | set(prog.locations) | {t.id for t in prog.transitions}
-    var_name: dict[LinExpr, str] = {}
-    for i, e in enumerate(surviving):
-        name = e.name() if keep_names else f"v{i}"
+
+    def fresh(name: str) -> str:
         while name in taken:
             name += "_"
-        var_name[e] = name
         taken.add(name)
+        return name
+
+    var_name = {e: fresh(e.name() if keep_names else f"v{i}")
+                for i, e in enumerate(surviving)}
     const_name: dict[LinExpr, str] = {}
     derived: dict[str, LinExpr] = {}
-    kidx = 0
     for e in const_norms:
         if len(e.coeffs) == 1 and e.coeffs[0][1] == 1 and e.const == 0:
             const_name[e] = e.coeffs[0][0]  # a bare parameter
             continue
-        name = e.name() if keep_names else f"k{kidx}"
-        kidx += 1
-        while name in taken:
-            name += "_"
+        name = fresh(e.name() if keep_names else f"k{len(derived)}")
         const_name[e] = name
         derived[name] = e
-        taken.add(name)
 
     def atom_of(rhs: LinExpr) -> Atom:
         if rhs.is_const:
@@ -286,6 +276,7 @@ def abstract_program(prog: ConcreteProgram,
 
     transitions: list[Transition] = []
     for t in prog.transitions:
+        facts = {f for rel in t.guard for f in rel.facts()}
         ups = []
         for e in surviving:
             step = constraints.get((e, t.id))
@@ -293,7 +284,7 @@ def abstract_program(prog: ConcreteProgram,
                 continue
             ups.append(DifferenceConstraint(var_name[e], atom_of(step.rhs),
                                             step.offset))
-        guard = tuple(sorted(var_name[e] for e in surviving if infer_guard(e, t)))
+        guard = tuple(sorted(var_name[e] for e in surviving if e in facts))
         transitions.append(Transition(
             id=t.id, source=t.source, target=t.target, guard=guard,
             updates=tuple(sorted(ups, key=lambda u: u.lhs)), line=t.line))

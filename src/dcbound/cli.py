@@ -4,17 +4,20 @@ Commands: analyze (bounds + complexity report), abstract (concrete program ->
 difference constraint program), validate (compare bounds against exhaustive
 concrete exploration), resets (optimal reset paths / DOT export).
 
-Exit codes: 0 success or PASS; 1 usage, input/output or parse error; 2 the
-requested complexity is undefined, or `resets` finds more optimal reset paths
-than --max-reset-paths allows; 3 validation did not fully PASS (FAIL, or
-PASS-PARTIAL from a capped exploration).
+Exit codes: 0 success or PASS; 1 usage, input/output or parse error, or a
+closed stdout; 2 the requested complexity is undefined, or `resets` finds more
+optimal reset paths than --max-reset-paths allows; 3 validation did not fully
+PASS (FAIL, or PASS-PARTIAL from a capped exploration).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from dcbound import __version__, expr
 from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, \
@@ -207,7 +210,8 @@ def _parse_assign(text: str, consts: list[str]) -> dict[str, int]:
     return out
 
 
-def _valuations(args, dcp: Dcp) -> list[dict[str, int]]:
+def _valuations(args, dcp: Dcp) -> Iterable[dict[str, int]]:
+    """The --assign valuations, or the --sweep ones made lazily in order."""
     consts = list(dcp.sym_consts)
     if args.assign:
         vals: dict[tuple, dict[str, int]] = {}  # each valuation once, first seen first
@@ -231,10 +235,8 @@ def _valuations(args, dcp: Dcp) -> list[dict[str, int]]:
             raise _UsageError("--sweep expects integers LO..HI") from None
         if lo < 0 or hi < lo:
             raise _UsageError("--sweep needs 0 <= LO <= HI")
-    vals = [dict()]
-    for c in consts:
-        vals = [dict(v, **{c: x}) for v in vals for x in range(lo, hi + 1)]
-    return vals
+    return (dict(zip(consts, xs))
+            for xs in itertools.product(range(lo, hi + 1), repeat=len(consts)))
 
 
 def _cmd_validate(args) -> int:
@@ -253,21 +255,20 @@ def _cmd_validate(args) -> int:
         except expr.EvaluationError as exc:
             raise _UsageError(f"bad --override-bound {raw!r}: {exc}") from None
         report.tb[tid] = bound
-    valuations = _valuations(args, dcp)
-    result = check_soundness(dcp, report, valuations, step_cap=args.max_steps)
-    rows_by_valuation: dict[tuple, list] = {}
-    for row in result.rows:
-        rows_by_valuation.setdefault(row.valuation, []).append(row)
-    for valuation in valuations:
-        key = tuple(sorted(valuation.items()))
-        header = ", ".join(f"{k}={v}" for k, v in key) or "(no constants)"
-        print(f"# {header}")
-        for row in rows_by_valuation.get(key, ()):
+    verdicts = set()
+    for valuation in _valuations(args, dcp):
+        result = check_soundness(dcp, report, [valuation], step_cap=args.max_steps)
+        verdicts.add(result.verdict)
+        header = ", ".join(f"{k}={v}" for k, v in sorted(valuation.items()))
+        print(f"# {header or '(no constants)'}")
+        for row in result.rows:
             bound = "undef" if row.bound is None else str(row.bound)
             name = row.name if row.kind == "TB" else f"VB({row.name})"
             print(f"{name}  {row.observed}  {bound}  {row.status()}")
-    print(result.verdict.value)
-    return EXIT_OK if result.verdict is Verdict.PASS else EXIT_VALIDATION
+    # the worst verdict is that of one check over every valuation
+    verdict = max(verdicts, key=[Verdict.PASS, Verdict.PASS_PARTIAL, Verdict.FAIL].index)
+    print(verdict.value)
+    return EXIT_OK if verdict is Verdict.PASS else EXIT_VALIDATION
 
 
 def _cmd_resets(args) -> int:
@@ -301,7 +302,14 @@ def main(argv: list[str] | None = None) -> int:
             "validate": _cmd_validate,
             "resets": _cmd_resets,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: stop quietly, and point stdout at devnull so
+        # that the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except _UsageError as exc:
         print(f"dcbound: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

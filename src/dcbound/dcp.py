@@ -359,7 +359,7 @@ def validate(dcp: Dcp) -> list[Diagnostic]:
                        if all(u.lhs != v for u in t.updates)]
             diags.append(Diagnostic(
                 0, 0,
-                f"variable {v!r} is live at {loc!r} but transition(s) "
+                f"variable {v!r} is read at {loc!r} but transition(s) "
                 f"{', '.join(sorted(missing))} into {loc!r} do not constrain it"))
     return diags
 

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from dcbound.abstraction import AbstractStep, sym_exec_norm
 from dcbound.dcp import Var, defined_at, parse_dcp
-from dcbound.program import parse_program
+from dcbound.program import LinExpr, parse_program
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,3 +145,33 @@ def ref_enforce_well_definedness(d):
             warnings.append(f"pruned variable {v}: no constraints remain")
         cur = replace(cur, variables=tuple(v for v in cur.variables if v not in dead))
     return cur, warnings
+
+
+def ref_abstract_transition(e, t, norms):
+    """The candidate loop, a test reference for `abstract_transition`: e
+    itself, then the known norms in their order, are tried as targets whose
+    difference from the post-state value is a constant; otherwise the
+    integer constant is split off."""
+    r = sym_exec_norm(e, t)
+    if r is None:
+        return None
+    if r.is_const:
+        return AbstractStep(rhs=LinExpr(r.const), offset=0)
+    for cand in [e] + [n for n in norms if n != e]:
+        diff = r.sub(cand)
+        if diff.is_const:
+            return AbstractStep(rhs=cand, offset=diff.const)
+    return AbstractStep(rhs=r.drop_const(), offset=r.const)
+
+
+def ref_infer_guard(e, t):
+    """Syntactic entailment of e > 0 by t's guard, a test reference for the
+    guards of an abstraction: true only when e is a positive constant or
+    literally one of the guard's positivity facts."""
+    if e.is_const:
+        return e.const > 0
+    for rel in t.guard:
+        for fact in rel.facts():
+            if fact == e:
+                return True
+    return False

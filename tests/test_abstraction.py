@@ -11,7 +11,6 @@ from dcbound.abstraction import (
     abstract_program,
     abstract_transition,
     guess_norms,
-    infer_guard,
     sym_exec_norm,
 )
 from dcbound.dcp import Dcp, DcpError, Var, format_dcp, validate
@@ -19,7 +18,13 @@ from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, parse_program
 
-from conftest import load_dcp, load_prog, simple_cycles
+from conftest import (
+    load_dcp,
+    load_prog,
+    ref_abstract_transition,
+    ref_infer_guard,
+    simple_cycles,
+)
 from test_cli import _loop_text
 from test_fuzz import _random_prog_text
 
@@ -299,12 +304,21 @@ def creates_norm(step, norms) -> bool:
     return not step.rhs.is_const and step.rhs not in norms
 
 
+def by_coeffs(norms):
+    """The index `abstract_program` keeps: the first norm per coefficient
+    tuple."""
+    index = {}
+    for n in norms:
+        index.setdefault(n.coeffs, n)
+    return index
+
+
 def test_abstract_transition_cases():
     p = load_prog("example3.prog")
     e_k = lin(e=1, k=-1)
     norms = [lin(l=1, i=-1), e_k]
     # reset to a brand-new norm
-    step = abstract_transition(e_k, trans(p, "t3a"), norms)
+    step = abstract_transition(e_k, trans(p, "t3a"), by_coeffs(norms))
     assert step.rhs == lin(e=1, b=-1) and step.offset == 0
     assert creates_norm(step, norms)
     # self-increment keeps the norm set unchanged
@@ -317,23 +331,34 @@ exit: le
 trans t0: l0 -> l1 { x := n; }
 trans t1: l1 -> l1 when x > 0 { x := x + 5; }
 """)
-    step = abstract_transition(lin(x=1), trans(q, "t1"), [lin(x=1)])
+    step = abstract_transition(lin(x=1), trans(q, "t1"), by_coeffs([lin(x=1)]))
     assert step.rhs == lin(x=1) and step.offset == 5
     assert not creates_norm(step, [lin(x=1)])
     # a constant result becomes the integer atom
     i_b = lin(i=1, b=-1)
-    step = abstract_transition(i_b, trans(p, "t5"), norms + [i_b])
+    step = abstract_transition(i_b, trans(p, "t5"), by_coeffs(norms + [i_b]))
     assert step.rhs == lin(0) and step.rhs.is_const and step.offset == 0
     assert not creates_norm(step, norms + [i_b])
-
-
-def test_infer_guard():
-    p = load_prog("example3.prog")
-    assert infer_guard(lin(l=1, i=-1), trans(p, "t1"))
-    assert infer_guard(lin(e=1, k=-1), trans(p, "t4"))
-    assert not infer_guard(lin(l=1, i=-1), trans(p, "t5"))
-    assert infer_guard(lin(3), trans(p, "t5"))  # positive constants hold anywhere
-    assert not infer_guard(lin(0), trans(p, "t5"))
+    # guessed norms can share coefficients, like (n-i) and (n-i+1) here: e
+    # itself comes first, then the first such norm, and the offset is the
+    # difference of the constants
+    r = parse_program("""
+prog
+params: n
+vars: i, j
+entry: l0
+exit: le
+trans t0: l0 -> l1 { i := 0; j := 0; }
+trans t1: l1 -> l1 when i < n { i := i + 1; j := i + 2; }
+trans t2: l1 -> le when i >= n { }
+""")
+    n_i, n_i1, n_j = lin(n=1, i=-1), lin(1, n=1, i=-1), lin(n=1, j=-1)
+    step = abstract_transition(n_i1, trans(r, "t1"), by_coeffs([n_i, n_i1]))
+    assert step.rhs == n_i1 and step.offset == -1
+    step = abstract_transition(n_j, trans(r, "t1"), by_coeffs([n_i1, n_i, n_j]))
+    assert step.rhs == n_i1 and step.offset == -3
+    step = abstract_transition(n_j, trans(r, "t1"), by_coeffs([n_i, n_i1, n_j]))
+    assert step.rhs == n_i and step.offset == -2
 
 
 # -- whole-program abstraction -------------------------------------------------------
@@ -720,3 +745,75 @@ def test_emitted_constraints_are_invariant(source, n_samples, data_dir):
             for g in t.guard:
                 assert result.norm_vars[g].evaluate(s1) > 0, (t.id, g)
         assert checked > 0, f"guard of {t.id} never satisfied in sampling"
+
+
+# -- the coefficient index against its references -------------------------------
+
+def _reference_steps(prog):
+    """`abstract_transition` by the candidate loop over the guessed norms and
+    every norm a step has created since. Unlike the norms `abstract_program`
+    knows, the list also holds those found too deep; but every created norm
+    has constant 0, so matching one gives the same step as creating it."""
+    known = list(guess_norms(prog))
+
+    def step(e, t, index):
+        s = ref_abstract_transition(e, t, known)
+        if s is not None and not s.rhs.is_const and s.rhs not in known:
+            known.append(s.rhs)
+        return s
+    return step
+
+
+def _outcome(result: AbstractionResult):
+    return (format_dcp(result.dcp, result.rename_comment()), result.warnings,
+            result.norm_vars, result.derived_consts)
+
+
+# i < n and i <= n guess (n-i) and (n-i+1), and (n-j) across t2 is n-i-2:
+# the first of the two is the target; t3 has two guard facts that are norms
+SHARED_COEFFICIENTS = """
+prog
+params: n
+vars: i, j
+entry: l0
+exit: le
+trans t0: l0 -> l1 { i := 0; j := 0; }
+trans t1: l1 -> l1 when i < n { i := i + 1; }
+trans t2: l1 -> l2 when i <= n { j := i + 2; }
+trans t3: l2 -> l2 when j < n, i <= n { j := j + 1; }
+trans t4: l2 -> l1 when j >= n { i := i + 1; }
+trans t5: l1 -> le when i > n { }
+"""
+
+
+def test_abstraction_matches_the_candidate_loop(monkeypatch):
+    from test_fuzz import _nested_counting_text
+
+    rng = random.Random(13)
+    texts = [SHARED_COEFFICIENTS, PROGNEST3, _cascade_text(3), _cascade_text(10)]
+    texts += [_loop_text("prog", k, diamonds=d) for k in (3, 14) for d in (True, False)]
+    texts += [_random_prog_text(rng) for _ in range(40)]
+    texts += [_random_nested_prog_text(rng) for _ in range(30)]
+    texts += [_random_nested_prog_text(rng, locations=7, transitions=14, entries=3)
+              for _ in range(15)]
+    texts += [_nested_counting_text(rng) for _ in range(10)]
+    progs = [load_prog("example3.prog")] + [parse_program(t) for t in texts]
+    guards = 0
+    for p in progs:
+        concrete = {t.id: t for t in p.transitions}
+        for depth_limit, keep_names in [(0, False), (1, True), (2, True), (5, False)]:
+            got = abstract_program(p, depth_limit, keep_names=keep_names)
+            with monkeypatch.context() as m:
+                m.setattr(abstraction, "abstract_transition", _reference_steps(p))
+                want = abstract_program(p, depth_limit, keep_names=keep_names)
+            assert _outcome(got) == _outcome(want), p
+            # a kept variable is a guard where its norm is one of the
+            # concrete guard's facts, unless the repair dropped that guard
+            for t in got.dcp.transitions:
+                dropped = f"dropped guard {{}} on {t.id}: not defined at {t.source}"
+                assert t.guard == tuple(sorted(
+                    v for v, e in got.norm_vars.items()
+                    if ref_infer_guard(e, concrete[t.id])
+                    and dropped.format(v) not in got.warnings)), p
+                guards += len(t.guard)
+    assert guards > 100

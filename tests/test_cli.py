@@ -1,9 +1,11 @@
 """End-to-end command-line behaviour, one test per exit path."""
 
 import io
+import os
 import random
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -449,6 +451,54 @@ def test_abstract_declares_only_used_constants(tmp_path, capsys):
     assert code == 3 and out.endswith("PASS-PARTIAL\n")  # t3 loops unguarded
     assert [line for line in out.splitlines() if line.startswith("#")] == [
         f"# n={k}" for k in range(4)]
+
+
+def test_closed_stdout_exit_1_without_traceback():
+    # the reader stops after one line of about 150 KB
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dcbound.cli", "validate",
+         str(DATA / "example2.dcp"), "--sweep", "0..9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "# m1=0, m2=0, n=0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+# `main` under 1 GiB of address space, where building every valuation up
+# front fails fast
+_LIMITED_MAIN = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from dcbound.cli import main
+sys.exit(main())
+"""
+
+
+def test_validate_sweep_streams_its_valuations(tmp_path):
+    # 20 constants over 0..3 are 4^20 valuations: the first one is explored
+    # and printed before the next is made
+    consts = [f"c{j}" for j in range(20)]
+    path = tmp_path / "wide.dcp"
+    path.write_text("dcp\nconsts: " + ", ".join(consts) + "\nvars: x\n"
+                    "entry: lb\nexit: le\ntrans t0: lb -> le { x' <= c0; }\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LIMITED_MAIN, "validate", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    timer = threading.Timer(30, proc.kill)
+    timer.start()
+    try:
+        block = [proc.stdout.readline() for _ in range(3)]
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert block == ["# " + ", ".join(f"{c}=0" for c in sorted(consts)) + "\n",
+                     "t0  1  1  OK\n", "VB(x)  0  0  OK\n"]
 
 
 def _mutants(text: str, rng: random.Random) -> list[str]:

@@ -110,7 +110,7 @@ trans t2: l2 -> le guard(v) { v' <= v - 1; }
     with pytest.raises(DcpError) as ei:
         parse_dcp(text)
     assert [d.message for d in ei.value.diagnostics] == [
-        "variable 'v' is live at 'l2' but transition(s) t1 into 'l2' "
+        "variable 'v' is read at 'l2' but transition(s) t1 into 'l2' "
         "do not constrain it"]
 
 

@@ -1,8 +1,10 @@
 """Randomized soundness checks on generated programs.
 
-Two generators, both seeded: small valid DCPs whose computed bounds must
-dominate exhaustive (or capped) exploration in every mode, and small concrete
-programs whose abstracted bounds must dominate random concrete runs.
+Three generators, all seeded: small valid DCPs whose computed bounds must
+dominate exhaustive (or capped) exploration in every mode, small concrete
+programs whose abstracted bounds must dominate random concrete runs, and
+nested counting loops whose abstracted bounds must dominate the longest
+concrete run in every mode.
 """
 
 import random
@@ -172,3 +174,90 @@ def test_random_programs_abstract_soundly():
                             continue
                         value = expr.evaluate(bound, valuation)
                         assert counts[tid] <= value, (text, tid, valuation)
+
+
+# ---------------------------------------------------------------------------
+# nested counting loops: abstracted bounds dominate the longest concrete run
+# ---------------------------------------------------------------------------
+
+def _nested_counting_text(rng: random.Random) -> str:
+    """2-4 nested counters: i1 counts up to n and i_j up to i_(j-1), in
+    steps of 1 or 2, sometimes with a parallel step of the other size.
+    Entering level j+1 resets i_(j+1) to 0 or to the outer counter's old
+    value. With an accumulator a, the innermost step adds one to a, and a
+    loop after the nest counts a down."""
+    k = rng.randint(2, 4)
+    acc = rng.random() < 0.5
+    counters = [f"i{j}" for j in range(1, k + 1)]
+    lines = ["prog", "params: n",
+             "vars: " + ", ".join(counters + ["a"] * acc),
+             "entry: l0", "exit: le",
+             f"trans t0: l0 -> l1 {{ i1 := 0;{' a := 0;' * acc} }}"]
+    for j in range(1, k + 1):
+        i, limit = f"i{j}", "n" if j == 1 else f"i{j - 1}"
+        for s in rng.sample([1, 2], rng.randint(1, 2)):
+            if j < k:
+                reset = rng.choice(["0", i])
+                body, target = f"{i} := {i} + {s}; i{j + 1} := {reset};", f"l{j + 1}"
+            else:
+                body, target = f"{i} := {i} + {s};{' a := a + 1;' * acc}", f"l{k}"
+            lines.append(f"trans in{j}s{s}: l{j} -> {target} "
+                         f"when {i} < {limit} {{ {body} }}")
+        if j > 1:
+            lines.append(f"trans out{j}: l{j} -> l{j - 1} when {i} >= {limit} {{ }}")
+    if acc:
+        lines += ["trans done: l1 -> lz when i1 >= n { }",
+                  "trans down: lz -> lz when a > 0 { a := a - 1; }",
+                  "trans end: lz -> le when a <= 0 { }"]
+    else:
+        lines.append("trans done: l1 -> le when i1 >= n { }")
+    return "\n".join(lines) + "\n"
+
+
+def _longest_counts(prog, n: int) -> dict[str, int]:
+    """For each transition, the most times one run from the entry takes it.
+    These programs have no havoc and always terminate, so the reachable
+    states form a finite acyclic graph, searched here exhaustively."""
+    names = prog.variables
+    memo: dict[tuple, dict[str, int]] = {}
+
+    def best(loc, values):
+        key = (loc, values)
+        if key not in memo:
+            env = dict(zip(names, values), n=n)
+            out = {t.id: 0 for t in prog.transitions}
+            for t in prog.transitions:
+                if t.source != loc or not t.guard_holds(env):
+                    continue
+                updates = t.update_map()
+                nxt = tuple(updates[v].evaluate(env) if v in updates else env[v]
+                            for v in names)
+                counts = dict(best(t.target, nxt))
+                counts[t.id] += 1
+                out = {tid: max(out[tid], counts[tid]) for tid in out}
+            memo[key] = out
+        return memo[key]
+
+    return best(prog.entry, (0,) * len(names))
+
+
+def test_nested_counting_programs_abstract_soundly():
+    from dcbound.abstraction import abstract_program
+
+    rng = random.Random(31337)
+    for _ in range(40):
+        text = _nested_counting_text(rng)
+        prog = parse_program(text)
+        result = abstract_program(prog)
+        reports = [Analysis(result.dcp, mode).report() for mode in MODES]
+        for n_value in range(5):
+            valuation = {"n": n_value}
+            for kname, definition in result.derived_consts.items():
+                valuation[kname] = definition.evaluate({"n": n_value})
+            counts = _longest_counts(prog, n_value)
+            for report in reports:
+                for tid, bound in report.tb.items():
+                    if bound == expr.UNDEFINED:
+                        continue
+                    value = expr.evaluate(bound, valuation)
+                    assert counts[tid] <= value, (text, tid, valuation)

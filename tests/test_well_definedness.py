@@ -108,7 +108,9 @@ def test_validate_matches_liveness_check():
     rejected = equal = 0
     for _ in range(2000):
         d = _random_dcp(rng)
-        got = [diag.message for diag in validate(d)]
+        # the reference words a read as a live variable
+        got = [diag.message.replace(" is read at ", " is live at ", 1)
+               for diag in validate(d)]
         ref = ref_well_definedness_messages(d)
         assert bool(got) == bool(ref), d
         # the reads themselves: a subset of the live pairs, in the same order
