@@ -7,7 +7,8 @@ concrete exploration), resets (optimal reset paths / DOT export).
 Exit codes: 0 success or PASS; 1 usage, input/output or parse error, or a
 closed stdout; 2 the requested complexity is undefined, or `resets` finds more
 optimal reset paths than --max-reset-paths allows; 3 validation did not fully
-PASS (FAIL, or PASS-PARTIAL from a capped exploration).
+PASS (FAIL, or PASS-PARTIAL from a capped exploration); 4 internal error (a
+fault in dcbound, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNDEF = 2
 EXIT_VALIDATION = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,6 +325,11 @@ def main(argv: list[str] | None = None) -> int:
     except expr.ExprParseError as exc:
         print(f"dcbound: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault in dcbound, not in its input
+        message = str(exc).replace("\n", " ")
+        print(f"dcbound: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

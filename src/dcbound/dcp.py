@@ -133,8 +133,9 @@ class Dcp:
                 if var in seen or var not in resets:
                     continue  # duplicate or undeclared; validate() reports it
                 seen.add(var)
-                if u.rhs != Var(var):
-                    resets[var].append((t, u.rhs, u.offset))
+                rhs = u.rhs
+                if rhs.__class__ is not Var or rhs.name != var:
+                    resets[var].append((t, rhs, u.offset))
                 elif u.offset > 0:
                     increments[var].append((t, u.offset))
         return _DcpIndex(by_id, *({k: tuple(v) for k, v in d.items()}
@@ -460,6 +461,14 @@ def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
 #
 # Variable names may also be written in parenthesized-expression form, e.g.
 # (l-i), as produced by `abstract --keep-names`.
+#
+# Well-defined programs repeat a few update texts (x' <= x, x' <= 0, ...) on
+# almost every transition, so a `.dcp` read parses each distinct update text
+# once and shares the frozen constraint (`Source.update_memo`). Whether the
+# name on the right is a constant or a variable depends on the constants
+# declared so far, so `read_source` empties the memo on each constants line.
+# A text that does not parse is never stored: each occurrence reports its own
+# position.
 
 _DECL_RE = {tag: re.compile(rf"^({consts}|vars|entry|exit)\s*:\s*(.*)$")
             for tag, consts in (("dcp", "consts"), ("prog", "params"))}
@@ -480,7 +489,8 @@ _INT_RE = re.compile(r"-?\d+")
 class Source:
     """One input as `read_source` collected it: declarations in file order
     (the constants are a `.prog` input's parameters), the locations named
-    anywhere, the transitions and the diagnostics so far."""
+    anywhere, the transitions and the diagnostics so far, and the update
+    texts parsed since the last constants line."""
 
     consts: list[str] = field(default_factory=list)
     variables: list[str] = field(default_factory=list)
@@ -489,6 +499,7 @@ class Source:
     locations: set[str] = field(default_factory=set)
     transitions: list = field(default_factory=list)
     diags: list[Diagnostic] = field(default_factory=list)
+    update_memo: dict[str, DifferenceConstraint] = field(default_factory=dict)
 
 
 def _lines(text: str) -> Iterator[tuple[int, str, str]]:
@@ -544,7 +555,11 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
                         src.diags.append(Diagnostic(
                             lineno, 1, f"duplicate name {name!r} in {key} list"))
                     declared.add((key, name))
-                (src.variables if key == "vars" else src.consts).extend(names)
+                if key == "vars":
+                    src.variables.extend(names)
+                else:
+                    src.consts.extend(names)
+                    src.update_memo.clear()  # a new constant may reread a name
             continue
         m = trans_re.match(line)
         if m:
@@ -562,28 +577,32 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
 
 
 def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
+    memo = src.update_memo
     updates = []
     for part in m.group("body").split(";"):
         part = part.strip()
         if not part:
             continue
-        um = _UPDATE_RE.match(part)
-        if um is None:
-            col = raw.find(part) + 1
-            src.diags.append(Diagnostic(lineno, max(col, 1),
-                                        f"cannot parse update {part!r}"))
-            continue
-        rhs_txt = um.group("rhs")
-        if _INT_RE.fullmatch(rhs_txt):
-            rhs: Atom = IntConst(int(rhs_txt))
-        elif rhs_txt in src.consts:
-            rhs = SymConst(rhs_txt)
-        else:
-            rhs = Var(rhs_txt)
-        off = int(um.group("off") or 0)
-        if um.group("sign") == "-":
-            off = -off
-        updates.append(DifferenceConstraint(um.group("lhs"), rhs, off))
+        u = memo.get(part)
+        if u is None:
+            um = _UPDATE_RE.match(part)
+            if um is None:
+                col = raw.find(part) + 1
+                src.diags.append(Diagnostic(lineno, max(col, 1),
+                                            f"cannot parse update {part!r}"))
+                continue
+            rhs_txt = um.group("rhs")
+            if _INT_RE.fullmatch(rhs_txt):
+                rhs: Atom = IntConst(int(rhs_txt))
+            elif rhs_txt in src.consts:
+                rhs = SymConst(rhs_txt)
+            else:
+                rhs = Var(rhs_txt)
+            off = int(um.group("off") or 0)
+            if um.group("sign") == "-":
+                off = -off
+            u = memo[part] = DifferenceConstraint(um.group("lhs"), rhs, off)
+        updates.append(u)
     guard = m.group("guard")
     return Transition(
         id=m.group("id"), source=m.group("src"), target=m.group("tgt"),

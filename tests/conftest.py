@@ -4,7 +4,22 @@ from pathlib import Path
 import pytest
 
 from dcbound.abstraction import AbstractStep, sym_exec_norm
-from dcbound.dcp import Var, defined_at, parse_dcp
+from dcbound.dcp import (
+    _INT_RE,
+    _TRANS_RE,
+    _UPDATE_RE,
+    Dcp,
+    DcpError,
+    DifferenceConstraint,
+    Diagnostic,
+    Transition,
+    Var,
+    defined_at,
+    parse_dcp,
+    read_source,
+    validate,
+)
+from dcbound.expr import IntConst, SymConst
 from dcbound.program import LinExpr, parse_program
 
 DATA = Path(__file__).parent / "data"
@@ -175,3 +190,55 @@ def ref_infer_guard(e, t):
             if fact == e:
                 return True
     return False
+
+
+def ref_dcp_transition(m, lineno, raw, src):
+    """The per-update transition reader, a test reference for the `.dcp`
+    reader's update memo: every update text is matched, classified against
+    the constants declared so far and built anew."""
+    updates = []
+    for part in m.group("body").split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        um = _UPDATE_RE.match(part)
+        if um is None:
+            col = raw.find(part) + 1
+            src.diags.append(Diagnostic(lineno, max(col, 1),
+                                        f"cannot parse update {part!r}"))
+            continue
+        rhs_txt = um.group("rhs")
+        if _INT_RE.fullmatch(rhs_txt):
+            rhs = IntConst(int(rhs_txt))
+        elif rhs_txt in src.consts:
+            rhs = SymConst(rhs_txt)
+        else:
+            rhs = Var(rhs_txt)
+        off = int(um.group("off") or 0)
+        if um.group("sign") == "-":
+            off = -off
+        updates.append(DifferenceConstraint(um.group("lhs"), rhs, off))
+    guard = m.group("guard")
+    return Transition(
+        id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
+        guard=tuple(sorted(g.strip() for g in guard.split(","))) if guard else (),
+        updates=tuple(sorted(updates, key=lambda u: u.lhs)),
+        line=lineno,
+    )
+
+
+def ref_parse_dcp(text):
+    """`parse_dcp` with the per-update transition reader."""
+    src = read_source(text, "dcp", _TRANS_RE, ref_dcp_transition)
+    dcp = Dcp(
+        locations=tuple(sorted(src.locations)),
+        transitions=tuple(sorted(src.transitions, key=lambda t: t.id)),
+        entry=src.entry,
+        exit=src.exit,
+        variables=tuple(sorted(src.variables)),
+        sym_consts=tuple(sorted(src.consts)),
+    )
+    diags = validate(dcp)
+    if diags:
+        raise DcpError(diags)
+    return dcp

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from dcbound import cli
 from dcbound.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -467,11 +468,22 @@ def test_closed_stdout_exit_1_without_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+def test_internal_error_is_one_line_exit_4(monkeypatch, capsys):
+    def fail(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", fail)
+    code, out, err = run(capsys, "analyze", DATA / "exampleA.dcp")
+    assert code == 4 and out == ""
+    assert err == "dcbound: internal error: RuntimeError: first line second line\n"
+
+
 # `main` under 1 GiB of address space, where building every valuation up
 # front fails fast
 _LIMITED_MAIN = """\
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from dcbound import cli
 from dcbound.cli import main
 sys.exit(main())
 """

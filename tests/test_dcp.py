@@ -135,6 +135,24 @@ def test_syntax_error_positions():
     assert d.line == 6 and d.col >= 1
 
 
+def test_constant_declared_between_two_reads():
+    # the same update text reads n as an unknown atom before `consts: n`
+    # and as the constant after it
+    text = """
+dcp
+vars: x
+entry: lb
+exit: le
+trans t1: lb -> l1 { x' <= n; }
+consts: n
+trans t2: l1 -> le { x' <= n; }
+"""
+    with pytest.raises(DcpError) as ei:
+        parse_dcp(text)
+    assert [str(d) for d in ei.value.diagnostics] == [
+        "6:1: transition t1: unknown atom 'n'"]
+
+
 def test_duplicate_transition_id():
     text = """
 dcp

@@ -1,16 +1,16 @@
 """Randomized soundness checks on generated programs.
 
-Three generators, all seeded: small valid DCPs whose computed bounds must
-dominate exhaustive (or capped) exploration in every mode, small concrete
-programs whose abstracted bounds must dominate random concrete runs, and
-nested counting loops whose abstracted bounds must dominate the longest
-concrete run in every mode.
+Three generators, all seeded: valid DCPs of up to 6 locations, 4 variables
+and 10 transitions whose computed bounds must dominate exhaustive (or
+capped) exploration in every mode, small concrete programs whose abstracted
+bounds must dominate random concrete runs, and nested counting loops whose
+abstracted bounds must dominate the longest concrete run in every mode.
 """
 
 import random
 
 from dcbound import expr
-from dcbound.dcp import format_dcp, parse_dcp, validate
+from dcbound.dcp import DcpError, format_dcp, parse_dcp, validate
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.oracle import explore
 from dcbound.program import HAVOC, parse_program
@@ -19,15 +19,19 @@ MODES = [AnalysisMode.FREE, AnalysisMode.CTX, AnalysisMode.OPT]
 
 
 # ---------------------------------------------------------------------------
-# random DCPs: every transition constrains every variable, entry resets from
-# rigid atoms only, so the result is deterministic and well-defined by shape
+# random DCPs: entry resets from rigid atoms only, and every transition
+# constrains every variable unless `omit` leaves some out; the programs
+# `validate` rejects are skipped
 # ---------------------------------------------------------------------------
 
-def _random_dcp_text(rng: random.Random) -> str:
-    n_locs = rng.randint(1, 3)
+def _random_dcp_text(rng: random.Random, locations=(1, 3), variables=(1, 3),
+                     transitions=(1, 4), omit: float = 0.0) -> str:
+    """Sizes are drawn from the inclusive ranges given; `omit` is the share
+    of updates left out of the transitions after the entry's."""
+    n_locs = rng.randint(*locations)
     locs = [f"l{i}" for i in range(1, n_locs + 1)]
     consts = ["n"] + (["m"] if rng.random() < 0.4 else [])
-    variables = ["a", "b", "c"][: rng.randint(1, 3)]
+    variables = ["a", "b", "c", "d"][: rng.randint(*variables)]
 
     lines = ["dcp",
              "consts: " + ", ".join(consts),
@@ -42,11 +46,13 @@ def _random_dcp_text(rng: random.Random) -> str:
         entry_updates.append(f"{v}' <= {src}{off};")
     lines.append(f"trans t0: lb -> {locs[0]} {{ {' '.join(entry_updates)} }}")
 
-    for i in range(rng.randint(1, 4)):
+    for i in range(rng.randint(*transitions)):
         src = rng.choice(locs)
         tgt = rng.choice(locs)
         updates = []
         for v in variables:
+            if omit and rng.random() < omit:
+                continue
             kind = rng.random()
             if kind < 0.5:
                 c = rng.randint(-2, 2)
@@ -72,6 +78,25 @@ def _valuations(consts, values):
     return out
 
 
+def _assert_bounds_dominate_exploration(d, text, values):
+    reports = [Analysis(d, mode).report() for mode in MODES]
+    for valuation in _valuations(d.sym_consts, values):
+        stats = explore(d, valuation, step_cap=1500)
+        # observed counts are exact when exhausted and valid lower
+        # bounds otherwise; either way no defined bound may be beaten
+        for report in reports:
+            for tid, bound in report.tb.items():
+                if bound == expr.UNDEFINED:
+                    continue
+                value = expr.evaluate(bound, valuation)
+                assert stats.counts[tid] <= value, (text, tid, valuation)
+            for v, bound in report.vb.items():
+                if bound == expr.UNDEFINED or stats.var_max.get(v) is None:
+                    continue
+                value = expr.evaluate(bound, valuation)
+                assert stats.var_max[v] <= value, (text, v, valuation)
+
+
 def test_random_dcps_bounds_dominate_exploration():
     rng = random.Random(987654)
     for _ in range(60):
@@ -79,22 +104,23 @@ def test_random_dcps_bounds_dominate_exploration():
         d = parse_dcp(text)
         assert validate(d) == []
         assert parse_dcp(format_dcp(d)) == d
-        reports = [Analysis(d, mode).report() for mode in MODES]
-        for valuation in _valuations(d.sym_consts, [0, 2, 3]):
-            stats = explore(d, valuation, step_cap=1500)
-            # observed counts are exact when exhausted and valid lower
-            # bounds otherwise; either way no defined bound may be beaten
-            for report in reports:
-                for tid, bound in report.tb.items():
-                    if bound == expr.UNDEFINED:
-                        continue
-                    value = expr.evaluate(bound, valuation)
-                    assert stats.counts[tid] <= value, (text, tid, valuation)
-                for v, bound in report.vb.items():
-                    if bound == expr.UNDEFINED or stats.var_max.get(v) is None:
-                        continue
-                    value = expr.evaluate(bound, valuation)
-                    assert stats.var_max[v] <= value, (text, v, valuation)
+        _assert_bounds_dominate_exploration(d, text, [0, 2, 3])
+
+
+def test_larger_random_dcps_bounds_dominate_exploration():
+    # 3-6 locations, 2-4 variables and 4-10 transitions after the entry's,
+    # a tenth of the updates left out
+    rng = random.Random(271828)
+    checked = 0
+    while checked < 150:
+        text = _random_dcp_text(rng, locations=(3, 6), variables=(2, 4),
+                                transitions=(4, 10), omit=0.1)
+        try:
+            d = parse_dcp(text)
+        except DcpError:
+            continue
+        checked += 1
+        _assert_bounds_dominate_exploration(d, text, [0, 1, 3])
 
 
 # ---------------------------------------------------------------------------
