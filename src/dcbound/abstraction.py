@@ -28,7 +28,6 @@ from dcbound.dcp import (
     Dcp,
     DifferenceConstraint,
     Transition,
-    Var,
     cyclic_components,
     enforce_well_definedness,
     validate,
@@ -271,7 +270,7 @@ def abstract_program(prog: ConcreteProgram,
         if rhs.is_const:
             return IntConst(rhs.const)
         if rhs in var_name:
-            return Var(var_name[rhs])
+            return var_name[rhs]
         return SymConst(const_name[rhs])
 
     transitions: list[Transition] = []

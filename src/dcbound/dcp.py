@@ -3,9 +3,11 @@ and the line reader that `.dcp` and `.prog` inputs share.
 
 A transition carries a set of variables required to be positive (the guard)
 and a deterministic set of inequalities x' <= a + c, one per updated variable,
-where a is a variable, a named constant, or an integer. Programs are validated
-for determinism and well-definedness: every variable a transition reads is
-constrained on every transition into its source.
+where a is a variable, a named constant, or an integer: a
+`DifferenceConstraint`'s `rhs` is a variable name (`str`), a `SymConst` or an
+`IntConst`. Programs are validated for determinism and well-definedness:
+every variable a transition reads is constrained on every transition into
+its source.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 from dcbound.expr import IntConst, SymConst
 
 __all__ = [
-    "Var",
     "Atom",
     "DifferenceConstraint",
     "Transition",
@@ -35,16 +36,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-# Rigid atoms are expression leaves, so a variable bound can return them as is.
-Atom = Var | SymConst | IntConst
+# A variable atom is its name; rigid atoms are expression leaves, so a
+# variable bound can return them as is.
+Atom = str | SymConst | IntConst
 
 
 @dataclass(frozen=True)
@@ -133,9 +127,8 @@ class Dcp:
                 if var in seen or var not in resets:
                     continue  # duplicate or undeclared; validate() reports it
                 seen.add(var)
-                rhs = u.rhs
-                if rhs.__class__ is not Var or rhs.name != var:
-                    resets[var].append((t, rhs, u.offset))
+                if u.rhs != var:
+                    resets[var].append((t, u.rhs, u.offset))
                 elif u.offset > 0:
                     increments[var].append((t, u.offset))
         return _DcpIndex(by_id, *({k: tuple(v) for k, v in d.items()}
@@ -286,8 +279,8 @@ def undefined_reads(dcp: Dcp) -> set[tuple[str, str]]:
     well-defined. Nothing is constrained at the entry."""
     defined = defined_at(dcp)
     return {(t.source, v) for t in dcp.transitions
-            for v in (*t.guard, *(u.rhs.name for u in t.updates
-                                  if isinstance(u.rhs, Var)))
+            for v in (*t.guard, *(u.rhs for u in t.updates
+                                  if isinstance(u.rhs, str)))
             if v not in defined[t.source]}
 
 
@@ -342,9 +335,9 @@ def validate(dcp: Dcp) -> list[Diagnostic]:
                     f"transition {t.id}: determinism violation, "
                     f"variable {u.lhs!r} constrained twice"))
             lhs_seen.add(u.lhs)
-            if isinstance(u.rhs, Var) and u.rhs.name not in vars_:
+            if isinstance(u.rhs, str) and u.rhs not in vars_:
                 diags.append(Diagnostic(
-                    t.line, 1, f"transition {t.id}: unknown atom {u.rhs.name!r}"))
+                    t.line, 1, f"transition {t.id}: unknown atom {u.rhs!r}"))
 
     if diags:
         return diags  # each read of an unknown name is reported once, above
@@ -379,7 +372,7 @@ def drop_variables(dcp: Dcp, removed: Iterable[str]) -> Dcp:
         ups = tuple(
             u for u in t.updates
             if u.lhs not in removed
-            and not (isinstance(u.rhs, Var) and u.rhs.name in removed)
+            and not (isinstance(u.rhs, str) and u.rhs in removed)
         )
         guard = tuple(g for g in t.guard if g not in removed)
         new_ts.append(replace(t, guard=guard, updates=ups))
@@ -405,8 +398,8 @@ def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
     spreads: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for t in dcp.transitions:
         for u in t.updates:
-            if isinstance(u.rhs, Var):
-                spreads.setdefault((t.source, u.rhs.name), []).append(
+            if isinstance(u.rhs, str):
+                spreads.setdefault((t.source, u.rhs), []).append(
                     (t.target, u.lhs))
     queue = list(level)  # breadth first: the loop visits what it appends
     for pair in queue:
@@ -428,10 +421,10 @@ def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
                 guard.append(g)
         ups = []
         for u in t.updates:
-            r = isinstance(u.rhs, Var) and level.get((t.source, u.rhs.name))
+            r = isinstance(u.rhs, str) and level.get((t.source, u.rhs))
             if r:
                 dropped.append((r, f"dropped {u} on {t.id}: "
-                                   f"{u.rhs.name} not defined at {t.source}"))
+                                   f"{u.rhs} not defined at {t.source}"))
             else:
                 ups.append(u)
         new_ts.append(replace(t, guard=tuple(guard), updates=tuple(ups)))
@@ -487,13 +480,14 @@ _INT_RE = re.compile(r"-?\d+")
 
 @dataclass
 class Source:
-    """One input as `read_source` collected it: declarations in file order
-    (the constants are a `.prog` input's parameters), the locations named
-    anywhere, the transitions and the diagnostics so far, and the update
-    texts parsed since the last constants line."""
+    """One input as `read_source` collected it: declared names in file
+    order, each a key of its dict (the constants are a `.prog` input's
+    parameters), the locations named anywhere, the transitions and the
+    diagnostics so far, and the update texts parsed since the last
+    constants line."""
 
-    consts: list[str] = field(default_factory=list)
-    variables: list[str] = field(default_factory=list)
+    consts: dict[str, None] = field(default_factory=dict)
+    variables: dict[str, None] = field(default_factory=dict)
     entry: str | None = None
     exit: str | None = None
     locations: set[str] = field(default_factory=set)
@@ -535,7 +529,6 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
     if first is not None and first[2] != tag:
         raise DcpError([Diagnostic(first[0], 1, f"expected {tag!r} header")])
     decl_re = _DECL_RE[tag]
-    declared: set[tuple[str, str]] = set()  # (list, name) of each declared name
     for lineno, raw, line in lines:
         m = decl_re.match(line)
         if m:
@@ -550,15 +543,13 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
                 setattr(src, key, names[0] if names else None)
                 src.locations.update(names[:1])
             else:
+                declared = src.variables if key == "vars" else src.consts
                 for name in names:
-                    if (key, name) in declared:
+                    if name in declared:
                         src.diags.append(Diagnostic(
                             lineno, 1, f"duplicate name {name!r} in {key} list"))
-                    declared.add((key, name))
-                if key == "vars":
-                    src.variables.extend(names)
-                else:
-                    src.consts.extend(names)
+                    declared[name] = None
+                if key != "vars":
                     src.update_memo.clear()  # a new constant may reread a name
             continue
         m = trans_re.match(line)
@@ -591,13 +582,11 @@ def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
                 src.diags.append(Diagnostic(lineno, max(col, 1),
                                             f"cannot parse update {part!r}"))
                 continue
-            rhs_txt = um.group("rhs")
-            if _INT_RE.fullmatch(rhs_txt):
-                rhs: Atom = IntConst(int(rhs_txt))
-            elif rhs_txt in src.consts:
-                rhs = SymConst(rhs_txt)
-            else:
-                rhs = Var(rhs_txt)
+            rhs: Atom = um.group("rhs")
+            if _INT_RE.fullmatch(rhs):
+                rhs = IntConst(int(rhs))
+            elif rhs in src.consts:
+                rhs = SymConst(rhs)
             off = int(um.group("off") or 0)
             if um.group("sign") == "-":
                 off = -off

@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Callable
 
 from dcbound import expr
-from dcbound.dcp import Atom, Dcp, Transition, Var, strongly_connected_components
+from dcbound.dcp import Atom, Dcp, Transition, strongly_connected_components
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetAnalysis, ResetPath, \
     ResetPathOverflow, build_reset_graph, optimal_reset_paths
@@ -72,7 +72,6 @@ class Analysis:
     def __init__(self, program: Dcp, mode: AnalysisMode, *,
                  max_reset_paths: int = DEFAULT_RESET_PATH_CAP):
         self.mode = mode
-        self.original = program
         self.warnings: list[str] = []
         self._max_reset_paths = max_reset_paths
         self._paths: dict[str, list[ResetPath] | None] = {}
@@ -124,8 +123,8 @@ class Analysis:
             return expr.UNDEFINED
         caps = [expr.add(self._vb(a, get), c) for _, a, c in resets]
         if kind == "VB":
-            return expr.add(self._incr(Var(v), get), expr.maximum(*caps))
-        return expr.add(self._incr(Var(v), get), *[  # FREE: one term per reset
+            return expr.add(self._incr(v, get), expr.maximum(*caps))
+        return expr.add(self._incr(v, get), *[  # FREE: one term per reset
             expr.mul(self._tb(t, get), expr.maximum(cap, 0))
             for (t, _, _), cap in zip(resets, caps)])
 
@@ -138,12 +137,12 @@ class Analysis:
         return get(("TB", bound_var))
 
     def _vb(self, atom: Atom, get: Get) -> expr.BoundExpr:
-        return get(("VB", atom.name)) if isinstance(atom, Var) else atom
+        return get(("VB", atom)) if isinstance(atom, str) else atom
 
     def _incr(self, atom: Atom, get: Get) -> expr.BoundExpr:
-        if not isinstance(atom, Var):
+        if not isinstance(atom, str):
             return expr.IntConst(0)
-        incs = self.working.increments(atom.name)
+        incs = self.working.increments(atom)
         if not incs:
             return expr.IntConst(0)
         return expr.add(*[expr.mul(self._tb(t, get), c) for t, c in incs])
@@ -191,18 +190,15 @@ class Analysis:
 
     # -- queries -------------------------------------------------------------
 
-    def incr(self, atom: Atom | str) -> expr.BoundExpr:
+    def incr(self, atom: Atom) -> expr.BoundExpr:
         """Total amount the atom's value can gain over a whole run; zero for
         rigid atoms and for variables with no positive self-update."""
-        return self._incr(Var(atom) if isinstance(atom, str) else atom,
-                          self._bounds.__getitem__)
+        return self._incr(atom, self._bounds.__getitem__)
 
-    def vb(self, atom: Atom | str) -> expr.BoundExpr:
+    def vb(self, atom: Atom) -> expr.BoundExpr:
         """Upper bound on the atom's value anywhere it is defined."""
-        if isinstance(atom, str):
-            atom = Var(atom)
-        if isinstance(atom, Var) and atom.name not in self.working.variables:
-            raise ValueError(f"unknown variable {atom.name!r}")
+        if isinstance(atom, str) and atom not in self.working.variables:
+            raise ValueError(f"unknown variable {atom!r}")
         return self._vb(atom, self._bounds.__getitem__)
 
     def tb(self, t: Transition | str) -> expr.BoundExpr:
@@ -212,7 +208,7 @@ class Analysis:
         return self._tb(t, self._bounds.__getitem__)
 
     def complexity(self) -> expr.BoundExpr:
-        back = self.original.back_edges()
+        back = self.working.back_edges()
         if not back:
             return expr.IntConst(0)
         return expr.add(*[self.tb(t.id) for t in back])
@@ -222,8 +218,6 @@ class Analysis:
     def report(self) -> BoundReport:
         tb = {t.id: self.tb(t) for t in self.working.transitions}
         vb = {v: self.vb(v) for v in self.working.variables}
-        for v in self.original.variables:
-            vb.setdefault(v, expr.UNDEFINED)  # pruned away entirely
         return BoundReport(
             mode=self.mode, tb=tb, vb=vb,
             complexity=self.complexity(), warnings=list(self.warnings))

@@ -14,7 +14,7 @@ undefined element.
 
 from __future__ import annotations
 
-from dcbound.dcp import Dcp, Transition, Var, cyclic_components, \
+from dcbound.dcp import Dcp, Transition, cyclic_components, \
     strongly_connected_components
 
 __all__ = [
@@ -53,7 +53,7 @@ def _component_bounds(inner: list[Transition]) -> dict[str, str | None]:
         for g in t.guard:
             guards.setdefault(g, set()).add(i)
         for u in t.updates:
-            if u.offset < 0 and u.rhs == Var(u.lhs):
+            if u.offset < 0 and u.rhs == u.lhs:
                 decs.setdefault(u.lhs, set()).add(i)
 
     found: dict[int, str] = {}

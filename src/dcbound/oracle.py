@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from dcbound import expr
-from dcbound.dcp import Dcp, Transition, Var, defined_at
+from dcbound.dcp import Dcp, Transition, defined_at
 from dcbound.expr import SymConst
 from dcbound.engine import BoundReport
 
@@ -93,8 +93,8 @@ def _compile(dcp: Dcp, valuation: Mapping[str, int]) -> _View:
         updates = []
         for u in t.updates:
             lhs = slot.setdefault(u.lhs, len(slot))
-            if isinstance(u.rhs, Var):
-                updates.append((lhs, slot.setdefault(u.rhs.name, len(slot)), u.offset))
+            if isinstance(u.rhs, str):
+                updates.append((lhs, slot.setdefault(u.rhs, len(slot)), u.offset))
             elif isinstance(u.rhs, SymConst):
                 updates.append((lhs, -1, valuation[u.rhs.name] + u.offset))
             else:

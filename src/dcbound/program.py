@@ -8,8 +8,9 @@ mentioned keeps its value, and `x := ?` forgets it (havoc).
 from __future__ import annotations
 
 import re
+from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Container, Mapping
 
 from dcbound.dcp import DcpError, Diagnostic, Source, check_structure, read_source
 
@@ -187,7 +188,7 @@ _REL_RE = re.compile(r"(<=|>=|==|<|>|=)")
 _TERM_RE = re.compile(rf"^\s*(?:(?P<coef>\d+)\s*\*\s*)?(?P<name>{_IDENT})\s*$|^\s*(?P<int>-?\d+)\s*$")
 
 
-def parse_linexpr(text: str, known: set[str], lineno: int,
+def parse_linexpr(text: str, known: Container[str], lineno: int,
                   diags: list[Diagnostic]) -> LinExpr:
     """Sum/difference of INT, IDENT and INT*IDENT terms."""
     s = text.strip()
@@ -231,7 +232,7 @@ def parse_linexpr(text: str, known: set[str], lineno: int,
 def _transition(m: re.Match, lineno: int, raw: str,
                 src: Source) -> ConcreteTransition:
     diags = src.diags
-    known = set(src.consts) | set(src.variables)
+    known = ChainMap(src.consts, src.variables)
     guard: list[Relation] = []
     for g in [p.strip() for p in (m.group("guard") or "").split(",") if p.strip()]:
         parts = _REL_RE.split(g, maxsplit=1)

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from dcbound.dcp import Atom, Dcp, Transition, Var, drop_variables, \
+from dcbound.dcp import Atom, Dcp, Transition, drop_variables, \
     strongly_connected_components
 
 __all__ = [
@@ -49,10 +49,6 @@ class ResetEdge:
     offset: int
     dst: str  # variable name
 
-    def __str__(self) -> str:
-        off = f",{self.offset:+d}" if self.offset else ""
-        return f"{self.src} -[{self.trans.id}{off}]-> {self.dst}"
-
 
 @dataclass(frozen=True)
 class ResetPath:
@@ -72,10 +68,6 @@ class ResetPath:
     def offset(self) -> int:
         return sum(e.offset for e in self.edges)
 
-    @property
-    def target(self) -> str:
-        return self.edges[-1].dst
-
     @cached_property
     def transitions(self) -> tuple[Transition, ...]:
         """Distinct transitions along the path, in path order."""
@@ -87,12 +79,8 @@ class ResetPath:
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         """Distinct atoms along the path, origin first."""
-        out: list[Atom] = [self.edges[0].src]
-        for e in self.edges:
-            node: Atom = Var(e.dst)
-            if node not in out:
-                out.append(node)
-        return tuple(out)
+        return tuple(dict.fromkeys(
+            (self.edges[0].src, *(e.dst for e in self.edges))))
 
     def __str__(self) -> str:
         parts = [str(self.edges[0].src)]
@@ -119,7 +107,7 @@ class ResetGraph:
         return {v: tuple(es) for v, es in out.items()}
 
     @cached_property
-    def _path_counts(self) -> dict[str, dict[str | Atom, int]]:
+    def _path_counts(self) -> dict[str, dict[Atom, int]]:
         return {}
 
     def into(self, var: str) -> tuple[ResetEdge, ...]:
@@ -132,39 +120,32 @@ class ResetGraph:
         counts = self._path_counts.get(dst_var)
         if counts is None:
             counts = self._path_counts[dst_var] = self._count_paths_to(dst_var)
-        return counts.get(src.name if isinstance(src, Var) else src, 0)
+        return counts.get(src, 0)
 
-    def _count_paths_to(self, dst_var: str) -> dict[str | Atom, int]:
-        """Paths to dst_var from each of its ancestors, keyed by variable
-        name, or by the atom itself for a constant. Counted backward: a
-        variable's count is final once every edge from it into the
-        ancestors has been followed back, so variables settle in reverse
-        topological order."""
-        waiting: dict[str, int] = {}  # edges into ancestors not yet followed
-        frontier = [dst_var]
+    def _count_paths_to(self, dst_var: str) -> dict[Atom, int]:
+        """Paths to dst_var from each of its ancestors, keyed by atom.
+        Counted backward: an atom's count is final once every edge from it
+        into the ancestors has been followed back, so atoms settle in
+        reverse topological order. A constant has no edges into it."""
+        waiting: dict[Atom, int] = {}  # edges into ancestors not yet followed
+        frontier: list[Atom] = [dst_var]
         seen = {dst_var}
         while frontier:
             for e in self._into.get(frontier.pop(), ()):
-                if isinstance(e.src, Var):
-                    name = e.src.name
-                    waiting[name] = waiting.get(name, 0) + 1
-                    if name not in seen:
-                        seen.add(name)
-                        frontier.append(name)
-        counts: dict[str | Atom, int] = {dst_var: 1}
-        ready = [dst_var]
+                waiting[e.src] = waiting.get(e.src, 0) + 1
+                if e.src not in seen:
+                    seen.add(e.src)
+                    frontier.append(e.src)
+        counts: dict[Atom, int] = {dst_var: 1}
+        ready: list[Atom] = [dst_var]
         while ready:
-            var = ready.pop()
-            n = counts[var]
-            for e in self._into.get(var, ()):
-                if isinstance(e.src, Var):
-                    name = e.src.name
-                    counts[name] = counts.get(name, 0) + n
-                    waiting[name] -= 1
-                    if not waiting[name]:
-                        ready.append(name)
-                else:
-                    counts[e.src] = counts.get(e.src, 0) + n
+            atom = ready.pop()
+            n = counts[atom]
+            for e in self._into.get(atom, ()):
+                counts[e.src] = counts.get(e.src, 0) + n
+                waiting[e.src] -= 1
+                if not waiting[e.src]:
+                    ready.append(e.src)
         return counts
 
 
@@ -191,8 +172,8 @@ def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
     number = {v: i for i, v in enumerate(dcp.variables)}
     succ: list[set[int]] = [set() for _ in dcp.variables]
     for e in edges:
-        if isinstance(e.src, Var):
-            succ[number[e.src.name]].add(number[e.dst])
+        if isinstance(e.src, str):
+            succ[number[e.src]].add(number[e.dst])
     comp = strongly_connected_components(succ)
     size = Counter(comp)
     # variables on a reset cycle (a component of two or more), then every
@@ -270,12 +251,12 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
     while stack:
         path = stack.pop()
         head = path.in_atom
-        into = graph.into(head.name) if isinstance(head, Var) else ()
+        into = graph.into(head) if isinstance(head, str) else ()
         # the extensions all add the same interior atom and consumer edge,
         # and `path` is sound, so one check decides them all
         if into and not _reachable_without_reset(
                 dcp, path.edges[-1].trans.target, path.edges[0].trans.source,
-                head.name):
+                head):
             stack.extend(ResetPath((e,) + path.edges) for e in reversed(into))
             continue
         results.append(path)
@@ -287,7 +268,7 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
 def to_dot(graph: ResetGraph) -> str:
     """DOT rendering; zero offsets are omitted from edge labels."""
     lines = ["digraph reset_graph {"]
-    nodes = dict.fromkeys(n for e in graph.edges for n in (e.src, Var(e.dst)))
+    nodes = dict.fromkeys(n for e in graph.edges for n in (e.src, e.dst))
     for node in sorted(nodes, key=str):
         lines.append(f'  "{node}";')
     for e in sorted(graph.edges, key=lambda e: (str(e.src), e.dst, e.trans.id)):

@@ -13,7 +13,6 @@ from dcbound.dcp import (
     DifferenceConstraint,
     Diagnostic,
     Transition,
-    Var,
     defined_at,
     parse_dcp,
     read_source,
@@ -85,8 +84,8 @@ def ref_liveness(d):
     while changed:
         changed = False
         for t in d.transitions:
-            reads = set(t.guard) | {u.rhs.name for u in t.updates
-                                    if isinstance(u.rhs, Var)}
+            reads = set(t.guard) | {u.rhs for u in t.updates
+                                    if isinstance(u.rhs, str)}
             constrained = {u.lhs for u in t.updates}
             wanted = reads | (live.get(t.target, set()) - constrained)
             cur = live[t.source]
@@ -143,9 +142,9 @@ def ref_enforce_well_definedness(d):
                     changed = True
             ups = []
             for u in t.updates:
-                if isinstance(u.rhs, Var) and u.rhs.name not in ok:
+                if isinstance(u.rhs, str) and u.rhs not in ok:
                     warnings.append(
-                        f"dropped {u} on {t.id}: {u.rhs.name} not defined at {t.source}")
+                        f"dropped {u} on {t.id}: {u.rhs} not defined at {t.source}")
                     changed = True
                 else:
                     ups.append(u)
@@ -207,13 +206,11 @@ def ref_dcp_transition(m, lineno, raw, src):
             src.diags.append(Diagnostic(lineno, max(col, 1),
                                         f"cannot parse update {part!r}"))
             continue
-        rhs_txt = um.group("rhs")
-        if _INT_RE.fullmatch(rhs_txt):
-            rhs = IntConst(int(rhs_txt))
-        elif rhs_txt in src.consts:
-            rhs = SymConst(rhs_txt)
-        else:
-            rhs = Var(rhs_txt)
+        rhs = um.group("rhs")
+        if _INT_RE.fullmatch(rhs):
+            rhs = IntConst(int(rhs))
+        elif rhs in src.consts:
+            rhs = SymConst(rhs)
         off = int(um.group("off") or 0)
         if um.group("sign") == "-":
             off = -off

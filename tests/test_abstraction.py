@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from dcbound.abstraction import (
     guess_norms,
     sym_exec_norm,
 )
-from dcbound.dcp import Dcp, DcpError, Var, format_dcp, validate
+from dcbound.dcp import Dcp, DcpError, format_dcp, validate
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, parse_program
@@ -70,6 +71,28 @@ exit: le
 trans t0: l0 -> l1 { n := 3; }
 """)
     assert any("parameter" in d.message for d in ei.value.diagnostics)
+
+
+def _chain_text(k: int) -> str:
+    """A straight line of k transitions over k variables, each stepping its
+    own variable, then the exit edge."""
+    lines = ["prog", "vars: " + ", ".join(f"v{j}" for j in range(k)),
+             "entry: l0", "exit: le"]
+    lines += [f"trans t{j}: l{j} -> l{j + 1} {{ v{j} := v{j} + 1; }}"
+              for j in range(k)]
+    lines.append(f"trans done: l{k} -> le {{ }}")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_long_chain_in_linear_time():
+    # each transition line looks its names up in the declarations, which
+    # are not copied or scanned per line
+    text = _chain_text(8000)
+    start = time.perf_counter()
+    p = parse_program(text)
+    assert time.perf_counter() - start < 2
+    assert len(p.transitions) == 8001
+    assert len(p.variables) == 8000
 
 
 # -- norm guessing ---------------------------------------------------------------
@@ -130,6 +153,21 @@ trans t1: l1 -> l1 when i >= 0 { i := i - 1; }
 def test_guess_norms_shifted_for_weak_inequality():
     p = parse_program(COUNTDOWN_GE)
     assert [n.name() for n in guess_norms(p)] == ["(i+1)"]
+
+
+def test_guess_norms_skip_constant_and_parameter_facts():
+    # all three conditions name the counter i, but i + n > i only says
+    # n > 0 and i + 1 > i says nothing: neither fact can serve as a norm
+    p = parse_program("""
+prog
+params: n
+vars: i
+entry: l0
+exit: le
+trans t0: l0 -> l1 { i := 0; }
+trans t1: l1 -> l1 when i < n, i + n > i, i + 1 > i { i := i + 1; }
+""")
+    assert [n.name() for n in guess_norms(p)] == ["(n-i)"]
 
 
 def test_guess_norms_straight_line():
@@ -369,8 +407,8 @@ def _match_transitions(got: Dcp, want: Dcp, rename: dict[str, str]) -> bool:
         ups = []
         for u in t.updates:
             rhs = u.rhs
-            if isinstance(rhs, Var):
-                rhs = Var(rename.get(rhs.name, rhs.name))
+            if isinstance(rhs, str):
+                rhs = rename.get(rhs, rhs)
             ups.append((rename.get(u.lhs, u.lhs), rhs, u.offset))
         return (t.id, t.source, t.target, guard, tuple(sorted(ups)))
 
@@ -434,7 +472,7 @@ trans t1: l1 -> l1 when i > 0 { i := i - 1; }
     v = d.variables[0]
     t1 = d.transition("t1")
     assert t1.guard == (v,)
-    assert [(u.lhs, u.rhs, u.offset) for u in t1.updates] == [(v, Var(v), -1)]
+    assert [(u.lhs, u.rhs, u.offset) for u in t1.updates] == [(v, v, -1)]
     t0 = d.transition("t0")
     assert [(u.lhs, u.rhs, u.offset) for u in t0.updates] == [(v, SymConst("n"), 0)]
 
@@ -704,8 +742,8 @@ trans t1: l1 -> l1 when x > 0 { x := 2 * x; }
 def _norm_expr_of_atom(result: AbstractionResult, atom, params):
     if isinstance(atom, IntConst):
         return LinExpr(atom.value)
-    if isinstance(atom, Var):
-        return result.norm_vars[atom.name]
+    if isinstance(atom, str):
+        return result.norm_vars[atom]
     if atom.name in result.derived_consts:
         return result.derived_consts[atom.name]
     assert atom.name in params

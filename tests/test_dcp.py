@@ -7,7 +7,6 @@ import pytest
 
 from dcbound.dcp import (
     DcpError,
-    Var,
     drop_variables,
     format_dcp,
     parse_dcp,
@@ -53,7 +52,7 @@ def test_resets_increments_partition_updates():
                 u = next((u for u in t.updates if u.lhs == v), None)
                 if u is None:
                     continue
-                if u.rhs != Var(v):
+                if u.rhs != v:
                     assert (t.id, u.rhs, u.offset) in resets
                 elif u.offset > 0:
                     assert (t.id, u.offset) in incs
@@ -171,7 +170,7 @@ trans t0: l1 -> le { x' <= x; }
 def test_resets_example_c():
     d = load("exampleC.dcp")
     rs = d.resets("k")
-    assert [(t.id, a, c) for t, a, c in rs] == [("t1", Var("r"), 0)]
+    assert [(t.id, a, c) for t, a, c in rs] == [("t1", "r", 0)]
     # r has a reset from n and one from the integer 0
     rr = {(t.id, str(a), c) for t, a, c in d.resets("r")}
     assert rr == {("t0", "n", 0), ("t3", "0", 0)}

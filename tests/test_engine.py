@@ -9,7 +9,7 @@ import pytest
 
 from dcbound import expr
 from dcbound.abstraction import abstract_program
-from dcbound.dcp import Atom, Transition, Var, parse_dcp
+from dcbound.dcp import Atom, Transition, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPath, \
@@ -90,6 +90,13 @@ def test_example_1_incr():
     a = analysis("example1.dcp", FREE)
     assert str(a.incr("r")) == "n"
     assert str(a.incr("x")) == "0"
+
+
+def test_vb_of_an_unknown_variable_raises():
+    a = analysis("example1.dcp", FREE)
+    assert a.vb(expr.SymConst("n")) == expr.SymConst("n")  # rigid: as is
+    with pytest.raises(ValueError, match="unknown variable 'nope'"):
+        a.vb("nope")
 
 
 def test_example_1_free():
@@ -239,8 +246,8 @@ def _ref_optimal_reset_paths(dcp, graph, var, cap):
     def extend(path):
         head = path.in_atom
         extended = False
-        if isinstance(head, Var):
-            for e in graph.into(head.name):
+        if isinstance(head, str):
+            for e in graph.into(head):
                 cand = ResetPath((e,) + path.edges)
                 if is_sound(dcp, cand):
                     extended = True
@@ -286,19 +293,17 @@ class _RecursiveAnalysis:
         return result
 
     def incr(self, atom: Atom):
-        if not isinstance(atom, Var):
+        if not isinstance(atom, str):
             return expr.IntConst(0)
-        incs = self.working.increments(atom.name)
+        incs = self.working.increments(atom)
         if not incs:
             return expr.IntConst(0)
         return expr.add(*[expr.mul(self.tb(t), c) for t, c in incs])
 
-    def vb(self, atom: Atom | str):
-        if isinstance(atom, str):
-            atom = Var(atom)
-        if not isinstance(atom, Var):
+    def vb(self, atom: Atom):
+        if not isinstance(atom, str):
             return atom
-        v = atom.name
+        v = atom
 
         def compute():
             resets = self.working.resets(v)
@@ -328,7 +333,7 @@ class _RecursiveAnalysis:
         resets = self.working.resets(v)
         if not resets:
             return expr.UNDEFINED
-        terms = [self.incr(Var(v))]
+        terms = [self.incr(v)]
         for rt, a, c in resets:
             terms.append(expr.mul(self.tb(rt), expr.maximum(expr.add(self.vb(a), c), 0)))
         return expr.add(*terms)
@@ -422,7 +427,7 @@ def _assert_matches_reference(d, mode, cap=DEFAULT_RESET_PATH_CAP):
         assert new.tb(t.id) == ref.tb(t.id), t.id
     for v in new.working.variables:
         assert new.vb(v) == ref.vb(v), v
-        assert new.incr(v) == ref.incr(Var(v)), v
+        assert new.incr(v) == ref.incr(v), v
     assert new.complexity() == ref.complexity()
     cap_warnings = [w for w in new.warnings if "reset paths" in w]
     assert sorted(cap_warnings) == sorted(ref.warnings)

@@ -14,7 +14,6 @@ from dcbound.dcp import (
     DifferenceConstraint,
     Dcp,
     Transition,
-    Var,
     drop_variables,
     enforce_well_definedness,
     parse_dcp,
@@ -59,7 +58,7 @@ def ref_resets(d, var):
     out = []
     for t in d.transitions:
         u = ref_update_for(t, var)
-        if u is not None and u.rhs != Var(var):
+        if u is not None and u.rhs != var:
             out.append((t, u.rhs, u.offset))
     return tuple(out)
 
@@ -70,7 +69,7 @@ def ref_increments(d, var):
     out = []
     for t in d.transitions:
         u = ref_update_for(t, var)
-        if u is not None and u.rhs == Var(var) and u.offset > 0:
+        if u is not None and u.rhs == var and u.offset > 0:
             out.append((t, u.offset))
     return tuple(out)
 
@@ -86,14 +85,13 @@ def ref_out_of(g, atom):
 
 
 def ref_path_count(g, src, dst_var):
-    target = Var(dst_var)
     memo = {}
 
     def walk(node):
-        if node == target:
+        if node == dst_var:
             return 1
         if node not in memo:
-            memo[node] = sum(walk(Var(e.dst)) for e in ref_out_of(g, node))
+            memo[node] = sum(walk(e.dst) for e in ref_out_of(g, node))
         return memo[node]
 
     return walk(src)
@@ -130,8 +128,8 @@ def check_program(d: Dcp) -> None:
 
 def check_graph(d: Dcp, rng: random.Random) -> None:
     g = build_reset_graph(d).graph
-    atoms = list({e.src for e in g.edges} | {Var(v) for v in d.variables}
-                 | {Var(MISSING), SymConst(MISSING), IntConst(0)})
+    atoms = list({e.src for e in g.edges} | set(d.variables)
+                 | {MISSING, SymConst(MISSING), IntConst(0)})
     for v in list(d.variables) + [MISSING]:
         assert g.into(v) == ref_into(g, v)
     queries = [(a, v) for a in atoms for v in d.variables]
@@ -175,7 +173,7 @@ def test_random_programs_match_scans():
 
 def test_malformed_duplicates_first_match_wins():
     first = DifferenceConstraint("x", IntConst(1), 0)
-    second = DifferenceConstraint("x", Var("x"), 2)
+    second = DifferenceConstraint("x", "x", 2)
     t0 = Transition("t0", "a", "b", (), (first, second))
     t0_again = Transition("t0", "b", "a", (), (second,))
     d = Dcp(locations=("a", "b"), transitions=(t0, t0_again), entry="a",

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dcbound.abstraction import abstract_program
-from dcbound.dcp import Dcp, DifferenceConstraint, Transition, Var, parse_dcp
+from dcbound.dcp import Dcp, DifferenceConstraint, Transition, parse_dcp
 from dcbound.expr import IntConst, SymConst
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.resetgraph import build_reset_graph
@@ -116,7 +116,7 @@ def reference_map(dcp):
     for cycle in simple_cycles(dcp.locations, dcp.transitions):
         guarded = {g for t in cycle for g in t.guard}
         decreased = {u.lhs for t in cycle for u in t.updates
-                     if u.rhs == Var(u.lhs) and u.offset < 0}
+                     if u.rhs == u.lhs and u.offset < 0}
         qual = guarded & decreased
         for t in cycle:
             candidates[t.id] = candidates.get(t.id, qual) & qual
@@ -158,13 +158,12 @@ def _random_graph_dcp(rng: random.Random) -> Dcp:
         for v in variables:
             kind = rng.random()
             if kind < 0.35:
-                updates.append(DifferenceConstraint(v, Var(v), -rng.randint(1, 2)))
+                updates.append(DifferenceConstraint(v, v, -rng.randint(1, 2)))
             elif kind < 0.5:
-                updates.append(DifferenceConstraint(v, Var(v), rng.randint(0, 1)))
+                updates.append(DifferenceConstraint(v, v, rng.randint(0, 1)))
             elif kind < 0.65:
                 updates.append(DifferenceConstraint(
-                    v, rng.choice([Var(w) for w in variables] + [SymConst("n"),
-                                                                 IntConst(0)]), 0))
+                    v, rng.choice([*variables, SymConst("n"), IntConst(0)]), 0))
         guard = tuple(v for v in variables if rng.random() < 0.4)
         transitions.append(Transition(
             id=f"t{i}", source=rng.choice(locs), target=rng.choice(locs),

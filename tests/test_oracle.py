@@ -7,7 +7,7 @@ import pytest
 
 from dcbound import expr
 from dcbound.abstraction import abstract_program
-from dcbound.dcp import Dcp, DifferenceConstraint, Transition, Var, \
+from dcbound.dcp import Dcp, DifferenceConstraint, Transition, \
     defined_at, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import IntConst, SymConst
@@ -196,15 +196,15 @@ def _ref_atom_value(a, values, valuation):
     if isinstance(a, SymConst):
         return valuation[a.name]
     try:
-        return values[a.name]
+        return values[a]
     except KeyError:
         raise _UndefinedRead(
-            f"read of undefined variable {a.name!r}; the program is not "
+            f"read of undefined variable {a!r}; the program is not "
             f"well-defined") from None
 
 
 def _ref_enabled(t, values, valuation):
-    return all(_ref_atom_value(Var(g), values, valuation) > 0 for g in t.guard)
+    return all(_ref_atom_value(g, values, valuation) > 0 for g in t.guard)
 
 
 def _ref_successor(t, values, valuation):
@@ -346,7 +346,7 @@ def test_explore_matches_reference_on_random_programs():
 def test_undefined_read_in_hand_built_program():
     # not well-defined, built without parse_dcp: x is read before any
     # transition constrains it, once in a guard and once in an update
-    for guard, rhs in [(("x",), IntConst(1)), ((), Var("x"))]:
+    for guard, rhs in [(("x",), IntConst(1)), ((), "x")]:
         t0 = Transition("t0", "lb", "l1", guard,
                         (DifferenceConstraint("y", rhs, 0),))
         d = Dcp(locations=("l1", "lb"), transitions=(t0,), entry="lb",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dcbound.dcp import Transition, Var, parse_dcp
+from dcbound.dcp import Transition, parse_dcp
 from dcbound.expr import IntConst, SymConst
 from dcbound.resetgraph import (
     ResetEdge,
@@ -72,8 +72,8 @@ def all_reset_paths(dcp, graph, var, max_len=6):
     while frontier:
         p = frontier.pop()
         head = p.in_atom
-        if isinstance(head, Var) and len(p.edges) < max_len:
-            for e in graph.into(head.name):
+        if isinstance(head, str) and len(p.edges) < max_len:
+            for e in graph.into(head):
                 q = ResetPath((e,) + p.edges)
                 paths.append(q)
                 frontier.append(q)
@@ -164,8 +164,8 @@ def test_optimality_and_coverage():
             for p in opt:
                 assert is_sound(d, p)
                 head = p.in_atom
-                if isinstance(head, Var):
-                    for e in g.into(head.name):
+                if isinstance(head, str):
+                    for e in g.into(head):
                         assert not is_sound(d, ResetPath((e,) + p.edges))
             finals = {p.edges[-1] for p in opt}
             assert finals == set(g.into(v))
@@ -175,8 +175,8 @@ def test_path_counts():
     d = load_dcp("example1.dcp")
     g = build_reset_graph(d).graph
     assert g.path_count(IntConst(0), "p") == 2  # via t0 and via t4
-    assert g.path_count(Var("r"), "p") == 1
-    assert g.path_count(Var("p"), "p") == 1
+    assert g.path_count("r", "p") == 1
+    assert g.path_count("p", "p") == 1
     assert g.path_count(SymConst("n"), "p") == 0
 
 
@@ -186,16 +186,16 @@ def _brute_path_count(g, src, dst_var):
     stack = [src]
     while stack:
         node = stack.pop()
-        if node == Var(dst_var):
+        if node == dst_var:
             total += 1
             continue
-        stack.extend(Var(e.dst) for e in g.edges if e.src == node)
+        stack.extend(e.dst for e in g.edges if e.src == node)
     return total
 
 
 def _check_path_counts(g, variables, rng):
-    atoms = list({e.src for e in g.edges} | {Var(v) for v in variables}
-                 | {SymConst("absent"), Var("absent")})
+    atoms = list({e.src for e in g.edges} | set(variables)
+                 | {SymConst("absent"), "absent"})
     queries = [(a, v) for a in atoms for v in list(variables) + ["absent"]]
     rng.shuffle(queries)  # interleave targets against the per-target memo
     for a, v in queries:
@@ -215,7 +215,7 @@ def test_path_counts_match_enumeration_on_random_dags():
         edges = []
         for k in range(rng.randint(0, 14)):
             j = rng.randrange(len(variables))
-            src = rng.choice([Var(v) for v in variables[:j]]
+            src = rng.choice(variables[:j]
                              + [SymConst("n"), IntConst(0), IntConst(1)])
             t = Transition(f"t{k % 5}", "l", "l", (), ())
             edges.append(ResetEdge(src, t, rng.randint(-1, 1), variables[j]))

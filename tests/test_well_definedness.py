@@ -16,7 +16,6 @@ from dcbound.dcp import (
     Dcp,
     DifferenceConstraint,
     Transition,
-    Var,
     defined_at,
     enforce_well_definedness,
     validate,
@@ -49,7 +48,7 @@ def _random_dcp(rng: random.Random, undeclared: bool = False) -> Dcp:
                 continue  # left unconstrained
             kind = rng.random()
             if kind < 0.6:
-                rhs = Var(rng.choice(readable))
+                rhs = rng.choice(readable)
             elif kind < 0.8:
                 rhs = SymConst("n")
             else:
@@ -67,8 +66,8 @@ def _cascades(d: Dcp, warnings: list[str]) -> bool:
     """Whether the repair dropped a read after round 1."""
     defined = defined_at(d)
     first = sum(g not in defined[t.source] for t in d.transitions for g in t.guard)
-    first += sum(u.rhs.name not in defined[t.source] for t in d.transitions
-                 for u in t.updates if isinstance(u.rhs, Var))
+    first += sum(u.rhs not in defined[t.source] for t in d.transitions
+                 for u in t.updates if isinstance(u.rhs, str))
     return sum(w.startswith("dropped") for w in warnings) > first
 
 
