@@ -9,10 +9,10 @@ same coefficients, so r is matched by its coefficient tuple: against e
 itself, else against the first known norm with that tuple, and the offset
 is the difference of the constants. Otherwise its non-constant part enters
 the table one deeper than e and its constant becomes the offset. Norms over
-parameters only become symbolic constants. Discovery stops
-`_DISCOVERY_SLACK` levels past the depth limit, and every variable norm
-past the limit is discarded, with a warning, together with the constraints
-that mention it. A guard e > 0 is added where e is literally one of the
+parameters only become symbolic constants. Discovery never goes past
+depth limit + 1: a variable norm first found there is discarded, with one
+warning naming it, together with each constraint that finds it, and it is
+never expanded. A guard e > 0 is added where e is literally one of the
 positivity facts of the concrete guard; no norm that survives is constant,
 because guessing skips constant facts and discovery never enters one.
 """
@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_DEPTH_LIMIT = 5
-
-# Discovery descends this far past the discard limit so that the full chain
-# of a too-deep norm is known (and reported) before being discarded.
-_DISCOVERY_SLACK = 8
 
 
 def _counter_updates(t: ConcreteTransition) -> set[str]:
@@ -195,15 +191,13 @@ def abstract_program(prog: ConcreteProgram,
                      depth_limit: int = DEFAULT_DEPTH_LIMIT, *,
                      keep_names: bool = False) -> AbstractionResult:
     """Abstract a concrete program into a deterministic, well-defined DCP."""
-    warnings: list[str] = []
-    cap = depth_limit + _DISCOVERY_SLACK
     # every known norm, in discovery order, with its discovery depth; the
     # guessed norms are never over parameters only
     depth = dict.fromkeys(guess_norms(prog), 0)
     # coefficient tuple -> the first norm of `depth` with it, kept in step
     # with `depth`; guessed norms such as (n-i) and (n-i+1) can share one
     index = {e.coeffs: e for e in reversed(depth)}
-    too_deep: set[LinExpr] = set()  # variable norms found past the cap
+    cut: set[LinExpr] = set()  # variable norms first found past the limit
 
     # fixpoint: derive one constraint per (norm, transition)
     constraints: dict[tuple[LinExpr, str], AbstractStep] = {}
@@ -219,31 +213,18 @@ def abstract_program(prog: ConcreteProgram,
             if not new.is_const and new not in depth:
                 if _names_only_params(new, prog):
                     depth[new] = d
-                elif d > cap:
-                    too_deep.add(new)
-                    warnings.append(
-                        f"norm {new.name()} exceeds the discovery "
-                        f"depth; no constraint for {e.name()} on {t.id}")
+                elif d > depth_limit:
+                    cut.add(new)
                     continue
                 else:
                     depth[new] = d
                     queue.append(new)
                 index.setdefault(new.coeffs, new)
             constraints[(e, t.id)] = step
-
-    # discard variable norms past the depth limit, with their constraints
+    warnings = [f"discarded norm {e.name()} (depth limit {depth_limit})"
+                for e in sorted(cut, key=LinExpr.name)]
     var_norms = [e for e in depth if not _names_only_params(e, prog)]
-    cut = too_deep | {e for e in var_norms if depth[e] > depth_limit}
-    for e in sorted(cut, key=lambda e: (depth.get(e, cap + 1), e.name())):
-        warnings.append(f"discarded norm {e.name()} (depth limit {depth_limit})")
-    constraints = {
-        (e, tid): step for (e, tid), step in constraints.items()
-        if e not in cut and step.rhs not in cut
-    }
-    surviving = [e for e in var_norms if e not in cut]
-    # only the parameter-only norms that a kept constraint resets to
-    targets = {step.rhs for step in constraints.values()}
-    const_norms = [e for e in depth if e in targets and _names_only_params(e, prog)]
+    const_norms = [e for e in depth if _names_only_params(e, prog)]
 
     # names
     taken = set(prog.params) | set(prog.locations) | {t.id for t in prog.transitions}
@@ -255,7 +236,7 @@ def abstract_program(prog: ConcreteProgram,
         return name
 
     var_name = {e: fresh(e.name() if keep_names else f"v{i}")
-                for i, e in enumerate(surviving)}
+                for i, e in enumerate(var_norms)}
     const_name: dict[LinExpr, str] = {}
     derived: dict[str, LinExpr] = {}
     for e in const_norms:
@@ -277,13 +258,13 @@ def abstract_program(prog: ConcreteProgram,
     for t in prog.transitions:
         facts = {f for rel in t.guard for f in rel.facts()}
         ups = []
-        for e in surviving:
+        for e in var_norms:
             step = constraints.get((e, t.id))
             if step is None:
                 continue
             ups.append(DifferenceConstraint(var_name[e], atom_of(step.rhs),
                                             step.offset))
-        guard = tuple(sorted(var_name[e] for e in surviving if e in facts))
+        guard = tuple(sorted(var_name[e] for e in var_norms if e in facts))
         transitions.append(Transition(
             id=t.id, source=t.source, target=t.target, guard=guard,
             updates=tuple(sorted(ups, key=lambda u: u.lhs)), line=t.line))

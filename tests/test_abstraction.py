@@ -483,10 +483,9 @@ def discard_warnings(result: AbstractionResult) -> list[str]:
 
 def test_depth_limit_zero_discards_chain():
     result = abstract_program(load_prog("example3.prog"), depth_limit=0)
-    assert discard_warnings(result) == [
-        "discarded norm (e-b) (depth limit 0)",
-        "discarded norm (i-b) (depth limit 0)",
-    ]
+    # (e-b) is found at depth 1; discovery stops there, so the (i-b) that
+    # it leads to at depth 2 is never derived
+    assert discard_warnings(result) == ["discarded norm (e-b) (depth limit 0)"]
     assert {n.name() for n in result.norm_vars.values()} == {"(l-i)"}
     assert validate(result.dcp) == []
     # (e-k) lost its only reset, so the repair pruned it entirely
@@ -508,10 +507,22 @@ trans in3: l3 -> l3 when i3 < i2 { i3 := i3 + 1; }
 trans out3: l3 -> l2 when i3 >= i2 { i3 := ?; }
 """
 
+# t2 moves i by a fresh multiple of y on every pass, so each norm leads to
+# a deeper one: (n-i), (n+y-i), (n+3*y-i), (n+7*y-i), ...
+DIVERGING_CHAIN = """
+prog
+params: n
+vars: i, y
+entry: l0
+exit: le
+trans t0: l0 -> l1 { i := 0; y := 1; }
+trans t1: l1 -> l1 when i < n { i := i + 1; }
+trans t2: l1 -> l1 { i := i - y; y := 2 * y; }
+"""
+
 SHALLOW_ABSTRACTIONS = {
     ("example3.prog", 0): ([
         "discarded norm (e-b) (depth limit 0)",
-        "discarded norm (i-b) (depth limit 0)",
         "dropped guard v1 on t4: not defined at l4",
         "dropped v1' <= v1 - 1 on t4: v1 not defined at l4",
         "pruned variable v1: no constraints remain",
@@ -610,14 +621,38 @@ trans out2: l2 -> l1 { v0' <= v0; }
 trans out3: l3 -> l2 { v0' <= v0; }
 trans t0: l0 -> l1 { v0' <= n; }
 """),
+    ("diverging chain", 2): ([
+        "discarded norm (n+7*y-i) (depth limit 2)",
+        "dropped v2' <= v2 - 1 on t1: v2 not defined at l1",
+        "dropped v1' <= v2 on t2: v2 not defined at l1",
+        "dropped v1' <= v1 - 1 on t1: v1 not defined at l1",
+        "dropped v0' <= v1 on t2: v1 not defined at l1",
+        "dropped guard v0 on t1: not defined at l1",
+        "dropped v0' <= v0 - 1 on t1: v0 not defined at l1",
+    ], """\
+# v0 := (n-i)
+# v1 := (n+y-i)
+# v2 := (n+3*y-i)
+dcp
+consts: n
+vars:   v0, v1, v2
+entry:  l0
+exit:   le
+trans t0: l0 -> l1 { v0' <= n; v1' <= n + 1; v2' <= n + 3; }
+trans t1: l1 -> l1 { }
+trans t2: l1 -> l1 { }
+"""),
 }
+
+INLINE_SOURCES = {"prognest(3)": PROGNEST3, "diverging chain": DIVERGING_CHAIN}
 
 
 @pytest.mark.parametrize("source,depth", sorted(SHALLOW_ABSTRACTIONS))
 def test_shallow_abstraction_warnings_and_output(source, depth):
     # pins the discard warnings, the repair that follows and the program
     # printed after both, in order
-    prog = parse_program(PROGNEST3) if source == "prognest(3)" else load_prog(source)
+    prog = (parse_program(INLINE_SOURCES[source]) if source in INLINE_SOURCES
+            else load_prog(source))
     result = abstract_program(prog, depth_limit=depth)
     warnings, text = SHALLOW_ABSTRACTIONS[source, depth]
     assert result.warnings == warnings
@@ -703,21 +738,10 @@ trans t1: l1 -> l1 when i > 0 { i := i - 1; }
 
 
 def test_diverging_norm_chain_terminates():
-    # every pass over t2 drags a fresh y-multiple into the norm, so the
-    # chain never stabilizes; discovery stops at the slack depth and the
-    # over-deep norms are discarded, with the result repaired and valid
-    result = abstract_program(parse_program("""
-prog
-params: n
-vars: i, y
-entry: l0
-exit: le
-trans t0: l0 -> l1 { i := 0; y := 1; }
-trans t1: l1 -> l1 when i < n { i := i + 1; }
-trans t2: l1 -> l1 { i := i - y; y := 2 * y; }
-"""), depth_limit=2)
-    assert discard_warnings(result)  # (n+7*y-i) and deeper
-    assert discard_warnings(result)[0] == "discarded norm (n+7*y-i) (depth limit 2)"
+    # the chain never stabilizes; discovery stops one level past the depth
+    # limit, and the result is repaired and valid
+    result = abstract_program(parse_program(DIVERGING_CHAIN), depth_limit=2)
+    assert discard_warnings(result) == ["discarded norm (n+7*y-i) (depth limit 2)"]
     assert validate(result.dcp) == []
 
 

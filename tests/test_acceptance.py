@@ -131,7 +131,6 @@ def test_criterion_6_abstraction_pipeline():
     shallow = abstract_program(load_prog("example3.prog"), depth_limit=0)
     assert [w for w in shallow.warnings if w.startswith("discarded norm ")] == [
         "discarded norm (e-b) (depth limit 0)",
-        "discarded norm (i-b) (depth limit 0)",
     ]
     _ok("6 (whole abstraction pipeline reproduces the expected program)")
 
