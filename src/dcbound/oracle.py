@@ -4,31 +4,61 @@ Updates are upper bounds and guards are positivity tests, so pointwise-larger
 states enable a superset of behaviour; exploring only the extreme choice
 x' = y + c therefore dominates every admissible run for counting purposes.
 
-The one interpreter, explore(), runs on a compiled view of the program,
-built once per call: each variable has a slot (in `dcp.variables` order),
-and each location a tuple of its outgoing transitions sorted by id, with
-guards and updates given as slots and with constant right-hand sides
-already resolved against the valuation. A state is (location, tuple of
-every slot's value), None where the variable is undefined; this is
-one-to-one with the (location, defined variable values) pairs of the
-semantics. explore() walks all branch choices depth first, successors in
-transition-id order, memoizing per-transition worst-case counts per state.
-That order decides which states a capped exploration visits before it
-stops, so it is part of the result.
+Build once, bind per valuation. The one interpreter, explore(), runs on a
+view of the program that is built once per Dcp object: the last program
+built is kept with a reference to it, so every later call on the same
+object (one per valuation in check_soundness) reuses it. The build gives
+each variable a slot (in `dcp.variables` order; names that a hand-built
+program does not declare get further slots), each location an index, and
+each transition id a position (first-seen order; duplicate ids share one).
+It turns each location's outgoing transitions into one generated Python
+function, the location's kernel, and compiles all kernels once as one
+factory whose parameters are the symbolic constants. A valuation costs one
+factory call, which binds the constants and returns the kernels.
 
-Variables with no constraint on the taken transition become undefined in the
-successor. Well-defined programs never read an undefined variable; such a
-read here is an internal error, not a semantics choice.
+A state is one flat tuple: the location's index, then each slot's value,
+None where the variable is undefined. This is one-to-one with the
+(location, defined variable values) pairs of the semantics. A kernel maps a
+state at its location to the (transition position, successor state) pair of
+each enabled transition, under extreme updates:
+
+- successors come in transition-id order;
+- guards are tested in guard order and stop at the first value <= 0;
+- a read raises _UndefinedRead, naming the variable, at the first undefined
+  read: guards first, then the updates in update order;
+- when a transition updates a variable twice, the later update wins, and
+  slots that it leaves unconstrained become None in the successor;
+- a run of at least _SLICE_MIN slots that the transition copies unchanged
+  (x' <= x) is one slice of the state, so on a wide program a kernel's
+  source, and its time per state, grow with the slots a transition changes
+  rather than with all slots; shorter runs are listed slot by slot.
+
+Which reads skip the None test is decided statically: a read of x at loc
+needs none when x is in defined_at(loc). A state at loc other than the
+start state was made by a transition into loc, which constrained every such
+x, and an update never yields None (a read that would is an error). The
+start state sits at the entry, where defined_at is empty. Every other read
+is tested.
+
+No input text reaches the generated source. It holds only integers, slot,
+location and position indices and fixed identifiers; error messages look
+names up in a tuple, and constants enter as the factory's arguments.
+
+explore() walks all branch choices depth first, successors in transition-id
+order, memoizing per-transition worst-case counts per state. That order
+decides which states a capped exploration visits before it stops, so it is
+part of the result. Well-defined programs never read an undefined variable;
+such a read here is an internal error, not a semantics choice.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from dcbound import expr
-from dcbound.dcp import Dcp, Transition, defined_at
+from dcbound.dcp import Dcp, DifferenceConstraint, defined_at
 from dcbound.expr import SymConst
 from dcbound.engine import BoundReport
 
@@ -44,7 +74,16 @@ __all__ = [
 
 DEFAULT_STEP_CAP = 100_000
 
-State = tuple[str, tuple[int | None, ...]]  # (location, value per slot)
+# (location index, value per slot)
+State = tuple[int | None, ...]
+# a location's successors: (transition position, successor state) pairs
+Kernel = Callable[[State], list[tuple[int, State]]]
+
+# Runs of copies at least this long become slices of the state. Per
+# successor, listing slots is cheaper up to about 30 of them (CPython 3.11:
+# 0.23 against 0.39 us for 12), but every listed slot is compiled once per
+# program, and on a wide program with few states that cost dominates.
+_SLICE_MIN = 12
 
 
 @dataclass
@@ -62,81 +101,132 @@ class _UndefinedRead(RuntimeError):
     pass
 
 
-# One outgoing transition, compiled: (position of its id in _View.ids,
-# target, guard slots, updates). An update is (lhs slot, source slot,
-# constant): the value is the constant plus the source slot's value, or the
-# constant alone where the source slot is -1.
-_Step = tuple[int, str, tuple[int, ...], tuple[tuple[int, int, int], ...]]
-
-
-class _View:
-    """A program compiled for one valuation."""
-
-    __slots__ = ("names", "ids", "steps")
-
-    def __init__(self, names: tuple[str, ...], ids: tuple[str, ...],
-                 steps: dict[str, tuple[_Step, ...]]):
-        self.names = names  # slot -> variable
-        self.ids = ids  # position -> transition id, in first-seen order
-        self.steps = steps  # location -> outgoing, by id
-
-
-def _compile(dcp: Dcp, valuation: Mapping[str, int]) -> _View:
-    missing = [c for c in dcp.sym_consts if c not in valuation]
-    if missing:
-        raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
-    # a hand-built program may name undeclared variables: they get slots too
-    slot = {v: i for i, v in enumerate(dcp.variables)}
-    pos = {tid: i for i, tid in enumerate(dict.fromkeys(t.id for t in dcp.transitions))}
-
-    def step(t: Transition) -> _Step:
-        updates = []
-        for u in t.updates:
-            lhs = slot.setdefault(u.lhs, len(slot))
-            if isinstance(u.rhs, str):
-                updates.append((lhs, slot.setdefault(u.rhs, len(slot)), u.offset))
-            elif isinstance(u.rhs, SymConst):
-                updates.append((lhs, -1, valuation[u.rhs.name] + u.offset))
-            else:
-                updates.append((lhs, -1, u.rhs.value + u.offset))
-        guard = tuple(slot.setdefault(g, len(slot)) for g in t.guard)
-        return pos[t.id], t.target, guard, tuple(updates)
-
-    steps = {loc: tuple(step(t) for t in sorted(dcp.outgoing(loc), key=lambda t: t.id))
-             for loc in dcp.locations}
-    return _View(tuple(slot), tuple(pos), steps)
-
-
 def _undefined(name: str) -> _UndefinedRead:
     return _UndefinedRead(f"read of undefined variable {name!r}; the program "
                           f"is not well-defined")
 
 
-def _successors(view: _View, loc: str,
-                values: tuple[int | None, ...]) -> list[tuple[_Step, State]]:
-    """(step, successor state) for each enabled transition out of loc, in id
-    order, under extreme updates."""
-    out = []
-    for step in view.steps[loc]:
-        _, target, guard, updates = step
-        for g in guard:
-            x = values[g]
-            if x is None:
-                raise _undefined(view.names[g])
-            if x <= 0:
-                break
-        else:
-            nxt: list[int | None] = [None] * len(values)
-            for lhs, src, c in updates:
-                if src < 0:
-                    nxt[lhs] = c
-                else:
-                    x = values[src]
-                    if x is None:
-                        raise _undefined(view.names[src])
-                    nxt[lhs] = x + c
-            out.append((step, (target, tuple(nxt))))
-    return out
+class _Program:
+    """A program built for the oracle, once for all valuations."""
+
+    __slots__ = ("dcp", "names", "ids", "consts", "defined", "entry", "factory")
+
+    def __init__(self, dcp: Dcp, names: tuple[str, ...], ids: tuple[str, ...],
+                 consts: tuple[str, ...], defined: tuple[tuple[int, ...], ...],
+                 entry: int, factory: Callable[..., tuple[Kernel, ...]]):
+        self.dcp = dcp  # the program built, held so that its identity stays valid
+        self.names = names  # slot -> variable
+        self.ids = ids  # position -> transition id
+        self.consts = consts  # the factory's parameters, in order
+        self.defined = defined  # location index -> defined slots
+        self.entry = entry  # the entry's location index
+        self.factory = factory  # constants -> kernels
+
+
+_built: _Program | None = None
+
+
+def _program(dcp: Dcp) -> _Program:
+    global _built
+    if _built is None or _built.dcp is not dcp:
+        _built = _build(dcp)
+    return _built
+
+
+def _build(dcp: Dcp) -> _Program:
+    outgoing = [sorted(dcp.outgoing(loc), key=lambda t: t.id) for loc in dcp.locations]
+    where = {loc: i for i, loc in enumerate(dcp.locations)}
+    pos = {tid: i for i, tid in enumerate(dict.fromkeys(t.id for t in dcp.transitions))}
+    # transitions share update objects; the program keeps them (and so their
+    # ids) alive while this runs
+    updates = {id(u): u for t in dcp.transitions for u in t.updates}
+    slot: dict[str, int] = {}
+    for name in (*dcp.variables, *(g for t in dcp.transitions for g in t.guard),
+                 *(v for u in updates.values() for v in (u.lhs, u.rhs) if isinstance(v, str))):
+        slot.setdefault(name, len(slot))
+    width = len(slot)
+    # the read of each slot; an identity copy's value is this very string
+    reads = [f"s[{j + 1}]" for j in range(width)]
+    # constant -> factory parameter; like variables, names that a hand-built
+    # program does not declare get further parameters
+    param = {c: f"c{i}" for i, c in enumerate(dict.fromkeys(dcp.sym_consts))}
+    bound: dict[tuple[str, int], str] = {}  # (parameter, offset) -> local
+
+    def compiled(u: DifferenceConstraint) -> tuple[int, int, str]:
+        """(lhs slot, slot read or -1, value)"""
+        off = int(u.offset)
+        if isinstance(u.rhs, str):
+            src = slot[u.rhs]
+            val = (reads[src] if not off else f"{reads[src]} + {off}" if off > 0
+                   else f"{reads[src]} - {-off}")
+            return slot[u.lhs], src, val
+        if isinstance(u.rhs, SymConst):
+            val = param.setdefault(u.rhs.name, f"c{len(param)}")
+            if off:
+                val = bound.setdefault((val, off), f"b{len(bound)}")
+            return slot[u.lhs], -1, val
+        return slot[u.lhs], -1, str(int(u.rhs.value) + off)
+
+    code = {k: compiled(u) for k, u in updates.items()}
+
+    def successor(target: int, row: list[str]) -> str:
+        # one flat tuple display, so no nesting grows with the program
+        items = [str(target)]
+        j = 0
+        while j < width:
+            k = j
+            while k < width and row[k] is reads[k]:
+                k += 1
+            if k - j >= _SLICE_MIN:
+                items.append(f"*s[{j + 1}:{k + 1}]")
+            else:
+                items += row[j:k + 1]
+                k += 1
+            j = k
+        return f"({', '.join(items)},)"
+
+    defined = defined_at(dcp)
+    kernels = []
+    for li, (loc, ts) in enumerate(zip(dcp.locations, outgoing)):
+        safe = {slot[v] for v in defined[loc]}
+        kernels += [f"    def k{li}(s):", "        o = []"]
+        for t in ts:
+            tested = set(safe)  # slots known to hold a value once conds hold
+            conds: list[str] = []
+            for g in t.guard:
+                j = slot[g]
+                if j not in tested:
+                    tested.add(j)
+                    conds.append(f"({reads[j]} is not None or U({j}))")
+                conds.append(f"{reads[j]} > 0")
+            row = ["None"] * width
+            for u in t.updates:
+                lhs, j, row[lhs] = code[id(u)]
+                if j >= 0 and j not in tested:
+                    tested.add(j)
+                    conds.append(f"({reads[j]} is not None or U({j}))")
+            step = f"o.append(({pos[t.id]}, {successor(where[t.target], row)}))"
+            if conds:
+                kernels += [f"        if {' and '.join(conds)}:", f"            {step}"]
+            else:
+                kernels.append(f"        {step}")
+        kernels.append("        return o")
+    source = "\n".join([
+        f"def factory({', '.join(param.values())}):",
+        *(f"    {b} = {p} + {off}" for (p, off), b in bound.items()),
+        *kernels,
+        f"    return ({''.join(f'k{i}, ' for i in range(len(outgoing)))})",
+    ])
+    names = tuple(slot)
+
+    def undefined(j: int):
+        raise _undefined(names[j])
+
+    namespace = {"__builtins__": {}, "U": undefined}
+    exec(compile(source, "<dcbound.oracle kernels>", "exec"), namespace)
+    return _Program(dcp, names, tuple(pos), tuple(param),
+                    tuple(tuple(slot[v] for v in defined[loc]) for loc in dcp.locations),
+                    where[dcp.entry], namespace["factory"])
 
 
 def explore(dcp: Dcp, valuation: Mapping[str, int],
@@ -148,11 +238,14 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     defined on every incoming transition. exhausted is False when the state
     cap was hit or a state cycle was found (counts are then lower bounds).
     """
-    view = _compile(dcp, valuation)
-    defined = {loc: tuple(i for i, v in enumerate(view.names) if v in vs)
-               for loc, vs in defined_at(dcp).items()}
-    zeros = (0,) * len(view.ids)
-    var_max: list[int | None] = [None] * len(view.names)
+    missing = [c for c in dcp.sym_consts if c not in valuation]
+    if missing:
+        raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
+    program = _program(dcp)
+    kernels = program.factory(*(valuation[c] for c in program.consts))
+    defined = program.defined
+    zeros = (0,) * len(program.ids)
+    var_max: list[int | None] = [None] * len(program.names)
     exhausted = True
     states_seen = 0
 
@@ -160,10 +253,10 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     # on the depth-first path (a successor found there closes a cycle)
     memo: dict[State, tuple[int, ...] | None] = {}
 
-    start: State = (dcp.entry, (None,) * len(view.names))
+    start: State = (program.entry,) + (None,) * len(program.names)
 
     # iterative depth-first walk with explicit post-processing frames
-    stack: list[tuple[State, list[tuple[_Step, State]] | None]] = [(start, None)]
+    stack: list[tuple[State, list[tuple[int, State]] | None]] = [(start, None)]
     while stack:
         state, pending = stack.pop()
         if pending is None:
@@ -174,14 +267,12 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
                 exhausted = False
                 memo[state] = zeros
                 continue
-            loc, values = state
-            for i in defined[loc]:
-                x = values[i]
-                if x is not None:
-                    cur = var_max[i]
-                    if cur is None or x > cur:
-                        var_max[i] = x
-            succs = _successors(view, loc, values)
+            for i in defined[state[0]]:  # never None here: see the module doc
+                x = state[i + 1]
+                cur = var_max[i]
+                if cur is None or x > cur:
+                    var_max[i] = x
+            succs = kernels[state[0]](state)
             memo[state] = None
             stack.append((state, succs))
             for _, s in succs:
@@ -191,14 +282,14 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
                     exhausted = False  # state cycle: unbounded behaviour
         else:
             best = None
-            for step, s in pending:
+            for p, s in pending:
                 # a successor still on the path (cycle) counts the step itself
                 cand = list(memo[s] or zeros)
-                cand[step[0]] += 1
+                cand[p] += 1
                 best = cand if best is None else list(map(max, best, cand))
             memo[state] = zeros if best is None else tuple(best)
 
-    return RunStats(counts=dict(zip(view.ids, memo[start])),
+    return RunStats(counts=dict(zip(program.ids, memo[start])),
                     var_max={v: var_max[i] for i, v in enumerate(dcp.variables)},
                     exhausted=exhausted, states=states_seen)
 

@@ -311,13 +311,14 @@ def _ref_random_run(dcp, valuation, rng, *, max_len=10_000, slack=4):
     return counts
 
 
-def _assert_same_stats(d, val, cap):
+def _assert_same_stats(d, val, cap=DEFAULT_STEP_CAP):
     got = explore(d, val, cap)
     want = _ref_explore(d, val, cap)
     assert got == want, (val, cap)
     # key order is part of the result: rows and reports iterate these dicts
     assert list(got.counts) == list(want.counts)
     assert list(got.var_max) == list(want.var_max)
+    return got
 
 
 def _data_programs():
@@ -355,3 +356,186 @@ def test_undefined_read_in_hand_built_program():
                           lambda: _ref_explore(d, {})):
             with pytest.raises(_UndefinedRead, match="read of undefined variable 'x'"):
                 interpret()
+
+
+# -- differential on wider programs ---------------------------------------------
+#
+# Built without parse_dcp, so a program may read a variable that an incoming
+# transition leaves unconstrained: both interpreters must then raise the same
+# _UndefinedRead. Most updates are identity copies (frames), so long runs of
+# untouched variables occur; resets to constants sit on loops as well.
+
+def _wide_update(rng, v, variables, consts):
+    # about four changed variables per transition once there are many
+    if rng.random() < max(0.6, 1 - 4 / len(variables)):
+        return DifferenceConstraint(v, v, 0)  # frame
+    kind = rng.random()
+    if kind < 0.4:
+        return DifferenceConstraint(v, v, rng.choice([-1, -1, 1]))
+    if kind < 0.65:
+        return DifferenceConstraint(v, rng.choice(variables), rng.randint(-2, 0))
+    if kind < 0.9:
+        return DifferenceConstraint(v, SymConst(rng.choice(consts)), rng.randint(-1, 1))
+    return DifferenceConstraint(v, IntConst(rng.randint(0, 2)), 0)
+
+
+def _wide_program(rng, variables=(2, 12)):
+    """A ring of 1-5 locations (7 with the entry and the exit), each with a
+    self-loop on its own counter; the ring edge back to the start counts
+    down an outer counter and resets counters to constants. Some programs
+    get extra random transitions, and some leave updates out."""
+    n_locs = rng.randint(1, 5)
+    locs = [f"q{i}" for i in rng.sample(range(10), n_locs)]
+    variables = [f"v{i}" for i in rng.sample(range(100), rng.randint(*variables))]
+    consts = ["n", "m", "k"][: rng.randint(2, 3)]
+    omit = rng.choice([0.0, 0.0, 0.0, 0.0, 0.01, 0.1])
+    outer, *inner = variables
+    shape = []  # (source, target, guard variable, decremented variable, resets)
+    for j, loc in enumerate(locs):
+        c = rng.choice(inner)
+        shape.append((loc, loc, c, c, False))
+        if j + 1 < n_locs:
+            shape.append((loc, locs[j + 1], None, None, rng.random() < 0.5))
+    shape.append((locs[-1], locs[0], outer, outer, True))
+    shape.append((rng.choice(locs), "le", None, None, False))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        shape.append((rng.choice(locs), rng.choice(locs), rng.choice(variables),
+                      rng.choice(variables), rng.random() < 0.5))
+    ids = [f"t{i}" for i in rng.sample(range(30), len(shape))]
+    entry = []
+    for v in variables:
+        if rng.random() >= omit:
+            rhs = rng.choice([SymConst(rng.choice(consts)), IntConst(rng.randint(0, 3))])
+            entry.append(DifferenceConstraint(v, rhs, rng.randint(0, 1)))
+    trans = [Transition("t_in", "lb", locs[0], (), tuple(entry))]
+    for tid, (src, tgt, guard, dec, resets) in zip(ids, shape):
+        updates = []
+        for v in variables:
+            if rng.random() < omit:
+                continue
+            if v == dec:
+                updates.append(DifferenceConstraint(v, v, -1))
+            elif resets and v in inner and rng.random() < 0.5:
+                updates.append(DifferenceConstraint(v, SymConst(rng.choice(consts)), 0))
+            else:
+                updates.append(_wide_update(rng, v, variables, consts))
+        rng.shuffle(updates)
+        trans.append(Transition(tid, src, tgt, () if guard is None else (guard,),
+                                tuple(updates)))
+    return Dcp(locations=("lb", *locs, "le"), transitions=tuple(trans), entry="lb",
+               exit="le", variables=tuple(variables), sym_consts=tuple(consts))
+
+
+def _outcome(interpret):
+    try:
+        return interpret()
+    except _UndefinedRead as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("variables, programs", [
+    ((2, 12), 120),
+    ((30, 50), 20),  # long runs of copies: explore copies them as state slices
+])
+def test_explore_matches_reference_on_wide_programs(variables, programs):
+    rng = random.Random(20261019)
+    for _ in range(programs):
+        d = _wide_program(rng, variables)
+        val = {c: rng.randint(0, 4) for c in d.sym_consts}
+        for cap in (7, 50, 1500, DEFAULT_STEP_CAP):
+            got = _outcome(lambda: explore(d, val, cap))
+            assert got == _outcome(lambda: _ref_explore(d, val, cap)), (d, val, cap)
+            if isinstance(got, str):
+                break
+            assert list(got.counts) == list(dict.fromkeys(t.id for t in d.transitions))
+            assert list(got.var_max) == list(d.variables)
+            if got.states > cap == 1500:
+                break  # cut off; the default cap would explore 100000 states
+
+
+# -- hand-built edge cases --------------------------------------------------------
+
+def _hand_built(transitions, variables, consts=(), entry="lb"):
+    locs = dict.fromkeys(loc for t in transitions for loc in (t.source, t.target))
+    return Dcp(locations=tuple(locs), transitions=tuple(transitions), entry=entry,
+               exit="le", variables=tuple(variables), sym_consts=tuple(consts))
+
+
+def _dc(lhs, rhs, offset=0):
+    return DifferenceConstraint(lhs, rhs, offset)
+
+
+def test_undeclared_variables_get_slots():
+    # z and w are not declared; they are read and written like any variable
+    # and never appear in var_max
+    d = _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", SymConst("n")), _dc("z", IntConst(2)))),
+        Transition("t1", "l1", "l1", ("z", "x"), (_dc("x", "x", -1), _dc("z", "z"), _dc("w", "z"))),
+        Transition("t2", "l1", "le", (), (_dc("x", "x"),)),
+    ], variables=("x",), consts=("n",))
+    got = _assert_same_stats(d, {"n": 3})
+    assert got.counts == {"t0": 1, "t1": 3, "t2": 1}
+    assert got.var_max == {"x": 3}
+
+
+def test_a_variable_constrained_twice_takes_the_last_update():
+    d = _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(1)), _dc("x", IntConst(4)))),
+        Transition("t1", "l1", "l1", ("x",), (_dc("x", "x", -1), _dc("x", "x", -2))),
+    ], variables=("x",))
+    got = _assert_same_stats(d, {})
+    assert got.counts == {"t0": 1, "t1": 2}  # 4 -> 2 -> 0
+    assert got.var_max == {"x": 4}
+
+
+def test_duplicate_transition_ids_share_a_count():
+    d = _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(2)),)),
+        Transition("t1", "l1", "l2", ("x",), (_dc("x", "x", -1),)),
+        Transition("t1", "l2", "l1", (), (_dc("x", "x"),)),
+        Transition("t0", "l2", "le", (), ()),
+    ], variables=("x",))
+    got = _assert_same_stats(d, {})
+    assert list(got.counts) == ["t0", "t1"]
+    assert got.counts == {"t0": 2, "t1": 4}
+
+
+def test_guard_stops_before_an_undefined_read():
+    # y is undefined at l1, but x <= 0 ends the guard before y is read
+    d = _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(0)),)),
+        Transition("t1", "l1", "le", ("x", "y"), (_dc("x", "y"),)),
+    ], variables=("x", "y"))
+    got = _assert_same_stats(d, {})
+    assert got.counts == {"t0": 1, "t1": 0}
+
+
+def test_first_undefined_read_in_update_order_is_named():
+    # a and b are both undefined at l1; b's update comes first, a's slot first
+    d = _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("c", IntConst(1)),)),
+        Transition("t1", "l1", "le", ("c",), (_dc("c", "b"), _dc("a", "a"), _dc("b", "a"))),
+    ], variables=("a", "b", "c"))
+    for interpret in (explore, _ref_explore):
+        with pytest.raises(_UndefinedRead, match=r"^read of undefined variable 'b'; "
+                                                 r"the program is not well-defined$"):
+            interpret(d, {})
+
+
+def test_names_that_are_not_identifiers():
+    # no name reaches generated code: these would not compile if one did
+    names = ("a b", "x); (", "def")
+    d = _hand_built([
+        Transition("t0) (", "l b", "l1", (), tuple(_dc(v, SymConst("n m"), 1) for v in names)),
+        Transition("import", "l1", "l1", ("x); (",),
+                   (_dc("a b", "a b", 2), _dc("x); (", "x); (", -1), _dc("def", "a b"))),
+        Transition("'", "l1", "le", ("def",), (_dc("a b", "def"),)),
+    ], variables=names, consts=("n m",), entry="l b")
+    got = _assert_same_stats(d, {"n m": 2})
+    assert got.counts == {"t0) (": 1, "import": 3, "'": 1}
+    assert got.var_max == {"a b": 9, "x); (": 3, "def": 7}
+    _assert_same_stats(d, {"n m": -10})
+    d = _hand_built([Transition("]", "l b", "le", (), (_dc("def", "x); ("),))],
+                    variables=names, entry="l b")
+    with pytest.raises(_UndefinedRead, match=r"^read of undefined variable 'x\); \('; "):
+        explore(d, {})
