@@ -13,6 +13,7 @@ its source.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -99,8 +100,9 @@ class Dcp:
     `increments` are answered from an index built lazily, once per instance,
     in one pass over the transitions. The accessors return the stored
     tuples, each in `transitions` order; where a malformed program has
-    duplicates the first match wins.
-    `dataclasses.replace` builds a new instance with its own index.
+    duplicates the first match wins. `defined_at` and `validate` are cached
+    per instance too. `dataclasses.replace` builds a new instance with its
+    own caches.
     """
 
     locations: tuple[str, ...]
@@ -133,6 +135,20 @@ class Dcp:
                     increments[var].append((t, u.offset))
         return _DcpIndex(by_id, *({k: tuple(v) for k, v in d.items()}
                                   for d in (outgoing, incoming, resets, increments)))
+
+    @cached_property
+    def _defined_at(self) -> dict[str, frozenset[str]]:
+        out: dict[str, frozenset[str]] = {}
+        for loc in self.locations:
+            vars_ = set() if loc == self.entry else set(self.variables)
+            for t in self.incoming(loc):
+                vars_ &= {u.lhs for u in t.updates}
+            out[loc] = frozenset(vars_)
+        return out
+
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        return tuple(_diagnose(self))
 
     def transition(self, tid: str) -> Transition:
         try:
@@ -260,16 +276,11 @@ def cyclic_components(locations: Iterable[str],
 # validation
 # ---------------------------------------------------------------------------
 
-def defined_at(dcp: Dcp) -> dict[str, set[str]]:
+def defined_at(dcp: Dcp) -> dict[str, frozenset[str]]:
     """Variables constrained on every incoming transition of each location.
-    Nothing is defined at the entry."""
-    out: dict[str, set[str]] = {}
-    for loc in dcp.locations:
-        vars_ = set() if loc == dcp.entry else set(dcp.variables)
-        for t in dcp.incoming(loc):
-            vars_ &= {u.lhs for u in t.updates}
-        out[loc] = vars_
-    return out
+    Nothing is defined at the entry. The map is computed once per program
+    and shared: callers must not change it."""
+    return dcp._defined_at
 
 
 def undefined_reads(dcp: Dcp) -> set[tuple[str, str]]:
@@ -285,14 +296,23 @@ def undefined_reads(dcp: Dcp) -> set[tuple[str, str]]:
 
 
 def check_structure(program, consts: Iterable[str]) -> list[Diagnostic]:
-    """The checks both input formats share: no name is two of constant,
-    variable and location, transition ids are unique, and no transition
+    """The checks both input formats share: each name is declared once and
+    is only one of constant, variable and location, transition ids are
+    unique, every transition joins declared locations, and no transition
     enters the entry or leaves the exit. `program` is a Dcp with its
     symbolic constants or a ConcreteProgram with its parameters."""
     diags: list[Diagnostic] = []
+    consts = tuple(consts)
+    for what, names in [("variable", program.variables), ("constant", consts),
+                        ("location", program.locations)]:
+        diags += [Diagnostic(0, 0, f"{what} {name!r} declared twice")
+                  for name, k in sorted(Counter(names).items()) if k > 1]
     vars_ = set(program.variables)
     consts = set(consts)
     locs = set(program.locations)
+    diags += [Diagnostic(0, 0, f"{key} {loc!r} is not a location")
+              for key, loc in (("entry", program.entry), ("exit", program.exit))
+              if loc not in locs]
     for a, b, what in [
         (vars_, consts, "variable and constant"),
         (vars_, locs, "variable and location"),
@@ -305,6 +325,10 @@ def check_structure(program, consts: Iterable[str]) -> list[Diagnostic]:
         if t.id in seen_ids:
             diags.append(Diagnostic(t.line, 1, f"duplicate transition id {t.id!r}"))
         seen_ids.add(t.id)
+        for loc in (t.source, t.target):
+            if loc not in locs:
+                diags.append(Diagnostic(
+                    t.line, 1, f"transition {t.id}: unknown location {loc!r}"))
         if t.source == program.exit:
             diags.append(Diagnostic(
                 t.line, 1, f"transition {t.id} leaves the exit location"))
@@ -316,28 +340,33 @@ def check_structure(program, consts: Iterable[str]) -> list[Diagnostic]:
 
 def validate(dcp: Dcp) -> list[Diagnostic]:
     """Structural and semantic checks; an empty list means the program is
-    deterministic and well-defined."""
+    deterministic and well-defined. Computed once per program."""
+    return list(dcp._diagnostics)
+
+
+def _diagnose(dcp: Dcp) -> list[Diagnostic]:
     diags = check_structure(dcp, dcp.sym_consts)
     vars_ = set(dcp.variables)
+    consts = set(dcp.sym_consts)
+
+    def bad(t: Transition, message: str) -> None:
+        diags.append(Diagnostic(t.line, 1, f"transition {t.id}: {message}"))
+
     for t in dcp.transitions:
         for g in t.guard:
             if g not in vars_:
-                diags.append(Diagnostic(
-                    t.line, 1, f"transition {t.id}: guard names unknown variable {g!r}"))
+                bad(t, f"guard names unknown variable {g!r}")
         lhs_seen: set[str] = set()
         for u in t.updates:
             if u.lhs not in vars_:
-                diags.append(Diagnostic(
-                    t.line, 1, f"transition {t.id}: update of unknown variable {u.lhs!r}"))
+                bad(t, f"update of unknown variable {u.lhs!r}")
             if u.lhs in lhs_seen:
-                diags.append(Diagnostic(
-                    t.line, 1,
-                    f"transition {t.id}: determinism violation, "
-                    f"variable {u.lhs!r} constrained twice"))
+                bad(t, f"determinism violation, variable {u.lhs!r} constrained twice")
             lhs_seen.add(u.lhs)
             if isinstance(u.rhs, str) and u.rhs not in vars_:
-                diags.append(Diagnostic(
-                    t.line, 1, f"transition {t.id}: unknown atom {u.rhs!r}"))
+                bad(t, f"unknown atom {u.rhs!r}")
+            elif isinstance(u.rhs, SymConst) and u.rhs.name not in consts:
+                bad(t, f"unknown constant {u.rhs.name!r}")
 
     if diags:
         return diags  # each read of an unknown name is reported once, above
@@ -521,8 +550,8 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
     returns the transition and adds its own diagnostics to `source.diags`;
     the match's groups `src` and `tgt` are locations. Raises DcpError when
     a line does not parse, a declaration lists a name twice (also across
-    repeated lines), entry or exit names more than one location, or entry
-    or exit is missing."""
+    repeated lines), entry or exit is declared twice or names more than one
+    location, or entry or exit is missing."""
     src = Source()
     lines = _lines(text)
     first = next(lines, None)
@@ -537,6 +566,8 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
             if "" in names:
                 src.diags.append(Diagnostic(lineno, 1, f"empty name in {key} list"))
             elif key in ("entry", "exit"):
+                if getattr(src, key) is not None:
+                    src.diags.append(Diagnostic(lineno, 1, f"{key} declared twice"))
                 if len(names) > 1:
                     src.diags.append(Diagnostic(
                         lineno, 1, f"{key} names more than one location"))

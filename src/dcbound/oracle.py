@@ -4,13 +4,15 @@ Updates are upper bounds and guards are positivity tests, so pointwise-larger
 states enable a superset of behaviour; exploring only the extreme choice
 x' = y + c therefore dominates every admissible run for counting purposes.
 
+It takes only programs that `validate` accepts and raises DcpError with
+`validate`'s (cached) diagnostics on any other.
+
 Build once, bind per valuation. The one interpreter, explore(), runs on a
 view of the program that is built once per Dcp object: the last program
 built is kept with a reference to it, so every later call on the same
 object (one per valuation in check_soundness) reuses it. The build gives
-each variable a slot (in `dcp.variables` order; names that a hand-built
-program does not declare get further slots), each location an index, and
-each transition id a position (first-seen order; duplicate ids share one).
+each variable the slot of its place in `dcp.variables`, each location an
+index, and each transition the position of its place in `dcp.transitions`.
 It turns each location's outgoing transitions into one generated Python
 function, the location's kernel, and compiles all kernels once as one
 factory whose parameters are the symbolic constants. A valuation costs one
@@ -24,41 +26,36 @@ each enabled transition, under extreme updates:
 
 - successors come in transition-id order;
 - guards are tested in guard order and stop at the first value <= 0;
-- a read raises _UndefinedRead, naming the variable, at the first undefined
-  read: guards first, then the updates in update order;
-- when a transition updates a variable twice, the later update wins, and
-  slots that it leaves unconstrained become None in the successor;
+- slots that a transition leaves unconstrained become None in the successor;
 - a run of at least _SLICE_MIN slots that the transition copies unchanged
   (x' <= x) is one slice of the state, so on a wide program a kernel's
   source, and its time per state, grow with the slots a transition changes
   rather than with all slots; shorter runs are listed slot by slot.
 
-Which reads skip the None test is decided statically: a read of x at loc
-needs none when x is in defined_at(loc). A state at loc other than the
-start state was made by a transition into loc, which constrained every such
-x, and an update never yields None (a read that would is an error). The
-start state sits at the entry, where defined_at is empty. Every other read
-is tested.
+No read needs a None test: every variable that a transition from loc reads
+is in defined_at(loc), since the program is well-defined. A state at loc
+other than the start state was made by a transition into loc, which
+constrained every such x, and the start state sits at the entry, where
+nothing is defined and so nothing is read.
 
 No input text reaches the generated source. It holds only integers, slot,
-location and position indices and fixed identifiers; error messages look
-names up in a tuple, and constants enter as the factory's arguments.
+location and position indices and fixed identifiers; constants enter as the
+factory's arguments.
 
 explore() walks all branch choices depth first, successors in transition-id
 order, memoizing per-transition worst-case counts per state. That order
 decides which states a capped exploration visits before it stops, so it is
-part of the result. Well-defined programs never read an undefined variable;
-such a read here is an internal error, not a semantics choice.
+part of the result.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from dcbound import expr
-from dcbound.dcp import Dcp, DifferenceConstraint, defined_at
+from dcbound.dcp import Dcp, DcpError, DifferenceConstraint, defined_at, validate
 from dcbound.expr import SymConst
 from dcbound.engine import BoundReport
 
@@ -97,30 +94,13 @@ class RunStats:
     states: int
 
 
-class _UndefinedRead(RuntimeError):
-    pass
-
-
-def _undefined(name: str) -> _UndefinedRead:
-    return _UndefinedRead(f"read of undefined variable {name!r}; the program "
-                          f"is not well-defined")
-
-
-class _Program:
+class _Program(NamedTuple):
     """A program built for the oracle, once for all valuations."""
 
-    __slots__ = ("dcp", "names", "ids", "consts", "defined", "entry", "factory")
-
-    def __init__(self, dcp: Dcp, names: tuple[str, ...], ids: tuple[str, ...],
-                 consts: tuple[str, ...], defined: tuple[tuple[int, ...], ...],
-                 entry: int, factory: Callable[..., tuple[Kernel, ...]]):
-        self.dcp = dcp  # the program built, held so that its identity stays valid
-        self.names = names  # slot -> variable
-        self.ids = ids  # position -> transition id
-        self.consts = consts  # the factory's parameters, in order
-        self.defined = defined  # location index -> defined slots
-        self.entry = entry  # the entry's location index
-        self.factory = factory  # constants -> kernels
+    dcp: Dcp  # the program built, held so that its identity stays valid
+    defined: tuple[tuple[int, ...], ...]  # location index -> defined slots
+    entry: int  # the entry's location index
+    factory: Callable[..., tuple[Kernel, ...]]  # constants in sym_consts order -> kernels
 
 
 _built: _Program | None = None
@@ -134,38 +114,35 @@ def _program(dcp: Dcp) -> _Program:
 
 
 def _build(dcp: Dcp) -> _Program:
+    diags = validate(dcp)
+    if diags:
+        raise DcpError(diags)
     outgoing = [sorted(dcp.outgoing(loc), key=lambda t: t.id) for loc in dcp.locations]
     where = {loc: i for i, loc in enumerate(dcp.locations)}
-    pos = {tid: i for i, tid in enumerate(dict.fromkeys(t.id for t in dcp.transitions))}
+    pos = {t.id: i for i, t in enumerate(dcp.transitions)}
     # transitions share update objects; the program keeps them (and so their
     # ids) alive while this runs
     updates = {id(u): u for t in dcp.transitions for u in t.updates}
-    slot: dict[str, int] = {}
-    for name in (*dcp.variables, *(g for t in dcp.transitions for g in t.guard),
-                 *(v for u in updates.values() for v in (u.lhs, u.rhs) if isinstance(v, str))):
-        slot.setdefault(name, len(slot))
+    slot = {v: j for j, v in enumerate(dcp.variables)}
     width = len(slot)
     # the read of each slot; an identity copy's value is this very string
     reads = [f"s[{j + 1}]" for j in range(width)]
-    # constant -> factory parameter; like variables, names that a hand-built
-    # program does not declare get further parameters
-    param = {c: f"c{i}" for i, c in enumerate(dict.fromkeys(dcp.sym_consts))}
+    param = {c: f"c{i}" for i, c in enumerate(dcp.sym_consts)}  # constant -> parameter
     bound: dict[tuple[str, int], str] = {}  # (parameter, offset) -> local
 
-    def compiled(u: DifferenceConstraint) -> tuple[int, int, str]:
-        """(lhs slot, slot read or -1, value)"""
+    def compiled(u: DifferenceConstraint) -> tuple[int, str]:
+        """(lhs slot, value)"""
         off = int(u.offset)
         if isinstance(u.rhs, str):
-            src = slot[u.rhs]
-            val = (reads[src] if not off else f"{reads[src]} + {off}" if off > 0
-                   else f"{reads[src]} - {-off}")
-            return slot[u.lhs], src, val
+            src = reads[slot[u.rhs]]
+            return slot[u.lhs], (src if not off else f"{src} + {off}" if off > 0
+                                 else f"{src} - {-off}")
         if isinstance(u.rhs, SymConst):
-            val = param.setdefault(u.rhs.name, f"c{len(param)}")
+            val = param[u.rhs.name]
             if off:
                 val = bound.setdefault((val, off), f"b{len(bound)}")
-            return slot[u.lhs], -1, val
-        return slot[u.lhs], -1, str(int(u.rhs.value) + off)
+            return slot[u.lhs], val
+        return slot[u.lhs], str(int(u.rhs.value) + off)
 
     code = {k: compiled(u) for k, u in updates.items()}
 
@@ -185,29 +162,17 @@ def _build(dcp: Dcp) -> _Program:
             j = k
         return f"({', '.join(items)},)"
 
-    defined = defined_at(dcp)
     kernels = []
-    for li, (loc, ts) in enumerate(zip(dcp.locations, outgoing)):
-        safe = {slot[v] for v in defined[loc]}
+    for li, ts in enumerate(outgoing):
         kernels += [f"    def k{li}(s):", "        o = []"]
         for t in ts:
-            tested = set(safe)  # slots known to hold a value once conds hold
-            conds: list[str] = []
-            for g in t.guard:
-                j = slot[g]
-                if j not in tested:
-                    tested.add(j)
-                    conds.append(f"({reads[j]} is not None or U({j}))")
-                conds.append(f"{reads[j]} > 0")
             row = ["None"] * width
             for u in t.updates:
-                lhs, j, row[lhs] = code[id(u)]
-                if j >= 0 and j not in tested:
-                    tested.add(j)
-                    conds.append(f"({reads[j]} is not None or U({j}))")
+                lhs, row[lhs] = code[id(u)]
             step = f"o.append(({pos[t.id]}, {successor(where[t.target], row)}))"
-            if conds:
-                kernels += [f"        if {' and '.join(conds)}:", f"            {step}"]
+            if t.guard:
+                conds = " and ".join(f"{reads[slot[g]]} > 0" for g in t.guard)
+                kernels += [f"        if {conds}:", f"            {step}"]
             else:
                 kernels.append(f"        {step}")
         kernels.append("        return o")
@@ -217,15 +182,10 @@ def _build(dcp: Dcp) -> _Program:
         *kernels,
         f"    return ({''.join(f'k{i}, ' for i in range(len(outgoing)))})",
     ])
-    names = tuple(slot)
-
-    def undefined(j: int):
-        raise _undefined(names[j])
-
-    namespace = {"__builtins__": {}, "U": undefined}
+    namespace = {"__builtins__": {}}
     exec(compile(source, "<dcbound.oracle kernels>", "exec"), namespace)
-    return _Program(dcp, names, tuple(pos), tuple(param),
-                    tuple(tuple(slot[v] for v in defined[loc]) for loc in dcp.locations),
+    defined = defined_at(dcp)
+    return _Program(dcp, tuple(tuple(slot[v] for v in defined[loc]) for loc in dcp.locations),
                     where[dcp.entry], namespace["factory"])
 
 
@@ -237,15 +197,18 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     var_max[v] the largest value observed for v at locations where v is
     defined on every incoming transition. exhausted is False when the state
     cap was hit or a state cycle was found (counts are then lower bounds).
+
+    `dcp` is a program that `validate` accepts (as `parse_dcp` and
+    `abstract_program` return); any other raises DcpError.
     """
+    program = _program(dcp)
     missing = [c for c in dcp.sym_consts if c not in valuation]
     if missing:
         raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
-    program = _program(dcp)
-    kernels = program.factory(*(valuation[c] for c in program.consts))
+    kernels = program.factory(*(valuation[c] for c in dcp.sym_consts))
     defined = program.defined
-    zeros = (0,) * len(program.ids)
-    var_max: list[int | None] = [None] * len(program.names)
+    zeros = (0,) * len(dcp.transitions)
+    var_max: list[int | None] = [None] * len(dcp.variables)
     exhausted = True
     states_seen = 0
 
@@ -253,7 +216,7 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     # on the depth-first path (a successor found there closes a cycle)
     memo: dict[State, tuple[int, ...] | None] = {}
 
-    start: State = (program.entry,) + (None,) * len(program.names)
+    start: State = (program.entry,) + (None,) * len(dcp.variables)
 
     # iterative depth-first walk with explicit post-processing frames
     stack: list[tuple[State, list[tuple[int, State]] | None]] = [(start, None)]
@@ -289,7 +252,7 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
                 best = cand if best is None else list(map(max, best, cand))
             memo[state] = zeros if best is None else tuple(best)
 
-    return RunStats(counts=dict(zip(program.ids, memo[start])),
+    return RunStats(counts={t.id: c for t, c in zip(dcp.transitions, memo[start])},
                     var_max={v: var_max[i] for i, v in enumerate(dcp.variables)},
                     exhausted=exhausted, states=states_seen)
 
@@ -339,7 +302,11 @@ def check_soundness(dcp: Dcp, report: BoundReport,
     PASS: every defined bound dominates the observation and every exploration
     completed. PASS-PARTIAL: no violation, but some exploration was cut off.
     FAIL: at least one violation, with counterexample rows.
+
+    `dcp` is a program that `validate` accepts (as `parse_dcp` and
+    `abstract_program` return); any other raises DcpError.
     """
+    _program(dcp)  # raises DcpError, also when there are no valuations
     rows: list[SoundnessRow] = []
     all_exhausted = True
     for valuation in valuations:

@@ -369,8 +369,12 @@ def test_prog_name_collisions_exit_1(tmp_path, params, vars_, exit_, message):
      "4:1: duplicate name 'i' in vars list"),
     ("prog\nparams: n\nvars: i\nentry: a\nexit: b, z\ntrans t: a -> b { i := n; }\n",
      "5:1: exit names more than one location"),
+    ("dcp\nvars: x\nentry: la\nentry: lb\nexit: b\ntrans t: lb -> b { x' <= 0; }\n",
+     "4:1: entry declared twice"),
+    ("prog\nparams: n\nvars: i\nentry: a\nexit: b\nexit: c\ntrans t: a -> c { i := n; }\n",
+     "6:1: exit declared twice"),
 ], ids=["dcp-vars", "dcp-consts-across-lines", "dcp-entry", "prog-params",
-        "prog-vars-across-lines", "prog-exit"])
+        "prog-vars-across-lines", "prog-exit", "dcp-entry-twice", "prog-exit-twice"])
 def test_duplicate_declarations_exit_1(tmp_path, text, message):
     src = tmp_path / "dup.txt"
     src.write_text(text)

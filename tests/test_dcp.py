@@ -6,13 +6,17 @@ from pathlib import Path
 import pytest
 
 from dcbound.dcp import (
+    Dcp,
     DcpError,
+    DifferenceConstraint,
+    Transition,
     drop_variables,
     format_dcp,
     parse_dcp,
     strongly_connected_components,
     validate,
 )
+from dcbound.expr import SymConst
 
 DATA = Path(__file__).parent / "data"
 
@@ -150,6 +154,11 @@ trans t2: l1 -> le { x' <= n; }
         parse_dcp(text)
     assert [str(d) for d in ei.value.diagnostics] == [
         "6:1: transition t1: unknown atom 'n'"]
+    # a hand-built program can name a constant that it does not declare
+    t1 = Transition("t1", "lb", "le", (), (DifferenceConstraint("x", SymConst("m"), 0),))
+    d = Dcp(locations=("lb", "le"), transitions=(t1,), entry="lb", exit="le",
+            variables=("x",), sym_consts=("n",))
+    assert [str(g) for g in validate(d)] == ["0:1: transition t1: unknown constant 'm'"]
 
 
 def test_duplicate_transition_id():

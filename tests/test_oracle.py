@@ -5,18 +5,18 @@ import zlib
 
 import pytest
 
+import dcbound.dcp
 from dcbound import expr
 from dcbound.abstraction import abstract_program
-from dcbound.dcp import Dcp, DifferenceConstraint, Transition, \
-    defined_at, parse_dcp
-from dcbound.engine import Analysis, AnalysisMode
+from dcbound.dcp import Dcp, DcpError, DifferenceConstraint, Transition, \
+    defined_at, parse_dcp, validate
+from dcbound.engine import Analysis, AnalysisMode, BoundReport
 from dcbound.expr import IntConst, SymConst
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.oracle import (
     DEFAULT_STEP_CAP,
     RunStats,
     Verdict,
-    _UndefinedRead,
     check_soundness,
     explore,
 )
@@ -195,12 +195,7 @@ def _ref_atom_value(a, values, valuation):
         return a.value
     if isinstance(a, SymConst):
         return valuation[a.name]
-    try:
-        return values[a]
-    except KeyError:
-        raise _UndefinedRead(
-            f"read of undefined variable {a!r}; the program is not "
-            f"well-defined") from None
+    return values[a]  # defined: the program is well-defined
 
 
 def _ref_enabled(t, values, valuation):
@@ -344,25 +339,11 @@ def test_explore_matches_reference_on_random_programs():
             _assert_same_stats(d, val, cap)
 
 
-def test_undefined_read_in_hand_built_program():
-    # not well-defined, built without parse_dcp: x is read before any
-    # transition constrains it, once in a guard and once in an update
-    for guard, rhs in [(("x",), IntConst(1)), ((), "x")]:
-        t0 = Transition("t0", "lb", "l1", guard,
-                        (DifferenceConstraint("y", rhs, 0),))
-        d = Dcp(locations=("l1", "lb"), transitions=(t0,), entry="lb",
-                exit="l1", variables=("x", "y"), sym_consts=())
-        for interpret in (lambda: explore(d, {}),
-                          lambda: _ref_explore(d, {})):
-            with pytest.raises(_UndefinedRead, match="read of undefined variable 'x'"):
-                interpret()
-
-
 # -- differential on wider programs ---------------------------------------------
 #
 # Built without parse_dcp, so a program may read a variable that an incoming
-# transition leaves unconstrained: both interpreters must then raise the same
-# _UndefinedRead. Most updates are identity copies (frames), so long runs of
+# transition leaves unconstrained: explore must then raise validate's
+# diagnostics. Most updates are identity copies (frames), so long runs of
 # untouched variables occur; resets to constants sit on loops as well.
 
 def _wide_update(rng, v, variables, consts):
@@ -426,31 +407,28 @@ def _wide_program(rng, variables=(2, 12)):
                exit="le", variables=tuple(variables), sym_consts=tuple(consts))
 
 
-def _outcome(interpret):
-    try:
-        return interpret()
-    except _UndefinedRead as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("variables, programs", [
     ((2, 12), 120),
     ((30, 50), 20),  # long runs of copies: explore copies them as state slices
 ])
 def test_explore_matches_reference_on_wide_programs(variables, programs):
     rng = random.Random(20261019)
+    checked = 0
     for _ in range(programs):
         d = _wide_program(rng, variables)
         val = {c: rng.randint(0, 4) for c in d.sym_consts}
+        diags = validate(d)
+        if diags:
+            with pytest.raises(DcpError) as ei:
+                explore(d, val)
+            assert ei.value.diagnostics == diags
+            continue
+        checked += 1
         for cap in (7, 50, 1500, DEFAULT_STEP_CAP):
-            got = _outcome(lambda: explore(d, val, cap))
-            assert got == _outcome(lambda: _ref_explore(d, val, cap)), (d, val, cap)
-            if isinstance(got, str):
-                break
-            assert list(got.counts) == list(dict.fromkeys(t.id for t in d.transitions))
-            assert list(got.var_max) == list(d.variables)
+            got = _assert_same_stats(d, val, cap)
             if got.states > cap == 1500:
                 break  # cut off; the default cap would explore 100000 states
+    assert checked == {120: 94, 20: 16}[programs]  # both kinds are exercised
 
 
 # -- hand-built edge cases --------------------------------------------------------
@@ -463,63 +441,6 @@ def _hand_built(transitions, variables, consts=(), entry="lb"):
 
 def _dc(lhs, rhs, offset=0):
     return DifferenceConstraint(lhs, rhs, offset)
-
-
-def test_undeclared_variables_get_slots():
-    # z and w are not declared; they are read and written like any variable
-    # and never appear in var_max
-    d = _hand_built([
-        Transition("t0", "lb", "l1", (), (_dc("x", SymConst("n")), _dc("z", IntConst(2)))),
-        Transition("t1", "l1", "l1", ("z", "x"), (_dc("x", "x", -1), _dc("z", "z"), _dc("w", "z"))),
-        Transition("t2", "l1", "le", (), (_dc("x", "x"),)),
-    ], variables=("x",), consts=("n",))
-    got = _assert_same_stats(d, {"n": 3})
-    assert got.counts == {"t0": 1, "t1": 3, "t2": 1}
-    assert got.var_max == {"x": 3}
-
-
-def test_a_variable_constrained_twice_takes_the_last_update():
-    d = _hand_built([
-        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(1)), _dc("x", IntConst(4)))),
-        Transition("t1", "l1", "l1", ("x",), (_dc("x", "x", -1), _dc("x", "x", -2))),
-    ], variables=("x",))
-    got = _assert_same_stats(d, {})
-    assert got.counts == {"t0": 1, "t1": 2}  # 4 -> 2 -> 0
-    assert got.var_max == {"x": 4}
-
-
-def test_duplicate_transition_ids_share_a_count():
-    d = _hand_built([
-        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(2)),)),
-        Transition("t1", "l1", "l2", ("x",), (_dc("x", "x", -1),)),
-        Transition("t1", "l2", "l1", (), (_dc("x", "x"),)),
-        Transition("t0", "l2", "le", (), ()),
-    ], variables=("x",))
-    got = _assert_same_stats(d, {})
-    assert list(got.counts) == ["t0", "t1"]
-    assert got.counts == {"t0": 2, "t1": 4}
-
-
-def test_guard_stops_before_an_undefined_read():
-    # y is undefined at l1, but x <= 0 ends the guard before y is read
-    d = _hand_built([
-        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(0)),)),
-        Transition("t1", "l1", "le", ("x", "y"), (_dc("x", "y"),)),
-    ], variables=("x", "y"))
-    got = _assert_same_stats(d, {})
-    assert got.counts == {"t0": 1, "t1": 0}
-
-
-def test_first_undefined_read_in_update_order_is_named():
-    # a and b are both undefined at l1; b's update comes first, a's slot first
-    d = _hand_built([
-        Transition("t0", "lb", "l1", (), (_dc("c", IntConst(1)),)),
-        Transition("t1", "l1", "le", ("c",), (_dc("c", "b"), _dc("a", "a"), _dc("b", "a"))),
-    ], variables=("a", "b", "c"))
-    for interpret in (explore, _ref_explore):
-        with pytest.raises(_UndefinedRead, match=r"^read of undefined variable 'b'; "
-                                                 r"the program is not well-defined$"):
-            interpret(d, {})
 
 
 def test_names_that_are_not_identifiers():
@@ -535,7 +456,81 @@ def test_names_that_are_not_identifiers():
     assert got.counts == {"t0) (": 1, "import": 3, "'": 1}
     assert got.var_max == {"a b": 9, "x); (": 3, "def": 7}
     _assert_same_stats(d, {"n m": -10})
-    d = _hand_built([Transition("]", "l b", "le", (), (_dc("def", "x); ("),))],
-                    variables=names, entry="l b")
-    with pytest.raises(_UndefinedRead, match=r"^read of undefined variable 'x\); \('; "):
-        explore(d, {})
+
+
+# -- the oracle's contract: programs that validate accepts -----------------------
+
+# no bound is compared: check_soundness stops at the program
+_NO_BOUNDS = BoundReport(AnalysisMode.FREE, {}, {}, expr.IntConst(0))
+
+
+_INVALID = {  # case -> (program, a diagnostic validate gives it)
+    "entry-guard-read": (lambda: _hand_built([
+        Transition("t0", "lb", "le", ("x",), (_dc("y", IntConst(1)),)),
+    ], variables=("x", "y")), "variable 'x' may be read at the entry 'lb'"),
+    "entry-update-read": (lambda: _hand_built([
+        Transition("t0", "lb", "le", (), (_dc("y", "x"),)),
+    ], variables=("x", "y")), "variable 'x' may be read at the entry 'lb'"),
+    "unconstrained-guard-read": (lambda: _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(0)),)),
+        Transition("t1", "l1", "le", ("x", "y"), (_dc("x", "y"),)),
+    ], variables=("x", "y")), "variable 'y' is read at 'l1' but transition(s) t0"),
+    "unconstrained-update-read": (lambda: _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("c", IntConst(1)),)),
+        Transition("t1", "l1", "le", ("c",), (_dc("a", "a"), _dc("b", "a"), _dc("c", "b"))),
+    ], variables=("a", "b", "c")), "variable 'b' is read at 'l1' but transition(s) t0"),
+    "odd-names-entry-read": (lambda: _hand_built([
+        Transition("]", "l b", "le", (), (_dc("def", "x); ("),)),
+    ], variables=("a b", "x); (", "def"), entry="l b"),
+        "variable 'x); (' may be read at the entry 'l b'"),
+    "undeclared-variable": (lambda: _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", SymConst("n")), _dc("z", IntConst(2)))),
+        Transition("t1", "l1", "le", ("x",), (_dc("x", "x", -1),)),
+    ], variables=("x",), consts=("n",)), "transition t0: update of unknown variable 'z'"),
+    "undeclared-constant": (lambda: _hand_built([
+        Transition("t0", "lb", "le", (), (_dc("x", SymConst("m")),)),
+    ], variables=("x",), consts=("n",)), "transition t0: unknown constant 'm'"),
+    "constrained-twice": (lambda: _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(1)), _dc("x", IntConst(4)))),
+        Transition("t1", "l1", "le", ("x",), (_dc("x", "x", -1),)),
+    ], variables=("x",)), "transition t0: determinism violation, variable 'x' "
+                          "constrained twice"),
+    "duplicate-id": (lambda: _hand_built([
+        Transition("t0", "lb", "l1", (), (_dc("x", IntConst(2)),)),
+        Transition("t1", "l1", "l2", ("x",), (_dc("x", "x", -1),)),
+        Transition("t1", "l2", "le", (), (_dc("x", "x"),)),
+    ], variables=("x",)), "duplicate transition id 't1'"),
+    "declared-twice": (lambda: _hand_built([
+        Transition("t0", "lb", "le", (), (_dc("x", SymConst("n")),)),
+    ], variables=("x", "x"), consts=("n",)), "variable 'x' declared twice"),
+    "unknown-location": (lambda: Dcp(
+        locations=("lb", "le"), transitions=(Transition("t0", "lb", "l1", (), ()),),
+        entry="la", exit="le", variables=(), sym_consts=()),
+        "transition t0: unknown location 'l1'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID))
+def test_invalid_program_raises_validate_diagnostics(case):
+    build, message = _INVALID[case]
+    d = build()
+    diags = validate(d)
+    assert any(message in str(g) for g in diags), diags
+    val = dict.fromkeys(d.sym_consts, 1)
+    for interpret in (lambda: explore(d, val),
+                      lambda: check_soundness(d, _NO_BOUNDS, [val]),
+                      lambda: check_soundness(d, _NO_BOUNDS, [])):
+        with pytest.raises(DcpError) as ei:
+            interpret()
+        assert ei.value.diagnostics == diags
+
+
+def test_validity_is_decided_once_per_program(monkeypatch):
+    calls = []
+    diagnose = dcbound.dcp._diagnose
+    monkeypatch.setattr(dcbound.dcp, "_diagnose", lambda d: calls.append(d) or diagnose(d))
+    d = load_dcp("exampleB.dcp")  # parse_dcp validates
+    report = Analysis(d, AnalysisMode.CTX).report()
+    result = check_soundness(d, report, [{"n": k} for k in range(3)])
+    assert result.verdict is Verdict.PASS
+    assert calls == [d]
