@@ -17,7 +17,6 @@ from dcbound.expr import (
     minimum,
     evaluate,
     parse_expr,
-    to_str,
 )
 from dcbound.dcp import Dcp, Transition, DifferenceConstraint, parse_dcp, DcpError
 from dcbound.engine import AnalysisMode, Analysis, BoundReport
@@ -36,7 +35,6 @@ __all__ = [
     "minimum",
     "evaluate",
     "parse_expr",
-    "to_str",
     "Dcp",
     "Transition",
     "DifferenceConstraint",

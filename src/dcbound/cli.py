@@ -25,7 +25,7 @@ from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, \
     abstract_program
 from dcbound.dcp import Dcp, DcpError, format_dcp, input_format, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
-from dcbound.oracle import DEFAULT_STEP_CAP, Verdict, check_soundness
+from dcbound.oracle import DEFAULT_STEP_CAP, Verdict, check_soundness, worst
 from dcbound.program import parse_program
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPathOverflow, \
     build_reset_graph, optimal_reset_paths, to_dot
@@ -268,7 +268,7 @@ def _cmd_validate(args) -> int:
             name = row.name if row.kind == "TB" else f"VB({row.name})"
             print(f"{name}  {row.observed}  {bound}  {row.status()}")
     # the worst verdict is that of one check over every valuation
-    verdict = max(verdicts, key=[Verdict.PASS, Verdict.PASS_PARTIAL, Verdict.FAIL].index)
+    verdict = worst(verdicts)
     print(verdict.value)
     return EXIT_OK if verdict is Verdict.PASS else EXIT_VALIDATION
 

@@ -1,6 +1,8 @@
 """Symbolic bound expressions over integers and named nonnegative constants.
 
-Every bound the analyses produce is one of these expressions. Construction
+Every bound the analyses produce is one of these expressions: a leaf
+(IntConst, SymConst, UNDEFINED) or one Compound, an operator ("+", "*",
+"max" or "min") applied to a tuple of operand expressions. Construction
 goes through the smart constructors (add, mul, maximum, minimum) or
 parse_expr, and only they normalize: they keep expressions in a canonical
 normal form so that equal bounds print identically. Nested sums/products/
@@ -9,14 +11,13 @@ collected, and argument lists are sorted by their printed form. The
 undefined element absorbs every operator.
 
 The constructors normalize one level only: each argument must be an int, a
-leaf (IntConst, SymConst, UNDEFINED), or the result of a constructor or
-parse_expr. A node built by hand from the node classes is a valid
-expression, but not a normal one.
+leaf, or the result of a constructor or parse_expr. A Compound built by
+hand is a valid expression, but not a normal one.
 
 Bounds reuse the bounds below them, so expressions are DAGs that share
-subterms. Every compound node therefore stores its printed form, its hash
-and whether it is provably nonnegative, each computed once, when the node
-is built, from its operands' values. Printing and hashing read a field,
+subterms. Every Compound therefore stores its printed form, its hash and
+whether it is provably nonnegative, each computed once, when the node is
+built, from its operands' values. Printing and hashing read a field,
 equality walks node pairs with an explicit stack, and evaluation visits
 each shared node once; none of them recurses.
 """
@@ -31,10 +32,7 @@ __all__ = [
     "BoundExpr",
     "IntConst",
     "SymConst",
-    "Sum",
-    "Product",
-    "Max",
-    "Min",
+    "Compound",
     "Undefined",
     "UNDEFINED",
     "add",
@@ -42,7 +40,6 @@ __all__ = [
     "maximum",
     "minimum",
     "evaluate",
-    "to_str",
     "parse_expr",
     "is_provably_nonneg",
     "EvaluationError",
@@ -64,8 +61,8 @@ class BoundExpr:
     """Base class; concrete nodes are the frozen dataclasses below.
 
     Every node answers `_str`, its printed form, and `_nonneg`, whether it
-    is provably nonnegative: a leaf from its own value, a compound node from
-    the values it stored when it was built.
+    is provably nonnegative: a leaf from its own value, a Compound from the
+    values it stored when it was built.
     """
 
     __slots__ = ()
@@ -105,27 +102,43 @@ class Undefined(BoundExpr):
     _nonneg = False
 
 
-class _Compound(BoundExpr):
-    """Sum, Product, Max and Min: a tuple of operands, plus the printed
-    form, hash and sign that `__post_init__` stores, each computed from the
-    operands' values. The hash is the one a plain frozen dataclass computes
-    (the hash of its field tuple), so the order in which a set of
-    expressions iterates does not depend on the stored values.
+# the value of each operator, given the values of its operands
+_FOLD = {"+": sum, "*": math.prod, "max": max, "min": min}
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Compound(BoundExpr):
+    """`op` applied to `args`, plus the printed form, hash and sign that
+    `__post_init__` stores, each computed from the operands' values. A max
+    is nonnegative if any operand is, the other operators if all are. The
+    hash is that of the operand tuple, never one that walks the DAG, so the
+    order in which a set of expressions iterates does not depend on the
+    stored values.
     """
 
-    __slots__ = ()
-    _hash: int
+    op: str
+    args: tuple[BoundExpr, ...]
 
-    def _store(self, text: str, operands: tuple[BoundExpr, ...], nonneg: bool) -> None:
+    def __post_init__(self) -> None:
+        op, args = self.op, self.args
+        if op == "+":
+            text = " + ".join([a._str for a in args])
+        elif op == "*":
+            text = "*".join([_factor_str(a) for a in args])
+        elif op in ("max", "min"):
+            text = op + "(" + ",".join([a._str for a in args]) + ")"
+        else:
+            raise ValueError(f"unknown operator {op!r}")
         object.__setattr__(self, "_str", text)
-        object.__setattr__(self, "_hash", hash((operands,)))
-        object.__setattr__(self, "_nonneg", nonneg)
+        object.__setattr__(self, "_hash", hash((args,)))
+        object.__setattr__(self, "_nonneg", any(a._nonneg for a in args)
+                           if op == "max" else all(a._nonneg for a in args))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:  # the dataclass repr would recurse
-        return f"<{type(self).__name__} {self._str}>"
+        return f"<Compound {self.op!r}: {self._str}>"
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -140,12 +153,12 @@ class _Compound(BoundExpr):
                 continue
             if type(a) is not type(b):
                 return False
-            if not isinstance(a, _Compound):
+            if type(a) is not Compound:
                 if a != b:  # leaves compare their value
                     return False
                 continue
-            ka, kb = _children(a), _children(b)
-            if a._hash != b._hash or len(ka) != len(kb):  # type: ignore[attr-defined]
+            ka, kb = a.args, b.args
+            if a._hash != b._hash or a.op != b.op or len(ka) != len(kb):
                 return False
             pair = (id(a), id(b))
             if pair not in seen:
@@ -154,74 +167,19 @@ class _Compound(BoundExpr):
         return True
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Sum(_Compound):
-    terms: tuple[BoundExpr, ...]
-
-    def __post_init__(self) -> None:
-        terms = self.terms
-        self._store(" + ".join([t._str for t in terms]), terms,
-                    all(t._nonneg for t in terms))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Product(_Compound):
-    factors: tuple[BoundExpr, ...]
-
-    def __post_init__(self) -> None:
-        factors = self.factors
-        self._store("*".join([_factor_str(f) for f in factors]), factors,
-                    all(f._nonneg for f in factors))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Max(_Compound):
-    args: tuple[BoundExpr, ...]
-
-    def __post_init__(self) -> None:
-        args = self.args
-        self._store("max(" + ",".join([a._str for a in args]) + ")", args,
-                    any(a._nonneg for a in args))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Min(_Compound):
-    args: tuple[BoundExpr, ...]
-
-    def __post_init__(self) -> None:
-        args = self.args
-        self._store("min(" + ",".join([a._str for a in args]) + ")", args,
-                    all(a._nonneg for a in args))
-
-
 UNDEFINED = Undefined()
 
 ZERO = IntConst(0)
 ONE_EXPR = IntConst(1)
 
 
-def _children(e: _Compound) -> tuple[BoundExpr, ...]:
-    """The operands of a compound node."""
-    if isinstance(e, Sum):
-        return e.terms
-    if isinstance(e, Product):
-        return e.factors
-    return e.args  # type: ignore[attr-defined]
-
-
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
 
-def to_str(e: BoundExpr) -> str:
-    if not isinstance(e, BoundExpr):
-        raise TypeError(f"not a BoundExpr: {e!r}")
-    return e._str
-
-
 def _factor_str(f: BoundExpr) -> str:
     # Sums need parentheses in factor position; everything else is atomic.
-    if isinstance(f, Sum):
+    if f.__class__ is Compound and f.op == "+":
         return "(" + f._str + ")"
     return f._str
 
@@ -237,17 +195,17 @@ def is_provably_nonneg(e: BoundExpr) -> bool:
 
 
 def _sorted_by_print(items: Iterable[BoundExpr]) -> list[BoundExpr]:
-    return sorted(items, key=to_str)
+    return sorted(items, key=str)
 
 
 def _term_parts(term: BoundExpr) -> tuple[int, tuple[BoundExpr, ...]]:
     """Split a normalized non-sum term into (integer coefficient, factor key)."""
     if isinstance(term, IntConst):
         return term.value, ()
-    if isinstance(term, Product):
+    if term.__class__ is Compound and term.op == "*":
         coeff = 1
         rest = []
-        for f in term.factors:
+        for f in term.args:
             if isinstance(f, IntConst):
                 coeff *= f.value
             else:
@@ -265,7 +223,7 @@ def _mk_product(coeff: int, factors: list[BoundExpr]) -> BoundExpr:
     parts.sort(key=_factor_str)  # order by the form factors print in
     if len(parts) == 1:
         return parts[0]
-    return Product(tuple(parts))
+    return Compound("*", tuple(parts))
 
 
 def _norm_sum(terms: list[BoundExpr]) -> BoundExpr:
@@ -273,33 +231,22 @@ def _norm_sum(terms: list[BoundExpr]) -> BoundExpr:
     for t in terms:
         if isinstance(t, Undefined):
             return UNDEFINED
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
+        if t.__class__ is Compound and t.op == "+":
+            flat.extend(t.args)
         else:
             flat.append(t)
     coeffs: dict[tuple[BoundExpr, ...], int] = {}
-    order: list[tuple[BoundExpr, ...]] = []
     for t in flat:
         c, key = _term_parts(t)
-        if key not in coeffs:
-            coeffs[key] = 0
-            order.append(key)
-        coeffs[key] += c
-    out: list[BoundExpr] = []
+        coeffs[key] = coeffs.get(key, 0) + c
     const = coeffs.pop((), 0)
-    for key in order:
-        if key not in coeffs:
-            continue
-        c = coeffs[key]
-        if c == 0:
-            continue
-        out.append(_mk_product(c, list(key)))
+    out = [_mk_product(c, list(key)) for key, c in coeffs.items() if c != 0]
     if const != 0 or not out:
         out.append(IntConst(const))
     out = _sorted_by_print(out)
     if len(out) == 1:
         return out[0]
-    return Sum(tuple(out))
+    return Compound("+", tuple(out))
 
 
 def _norm_product(factors: list[BoundExpr]) -> BoundExpr:
@@ -307,8 +254,8 @@ def _norm_product(factors: list[BoundExpr]) -> BoundExpr:
     for f in factors:
         if isinstance(f, Undefined):
             return UNDEFINED
-        if isinstance(f, Product):
-            flat.extend(f.factors)
+        if f.__class__ is Compound and f.op == "*":
+            flat.extend(f.args)
         else:
             flat.append(f)
     coeff = 1
@@ -332,7 +279,8 @@ def _drop_unit_min_factors(factors: list[BoundExpr]) -> list[BoundExpr]:
     while changed:
         changed = False
         for i, f in enumerate(out):
-            if not (isinstance(f, Min) and len(f.args) == 2 and ONE_EXPR in f.args):
+            if not (f.__class__ is Compound and f.op == "min"
+                    and len(f.args) == 2 and ONE_EXPR in f.args):
                 continue
             other = f.args[0] if f.args[1] == ONE_EXPR else f.args[1]
             rest = out[:i] + out[i + 1:]
@@ -343,40 +291,28 @@ def _drop_unit_min_factors(factors: list[BoundExpr]) -> list[BoundExpr]:
     return out
 
 
-def _norm_maxmin(args: list[BoundExpr], cls: type) -> BoundExpr:
+def _norm_maxmin(args: list[BoundExpr], op: str) -> BoundExpr:
     flat: list[BoundExpr] = []
     for a in args:
         if isinstance(a, Undefined):
             return UNDEFINED
-        if isinstance(a, cls):
-            flat.extend(a.args)  # type: ignore[attr-defined]
+        if a.__class__ is Compound and a.op == op:
+            flat.extend(a.args)
         else:
             flat.append(a)
     ints = [a.value for a in flat if isinstance(a, IntConst)]
-    rest: list[BoundExpr] = []
-    seen: set[BoundExpr] = set()
-    for a in flat:
-        if isinstance(a, IntConst) or a in seen:
-            continue
-        seen.add(a)
-        rest.append(a)
-    folded: int | None = None
+    out = list(dict.fromkeys([a for a in flat if not isinstance(a, IntConst)]))
     if ints:
-        folded = max(ints) if cls is Max else min(ints)
-    if cls is Max and folded is not None and folded <= 0 and any(
-        is_provably_nonneg(a) for a in rest
-    ):
+        folded = _FOLD[op](ints)
         # max(e, c) == max(e) when e >= 0 >= c is guaranteed.
-        folded = None
-    out = list(rest)
-    if folded is not None:
-        out.append(IntConst(folded))
+        if not (op == "max" and folded <= 0 and any(is_provably_nonneg(a) for a in out)):
+            out.append(IntConst(folded))
     if not out:
         return ZERO
     out = _sorted_by_print(out)
     if len(out) == 1:
         return out[0]
-    return cls(tuple(out))
+    return Compound(op, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +340,13 @@ def mul(*args: BoundExpr | int) -> BoundExpr:
 def maximum(*args: BoundExpr | int) -> BoundExpr:
     if not args:
         raise ValueError("maximum() needs at least one argument")
-    return _norm_maxmin([_coerce(a) for a in args], Max)
+    return _norm_maxmin([_coerce(a) for a in args], "max")
 
 
 def minimum(*args: BoundExpr | int) -> BoundExpr:
     if not args:
         raise ValueError("minimum() needs at least one argument")
-    return _norm_maxmin([_coerce(a) for a in args], Min)
+    return _norm_maxmin([_coerce(a) for a in args], "min")
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +361,26 @@ def evaluate(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
     depth first, and a product stops at its first undefined factor; a node
     shared in the DAG is evaluated once.
     """
-    if not isinstance(e, _Compound):
+    if e.__class__ is not Compound:
         return _leaf_value(e, valuation)
     memo: dict[int, int | None] = {}  # id(node) -> value; e keeps every node alive
-    stack: list[tuple[BoundExpr, tuple[BoundExpr, ...], list[int | None]]] = [
-        (e, _children(e), [])]
+    stack: list[tuple[Compound, list[int | None]]] = [(e, [])]
     while stack:
-        node, kids, vals = stack[-1]
-        stop = isinstance(node, Product)
+        node, vals = stack[-1]
+        kids = node.args
+        stop = node.op == "*"
         while len(vals) < len(kids) and not (stop and vals and vals[-1] is None):
             k = kids[len(vals)]
-            if not isinstance(k, _Compound):
+            if k.__class__ is not Compound:
                 vals.append(_leaf_value(k, valuation))
             elif id(k) in memo:
                 vals.append(memo[id(k)])
             else:
-                stack.append((k, _children(k), []))
+                stack.append((k, []))
                 break
         else:
             stack.pop()
-            memo[id(node)] = _combine(node, vals)
+            memo[id(node)] = None if None in vals else _FOLD[node.op](vals)
     return memo[id(e)]
 
 
@@ -459,19 +395,6 @@ def _leaf_value(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
     if isinstance(e, Undefined):
         return None
     raise TypeError(f"not a BoundExpr: {e!r}")
-
-
-def _combine(node: BoundExpr, vals: list[int | None]) -> int | None:
-    """The value of a compound node, given the values of its operands."""
-    if None in vals:
-        return None
-    if isinstance(node, Sum):
-        return sum(vals)  # type: ignore[arg-type]
-    if isinstance(node, Product):
-        return math.prod(vals)  # type: ignore[arg-type]
-    if isinstance(node, Max):
-        return max(vals)  # type: ignore[type-var]
-    return min(vals)  # type: ignore[type-var]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from dcbound import expr
 from dcbound.dcp import Dcp, DcpError, DifferenceConstraint, defined_at, validate
@@ -64,6 +64,7 @@ __all__ = [
     "RunStats",
     "explore",
     "Verdict",
+    "worst",
     "SoundnessRow",
     "SoundnessResult",
     "check_soundness",
@@ -262,9 +263,16 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
 # ---------------------------------------------------------------------------
 
 class Verdict(enum.Enum):
+    """Declared from best to worst."""
+
     PASS = "PASS"
     PASS_PARTIAL = "PASS-PARTIAL"
     FAIL = "FAIL"
+
+
+def worst(verdicts: Iterable[Verdict]) -> Verdict:
+    """The worst of `verdicts`: FAIL, then PASS-PARTIAL, then PASS."""
+    return max(verdicts, key=list(Verdict).index)
 
 
 @dataclass(frozen=True)
@@ -324,10 +332,6 @@ def check_soundness(dcp: Dcp, report: BoundReport,
             if observed is None:
                 continue  # never defined anywhere: nothing to compare
             rows.append(SoundnessRow(key, "VB", v, observed, val))
-    if any(r.ok is False for r in rows):
-        verdict = Verdict.FAIL
-    elif all_exhausted:
-        verdict = Verdict.PASS
-    else:
-        verdict = Verdict.PASS_PARTIAL
+    verdict = worst([Verdict.FAIL if any(r.ok is False for r in rows) else Verdict.PASS,
+                     Verdict.PASS if all_exhausted else Verdict.PASS_PARTIAL])
     return SoundnessResult(verdict=verdict, rows=rows)

@@ -33,10 +33,6 @@ class LinExpr:
     coeffs: tuple[tuple[str, int], ...] = ()
 
     @staticmethod
-    def of(const: int = 0, **coeffs: int) -> "LinExpr":
-        return LinExpr.from_mapping(const, coeffs)
-
-    @staticmethod
     def from_mapping(const: int, coeffs: Mapping[str, int]) -> "LinExpr":
         items = tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
         return LinExpr(const, items)
@@ -66,10 +62,16 @@ class LinExpr:
         return LinExpr(0, self.coeffs)
 
     def substitute(self, mapping: Mapping[str, "LinExpr"]) -> "LinExpr":
-        out = LinExpr(self.const)
+        const, acc = self.const, {}
         for n, c in self.coeffs:
-            out = out.add(mapping.get(n, LinExpr.of(0, **{n: 1})).scale(c))
-        return out
+            e = mapping.get(n)
+            if e is None:
+                acc[n] = acc.get(n, 0) + c
+            else:
+                const += c * e.const
+                for m, d in e.coeffs:
+                    acc[m] = acc.get(m, 0) + c * d
+        return LinExpr.from_mapping(const, acc)
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         return self.const + sum(c * env[n] for n, c in self.coeffs)

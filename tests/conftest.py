@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,8 @@ from dcbound.dcp import (
 from dcbound.expr import IntConst, SymConst
 from dcbound.program import LinExpr, parse_program
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def load_dcp(name: str):
@@ -30,6 +33,16 @@ def load_dcp(name: str):
 
 def load_prog(name: str):
     return parse_program((DATA / name).read_text())
+
+
+def families():
+    """The benchmark's program generators, `bench/families.py`."""
+    if "families" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "families", ROOT / "bench" / "families.py")
+        sys.modules["families"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["families"])
+    return sys.modules["families"]
 
 
 @pytest.fixture

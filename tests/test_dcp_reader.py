@@ -7,27 +7,13 @@ equal diagnostics: on the example files, on seeded benchmark families, on
 seeded random texts and on mutations of those texts.
 """
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
 from dcbound.dcp import DcpError, parse_dcp
 
-from conftest import DATA, ref_parse_dcp
-
-ROOT = Path(__file__).parent.parent
-
-
-def _families():
-    if "families" not in sys.modules:
-        spec = importlib.util.spec_from_file_location(
-            "families", ROOT / "bench" / "families.py")
-        sys.modules["families"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules["families"])
-    return sys.modules["families"]
+from conftest import DATA, ROOT, families, ref_parse_dcp
 
 
 def _outcome(parse, text):
@@ -112,9 +98,8 @@ def _mutants(text: str, rng: random.Random) -> list[str]:
 
 
 def _family_texts():
-    families = _families()
-    cases = [(families.seq, 12), (families.chain, 8), (families.long, 20),
-             (families.branchy, 5)]
+    fam = families()
+    cases = [(fam.seq, 12), (fam.chain, 8), (fam.long, 20), (fam.branchy, 5)]
     return [f(k, seed=seed).text for f, k in cases for seed in (None, 1, 7)]
 
 
@@ -156,7 +141,7 @@ def test_mutated_texts_read_as_the_reference_reads_them(source):
 
 
 def test_repeated_updates_share_one_constraint():
-    d = parse_dcp(_families().seq(4).text)
+    d = parse_dcp(families().seq(4).text)
     first = {}
     for t in d.transitions:
         for u in t.updates:

@@ -6,13 +6,13 @@ import time
 import pytest
 
 from dcbound import expr
+from dcbound.abstraction import abstract_program
+from dcbound.dcp import DcpError, parse_dcp
+from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import (
     UNDEFINED,
+    Compound,
     IntConst,
-    Max,
-    Min,
-    Product,
-    Sum,
     SymConst,
     add,
     evaluate,
@@ -20,8 +20,11 @@ from dcbound.expr import (
     minimum,
     mul,
     parse_expr,
-    to_str,
 )
+from dcbound.program import parse_program
+
+from conftest import DATA, families
+from test_fuzz import _random_dcp_text
 
 N = SymConst("n")
 M1 = SymConst("m1")
@@ -31,14 +34,14 @@ M2 = SymConst("m2")
 def test_constant_folding_and_flattening():
     # n + (n + 0) collapses to one term with coefficient 2
     e = add(N, add(N, IntConst(0)))
-    assert e == Product((IntConst(2), N))
-    assert to_str(e) == "2*n"
+    assert e == Compound("*", (IntConst(2), N))
+    assert str(e) == "2*n"
 
 
 def test_max_set_semantics():
     e = maximum(maximum(M1, M2), maximum(M2, M1))
-    assert e == Max((M1, M2))
-    assert to_str(e) == "max(m1,m2)"
+    assert e == Compound("max", (M1, M2))
+    assert str(e) == "max(m1,m2)"
 
 
 def test_undef_absorption():
@@ -66,15 +69,15 @@ def test_evaluate_examples():
 
 def test_canonical_print_order():
     # sum terms sorted lexicographically by printed form
-    assert to_str(add(mul(N, N), mul(2, N))) == "2*n + n*n"
-    assert to_str(add(N, mul(N, N))) == "n + n*n"
-    assert to_str(add(N, mul(2, N), maximum(M1, M2))) == "3*n + max(m1,m2)"
+    assert str(add(mul(N, N), mul(2, N))) == "2*n + n*n"
+    assert str(add(N, mul(N, N))) == "n + n*n"
+    assert str(add(N, mul(2, N), maximum(M1, M2))) == "3*n + max(m1,m2)"
 
 
 def test_sum_inside_product_parenthesized():
     e = mul(N, add(N, IntConst(1)))
-    assert to_str(e) == "(1 + n)*n"
-    assert parse_expr(to_str(e)) == e
+    assert str(e) == "(1 + n)*n"
+    assert parse_expr(str(e)) == e
 
 
 def test_max_zero_dropped_for_nonneg():
@@ -82,22 +85,22 @@ def test_max_zero_dropped_for_nonneg():
     assert maximum(add(mul(2, N), maximum(M1, M2)), 0) == add(mul(2, N), maximum(M1, M2))
     # not provably nonnegative: keep the max
     e = maximum(add(N, IntConst(-1)), 0)
-    assert isinstance(e, Max)
-    assert to_str(e) == "max(-1 + n,0)"
+    assert isinstance(e, Compound) and e.op == "max"
+    assert str(e) == "max(-1 + n,0)"
 
 
 def test_min_one_factor_collapses():
     # min(1, n) * n == n over the naturals
     assert mul(minimum(1, N), N) == N
-    assert to_str(add(mul(minimum(1, N), N), 0)) == "n"
+    assert str(add(mul(minimum(1, N), N), 0)) == "n"
     # without the shared factor the min survives
-    assert to_str(mul(minimum(1, N), M1)) == "m1*min(1,n)"
+    assert str(mul(minimum(1, N), M1)) == "m1*min(1,n)"
 
 
 def test_int_folding_in_max_min():
     assert maximum(IntConst(2), IntConst(5)) == IntConst(5)
     assert minimum(IntConst(2), IntConst(5)) == IntConst(2)
-    assert to_str(minimum(1, N)) == "min(1,n)"
+    assert str(minimum(1, N)) == "min(1,n)"
 
 
 def test_mul_by_zero():
@@ -109,7 +112,7 @@ def test_parse_round_trip_golden():
     for text in ["2*n", "n + n*n", "2*n + max(m1,m2)", "min(1,n)", "undef",
                  "max(-1 + n,0)", "n*n*n", "-1 + n", "max(m1,m2,0)"]:
         e = parse_expr(text)
-        assert parse_expr(to_str(e)) == e
+        assert parse_expr(str(e)) == e
 
 
 def test_parse_errors():
@@ -132,7 +135,7 @@ def test_parse_expr_fuzz_bad_flag_values():
         except expr.ExprParseError:
             continue
         parsed += 1
-        assert parse_expr(to_str(e)) == e, text
+        assert parse_expr(str(e)) == e, text
     assert parsed > 100
 
 
@@ -151,35 +154,26 @@ def _random_expr(rng: random.Random, depth: int) -> expr.BoundExpr:
         if r < 0.9:
             return SymConst(rng.choice(_CONSTS))
         return UNDEFINED
-    cls = rng.choice([Sum, Product, Max, Min])
-    width = rng.randint(1, 3) if cls in (Sum, Product) else rng.randint(1, 3)
-    return cls(tuple(_random_expr(rng, depth - 1) for _ in range(width)))
+    op = rng.choice(["+", "*", "max", "min"])
+    width = rng.randint(1, 3)
+    return Compound(op, tuple(_random_expr(rng, depth - 1) for _ in range(width)))
 
 
-_CONSTRUCTOR = {Sum: add, Product: mul, Max: maximum, Min: minimum}
-
-
-def _children(e: expr.BoundExpr) -> tuple[expr.BoundExpr, ...]:
-    if isinstance(e, Sum):
-        return e.terms
-    if isinstance(e, Product):
-        return e.factors
-    if isinstance(e, (Max, Min)):
-        return e.args
-    return ()
+_CONSTRUCTOR = {"+": add, "*": mul, "max": maximum, "min": minimum}
 
 
 def _normalize(e: expr.BoundExpr) -> expr.BoundExpr:
-    """The normal form of a tree built by hand from the node classes: each
+    """The normal form of a tree built by hand from Compound nodes: each
     node's normalized operands go through the constructor's normalization
     (the former `expr.normalize`, kept here to test the constructors)."""
-    if isinstance(e, Sum):
-        return expr._norm_sum([_normalize(t) for t in e.terms])
-    if isinstance(e, Product):
-        return expr._norm_product([_normalize(f) for f in e.factors])
-    if isinstance(e, (Max, Min)):
-        return expr._norm_maxmin([_normalize(a) for a in e.args], type(e))
-    return e
+    if not isinstance(e, Compound):
+        return e
+    args = [_normalize(a) for a in e.args]
+    if e.op == "+":
+        return expr._norm_sum(args)
+    if e.op == "*":
+        return expr._norm_product(args)
+    return expr._norm_maxmin(args, e.op)
 
 
 def test_normalize_idempotent_and_semantics_preserved():
@@ -195,9 +189,9 @@ def test_normalize_idempotent_and_semantics_preserved():
         stack = [e]
         while stack:
             node = stack.pop()
-            children = _children(node)
+            children = getattr(node, "args", ())
             if children:
-                ctor = _CONSTRUCTOR[type(node)]
+                ctor = _CONSTRUCTOR[node.op]
                 assert ctor(*map(_normalize, children)) == _normalize(node)
                 stack.extend(children)
 
@@ -206,7 +200,7 @@ def test_round_trip_random():
     rng = random.Random(99)
     for _ in range(500):
         e = _normalize(_random_expr(rng, rng.randint(1, 4)))
-        assert parse_expr(to_str(e)) == e
+        assert parse_expr(str(e)) == e
 
 
 def test_undef_absorption_random():
@@ -222,7 +216,7 @@ def test_undef_absorption_random():
 # stored printed form, hash and sign, against the recursive definitions
 # ---------------------------------------------------------------------------
 
-def _ref_to_str(e: expr.BoundExpr) -> str:
+def _ref_str(e: expr.BoundExpr) -> str:
     """Printing as a recursive walk of the tree (the definition)."""
     if isinstance(e, IntConst):
         return str(e.value)
@@ -230,14 +224,12 @@ def _ref_to_str(e: expr.BoundExpr) -> str:
         return e.name
     if isinstance(e, expr.Undefined):
         return "undef"
-    if isinstance(e, Sum):
-        return " + ".join(_ref_to_str(t) for t in e.terms)
-    if isinstance(e, Product):
-        return "*".join("(" + _ref_to_str(f) + ")" if isinstance(f, Sum)
-                        else _ref_to_str(f) for f in e.factors)
-    if isinstance(e, Max):
-        return "max(" + ",".join(_ref_to_str(a) for a in e.args) + ")"
-    return "min(" + ",".join(_ref_to_str(a) for a in e.args) + ")"
+    if e.op == "+":
+        return " + ".join(_ref_str(t) for t in e.args)
+    if e.op == "*":
+        return "*".join("(" + _ref_str(f) + ")" if getattr(f, "op", None) == "+"
+                        else _ref_str(f) for f in e.args)
+    return e.op + "(" + ",".join(_ref_str(a) for a in e.args) + ")"
 
 
 def _ref_nonneg(e: expr.BoundExpr) -> bool:
@@ -245,10 +237,10 @@ def _ref_nonneg(e: expr.BoundExpr) -> bool:
         return e.value >= 0
     if isinstance(e, SymConst):
         return True
-    if isinstance(e, (Sum, Product, Min)):
-        return all(_ref_nonneg(c) for c in _children(e))
-    if isinstance(e, Max):
+    if isinstance(e, Compound) and e.op == "max":
         return any(_ref_nonneg(a) for a in e.args)
+    if isinstance(e, Compound):
+        return all(_ref_nonneg(c) for c in e.args)
     return False
 
 
@@ -259,18 +251,18 @@ def _ref_evaluate(e: expr.BoundExpr, v: dict[str, int]) -> int | None:
         return v[e.name]
     if isinstance(e, expr.Undefined):
         return None
-    if isinstance(e, Product):
+    if e.op == "*":
         acc = 1
-        for f in e.factors:
+        for f in e.args:
             x = _ref_evaluate(f, v)
             if x is None:
                 return None
             acc *= x
         return acc
-    vals = [_ref_evaluate(c, v) for c in _children(e)]
+    vals = [_ref_evaluate(c, v) for c in e.args]
     if None in vals:
         return None
-    return sum(vals) if isinstance(e, Sum) else max(vals) if isinstance(e, Max) else min(vals)
+    return sum(vals) if e.op == "+" else max(vals) if e.op == "max" else min(vals)
 
 
 def _random_dag(rng: random.Random, size: int) -> list[expr.BoundExpr]:
@@ -297,7 +289,7 @@ def test_stored_fields_match_recursive_definitions():
         pool = _random_dag(rng, size)
         v = {c: rng.randint(0, 5) for c in _CONSTS}
         for e in pool:
-            assert str(e) == to_str(e) == _ref_to_str(e)
+            assert str(e) == _ref_str(e)
             assert expr.is_provably_nonneg(e) == _ref_nonneg(e)
             assert evaluate(e, v) == _ref_evaluate(e, v)
         built += size
@@ -307,16 +299,18 @@ def test_stored_fields_match_recursive_definitions():
 def test_hand_built_nodes_evaluate_like_the_tree():
     # a product stops at its first undefined factor, so a missing constant
     # after it is never looked up; a sum evaluates every term
-    assert evaluate(Product((UNDEFINED, SymConst("x"))), {}) is None
+    assert evaluate(Compound("*", (UNDEFINED, SymConst("x"))), {}) is None
     with pytest.raises(expr.EvaluationError, match="'x'"):
-        evaluate(Sum((UNDEFINED, SymConst("x"))), {})
+        evaluate(Compound("+", (UNDEFINED, SymConst("x"))), {})
     with pytest.raises(expr.EvaluationError, match="'m1'"):
-        evaluate(Sum((Max((M1, M2)), SymConst("x"))), {})
+        evaluate(Compound("+", (Compound("max", (M1, M2)), SymConst("x"))), {})
+    with pytest.raises(ValueError, match="unknown operator '-'"):
+        Compound("-", (N, M1))
     rng = random.Random(31)
     for _ in range(500):
         e = _random_expr(rng, rng.randint(1, 4))
         v = {c: rng.randint(0, 9) for c in _CONSTS}
-        assert str(e) == _ref_to_str(e)
+        assert str(e) == _ref_str(e)
         assert expr.is_provably_nonneg(e) == _ref_nonneg(e)
         assert evaluate(e, v) == _ref_evaluate(e, v)
 
@@ -327,14 +321,15 @@ def test_equality_and_hash_are_structural():
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     # a hand-built node that prints like a leaf is still a different node
-    assert str(Sum((N,))) == "n"
-    assert Sum((N,)) != N and N != Sum((N,))
-    assert Max((N,)) != Min((N,))
-    assert Sum((N, M1)) != Product((N, M1))
+    assert str(Compound("+", (N,))) == "n"
+    assert Compound("+", (N,)) != N and N != Compound("+", (N,))
+    assert Compound("max", (N,)) != Compound("min", (N,))
+    assert Compound("+", (N, M1)) != Compound("*", (N, M1))
     assert IntConst(2) != SymConst("2") and IntConst(2) == IntConst(2)
     assert N != "n" and UNDEFINED == expr.Undefined()
-    # the hash is the frozen dataclass's: the hash of the field tuple
-    assert hash(a) == hash((a.terms,)) and hash(N) == hash(("n",))
+    # a leaf's hash is the frozen dataclass's, the hash of its field tuple;
+    # a Compound's is the hash of its operand tuple
+    assert hash(a) == hash((a.args,)) and hash(N) == hash(("n",))
     # independent builds of a DAG with heavy sharing (each level uses the
     # one below three times, so the printed form triples per level)
     x, y = N, SymConst("n")
@@ -370,5 +365,37 @@ def test_deep_expressions_read_back():
     start = time.perf_counter()
     back = parse_expr(str(e))
     assert back == e and str(back) == str(e) and hash(back) == hash(e)
-    assert repr(e) == f"<Sum {e}>"
+    assert repr(e) == f"<Compound '+': {e}>"
     assert time.perf_counter() - start < 2.0
+
+
+def _analyzed_programs():
+    """Every tests/data program (example3.prog abstracted), prognest(2..5)
+    and 100 seeded random DCPs of up to 6 locations."""
+    progs = [parse_dcp(p.read_text()) for p in sorted(DATA.glob("*.dcp"))]
+    texts = [(DATA / "example3.prog").read_text()]
+    texts += [families().prognest(k).text for k in range(2, 6)]
+    progs += [abstract_program(parse_program(text)).dcp for text in texts]
+    rng, size = random.Random(1019), len(progs)
+    while len(progs) < size + 100:
+        try:
+            progs.append(parse_dcp(_random_dcp_text(
+                rng, locations=(1, 6), variables=(1, 4), transitions=(1, 10),
+                omit=0.1)))
+        except DcpError:
+            continue
+    return progs
+
+
+def test_computed_bounds_read_back():
+    # the shapes the engine makes, such as min(1, X) factors and dropped
+    # max(..., 0), print in a form that parses to the same normal form
+    checked = 0
+    for d in _analyzed_programs():
+        for mode in AnalysisMode:
+            report = Analysis(d, mode).report()
+            for b in [*report.tb.values(), *report.vb.values(), report.complexity]:
+                back = parse_expr(str(b))
+                assert back == b and str(back) == str(b), str(b)
+                checked += 1
+    assert checked > 2500
