@@ -25,6 +25,7 @@ each shared node once; none of them recurses.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -194,8 +195,30 @@ def is_provably_nonneg(e: BoundExpr) -> bool:
     return getattr(e, "_nonneg", False)
 
 
-def _sorted_by_print(items: Iterable[BoundExpr]) -> list[BoundExpr]:
-    return sorted(items, key=str)
+def _flatten(args: list[BoundExpr], op: str) -> list[BoundExpr] | None:
+    """The operands with every nested `op` node replaced by its own
+    operands, or None when one of them is undefined."""
+    flat: list[BoundExpr] = []
+    for a in args:
+        if isinstance(a, Undefined):
+            return None
+        if a.__class__ is Compound and a.op == op:
+            flat.extend(a.args)
+        else:
+            flat.append(a)
+    return flat
+
+
+def _split_ints(factors: Iterable[BoundExpr]) -> tuple[int, list[BoundExpr]]:
+    """The product of the integer factors, and the other factors in order."""
+    coeff = 1
+    rest: list[BoundExpr] = []
+    for f in factors:
+        if isinstance(f, IntConst):
+            coeff *= f.value
+        else:
+            rest.append(f)
+    return coeff, rest
 
 
 def _term_parts(term: BoundExpr) -> tuple[int, tuple[BoundExpr, ...]]:
@@ -203,38 +226,27 @@ def _term_parts(term: BoundExpr) -> tuple[int, tuple[BoundExpr, ...]]:
     if isinstance(term, IntConst):
         return term.value, ()
     if term.__class__ is Compound and term.op == "*":
-        coeff = 1
-        rest = []
-        for f in term.args:
-            if isinstance(f, IntConst):
-                coeff *= f.value
-            else:
-                rest.append(f)
+        coeff, rest = _split_ints(term.args)
         return coeff, tuple(rest)
     return 1, (term,)
 
 
 def _mk_product(coeff: int, factors: list[BoundExpr]) -> BoundExpr:
+    # takes over `factors`, which each caller builds afresh
     if coeff == 0 or not factors:
         return IntConst(coeff)
-    parts = list(factors)
     if coeff != 1:
-        parts.append(IntConst(coeff))
-    parts.sort(key=_factor_str)  # order by the form factors print in
-    if len(parts) == 1:
-        return parts[0]
-    return Compound("*", tuple(parts))
+        factors.append(IntConst(coeff))
+    factors.sort(key=_factor_str)  # order by the form factors print in
+    if len(factors) == 1:
+        return factors[0]
+    return Compound("*", tuple(factors))
 
 
 def _norm_sum(terms: list[BoundExpr]) -> BoundExpr:
-    flat: list[BoundExpr] = []
-    for t in terms:
-        if isinstance(t, Undefined):
-            return UNDEFINED
-        if t.__class__ is Compound and t.op == "+":
-            flat.extend(t.args)
-        else:
-            flat.append(t)
+    flat = _flatten(terms, "+")
+    if flat is None:
+        return UNDEFINED
     coeffs: dict[tuple[BoundExpr, ...], int] = {}
     for t in flat:
         c, key = _term_parts(t)
@@ -243,63 +255,42 @@ def _norm_sum(terms: list[BoundExpr]) -> BoundExpr:
     out = [_mk_product(c, list(key)) for key, c in coeffs.items() if c != 0]
     if const != 0 or not out:
         out.append(IntConst(const))
-    out = _sorted_by_print(out)
     if len(out) == 1:
         return out[0]
+    out.sort(key=str)
     return Compound("+", tuple(out))
 
 
 def _norm_product(factors: list[BoundExpr]) -> BoundExpr:
-    flat: list[BoundExpr] = []
-    for f in factors:
-        if isinstance(f, Undefined):
-            return UNDEFINED
-        if f.__class__ is Compound and f.op == "*":
-            flat.extend(f.args)
-        else:
-            flat.append(f)
-    coeff = 1
-    rest: list[BoundExpr] = []
-    for f in flat:
-        if isinstance(f, IntConst):
-            coeff *= f.value
-        else:
-            rest.append(f)
+    flat = _flatten(factors, "*")
+    if flat is None:
+        return UNDEFINED
+    coeff, rest = _split_ints(flat)
     if coeff == 0:
         return ZERO
-    rest = _drop_unit_min_factors(rest)
-    return _mk_product(coeff, rest)
+    return _mk_product(coeff, _drop_unit_min_factors(rest))
 
 
 def _drop_unit_min_factors(factors: list[BoundExpr]) -> list[BoundExpr]:
     # min(1, X) * X == X pointwise when X is a natural: X=0 gives 0 on both
-    # sides, X>=1 makes the min collapse to 1.
-    changed = True
-    out = list(factors)
-    while changed:
-        changed = False
-        for i, f in enumerate(out):
-            if not (f.__class__ is Compound and f.op == "min"
-                    and len(f.args) == 2 and ONE_EXPR in f.args):
-                continue
+    # sides, X>=1 makes the min collapse to 1. One pass suffices: X is never
+    # itself a min, since the constructors flatten nested mins, so dropping
+    # one such factor never adds or removes the X of another.
+    out = []
+    for f in factors:
+        if (f.__class__ is Compound and f.op == "min" and len(f.args) == 2
+                and ONE_EXPR in f.args):
             other = f.args[0] if f.args[1] == ONE_EXPR else f.args[1]
-            rest = out[:i] + out[i + 1:]
-            if other in rest and is_provably_nonneg(other):
-                out = rest
-                changed = True
-                break
+            if other in factors and is_provably_nonneg(other):
+                continue
+        out.append(f)
     return out
 
 
 def _norm_maxmin(args: list[BoundExpr], op: str) -> BoundExpr:
-    flat: list[BoundExpr] = []
-    for a in args:
-        if isinstance(a, Undefined):
-            return UNDEFINED
-        if a.__class__ is Compound and a.op == op:
-            flat.extend(a.args)
-        else:
-            flat.append(a)
+    flat = _flatten(args, op)
+    if flat is None:
+        return UNDEFINED
     ints = [a.value for a in flat if isinstance(a, IntConst)]
     out = list(dict.fromkeys([a for a in flat if not isinstance(a, IntConst)]))
     if ints:
@@ -309,9 +300,9 @@ def _norm_maxmin(args: list[BoundExpr], op: str) -> BoundExpr:
             out.append(IntConst(folded))
     if not out:
         return ZERO
-    out = _sorted_by_print(out)
     if len(out) == 1:
         return out[0]
+    out.sort(key=str)
     return Compound(op, tuple(out))
 
 
@@ -319,34 +310,26 @@ def _norm_maxmin(args: list[BoundExpr], op: str) -> BoundExpr:
 # smart constructors
 # ---------------------------------------------------------------------------
 
-def _coerce(x: BoundExpr | int) -> BoundExpr:
-    if isinstance(x, int):
-        return IntConst(x)
-    return x
+def _operands(name: str, args: tuple[BoundExpr | int, ...]) -> list[BoundExpr]:
+    if not args:
+        raise ValueError(f"{name}() needs at least one argument")
+    return [IntConst(a) if isinstance(a, int) else a for a in args]
 
 
 def add(*args: BoundExpr | int) -> BoundExpr:
-    if not args:
-        raise ValueError("add() needs at least one argument")
-    return _norm_sum([_coerce(a) for a in args])
+    return _norm_sum(_operands("add", args))
 
 
 def mul(*args: BoundExpr | int) -> BoundExpr:
-    if not args:
-        raise ValueError("mul() needs at least one argument")
-    return _norm_product([_coerce(a) for a in args])
+    return _norm_product(_operands("mul", args))
 
 
 def maximum(*args: BoundExpr | int) -> BoundExpr:
-    if not args:
-        raise ValueError("maximum() needs at least one argument")
-    return _norm_maxmin([_coerce(a) for a in args], "max")
+    return _norm_maxmin(_operands("maximum", args), "max")
 
 
 def minimum(*args: BoundExpr | int) -> BoundExpr:
-    if not args:
-        raise ValueError("minimum() needs at least one argument")
-    return _norm_maxmin([_coerce(a) for a in args], "min")
+    return _norm_maxmin(_operands("minimum", args), "min")
 
 
 # ---------------------------------------------------------------------------
@@ -405,56 +388,33 @@ def _leaf_value(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
 # term   := factor ('*' factor)*
 # factor := INT | IDENT | 'max(' expr (',' expr)+ ')'
 #         | 'min(' expr (',' expr)+ ')' | '(' expr ')' | 'undef'
+#
+# One regex splits the text into tokens before parsing starts: after blanks
+# (space, tab, newline, carriage return) an integer with an optional '-', a
+# word (it must start with a letter or '_') or one of + * ( ) , -- any other
+# character is an error at its offset. Digits and letters are Unicode ones.
 
-_WS = " \t\n\r"
+_TOKEN_RE = re.compile(r"[ \t\n\r]*(?:(-?\d+)|(\w+)|([^ \t\n\r]))")
+
+_Token = tuple[str | None, str, int]  # (kind, text, offset); kind None ends input
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch in _WS:
-                i += 1
-                continue
-            if ch in "+*(),":
-                self.toks.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
-                j = i + 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-                self.toks.append(("INT", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("IDENT", text[i:j], i))
-                i = j
-                continue
-            raise ExprParseError(f"unexpected character {ch!r}", i)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.peek()
-        if t is None:
-            raise ExprParseError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        t = self.next()
-        if t[0] != kind:
-            raise ExprParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
-        return t
+def _tokenize(text: str) -> list[_Token]:
+    toks: list[_Token] = []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        val, pos = m[group], m.start(group)
+        if group == 1:
+            kind = "INT"
+        elif group == 2 and (val[0].isalpha() or val[0] == "_"):
+            kind = "IDENT"
+        elif group == 3 and val in "+*(),":
+            kind = val
+        else:
+            raise ExprParseError(f"unexpected character {val[0]!r}", pos)
+        toks.append((kind, val, pos))
+    toks.append((None, "", len(text)))
+    return toks
 
 
 def parse_expr(text: str) -> BoundExpr:
@@ -465,12 +425,24 @@ def parse_expr(text: str) -> BoundExpr:
     arguments (max/min only), the finished terms of the sum being read and
     the factors of its current term.
     """
-    toks = _Tokens(text)
+    toks = _tokenize(text)
+    i = 0
+
+    def take(kind: str | None = None) -> _Token:
+        nonlocal i
+        t = toks[i]
+        if t[0] is None:
+            raise ExprParseError("unexpected end of input", t[2])
+        if kind is not None and t[0] != kind:
+            raise ExprParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
+        i += 1
+        return t
+
     # (opening token or None, args, terms, factors)
-    stack: list[tuple[tuple[str, str, int] | None, list[BoundExpr],
+    stack: list[tuple[_Token | None, list[BoundExpr],
                       list[BoundExpr], list[BoundExpr]]] = [(None, [], [], [])]
     while True:
-        kind, val, pos = toks.next()
+        kind, val, pos = take()
         if kind == "INT":
             factor: BoundExpr = IntConst(int(val))
         elif kind == "(":
@@ -481,7 +453,7 @@ def parse_expr(text: str) -> BoundExpr:
         elif val == "undef":
             factor = UNDEFINED
         elif val in ("max", "min"):
-            toks.expect("(")
+            take("(")
             stack.append(((kind, val, pos), [], [], []))
             continue
         else:
@@ -490,28 +462,28 @@ def parse_expr(text: str) -> BoundExpr:
         while True:
             opener, args, terms, factors = stack[-1]
             factors.append(factor)
-            t = toks.peek()
-            if t is not None and t[0] == "*":
-                toks.next()
+            t = toks[i]
+            if t[0] == "*":
+                i += 1
                 break
             terms.append(mul(*factors))
             factors.clear()
-            if t is not None and t[0] == "+":
-                toks.next()
+            if t[0] == "+":
+                i += 1
                 break
             group = add(*terms)
             terms.clear()
             if opener is None:
-                if t is not None:
+                if t[0] is not None:
                     raise ExprParseError(f"trailing input {t[1]!r}", t[2])
                 return group
             if opener[0] == "(":
-                toks.expect(")")
+                take(")")
                 stack.pop()
                 factor = group
                 continue
             args.append(group)
-            t = toks.next()
+            t = take()
             if t[0] == ",":
                 break
             if t[0] != ")":

@@ -179,6 +179,10 @@ class ConcreteProgram:
 #   trans t1: l1 -> l2 when i < l { i := i + 1; }
 #   trans t2: l2 -> l3 { e := i; }           # unmentioned vars keep value
 #   trans t3: l3 -> l4 { k := ?; }           # havoc
+#
+# After an optional leading sign, each match of `_CHUNK_RE` is one term of a
+# linear expression and the sign after it. A term is its first character
+# plus all up to the next sign, so `a+-3` reads the term -3.
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TRANS_RE = re.compile(
@@ -187,6 +191,7 @@ _TRANS_RE = re.compile(
 )
 _ASSIGN_RE = re.compile(rf"^(?P<lhs>{_IDENT})\s*:=\s*(?P<rhs>.*)$")
 _REL_RE = re.compile(r"(<=|>=|==|<|>|=)")
+_CHUNK_RE = re.compile(r"(.[^+-]*|)([+-]?)", re.S)
 _TERM_RE = re.compile(rf"^\s*(?:(?P<coef>\d+)\s*\*\s*)?(?P<name>{_IDENT})\s*$|^\s*(?P<int>-?\d+)\s*$")
 
 
@@ -197,38 +202,26 @@ def parse_linexpr(text: str, known: Container[str], lineno: int,
     if not s:
         diags.append(Diagnostic(lineno, 1, "empty expression"))
         return LinExpr()
-    # split into signed chunks
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    start = i
-    while i <= len(s):
-        if i == len(s) or (s[i] in "+-" and i > start):
-            chunks.append((sign, s[start:i]))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-                start = i + 1
-        i += 1
     const = 0
     coeffs: dict[str, int] = {}
-    for sg, chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m:
+    sign, pos = 1, 0
+    if s[0] in "+-":
+        sign, pos = (-1 if s[0] == "-" else 1), 1
+    while True:
+        m = _CHUNK_RE.match(s, pos)
+        chunk, op = m.groups()
+        t = _TERM_RE.match(chunk)
+        if not t:
             diags.append(Diagnostic(lineno, 1, f"cannot parse term {chunk.strip()!r}"))
-            continue
-        if m.group("int") is not None:
-            const += sg * int(m.group("int"))
-            continue
-        name = m.group("name")
-        if name not in known:
-            diags.append(Diagnostic(lineno, 1, f"unknown identifier {name!r}"))
-            continue
-        coef = int(m.group("coef")) if m.group("coef") else 1
-        coeffs[name] = coeffs.get(name, 0) + sg * coef
-    return LinExpr.from_mapping(const, coeffs)
+        elif t["int"] is not None:
+            const += sign * int(t["int"])
+        elif t["name"] not in known:
+            diags.append(Diagnostic(lineno, 1, f"unknown identifier {t['name']!r}"))
+        else:
+            coeffs[t["name"]] = coeffs.get(t["name"], 0) + sign * int(t["coef"] or 1)
+        if not op:
+            return LinExpr.from_mapping(const, coeffs)
+        sign, pos = (-1 if op == "-" else 1), m.end()
 
 
 def _transition(m: re.Match, lineno: int, raw: str,
