@@ -12,8 +12,9 @@ transition bound accounts for the resets of its local bound:
   OPT   refines CTX: atoms with a single flow path into the local bound have
         their increment total counted once globally instead of once per chain.
 
-TB(t) depends on t only through its local bound v, so it is 1, undef or
-the node ("TB", v); with ("VB", v) per variable these nodes are solved once.
+TB(t) is 1, undef, the node ("TB", v) of its local bound v, or, when t is
+exposed (see `localbounds`), that node plus the number of ways into t's
+component; with ("VB", v) per variable these nodes are solved once.
 Each node's rule reads other nodes only through `get` and never branches on
 a value it reads, so one run with a recording `get` lists its dependencies.
 Nodes are evaluated bottom-up in strongly-connected-component order, without
@@ -134,7 +135,9 @@ class Analysis:
             return expr.IntConst(1)
         if bound_var is None:
             return expr.UNDEFINED
-        return get(("TB", bound_var))
+        bound = get(("TB", bound_var))
+        entries = self.zeta.entries.get(t.id)
+        return expr.add(bound, entries) if entries else bound
 
     def _vb(self, atom: Atom, get: Get) -> expr.BoundExpr:
         return get(("VB", atom)) if isinstance(atom, str) else atom

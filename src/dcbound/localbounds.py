@@ -10,6 +10,18 @@ decreases v, because every closed walk through t contains a simple cycle
 through t. Transitions on a cycle with no such variable are recorded as
 having no local bound, which later turns their transition bound into the
 undefined element.
+
+The local bound pays for the runs of t that follow a guard(v) transition
+in the same visit to t's component, but not for a run before the first
+one. Two runs of t in one visit enclose a closed walk through t, which
+guards v, so each visit has at most one such run. It has none unless t is
+*exposed*: t does not guard v itself, and t's source is reachable inside the
+component, without a guard(v) transition, from where a visit starts (the
+target of a transition entering the component, or the entry location if
+the component holds it). An entering transition joins two components, so
+it lies on no cycle and runs at most once, and the visits number at most
+k, the count of those starts. An exposed t therefore runs at most TB(v) + k
+times, and the map records k for it in `entries`.
 """
 
 from __future__ import annotations
@@ -19,10 +31,21 @@ from dcbound.dcp import Dcp, Transition, cyclic_components, \
 
 __all__ = [
     "ONE",
+    "LocalBounds",
     "local_bound_map",
 ]
 
 ONE = "1"
+
+
+class LocalBounds(dict):
+    """Transition id -> local bound: a variable name, ONE, or None (no local
+    bound found; the transition may be unbounded). `entries` maps each
+    exposed transition to the number of ways into its component."""
+
+    def __init__(self, bounds: dict[str, str | None], entries: dict[str, int]):
+        super().__init__(bounds)
+        self.entries = entries
 
 
 def _on_no_cycle(ends: list[tuple[int, int]], n: int, removed: set[int],
@@ -38,10 +61,13 @@ def _on_no_cycle(ends: list[tuple[int, int]], n: int, removed: set[int],
             if i in removed or comp[ends[i][0]] != comp[ends[i][1]]}
 
 
-def _component_bounds(inner: list[Transition]) -> dict[str, str | None]:
-    """Local bounds of the transitions inside one strongly connected
-    component, trying the variables both guarded and decreased there in
-    sorted order, so the smallest qualifying name wins."""
+def _component_bounds(inner: list[Transition], starts: list[str],
+                      bounds: dict[str, str | None],
+                      entries: dict[str, int]) -> None:
+    """Record the local bounds of the transitions inside one strongly
+    connected component, trying the variables both guarded and decreased
+    there in sorted order, so the smallest qualifying name wins; and record
+    the exposed ones, whose visits start at `starts`, in `entries`."""
     node: dict[str, int] = {}
     for t in inner:
         node.setdefault(t.source, len(node))
@@ -70,15 +96,46 @@ def _component_bounds(inner: list[Transition]) -> dict[str, str | None]:
         still_open = still_open - bounded
         if not still_open:
             break
-    return {t.id: found.get(i) for i, t in enumerate(inner)}
+    for i, t in enumerate(inner):
+        bounds[t.id] = found.get(i)
+
+    unguarded: dict[str, list[int]] = {}  # variable -> bounded, not guarding it
+    for i, v in found.items():
+        if i not in guards[v]:
+            unguarded.setdefault(v, []).append(i)
+    edges_from: list[list[int]] = [[] for _ in node]
+    for i, (s, _) in enumerate(ends):
+        edges_from[s].append(i)
+    for v, candidates in unguarded.items():
+        g = guards[v]
+        seen = {node[loc] for loc in starts}
+        work = list(seen)
+        while work:
+            for i in edges_from[work.pop()]:
+                w = ends[i][1]
+                if w not in seen and i not in g:
+                    seen.add(w)
+                    work.append(w)
+        for i in candidates:
+            if ends[i][0] in seen:
+                entries[inner[i].id] = len(starts)
 
 
-def local_bound_map(dcp: Dcp) -> dict[str, str | None]:
-    """Map each transition id to its local bound: a variable name, ONE, or
-    None (no local bound found; the transition may be unbounded). Among
-    several qualifying variables the lexicographically smallest is chosen,
-    for determinism."""
+def local_bound_map(dcp: Dcp) -> LocalBounds:
+    """Map each transition id to its local bound. Among several qualifying
+    variables the lexicographically smallest is chosen, for determinism."""
+    groups = cyclic_components(dcp.locations, dcp.transitions)
+    group_of = {t.source: g for g, inner in enumerate(groups) for t in inner}
+    starts: list[list[str]] = [[] for _ in groups]
+    for t in dcp.transitions:
+        g = group_of.get(t.target)
+        if g is not None and group_of.get(t.source) != g:
+            starts[g].append(t.target)
+    if dcp.entry in group_of:
+        starts[group_of[dcp.entry]].append(dcp.entry)
     bounds: dict[str, str | None] = {}
-    for inner in cyclic_components(dcp.locations, dcp.transitions):
-        bounds.update(_component_bounds(inner))
-    return {t.id: bounds.get(t.id, ONE) for t in dcp.transitions}
+    entries: dict[str, int] = {}
+    for inner, into in zip(groups, starts):
+        _component_bounds(inner, into, bounds, entries)
+    return LocalBounds({t.id: bounds.get(t.id, ONE) for t in dcp.transitions},
+                       entries)

@@ -282,6 +282,55 @@ def test_validate_prog_input(capsys):
     assert out.strip().endswith("PASS")
 
 
+# A do-while loop, `i := n; do { i := i - 1 } while (i > 0)`: the body runs
+# once before the loop guard is first tested, so its bound is 1 + n.
+DO_WHILE_PROG = """prog
+params: n
+vars: i
+entry: l0
+exit: le
+trans t0:    l0 -> l1 { i := n; }
+trans body:  l1 -> l2 { i := i - 1; }
+trans again: l2 -> l1 when i > 0 { }
+trans done:  l2 -> le when i <= 0 { }
+"""
+
+# The same shape as a DCP: t1 runs once although b is never positive.
+DO_WHILE_DCP = """dcp
+consts: n
+vars: b
+entry: l0
+exit: le
+trans t0: l0 -> l1 { b' <= 0; }
+trans t1: l1 -> l2 { b' <= b - 1; }
+trans t2: l2 -> l1 guard(b) { b' <= b; }
+"""
+
+
+@pytest.mark.parametrize("mode", ["free", "ctx", "opt"])
+def test_do_while_body_is_bounded_by_one_more_run(tmp_path, capsys, mode):
+    src = tmp_path / "dowhile.prog"
+    src.write_text(DO_WHILE_PROG)
+    code, out, _ = run(capsys, "analyze", src, "--mode", mode)
+    assert code == 0
+    assert "TB(body) = 1 + n\n" in out
+    code, out, _ = run(capsys, "validate", src, "--sweep", "0..3", "--mode", mode)
+    assert code == 0
+    assert out.endswith("PASS\n")
+
+
+@pytest.mark.parametrize("mode", ["free", "ctx", "opt"])
+def test_do_while_dcp_runs_its_body_once(tmp_path, capsys, mode):
+    src = tmp_path / "dowhile.dcp"
+    src.write_text(DO_WHILE_DCP)
+    code, out, _ = run(capsys, "analyze", src, "--mode", mode)
+    assert code == 0
+    assert "TB(t1) = 1\n" in out
+    code, out, _ = run(capsys, "validate", src, "--sweep", "0..3", "--mode", mode)
+    assert code == 0
+    assert out.endswith("PASS\n")
+
+
 def _cli(*argv):
     return subprocess.run([sys.executable, "-m", "dcbound.cli", *map(str, argv)],
                           capture_output=True, text=True)

@@ -326,8 +326,11 @@ class _RecursiveAnalysis:
         if bound_var is None:
             return expr.UNDEFINED
         if self.mode is FREE:
-            return self._tb_free(bound_var)
-        return self._tb_context(bound_var)
+            bound = self._tb_free(bound_var)
+        else:
+            bound = self._tb_context(bound_var)
+        entries = self.zeta.entries.get(t.id)
+        return expr.add(bound, entries) if entries else bound
 
     def _tb_free(self, v):
         resets = self.working.resets(v)

@@ -21,7 +21,7 @@ from dcbound.expr import (
     mul,
     parse_expr,
 )
-from dcbound.program import parse_program
+from dcbound.program import LinExpr, parse_linexpr, parse_program
 
 from conftest import DATA, families
 from test_fuzz import _random_dcp_text
@@ -119,6 +119,40 @@ def test_parse_errors():
     for bad in ["", "n +", "max(n)", "2 ** n", "n $ 1", "(n", "n)"]:
         with pytest.raises(ValueError):
             parse_expr(bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("n $ 1", "unexpected character '$' (at offset 2)"),
+    ("x + \u00b2n", "unexpected character '\u00b2' (at offset 4)"),
+    ("n +\x0b1", "unexpected character '\\x0b' (at offset 3)"),
+    ("max(n,", "unexpected end of input (at offset 6)"),
+    ("n + \t", "unexpected end of input (at offset 5)"),
+    ("max n", "expected '(', found 'n' (at offset 4)"),
+    ("(n + 1, 2)", "expected ')', found ',' (at offset 6)"),
+    ("n + * 2", "unexpected token '*' (at offset 4)"),
+    ("n 2", "trailing input '2' (at offset 2)"),
+    ("max(n (1))", "expected ',' or ')', found '(' (at offset 6)"),
+    ("1 + min(2)", "min() needs at least two arguments (at offset 4)"),
+    ("max(n)", "max() needs at least two arguments (at offset 0)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(expr.ExprParseError) as info:
+        parse_expr(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,value,messages", [
+    (" \t", LinExpr(), ["empty expression"]),
+    ("a + 2*", LinExpr(0, (("a", 1),)), ["cannot parse term '2*'"]),
+    ("a + zz - 3", LinExpr(-3, (("a", 1),)), ["unknown identifier 'zz'"]),
+    ("a+-3", LinExpr(-3, (("a", 1),)), []),
+    ("-q + 2*b + 2*", LinExpr(0, (("b", 2),)),
+     ["unknown identifier 'q'", "cannot parse term '2*'"]),
+])
+def test_parse_linexpr_diagnostics(text, value, messages):
+    diags = []
+    assert parse_linexpr(text, {"a", "b"}, 7, diags) == value
+    assert [str(d) for d in diags] == [f"7:1: {m}" for m in messages]
 
 
 def test_parse_expr_fuzz_bad_flag_values():

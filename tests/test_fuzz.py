@@ -7,6 +7,7 @@ bounds must dominate random concrete runs, and nested counting loops whose
 abstracted bounds must dominate the longest concrete run in every mode.
 """
 
+import itertools
 import random
 
 from dcbound import expr
@@ -78,10 +79,13 @@ def _valuations(consts, values):
     return out
 
 
-def _assert_bounds_dominate_exploration(d, text, values):
+def _violations(d, values, step_cap=1500):
+    """(mode, transition or variable, valuation) for every defined TB and VB
+    that exploration at one of the valuations beats."""
     reports = [Analysis(d, mode).report() for mode in MODES]
+    found = []
     for valuation in _valuations(d.sym_consts, values):
-        stats = explore(d, valuation, step_cap=1500)
+        stats = explore(d, valuation, step_cap=step_cap)
         # observed counts are exact when exhausted and valid lower
         # bounds otherwise; either way no defined bound may be beaten
         for report in reports:
@@ -89,12 +93,19 @@ def _assert_bounds_dominate_exploration(d, text, values):
                 if bound == expr.UNDEFINED:
                     continue
                 value = expr.evaluate(bound, valuation)
-                assert stats.counts[tid] <= value, (text, tid, valuation)
+                if stats.counts[tid] > value:
+                    found.append((report.mode.value, tid, valuation))
             for v, bound in report.vb.items():
                 if bound == expr.UNDEFINED or stats.var_max.get(v) is None:
                     continue
                 value = expr.evaluate(bound, valuation)
-                assert stats.var_max[v] <= value, (text, v, valuation)
+                if stats.var_max[v] > value:
+                    found.append((report.mode.value, v, valuation))
+    return found
+
+
+def _assert_bounds_dominate_exploration(d, text, values):
+    assert _violations(d, values) == [], text
 
 
 def test_random_dcps_bounds_dominate_exploration():
@@ -121,6 +132,60 @@ def test_larger_random_dcps_bounds_dominate_exploration():
             continue
         checked += 1
         _assert_bounds_dominate_exploration(d, text, [0, 1, 3])
+
+
+# ---------------------------------------------------------------------------
+# bounded-exhaustive DCPs: every program of a small space, over one variable
+# b and one constant n, checked at a few valuations
+# ---------------------------------------------------------------------------
+
+ENTRY_RESETS = ("0", "1", "n", "n + 1")
+UPDATES = (None, "b - 2", "b - 1", "b", "b + 1", "0", "n")
+
+
+def _enumerated_dcp_texts(entries=ENTRY_RESETS, counts=(1, 2),
+                          targets=("l1", "l2", "le"), updates=UPDATES):
+    """The entry `lb -> l1` sets b to one of `entries`; then come `count`
+    transitions for each count in `counts`, each from l1 or l2 to one of
+    `targets`, with or without guard(b), with no update (None) or with
+    b' <= one of `updates`. Not every text is a valid program."""
+    edges = [(src, tgt, guard, update) for src in ("l1", "l2") for tgt in targets
+             for guard in (False, True) for update in updates]
+    for entry in entries:
+        head = ["dcp", "consts: n", "vars: b", "entry: lb", "exit: le",
+                f"trans t0: lb -> l1 {{ b' <= {entry}; }}"]
+        for count in counts:
+            for chosen in itertools.product(edges, repeat=count):
+                lines = list(head)
+                for i, (src, tgt, guard, update) in enumerate(chosen, 1):
+                    body = f"b' <= {update};" if update else ""
+                    lines.append(f"trans t{i}: {src} -> {tgt}"
+                                 f"{' guard(b)' if guard else ''} {{ {body} }}")
+                yield "\n".join(lines) + "\n"
+
+
+def _enumerated_violations(values=(0, 1, 2, 4), step_cap=2000, **space):
+    """The number of valid programs in the space, and (text, mode, name,
+    valuation) for every bound that exploration beats."""
+    programs, found = 0, []
+    for text in _enumerated_dcp_texts(**space):
+        try:
+            d = parse_dcp(text)
+        except DcpError:
+            continue
+        programs += 1
+        found += [(text, *v) for v in _violations(d, values, step_cap)]
+    return programs, found
+
+
+def test_enumerated_dcps_bounds_dominate_exploration():
+    # a slice of the space that ends in CI's full enumeration: two
+    # transitions within {l1, l2} after a zero entry, at n in {0, 1}
+    programs, found = _enumerated_violations(
+        values=(0, 1), entries=("0",), counts=(2,), targets=("l1", "l2"),
+        updates=(None, "b - 1", "b", "b + 1", "n"))
+    assert programs == 1266
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,27 @@ trans t1: l1 -> l1 guard(a,b) { a' <= a - 1; b' <= b - 1; }
     assert z["t1"] == "a"
 
 
+def _loop_dcp(entries: str) -> Dcp:
+    """A loop over l1 and l2 that guards b only on its way back to l1."""
+    return parse_dcp("dcp\nconsts: n\nvars: b\nentry: l0\nexit: le\n" + entries
+                     + "trans t1: l1 -> l2 { b' <= b - 1; }\n"
+                     "trans t2: l2 -> l1 guard(b) { b' <= b; }\n"
+                     "trans t3: l2 -> le { b' <= b; }\n")
+
+
+def test_exposed_transitions_record_the_ways_in():
+    # entered at l1 and at l2, t1 can run before any guard(b): a do-while
+    d = _loop_dcp("trans t0: l0 -> l1 { b' <= n; }\n"
+                  "trans e2: l0 -> l2 { b' <= n; }\n")
+    z = local_bound_map(d)
+    assert z == {"t0": ONE, "e2": ONE, "t1": "b", "t2": "b", "t3": ONE}
+    assert z.entries == {"t1": 2}
+    # entered at l2 only, every run of t1 follows a guard(b): a while loop
+    z = local_bound_map(_loop_dcp("trans t0: l0 -> l2 { b' <= n; }\n"))
+    assert z == {"t0": ONE, "t1": "b", "t2": "b", "t3": ONE}
+    assert z.entries == {}
+
+
 # -- differential check against the simple-cycle rule --------------------------
 
 def reference_map(dcp):
