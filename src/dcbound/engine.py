@@ -193,11 +193,6 @@ class Analysis:
 
     # -- queries -------------------------------------------------------------
 
-    def incr(self, atom: Atom) -> expr.BoundExpr:
-        """Total amount the atom's value can gain over a whole run; zero for
-        rigid atoms and for variables with no positive self-update."""
-        return self._incr(atom, self._bounds.__getitem__)
-
     def vb(self, atom: Atom) -> expr.BoundExpr:
         """Upper bound on the atom's value anywhere it is defined."""
         if isinstance(atom, str) and atom not in self.working.variables:

@@ -4,10 +4,13 @@ The reset graph has an edge per reset: source atom -> reset variable, labeled
 with the transition and offset. Analyses that follow reset chains require the
 variable part of this graph to be acyclic; variables on reset cycles (and
 everything downstream of them) are removed from a working copy of the program.
+The edges are built once, from that copy, and sorted once; `ResetGraph.into`
+and `to_dot` keep their order.
 
 A reset path is sound when each interior atom is guaranteed to be re-reset
 between the completion of the chain and the next use of the edge consuming
-it; the optimal paths are the maximal sound ones.
+it; the optimal paths are the maximal sound ones. Only `optimal_reset_paths`
+decides soundness; its test reference is `is_sound` in `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
     "ResetGraph",
     "ResetAnalysis",
     "build_reset_graph",
-    "is_sound",
     "optimal_reset_paths",
     "to_dot",
 ]
@@ -36,10 +38,7 @@ DEFAULT_RESET_PATH_CAP = 4_096
 
 
 class ResetPathOverflow(Exception):
-    def __init__(self, cap: int, var: str):
-        super().__init__(f"more than {cap} optimal reset paths end in {var}")
-        self.cap = cap
-        self.var = var
+    """More optimal reset paths end in one variable than the cap allows."""
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,6 @@ class ResetPath:
     """Edges ordered from the originating atom down to the final variable."""
 
     edges: tuple[ResetEdge, ...]
-
-    def __post_init__(self):
-        if not self.edges:
-            raise ValueError("a reset path has at least one edge")
 
     @property
     def in_atom(self) -> Atom:
@@ -92,17 +87,17 @@ class ResetPath:
 
 @dataclass(frozen=True)
 class ResetGraph:
-    """Reset edges with adjacency built lazily, once per instance: `into`
-    returns the stored tuple of edges into a variable, sorted by (source,
-    transition id, offset). `path_count` memoizes per target variable on
-    the graph."""
+    """Reset edges as `build_reset_graph`, their only builder, sorts them:
+    by (str(source), target, transition id, offset). Adjacency is built
+    lazily, once per instance: `into` returns the stored tuple of edges into
+    a variable, in that order. `path_count` memoizes per target variable."""
 
     edges: tuple[ResetEdge, ...]
 
     @cached_property
     def _into(self) -> dict[str, tuple[ResetEdge, ...]]:
         out: dict[str, list[ResetEdge]] = {}
-        for e in sorted(self.edges, key=lambda e: (str(e.src), e.trans.id, e.offset)):
+        for e in self.edges:
             out.setdefault(e.dst, []).append(e)
         return {v: tuple(es) for v, es in out.items()}
 
@@ -156,24 +151,16 @@ class ResetAnalysis:
     pruned: Dcp  # working copy with removed-variable constraints dropped
 
 
-def _raw_edges(dcp: Dcp) -> list[ResetEdge]:
-    edges = []
-    for v in dcp.variables:
-        for t, a, c in dcp.resets(v):
-            edges.append(ResetEdge(src=a, trans=t, offset=c, dst=v))
-    return sorted(edges, key=lambda e: (str(e.src), e.dst, e.trans.id, e.offset))
-
-
 def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
     """Build the reset graph, removing variables on reset cycles plus all
     variables whose values depend on them (forward reachability along reset
-    edges), so that the remaining graph is a DAG."""
-    edges = _raw_edges(dcp)
+    edges), so that the remaining graph is a DAG of the pruned resets."""
     number = {v: i for i, v in enumerate(dcp.variables)}
     succ: list[set[int]] = [set() for _ in dcp.variables]
-    for e in edges:
-        if isinstance(e.src, str):
-            succ[number[e.src]].add(number[e.dst])
+    for j, v in enumerate(dcp.variables):
+        for _, a, _ in dcp.resets(v):
+            if isinstance(a, str):
+                succ[number[a]].add(j)
     comp = strongly_connected_components(succ)
     size = Counter(comp)
     # variables on a reset cycle (a component of two or more), then every
@@ -187,11 +174,10 @@ def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
                 frontier.append(w)
     removed = {dcp.variables[i] for i in removing}
 
-    if removed:
-        pruned = drop_variables(dcp, removed)
-        edges = _raw_edges(pruned)
-    else:
-        pruned = dcp
+    pruned = drop_variables(dcp, removed) if removed else dcp
+    edges = sorted((ResetEdge(src=a, trans=t, offset=c, dst=v)
+                    for v in pruned.variables for t, a, c in pruned.resets(v)),
+                   key=lambda e: (str(e.src), e.dst, e.trans.id, e.offset))
     return ResetAnalysis(graph=ResetGraph(tuple(edges)),
                          removed_vars=frozenset(removed),
                          pruned=pruned)
@@ -223,20 +209,6 @@ def _reachable_without_reset(dcp: Dcp, src_loc: str, dst_loc: str,
     return False
 
 
-def is_sound(dcp: Dcp, path: ResetPath) -> bool:
-    """Each interior atom must be reset on every location path from the end
-    of the chain back to the edge that consumes it."""
-    edges = path.edges
-    n = len(edges)
-    last = edges[-1].trans
-    for k in range(n - 1):
-        interior = edges[k].dst
-        consumer = edges[k + 1].trans
-        if _reachable_without_reset(dcp, last.target, consumer.source, interior):
-            return False
-    return True
-
-
 def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
                         cap: int = DEFAULT_RESET_PATH_CAP) -> list[ResetPath]:
     """Maximal sound reset paths ending in var, by backward extension.
@@ -261,7 +233,7 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
             continue
         results.append(path)
         if len(results) > cap:
-            raise ResetPathOverflow(cap, var)
+            raise ResetPathOverflow(f"more than {cap} optimal reset paths end in {var}")
     return results
 
 
@@ -271,7 +243,7 @@ def to_dot(graph: ResetGraph) -> str:
     nodes = dict.fromkeys(n for e in graph.edges for n in (e.src, e.dst))
     for node in sorted(nodes, key=str):
         lines.append(f'  "{node}";')
-    for e in sorted(graph.edges, key=lambda e: (str(e.src), e.dst, e.trans.id)):
+    for e in graph.edges:
         label = e.trans.id + (f",{e.offset:+d}" if e.offset else "")
         lines.append(f'  "{e.src}" -> "{e.dst}" [label="{label}"];')
     lines.append("}")

@@ -88,6 +88,30 @@ def simple_cycles(locations, edges):
     return cycles
 
 
+def is_sound(d, path):
+    """Chain soundness, a test reference for `optimal_reset_paths`: each
+    interior atom of the reset path must be reset on every location path
+    (the empty one included) from the target of the chain's last transition
+    to the source of the transition that consumes the atom. A round-robin
+    scan collects the locations reachable without such a reset."""
+    last = path.edges[-1].trans
+    for edge, consumer in zip(path.edges, path.edges[1:]):
+        var = edge.dst
+        reached = {last.target}
+        changed = True
+        while changed:
+            changed = False
+            for t in d.transitions:
+                if (t.source in reached and t.target not in reached
+                        and not any(u.lhs == var and u.rhs != var
+                                    for u in t.updates)):
+                    reached.add(t.target)
+                    changed = True
+        if consumer.trans.source in reached:
+            return False
+    return True
+
+
 def ref_liveness(d):
     """Round-robin backward fixpoint, a test reference: v is live at l when
     some path from l reaches a read of v (a guard or a right-hand side) with

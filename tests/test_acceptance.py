@@ -19,10 +19,9 @@ from dcbound.oracle import (
     check_soundness,
     explore,
 )
-from dcbound.resetgraph import ResetPath, build_reset_graph, is_sound, \
-    optimal_reset_paths
+from dcbound.resetgraph import ResetPath, build_reset_graph, optimal_reset_paths
 
-from conftest import DATA, load_dcp, load_prog
+from conftest import DATA, is_sound, load_dcp, load_prog
 
 FREE, CTX, OPT = AnalysisMode.FREE, AnalysisMode.CTX, AnalysisMode.OPT
 

@@ -20,7 +20,7 @@ from dcbound.dcp import (
     validate,
 )
 from dcbound.expr import IntConst, SymConst
-from dcbound.resetgraph import build_reset_graph
+from dcbound.resetgraph import ResetEdge, build_reset_graph
 
 from conftest import DATA, load_dcp, load_prog
 from test_fuzz import _random_dcp_text
@@ -127,7 +127,17 @@ def check_program(d: Dcp) -> None:
 
 
 def check_graph(d: Dcp, rng: random.Random) -> None:
-    g = build_reset_graph(d).graph
+    r = build_reset_graph(d)
+    g = r.graph
+    # the edges are the pruned program's resets, in one order
+    assert g.edges == tuple(sorted(
+        (ResetEdge(a, t, c, v) for v in r.pruned.variables
+         for t, a, c in ref_resets(r.pruned, v)),
+        key=lambda e: (str(e.src), e.dst, e.trans.id, e.offset)))
+    # removal is closed under resets of the input program
+    for v in d.variables:
+        for _, a, _ in ref_resets(d, v):
+            assert a not in r.removed_vars or v in r.removed_vars, (a, v)
     atoms = list({e.src for e in g.edges} | set(d.variables)
                  | {MISSING, SymConst(MISSING), IntConst(0)})
     for v in list(d.variables) + [MISSING]:

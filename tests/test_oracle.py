@@ -20,8 +20,10 @@ from dcbound.oracle import (
     check_soundness,
     explore,
 )
+from dcbound.program import parse_program
 
 from conftest import DATA, load_dcp, load_prog
+from test_cli import DO_WHILE_DCP, DO_WHILE_PROG
 from test_fuzz import _random_dcp_text, _valuations
 
 
@@ -166,11 +168,20 @@ def _decreases(values_seq, var):
     return count
 
 
-@pytest.mark.parametrize("name", ["exampleA.dcp", "exampleB.dcp",
-                                  "exampleC.dcp", "example1.dcp",
-                                  "example2.dcp"])
+_LOCAL_BOUND_INPUTS = {
+    **{name: lambda name=name: load_dcp(name)
+       for name in ["exampleA.dcp", "exampleB.dcp", "exampleC.dcp",
+                    "example1.dcp", "example2.dcp"]},
+    "dowhile.dcp": lambda: parse_dcp(DO_WHILE_DCP),
+    "dowhile.prog": lambda: abstract_program(parse_program(DO_WHILE_PROG)).dcp,
+}
+
+
+@pytest.mark.parametrize("name", list(_LOCAL_BOUND_INPUTS))
 def test_local_bounds_validated_on_runs(name):
-    d = load_dcp(name)
+    # a transition runs at most as often as its local bound decreases, plus
+    # once per way into its loop when it can run before the bound is tested
+    d = _LOCAL_BOUND_INPUTS[name]()
     zeta = local_bound_map(d)
     for val in _small_valuations(d, [0, 2]):
         for run in _ref_enumerate_runs(d, val, max_runs=2000):
@@ -180,7 +191,8 @@ def test_local_bounds_validated_on_runs(name):
                 if v == ONE:
                     assert count <= 1
                 elif v is not None:
-                    assert count <= _decreases(states, v), (name, val, tid)
+                    assert count <= (_decreases(states, v)
+                                     + zeta.entries.get(tid, 0)), (name, val, tid)
 
 
 # -- differential: the compiled interpreter against the dict semantics ----------

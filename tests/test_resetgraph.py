@@ -12,12 +12,11 @@ from dcbound.resetgraph import (
     ResetPath,
     ResetPathOverflow,
     build_reset_graph,
-    is_sound,
     optimal_reset_paths,
     to_dot,
 )
 
-from conftest import DATA, load_dcp
+from conftest import DATA, is_sound, load_dcp
 
 
 def edge_view(graph):
