@@ -191,13 +191,13 @@ _TRANS_RE = re.compile(
 )
 _ASSIGN_RE = re.compile(rf"^(?P<lhs>{_IDENT})\s*:=\s*(?P<rhs>.*)$")
 _REL_RE = re.compile(r"(<=|>=|==|<|>|=)")
-_CHUNK_RE = re.compile(r"(.[^+-]*|)([+-]?)", re.S)
-_TERM_RE = re.compile(rf"^\s*(?:(?P<coef>\d+)\s*\*\s*)?(?P<name>{_IDENT})\s*$|^\s*(?P<int>-?\d+)\s*$")
+_CHUNK_RE = re.compile(r"\s*([+-]?)([^+-]*)([+-]?)")
+_TERM_RE = re.compile(rf"^\s*(?:(?P<coef>\d+)\s*\*\s*)?(?P<name>{_IDENT})\s*$|^\s*(?P<int>\d+)\s*$")
 
 
 def parse_linexpr(text: str, known: Container[str], lineno: int,
                   diags: list[Diagnostic]) -> LinExpr:
-    """Sum/difference of INT, IDENT and INT*IDENT terms."""
+    """Sum/difference of INT, IDENT and INT*IDENT terms, each with an optional sign."""
     s = text.strip()
     if not s:
         diags.append(Diagnostic(lineno, 1, "empty expression"))
@@ -209,10 +209,13 @@ def parse_linexpr(text: str, known: Container[str], lineno: int,
         sign, pos = (-1 if s[0] == "-" else 1), 1
     while True:
         m = _CHUNK_RE.match(s, pos)
-        chunk, op = m.groups()
+        unary, chunk, op = m.groups()
+        if unary == "-":
+            sign = -sign
         t = _TERM_RE.match(chunk)
         if not t:
-            diags.append(Diagnostic(lineno, 1, f"cannot parse term {chunk.strip()!r}"))
+            diags.append(Diagnostic(lineno, 1, f"cannot parse term {chunk.strip()!r}"
+                                    if chunk.strip() else f"missing term in {s!r}"))
         elif t["int"] is not None:
             const += sign * int(t["int"])
         elif t["name"] not in known:
