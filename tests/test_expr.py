@@ -146,13 +146,13 @@ def test_parse_error_messages(text, message):
     ("a + 2*", LinExpr(0, (("a", 1),)), ["cannot parse term '2*'"]),
     ("a + zz - 3", LinExpr(-3, (("a", 1),)), ["unknown identifier 'zz'"]),
     ("a+-3", LinExpr(-3, (("a", 1),)), []),
+    ("-q + 2*b + 2*", LinExpr(0, (("b", 2),)),
+     ["unknown identifier 'q'", "cannot parse term '2*'"]),
     ("a + -3", LinExpr(-3, (("a", 1),)), []),
     ("a - -3", LinExpr(3, (("a", 1),)), []),
     ("a - - 3", LinExpr(3, (("a", 1),)), []),
     ("a - -b", LinExpr(0, (("a", 1), ("b", 1))), []),
     ("a - + - 3", LinExpr(-3, (("a", 1),)), ["missing term in 'a - + - 3'"]),
-    ("-q + 2*b + 2*", LinExpr(0, (("b", 2),)),
-     ["unknown identifier 'q'", "cannot parse term '2*'"]),
 ])
 def test_parse_linexpr_diagnostics(text, value, messages):
     diags = []
