@@ -1,7 +1,8 @@
 """Golden CLI output beyond `analyze`: `resets`, `validate --sweep 0..2` in
 every mode on every input under tests/data, and `abstract` (with and without
-`--keep-names`) on the `.prog` inputs. Each file under tests/golden/ holds
-the exit code on its first line (`exit: N`), then stdout byte for byte.
+`--keep-names`) on the `.prog` inputs. Each `<case>.out` under tests/golden/
+holds the exit code on its first line (`exit: N`), then stdout byte for byte;
+the `<case>.err` beside it holds stderr byte for byte.
 `--max-steps 5000` keeps the capped explorations (cyclic.dcp) short; no
 other input comes near it.
 
@@ -41,21 +42,25 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _run(argv: list[str]) -> str:
+def _run(argv: list[str]) -> tuple[str, str]:
+    """(exit code and stdout, stderr) of one case."""
     cmd, name, *rest = argv
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main([cmd, str(DATA / name), *rest])
-    return f"exit: {code}\n{out.getvalue()}"
+    return f"exit: {code}\n{out.getvalue()}", err.getvalue()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case):
-    expected = (GOLDEN / f"{case}.out").read_text()
-    assert _run(CASES[case]) == expected
+    out, err = _run(CASES[case])
+    assert out == (GOLDEN / f"{case}.out").read_text()
+    assert err == (GOLDEN / f"{case}.err").read_text()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():
-        (GOLDEN / f"{case}.out").write_text(_run(argv))
+        out, err = _run(argv)
+        (GOLDEN / f"{case}.out").write_text(out)
+        (GOLDEN / f"{case}.err").write_text(err)
