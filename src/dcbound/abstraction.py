@@ -277,12 +277,10 @@ def abstract_program(prog: ConcreteProgram,
         sym_consts=tuple(sorted(set(prog.params) | set(derived))),
     )
     final, repair_notes = enforce_well_definedness(raw)
-    warnings.extend(repair_notes)
-    for e, name in var_name.items():
-        if name not in final.variables:
-            warnings.append(
-                f"dropped variable {name} := {e.name()} during the "
-                f"well-definedness repair")
+    warnings += repair_notes
+    warnings += [f"dropped variable {name} := {e.name()} during the "
+                 "well-definedness repair"
+                 for e, name in var_name.items() if name not in final.variables]
     diags = validate(final)
     if diags:  # the construction is supposed to rule this out
         raise AssertionError(

@@ -24,7 +24,7 @@ from dcbound import __version__, expr
 from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, \
     abstract_program
 from dcbound.dcp import Dcp, DcpError, format_dcp, input_format, parse_dcp
-from dcbound.engine import Analysis, AnalysisMode
+from dcbound.engine import Analysis, AnalysisMode, BoundReport
 from dcbound.oracle import DEFAULT_STEP_CAP, Verdict, check_soundness, worst
 from dcbound.program import parse_program
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPathOverflow, \
@@ -143,12 +143,16 @@ def _write(path: str, text: str) -> None:
         raise _UsageError(str(exc)) from None
 
 
+def _warn(warnings: Iterable[str]) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def _abstract(args, text: str) -> AbstractionResult:
     result = abstract_program(parse_program(text),
                               depth_limit=args.abstraction_depth,
                               keep_names=args.keep_names)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _warn(result.warnings)
     return result
 
 
@@ -160,6 +164,13 @@ def _load(args) -> tuple[Dcp, AbstractionResult | None]:
     return result.dcp, result
 
 
+def _report(args, dcp: Dcp) -> BoundReport:
+    report = Analysis(dcp, AnalysisMode(args.mode),
+                      max_reset_paths=args.max_reset_paths).report()
+    _warn(report.warnings)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -168,11 +179,7 @@ def _cmd_analyze(args) -> int:
     dcp, abstraction = _load(args)
     if abstraction is not None and args.verbose:
         sys.stderr.write(format_dcp(dcp, abstraction.rename_comment()))
-    analysis = Analysis(dcp, AnalysisMode(args.mode),
-                        max_reset_paths=args.max_reset_paths)
-    report = analysis.report()
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    report = _report(args, dcp)
     sys.stdout.write(report.render(include_vb=args.vb))
     return EXIT_OK if report.complexity != expr.UNDEFINED else EXIT_UNDEF
 
@@ -243,9 +250,7 @@ def _valuations(args, dcp: Dcp) -> Iterable[dict[str, int]]:
 
 def _cmd_validate(args) -> int:
     dcp, _ = _load(args)
-    analysis = Analysis(dcp, AnalysisMode(args.mode),
-                        max_reset_paths=args.max_reset_paths)
-    report = analysis.report()
+    report = _report(args, dcp)
     for raw in args.override_bound:
         tid, sep, text = raw.partition("=")
         tid = tid.strip()
@@ -276,9 +281,7 @@ def _cmd_validate(args) -> int:
 def _cmd_resets(args) -> int:
     dcp, _ = _load(args)
     reset = build_reset_graph(dcp)
-    if reset.removed_vars:
-        print("removed (reset cycles): " + ", ".join(sorted(reset.removed_vars)),
-              file=sys.stderr)
+    _warn(reset.warnings)
     if args.dot:
         _write(args.dot, to_dot(reset.graph))
         return EXIT_OK

@@ -412,8 +412,9 @@ def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
     """Make the program well-defined: every variable a transition reads is
     constrained on every transition into its source. Drops each guard and
     constraint that breaks this, then prunes the variables left without
-    constraints. Expects one constraint per variable per transition, as
-    `validate` requires.
+    constraints, and warns of each dropped guard and constraint (the
+    abstraction reports each variable it loses by its norm). Expects one
+    constraint per variable per transition, as `validate` requires.
 
     Dropping x' <= w + c on t leaves x unconstrained on t, so the drops come
     in rounds. The pairs of `undefined_reads` are round 1, and (t.target, x)
@@ -460,8 +461,6 @@ def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
     # a stable sort: within a round, by transition, guards first
     warnings = [w for _, w in sorted(dropped, key=lambda d: d[0])]
     constrained = {u.lhs for t in new_ts for u in t.updates}
-    warnings += [f"pruned variable {v}: no constraints remain"
-                 for v in dcp.variables if v not in constrained]
     kept = tuple(v for v in dcp.variables if v in constrained)
     return replace(dcp, transitions=tuple(new_ts), variables=kept), warnings
 

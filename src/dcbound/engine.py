@@ -73,20 +73,12 @@ class Analysis:
     def __init__(self, program: Dcp, mode: AnalysisMode, *,
                  max_reset_paths: int = DEFAULT_RESET_PATH_CAP):
         self.mode = mode
-        self.warnings: list[str] = []
         self._max_reset_paths = max_reset_paths
         self._paths: dict[str, list[ResetPath] | None] = {}
-
-        self._reset: ResetAnalysis | None = None
-        if mode is AnalysisMode.FREE:
-            self.working = program
-        else:
-            self._reset = build_reset_graph(program)
-            self.working = self._reset.pruned
-            if self._reset.removed_vars:
-                names = ", ".join(sorted(self._reset.removed_vars))
-                self.warnings.append(
-                    f"removed variables on reset cycles (and dependents): {names}")
+        self._reset: ResetAnalysis | None = (
+            None if mode is AnalysisMode.FREE else build_reset_graph(program))
+        self.working = program if self._reset is None else self._reset.pruned
+        self.warnings = [] if self._reset is None else self._reset.warnings
         self.zeta = local_bound_map(self.working)
 
     # -- the solve -----------------------------------------------------------

@@ -40,7 +40,7 @@ nothing is defined and so nothing is read.
 
 No input text reaches the generated source. It holds only integers, slot,
 location and position indices and fixed identifiers; constants enter as the
-factory's arguments.
+factory's arguments, read in place as slots are (`c0 - 2` as `s[1] - 2`).
 
 explore() walks all branch choices depth first, successors in transition-id
 order, memoizing per-transition worst-case counts per state. That order
@@ -129,21 +129,18 @@ def _build(dcp: Dcp) -> _Program:
     # the read of each slot; an identity copy's value is this very string
     reads = [f"s[{j + 1}]" for j in range(width)]
     param = {c: f"c{i}" for i, c in enumerate(dcp.sym_consts)}  # constant -> parameter
-    bound: dict[tuple[str, int], str] = {}  # (parameter, offset) -> local
 
     def compiled(u: DifferenceConstraint) -> tuple[int, str]:
         """(lhs slot, value)"""
         off = int(u.offset)
         if isinstance(u.rhs, str):
             src = reads[slot[u.rhs]]
-            return slot[u.lhs], (src if not off else f"{src} + {off}" if off > 0
-                                 else f"{src} - {-off}")
-        if isinstance(u.rhs, SymConst):
-            val = param[u.rhs.name]
-            if off:
-                val = bound.setdefault((val, off), f"b{len(bound)}")
-            return slot[u.lhs], val
-        return slot[u.lhs], str(int(u.rhs.value) + off)
+        elif isinstance(u.rhs, SymConst):
+            src = param[u.rhs.name]
+        else:
+            return slot[u.lhs], str(int(u.rhs.value) + off)
+        return slot[u.lhs], (src if not off else f"{src} + {off}" if off > 0
+                             else f"{src} - {-off}")
 
     code = {k: compiled(u) for k, u in updates.items()}
 
@@ -179,7 +176,6 @@ def _build(dcp: Dcp) -> _Program:
         kernels.append("        return o")
     source = "\n".join([
         f"def factory({', '.join(param.values())}):",
-        *(f"    {b} = {p} + {off}" for (p, off), b in bound.items()),
         *kernels,
         f"    return ({''.join(f'k{i}, ' for i in range(len(outgoing)))})",
     ])
@@ -321,17 +317,14 @@ def check_soundness(dcp: Dcp, report: BoundReport,
         stats = explore(dcp, valuation, step_cap)
         key = tuple(sorted(valuation.items()))
         all_exhausted &= stats.exhausted
-        for tid in sorted(report.tb):
-            bound = report.tb[tid]
-            val = None if bound == expr.UNDEFINED else expr.evaluate(bound, valuation)
-            rows.append(SoundnessRow(key, "TB", tid, stats.counts.get(tid, 0), val))
-        for v in sorted(report.vb):
-            bound = report.vb[v]
-            val = None if bound == expr.UNDEFINED else expr.evaluate(bound, valuation)
-            observed = stats.var_max.get(v)
-            if observed is None:
-                continue  # never defined anywhere: nothing to compare
-            rows.append(SoundnessRow(key, "VB", v, observed, val))
+        for kind, bounds, observations in (("TB", report.tb, stats.counts),
+                                           ("VB", report.vb, stats.var_max)):
+            for name, bound in sorted(bounds.items()):
+                observed = observations.get(name, 0 if kind == "TB" else None)
+                if observed is None:
+                    continue  # a variable never defined anywhere
+                val = None if bound == expr.UNDEFINED else expr.evaluate(bound, valuation)
+                rows.append(SoundnessRow(key, kind, name, observed, val))
     verdict = worst([Verdict.FAIL if any(r.ok is False for r in rows) else Verdict.PASS,
                      Verdict.PASS if all_exhausted else Verdict.PASS_PARTIAL])
     return SoundnessResult(verdict=verdict, rows=rows)

@@ -146,9 +146,18 @@ class ResetGraph:
 
 @dataclass(frozen=True)
 class ResetAnalysis:
+    """The pruned program and its reset graph; `warnings` words the removal."""
+
     graph: ResetGraph
     removed_vars: frozenset[str]
     pruned: Dcp  # working copy with removed-variable constraints dropped
+
+    @property
+    def warnings(self) -> list[str]:
+        if not self.removed_vars:
+            return []
+        names = ", ".join(sorted(self.removed_vars))
+        return [f"removed variables on reset cycles (and dependents): {names}"]
 
 
 def build_reset_graph(dcp: Dcp) -> ResetAnalysis:

@@ -160,7 +160,7 @@ def ref_enforce_well_definedness(d):
     each round reruns `defined_at`, drops every guard and constraint that
     reads a name not defined at the transition's source and rebuilds every
     transition, until a round drops nothing; then constraint-less variables
-    are pruned."""
+    are pruned, without a warning."""
     warnings = []
     cur = d
     while True:
@@ -190,11 +190,7 @@ def ref_enforce_well_definedness(d):
         if not changed:
             break
     constrained = {u.lhs for t in cur.transitions for u in t.updates}
-    dead = [v for v in cur.variables if v not in constrained]
-    if dead:
-        for v in dead:
-            warnings.append(f"pruned variable {v}: no constraints remain")
-        cur = replace(cur, variables=tuple(v for v in cur.variables if v not in dead))
+    cur = replace(cur, variables=tuple(v for v in cur.variables if v in constrained))
     return cur, warnings
 
 

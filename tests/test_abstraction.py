@@ -525,7 +525,6 @@ SHALLOW_ABSTRACTIONS = {
         "discarded norm (e-b) (depth limit 0)",
         "dropped guard v1 on t4: not defined at l4",
         "dropped v1' <= v1 - 1 on t4: v1 not defined at l4",
-        "pruned variable v1: no constraints remain",
         "dropped variable v1 := (e-k) during the well-definedness repair",
     ], """\
 # v0 := (l-i)
@@ -555,7 +554,6 @@ trans t6: l5 -> l1 { v0' <= v0; }
         "dropped v2' <= v2 on t6: v2 not defined at l5",
         "dropped v2' <= v2 on t1: v2 not defined at l1",
         "dropped v2' <= v2 on t2b: v2 not defined at l2",
-        "pruned variable v1: no constraints remain",
         "dropped variable v1 := (e-k) during the well-definedness repair",
     ], """\
 # v0 := (l-i)
@@ -598,10 +596,6 @@ trans t6: l5 -> l1 { v0' <= v0; }
         "dropped v3' <= v3 on in3: v3 not defined at l3",
         "dropped v1' <= v1 on out3: v1 not defined at l3",
         "dropped v3' <= v3 on out3: v3 not defined at l3",
-        "pruned variable v1: no constraints remain",
-        "pruned variable v2: no constraints remain",
-        "pruned variable v3: no constraints remain",
-        "pruned variable v4: no constraints remain",
         "dropped variable v1 := (i1-i2) during the well-definedness repair",
         "dropped variable v2 := (i2-i3) during the well-definedness repair",
         "dropped variable v3 := (i2-i1+1) during the well-definedness repair",
@@ -679,7 +673,6 @@ def test_repair_cascade_warnings():
         "dropped guard v0 on back: not defined at l3",
         "dropped v0' <= v0 - 1 on back: v0 not defined at l3",
         "dropped v0' <= v0 on done: v0 not defined at l3",
-        "pruned variable v0: no constraints remain",
         "dropped variable v0 := (n-x) during the well-definedness repair",
     ]
     assert result.dcp.variables == ()
@@ -691,14 +684,13 @@ def test_repair_cascade_in_round_order():
     k = 300
     result = abstract_program(parse_program(_cascade_text(k)))
     repair = result.warnings[:-1]
-    assert len(repair) == k + 3
+    assert len(repair) == k + 2
     assert repair == [
         *(f"dropped v0' <= v0 - 1 on s{j}: v0 not defined at l{j}"
           for j in range(1, k)),
         f"dropped guard v0 on back: not defined at l{k}",
         f"dropped v0' <= v0 - 1 on back: v0 not defined at l{k}",
         f"dropped v0' <= v0 on done: v0 not defined at l{k}",
-        "pruned variable v0: no constraints remain",
     ]
 
 

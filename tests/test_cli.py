@@ -343,6 +343,30 @@ def test_resets_past_path_cap_exit_2():
                            "more than 1 optimal reset paths end in p\n")
 
 
+@pytest.mark.parametrize("mode", ["free", "ctx", "opt"])
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+def test_validate_warns_as_analyze_does(capsys, name, mode):
+    _, _, analyzed = run(capsys, "analyze", DATA / name, "--mode", mode)
+    _, _, validated = run(capsys, "validate", DATA / name, "--mode", mode,
+                          "--sweep", "0..1", "--max-steps", "3000")
+    assert validated == analyzed
+
+
+def test_validate_warns_past_the_reset_path_cap(capsys):
+    code, _, err = run(capsys, "validate", DATA / "example1.dcp",
+                       "--max-reset-paths", "0", "--sweep", "0..1")
+    assert code == 0
+    assert err == ("warning: more than 0 optimal reset paths end in p\n"
+                   "warning: more than 0 optimal reset paths end in x\n")
+
+
+def test_resets_warns_of_removed_reset_cycle_variables(capsys):
+    code, _, err = run(capsys, "resets", DATA / "cyclic.dcp")
+    assert code == 0
+    assert err == ("warning: removed variables on reset cycles "
+                   "(and dependents): i, x, y\n")
+
+
 def test_non_utf8_input_exit_1(tmp_path):
     bad = tmp_path / "bad.dcp"
     bad.write_bytes(b"dcp\nconsts: n\xff\n")
