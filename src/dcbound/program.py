@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Container, Mapping
+from typing import Container, Iterator, Mapping
 
 from dcbound.dcp import DcpError, Diagnostic, Source, check_structure, read_source
 
@@ -196,11 +196,14 @@ _TERM_RE = re.compile(rf"^\s*(?:(?P<coef>\d+)\s*\*\s*)?(?P<name>{_IDENT})\s*$|^\
 
 
 def parse_linexpr(text: str, known: Container[str], lineno: int,
-                  diags: list[Diagnostic]) -> LinExpr:
-    """Sum/difference of INT, IDENT and INT*IDENT terms, each with an optional sign."""
+                  diags: list[Diagnostic], col: int = 1) -> LinExpr:
+    """Sum/difference of INT, IDENT and INT*IDENT terms, each with an optional
+    sign. `text` starts at column `col`; a diagnostic gives the column where
+    its term starts (for a missing term, of what stands in its place)."""
     s = text.strip()
+    col += len(text) - len(text.lstrip())  # the column of s[0]
     if not s:
-        diags.append(Diagnostic(lineno, 1, "empty expression"))
+        diags.append(Diagnostic(lineno, col, "empty expression"))
         return LinExpr()
     const = 0
     coeffs: dict[str, int] = {}
@@ -213,13 +216,14 @@ def parse_linexpr(text: str, known: Container[str], lineno: int,
         if unary == "-":
             sign = -sign
         t = _TERM_RE.match(chunk)
+        at = col + m.end(2) - len(chunk.lstrip())
         if not t:
-            diags.append(Diagnostic(lineno, 1, f"cannot parse term {chunk.strip()!r}"
+            diags.append(Diagnostic(lineno, at, f"cannot parse term {chunk.strip()!r}"
                                     if chunk.strip() else f"missing term in {s!r}"))
         elif t["int"] is not None:
             const += sign * int(t["int"])
         elif t["name"] not in known:
-            diags.append(Diagnostic(lineno, 1, f"unknown identifier {t['name']!r}"))
+            diags.append(Diagnostic(lineno, at, f"unknown identifier {t['name']!r}"))
         else:
             coeffs[t["name"]] = coeffs.get(t["name"], 0) + sign * int(t["coef"] or 1)
         if not op:
@@ -227,44 +231,48 @@ def parse_linexpr(text: str, known: Container[str], lineno: int,
         sign, pos = (-1 if op == "-" else 1), m.end()
 
 
+def _parts(text: str, sep: str, col: int) -> Iterator[tuple[int, str]]:
+    """(column, stripped text) of each nonblank part of `text`, split at
+    `sep`, where `text` starts at column `col`."""
+    for part in text.split(sep):
+        if part.strip():
+            yield col + len(part) - len(part.lstrip()), part.strip()
+        col += len(part) + len(sep)
+
+
 def _transition(m: re.Match, lineno: int, raw: str,
                 src: Source) -> ConcreteTransition:
     diags = src.diags
     known = ChainMap(src.consts, src.variables)
+    base = len(raw) - len(raw.lstrip()) + 1  # the column where m's text starts
     guard: list[Relation] = []
-    for g in [p.strip() for p in (m.group("guard") or "").split(",") if p.strip()]:
-        parts = _REL_RE.split(g, maxsplit=1)
-        if len(parts) != 3:
-            diags.append(Diagnostic(lineno, 1, f"cannot parse condition {g!r}"))
+    for col, g in _parts(m.group("guard") or "", ",", base + m.start("guard")):
+        rel = _REL_RE.search(g)
+        if not rel:
+            diags.append(Diagnostic(lineno, col, f"cannot parse condition {g!r}"))
             continue
-        lhs = parse_linexpr(parts[0], known, lineno, diags)
-        rhs = parse_linexpr(parts[2], known, lineno, diags)
-        guard.append(Relation(parts[1], lhs, rhs))
+        lhs = parse_linexpr(g[:rel.start()], known, lineno, diags, col)
+        rhs = parse_linexpr(g[rel.end():], known, lineno, diags, col + rel.end())
+        guard.append(Relation(rel.group(), lhs, rhs))
     updates: list[tuple[str, LinExpr | _Havoc]] = []
     assigned: set[str] = set()
-    for stmt in [p.strip() for p in m.group("body").split(";") if p.strip()]:
+    for col, stmt in _parts(m.group("body"), ";", base + m.start("body")):
         am = _ASSIGN_RE.match(stmt)
-        if not am:
-            diags.append(Diagnostic(lineno, 1, f"cannot parse update {stmt!r}"))
-            continue
-        lhs = am.group("lhs")
-        if lhs in src.consts:
-            diags.append(Diagnostic(lineno, 1,
-                                    f"parameter {lhs!r} cannot be assigned"))
-            continue
-        if lhs not in src.variables:
-            diags.append(Diagnostic(lineno, 1, f"unknown variable {lhs!r}"))
-            continue
-        if lhs in assigned:
-            diags.append(Diagnostic(
-                lineno, 1, f"variable {lhs!r} assigned twice on one transition"))
+        lhs = am.group("lhs") if am else ""
+        problem = (f"cannot parse update {stmt!r}" if not am
+                   else f"parameter {lhs!r} cannot be assigned" if lhs in src.consts
+                   else f"unknown variable {lhs!r}" if lhs not in src.variables
+                   else f"variable {lhs!r} assigned twice on one transition"
+                   if lhs in assigned else None)
+        if problem:
+            diags.append(Diagnostic(lineno, col, problem))
             continue
         assigned.add(lhs)
-        rhs_txt = am.group("rhs").strip()
-        if rhs_txt == "?":
+        if am.group("rhs").strip() == "?":
             updates.append((lhs, HAVOC))
         else:
-            updates.append((lhs, parse_linexpr(rhs_txt, known, lineno, diags)))
+            updates.append((lhs, parse_linexpr(am.group("rhs"), known, lineno, diags,
+                                               col + am.start("rhs"))))
     return ConcreteTransition(
         id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
         guard=tuple(guard), updates=tuple(updates), line=lineno)

@@ -456,6 +456,34 @@ def test_duplicate_declarations_exit_1(tmp_path, text, message):
     assert proc.stderr == f"{src}:{message}\n"
 
 
+_PROG_HEAD = "prog\nparams: n\nvars: i\nentry: l0\nexit: le\ntrans t0: l0 -> l1 { i := 0; }\n"
+
+
+@pytest.mark.parametrize("lines, messages", [
+    (["trans t1: l1 -> l1 when i < n { i := i + 2*; }",
+      "trans t2: l1 -> le when i >= n, i >> n { }"],
+     ["7:42: cannot parse term '2*'", "8:36: cannot parse term '> n'"]),
+    (["trans t1: l1 -> l1 when i < n, i ! n { }"],
+     ["7:32: cannot parse condition 'i ! n'"]),
+    (["   trans t1: l1 -> l1 when zz < n { i := i - 1; }  # zz is not declared"],
+     ["7:28: unknown identifier 'zz'"]),
+    (["trans t1: l1 -> l1 { i = 1; }"], ["7:22: cannot parse update 'i = 1'"]),
+    (["trans t1: l1 -> l1 { i := ; }"], ["7:26: empty expression"]),
+    (["trans t1: l1 -> l1 { i := 1; n := 0; }"],
+     ["7:30: parameter 'n' cannot be assigned"]),
+    (["trans t1: l1 -> l1 { i := i + 1; j := 0; }"], ["7:34: unknown variable 'j'"]),
+    (["trans t1: l1 -> l1 { i := 1; i := 2; }"],
+     ["7:30: variable 'i' assigned twice on one transition"]),
+], ids=["terms", "condition", "indented-identifier", "update", "empty-expression",
+        "parameter", "unknown-variable", "assigned-twice"])
+def test_prog_diagnostics_point_at_their_text(tmp_path, capsys, lines, messages):
+    src = tmp_path / "bad.prog"
+    src.write_text(_PROG_HEAD + "\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", src)
+    assert (code, out) == (1, "")
+    assert err == "".join(f"{src}:{m}\n" for m in messages)
+
+
 def test_validate_repeated_assign_prints_once():
     once = _cli("validate", DATA / "exampleC.dcp", "--assign", "n=1")
     twice = _cli("validate", DATA / "exampleC.dcp",

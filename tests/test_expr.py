@@ -142,22 +142,29 @@ def test_parse_error_messages(text, message):
 
 
 @pytest.mark.parametrize("text,value,messages", [
-    (" \t", LinExpr(), ["empty expression"]),
-    ("a + 2*", LinExpr(0, (("a", 1),)), ["cannot parse term '2*'"]),
-    ("a + zz - 3", LinExpr(-3, (("a", 1),)), ["unknown identifier 'zz'"]),
+    (" \t", LinExpr(), ["3: empty expression"]),
+    ("a + 2*", LinExpr(0, (("a", 1),)), ["5: cannot parse term '2*'"]),
+    ("a + zz - 3", LinExpr(-3, (("a", 1),)), ["5: unknown identifier 'zz'"]),
     ("a+-3", LinExpr(-3, (("a", 1),)), []),
     ("-q + 2*b + 2*", LinExpr(0, (("b", 2),)),
-     ["unknown identifier 'q'", "cannot parse term '2*'"]),
+     ["2: unknown identifier 'q'", "12: cannot parse term '2*'"]),
     ("a + -3", LinExpr(-3, (("a", 1),)), []),
     ("a - -3", LinExpr(3, (("a", 1),)), []),
     ("a - - 3", LinExpr(3, (("a", 1),)), []),
     ("a - -b", LinExpr(0, (("a", 1), ("b", 1))), []),
-    ("a - + - 3", LinExpr(-3, (("a", 1),)), ["missing term in 'a - + - 3'"]),
+    ("a - + - 3", LinExpr(-3, (("a", 1),)), ["7: missing term in 'a - + - 3'"]),
 ])
 def test_parse_linexpr_diagnostics(text, value, messages):
+    # each message starts with the column of its term (`text` is at column 1)
     diags = []
     assert parse_linexpr(text, {"a", "b"}, 7, diags) == value
-    assert [str(d) for d in diags] == [f"7:1: {m}" for m in messages]
+    assert [str(d) for d in diags] == [f"7:{m}" for m in messages]
+
+
+def test_parse_linexpr_diagnostics_count_from_the_given_column():
+    diags = []
+    parse_linexpr("  a + 2*", {"a"}, 7, diags, col=40)
+    assert [str(d) for d in diags] == ["7:46: cannot parse term '2*'"]
 
 
 def test_parse_expr_fuzz_bad_flag_values():
