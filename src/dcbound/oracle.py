@@ -307,6 +307,10 @@ def check_soundness(dcp: Dcp, report: BoundReport,
     completed. PASS-PARTIAL: no violation, but some exploration was cut off.
     FAIL: at least one violation, with counterexample rows.
 
+    Per valuation, one loop makes the TB rows, then the VB rows, each by
+    name: a transition the exploration did not count observes 0, and a
+    variable never defined anywhere gets no VB row.
+
     `dcp` is a program that `validate` accepts (as `parse_dcp` and
     `abstract_program` return); any other raises DcpError.
     """
