@@ -597,9 +597,19 @@ def read_source(text: str, tag: str, trans_re: re.Pattern,
     return src
 
 
+def parts_with_columns(text: str, sep: str, col: int) -> Iterator[tuple[int, str]]:
+    """(column, stripped text) of each nonblank part of `text`, split at
+    `sep`, where `text` starts at column `col`."""
+    for part in text.split(sep):
+        if part.strip():
+            yield col + len(part) - len(part.lstrip()), part.strip()
+        col += len(part) + len(sep)
+
+
 def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
     memo = src.update_memo
     updates = []
+    bad = False
     for part in m.group("body").split(";"):
         part = part.strip()
         if not part:
@@ -608,9 +618,7 @@ def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
         if u is None:
             um = _UPDATE_RE.match(part)
             if um is None:
-                col = raw.find(part) + 1
-                src.diags.append(Diagnostic(lineno, max(col, 1),
-                                            f"cannot parse update {part!r}"))
+                bad = True
                 continue
             rhs: Atom = um.group("rhs")
             if _INT_RE.fullmatch(rhs):
@@ -622,6 +630,12 @@ def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
                 off = -off
             u = memo[part] = DifferenceConstraint(um.group("lhs"), rhs, off)
         updates.append(u)
+    if bad:  # columns only for a line that needs them: most lines are good
+        base = len(raw) - len(raw.lstrip()) + 1  # the column where m's text starts
+        src.diags += [Diagnostic(lineno, col, f"cannot parse update {part!r}")
+                      for col, part in parts_with_columns(m.group("body"), ";",
+                                                          base + m.start("body"))
+                      if not _UPDATE_RE.match(part)]
     guard = m.group("guard")
     return Transition(
         id=m.group("id"), source=m.group("src"), target=m.group("tgt"),

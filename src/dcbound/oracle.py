@@ -21,10 +21,10 @@ factory call, which binds the constants and returns the kernels.
 A state is one flat tuple: the location's index, then each slot's value,
 None where the variable is undefined. This is one-to-one with the
 (location, defined variable values) pairs of the semantics. A kernel maps a
-state at its location to the (transition position, successor state) pair of
-each enabled transition, under extreme updates:
+state at its location to one entry per outgoing transition, in
+transition-id order: the successor state under extreme updates, or None
+where the transition's guard fails:
 
-- successors come in transition-id order;
 - guards are tested in guard order and stop at the first value <= 0;
 - slots that a transition leaves unconstrained become None in the successor;
 - a run of at least _SLICE_MIN slots that the transition copies unchanged
@@ -45,7 +45,13 @@ factory's arguments, read in place as slots are (`c0 - 2` as `s[1] - 2`).
 explore() walks all branch choices depth first, successors in transition-id
 order, memoizing per-transition worst-case counts per state. That order
 decides which states a capped exploration visits before it stops, so it is
-part of the result.
+part of the result. Once a state's successors are done, its location's fold
+merges their count vectors: each one with its own step added, then one
+element-wise maximum, `mx`, unrolled once per program over all transitions.
+A fold is one generated template per out-degree that occurs, bound to each
+location's transition positions, so the generated source stays linear in
+the program's size; a fold per location with the maximum unrolled in place
+would grow with locations x out-degree x transitions.
 """
 
 from __future__ import annotations
@@ -74,8 +80,16 @@ DEFAULT_STEP_CAP = 100_000
 
 # (location index, value per slot)
 State = tuple[int | None, ...]
-# a location's successors: (transition position, successor state) pairs
-Kernel = Callable[[State], list[tuple[int, State]]]
+# a location's successor under each outgoing transition, in transition-id
+# order; None where the transition's guard fails. A list, not a tuple: a
+# freed list lowers the collector's allocation count, a freed small tuple
+# mostly goes to a free list and does not, so on a long path the collector
+# would traverse each new count vector while young (explore on long(400)
+# ran 1.25x slower with tuples).
+Kernel = Callable[[State], list[State | None]]
+# a location's kernel output, the memo and the zero vector -> the location's
+# worst-case counts by transition position
+Fold = Callable[[list[State | None], dict, tuple[int, ...]], tuple[int, ...]]
 
 # Runs of copies at least this long become slices of the state. Per
 # successor, listing slots is cheaper up to about 30 of them (CPython 3.11:
@@ -102,6 +116,7 @@ class _Program(NamedTuple):
     defined: tuple[tuple[int, ...], ...]  # location index -> defined slots
     entry: int  # the entry's location index
     factory: Callable[..., tuple[Kernel, ...]]  # constants in sym_consts order -> kernels
+    folds: tuple[Fold, ...]  # location index -> its fold
 
 
 _built: _Program | None = None
@@ -162,28 +177,45 @@ def _build(dcp: Dcp) -> _Program:
 
     kernels = []
     for li, ts in enumerate(outgoing):
-        kernels += [f"    def k{li}(s):", "        o = []"]
+        items = []
         for t in ts:
             row = ["None"] * width
             for u in t.updates:
                 lhs, row[lhs] = code[id(u)]
-            step = f"o.append(({pos[t.id]}, {successor(where[t.target], row)}))"
-            if t.guard:
-                conds = " and ".join(f"{reads[slot[g]]} > 0" for g in t.guard)
-                kernels += [f"        if {conds}:", f"            {step}"]
-            else:
-                kernels.append(f"        {step}")
-        kernels.append("        return o")
+            succ = successor(where[t.target], row)
+            conds = " and ".join(f"{reads[slot[g]]} > 0" for g in t.guard)
+            items.append(f"{succ} if {conds} else None" if conds else succ)
+        kernels += [f"    def k{li}(s):", f"        return [{''.join(f'{i}, ' for i in items)}]"]
+    folds = []
+    for k in sorted({len(ts) for ts in outgoing}):
+        folds += [f"def fold{k}({', '.join(f'p{i}' for i in range(k))}):",
+                  "    def fold(o, memo, zeros):",
+                  f"        ({''.join(f's{i}, ' for i in range(k))}) = o",
+                  "        b = None"]
+        for i in range(k):
+            folds += [f"        if s{i} is not None:",
+                      f"            c = list(memo[s{i}] or zeros)",
+                      f"            c[p{i}] += 1",
+                      "            b = c if b is None else mx(b, c)"]
+        folds += ["        return zeros if b is None else tuple(b)", "    return fold"]
+    n = len(dcp.transitions)
     source = "\n".join([
+        "def mx(b, c):",
+        f"    ({''.join(f'b{i}, ' for i in range(n))}) = b",
+        f"    ({''.join(f'c{i}, ' for i in range(n))}) = c",
+        f"    return [{''.join(f'b{i} if b{i} > c{i} else c{i}, ' for i in range(n))}]",
+        *folds,
         f"def factory({', '.join(param.values())}):",
         *kernels,
         f"    return ({''.join(f'k{i}, ' for i in range(len(outgoing)))})",
     ])
-    namespace = {"__builtins__": {}}
+    namespace = {"__builtins__": {}, "list": list, "tuple": tuple}
     exec(compile(source, "<dcbound.oracle kernels>", "exec"), namespace)
     defined = defined_at(dcp)
     return _Program(dcp, tuple(tuple(slot[v] for v in defined[loc]) for loc in dcp.locations),
-                    where[dcp.entry], namespace["factory"])
+                    where[dcp.entry], namespace["factory"],
+                    tuple(namespace[f"fold{len(ts)}"](*(pos[t.id] for t in ts))
+                          for ts in outgoing))
 
 
 def explore(dcp: Dcp, valuation: Mapping[str, int],
@@ -203,7 +235,7 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     if missing:
         raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
     kernels = program.factory(*(valuation[c] for c in dcp.sym_consts))
-    defined = program.defined
+    defined, folds = program.defined, program.folds
     zeros = (0,) * len(dcp.transitions)
     var_max: list[int | None] = [None] * len(dcp.variables)
     exhausted = True
@@ -216,7 +248,7 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     start: State = (program.entry,) + (None,) * len(dcp.variables)
 
     # iterative depth-first walk with explicit post-processing frames
-    stack: list[tuple[State, list[tuple[int, State]] | None]] = [(start, None)]
+    stack: list[tuple[State, list[State | None] | None]] = [(start, None)]
     while stack:
         state, pending = stack.pop()
         if pending is None:
@@ -235,19 +267,16 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
             succs = kernels[state[0]](state)
             memo[state] = None
             stack.append((state, succs))
-            for _, s in succs:
+            for s in succs:
+                if s is None:
+                    continue
                 if s not in memo:
                     stack.append((s, None))
                 elif memo[s] is None:
                     exhausted = False  # state cycle: unbounded behaviour
         else:
-            best = None
-            for p, s in pending:
-                # a successor still on the path (cycle) counts the step itself
-                cand = list(memo[s] or zeros)
-                cand[p] += 1
-                best = cand if best is None else list(map(max, best, cand))
-            memo[state] = zeros if best is None else tuple(best)
+            # a successor still on the path (cycle) counts the step itself
+            memo[state] = folds[state[0]](pending, memo, zeros)
 
     return RunStats(counts={t.id: c for t, c in zip(dcp.transitions, memo[start])},
                     var_max={v: var_max[i] for i, v in enumerate(dcp.variables)},

@@ -10,9 +10,10 @@ from __future__ import annotations
 import re
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Container, Iterator, Mapping
+from typing import Container, Mapping
 
-from dcbound.dcp import DcpError, Diagnostic, Source, check_structure, read_source
+from dcbound.dcp import (DcpError, Diagnostic, Source, check_structure, parts_with_columns,
+                         read_source)
 
 __all__ = [
     "LinExpr",
@@ -231,22 +232,13 @@ def parse_linexpr(text: str, known: Container[str], lineno: int,
         sign, pos = (-1 if op == "-" else 1), m.end()
 
 
-def _parts(text: str, sep: str, col: int) -> Iterator[tuple[int, str]]:
-    """(column, stripped text) of each nonblank part of `text`, split at
-    `sep`, where `text` starts at column `col`."""
-    for part in text.split(sep):
-        if part.strip():
-            yield col + len(part) - len(part.lstrip()), part.strip()
-        col += len(part) + len(sep)
-
-
 def _transition(m: re.Match, lineno: int, raw: str,
                 src: Source) -> ConcreteTransition:
     diags = src.diags
     known = ChainMap(src.consts, src.variables)
     base = len(raw) - len(raw.lstrip()) + 1  # the column where m's text starts
     guard: list[Relation] = []
-    for col, g in _parts(m.group("guard") or "", ",", base + m.start("guard")):
+    for col, g in parts_with_columns(m.group("guard") or "", ",", base + m.start("guard")):
         rel = _REL_RE.search(g)
         if not rel:
             diags.append(Diagnostic(lineno, col, f"cannot parse condition {g!r}"))
@@ -256,7 +248,7 @@ def _transition(m: re.Match, lineno: int, raw: str,
         guard.append(Relation(rel.group(), lhs, rhs))
     updates: list[tuple[str, LinExpr | _Havoc]] = []
     assigned: set[str] = set()
-    for col, stmt in _parts(m.group("body"), ";", base + m.start("body")):
+    for col, stmt in parts_with_columns(m.group("body"), ";", base + m.start("body")):
         am = _ASSIGN_RE.match(stmt)
         lhs = am.group("lhs") if am else ""
         problem = (f"cannot parse update {stmt!r}" if not am

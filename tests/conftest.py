@@ -229,15 +229,15 @@ def ref_dcp_transition(m, lineno, raw, src):
     reader's update memo: every update text is matched, classified against
     the constants declared so far and built anew."""
     updates = []
-    for part in m.group("body").split(";"):
-        part = part.strip()
+    at = len(raw) - len(raw.lstrip()) + 1 + m.start("body")  # the column of the body
+    for piece in m.group("body").split(";"):
+        part = piece.strip()
+        col, at = at + len(piece) - len(piece.lstrip()), at + len(piece) + 1
         if not part:
             continue
         um = _UPDATE_RE.match(part)
         if um is None:
-            col = raw.find(part) + 1
-            src.diags.append(Diagnostic(lineno, max(col, 1),
-                                        f"cannot parse update {part!r}"))
+            src.diags.append(Diagnostic(lineno, col, f"cannot parse update {part!r}"))
             continue
         rhs = um.group("rhs")
         if _INT_RE.fullmatch(rhs):

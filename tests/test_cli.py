@@ -331,6 +331,19 @@ def test_do_while_dcp_runs_its_body_once(tmp_path, capsys, mode):
     assert out.endswith("PASS\n")
 
 
+# a program with no transitions: its one location is the entry and the exit
+NO_TRANSITIONS_DCP = "dcp\nconsts: n\nvars: x\nentry: l0\nexit: l0\n"
+
+
+@pytest.mark.parametrize("mode", ["free", "ctx", "opt"])
+def test_validate_program_without_transitions_passes(tmp_path, capsys, mode):
+    src = tmp_path / "empty.dcp"
+    src.write_text(NO_TRANSITIONS_DCP)
+    code, out, err = run(capsys, "validate", src, "--mode", mode)
+    assert (code, err) == (0, "")
+    assert out.endswith("PASS\n")
+
+
 def _cli(*argv):
     return subprocess.run([sys.executable, "-m", "dcbound.cli", *map(str, argv)],
                           capture_output=True, text=True)
@@ -479,6 +492,25 @@ _PROG_HEAD = "prog\nparams: n\nvars: i\nentry: l0\nexit: le\ntrans t0: l0 -> l1 
 def test_prog_diagnostics_point_at_their_text(tmp_path, capsys, lines, messages):
     src = tmp_path / "bad.prog"
     src.write_text(_PROG_HEAD + "\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", src)
+    assert (code, out) == (1, "")
+    assert err == "".join(f"{src}:{m}\n" for m in messages)
+
+
+_DCP_HEAD = "dcp\nconsts: n\nvars: x\nentry: l0\nexit: le\n"
+
+
+@pytest.mark.parametrize("lines, messages", [
+    (["trans t0: l0 -> le { t; }"], ["6:22: cannot parse update 't'"]),
+    (["  trans t0: l0 -> le { x' <= n; t; t; }  # t twice"],
+     ["6:33: cannot parse update 't'", "6:36: cannot parse update 't'"]),
+    (["trans t0: l0 -> l1 { x' <= n; }",
+      "trans t1: l1 -> le guard(x) {x' <= x -;x' <= x; }"],
+     ["7:30: cannot parse update \"x' <= x -\""]),
+], ids=["text-earlier-on-the-line", "indented-and-repeated", "after-a-guard"])
+def test_dcp_update_diagnostics_point_at_their_text(tmp_path, capsys, lines, messages):
+    src = tmp_path / "bad.dcp"
+    src.write_text(_DCP_HEAD + "\n".join(lines) + "\n")
     code, out, err = run(capsys, "analyze", src)
     assert (code, out) == (1, "")
     assert err == "".join(f"{src}:{m}\n" for m in messages)

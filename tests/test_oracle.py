@@ -23,7 +23,7 @@ from dcbound.oracle import (
 from dcbound.program import parse_program
 
 from conftest import DATA, load_dcp, load_prog
-from test_cli import DO_WHILE_DCP, DO_WHILE_PROG
+from test_cli import DO_WHILE_DCP, DO_WHILE_PROG, NO_TRANSITIONS_DCP
 from test_fuzz import _random_dcp_text, _valuations
 
 
@@ -441,6 +441,65 @@ def test_explore_matches_reference_on_wide_programs(variables, programs):
             if got.states > cap == 1500:
                 break  # cut off; the default cap would explore 100000 states
     assert checked == {120: 94, 20: 16}[programs]  # both kinds are exercised
+
+
+# -- shapes the generated kernels and folds must handle -------------------------
+#
+# The random generators give every location one to four outgoing transitions;
+# these programs reach the edges: no transition at all (the element-wise
+# maximum is zero wide), a dead end that is not the exit (a fold of no
+# successors), six and more transitions out of one location, guarded and
+# unguarded mixed, and a self-loop whose successor is its own state.
+
+_EDGE_SHAPES = {
+    "no-transitions": NO_TRANSITIONS_DCP,
+    "dead-end": """dcp
+consts: n
+vars: x
+entry: lb
+exit: le
+trans t0: lb -> l1 { x' <= n; }
+trans t1: l1 -> l1 guard(x) { x' <= x - 1; }
+trans t2: l1 -> l2 { x' <= x; }
+trans t3: l1 -> le { }
+""",
+    "seven-out": """dcp
+consts: n, m
+vars: x, y
+entry: lb
+exit: le
+trans t0: lb -> l1 { x' <= n; y' <= m; }
+trans t1: l1 -> l1 guard(x) { x' <= x - 1; y' <= y; }
+trans t2: l1 -> l1 guard(y) { x' <= x; y' <= y - 1; }
+trans t3: l1 -> l2 { x' <= x; y' <= y; }
+trans t4: l1 -> l1 guard(x, y) { x' <= y - 1; y' <= x - 1; }
+trans t5: l1 -> le { }
+trans t6: l1 -> l2 guard(y) { x' <= 0; y' <= y - 1; }
+trans t7: l1 -> le guard(x) { x' <= x; }
+trans t8: l2 -> l1 guard(y) { x' <= x; y' <= y - 2; }
+trans t9: l2 -> le { }
+""",
+    "self-cycle": """dcp
+consts: n
+vars: x
+entry: lb
+exit: le
+trans t0: lb -> l1 { x' <= n; }
+trans t1: l1 -> l1 guard(x) { x' <= x; }
+trans t2: l1 -> l1 guard(x) { x' <= x - 1; }
+trans t3: l1 -> le { }
+""",
+}
+
+
+@pytest.mark.parametrize("shape", list(_EDGE_SHAPES))
+def test_explore_matches_reference_on_edge_shapes(shape):
+    d = parse_dcp(_EDGE_SHAPES[shape])
+    for val in _valuations(d.sym_consts, range(4)):
+        for cap in (5, 50, DEFAULT_STEP_CAP):
+            got = _assert_same_stats(d, val, cap)
+            if shape == "self-cycle" and val["n"] > 0:
+                assert not got.exhausted
 
 
 # -- hand-built edge cases --------------------------------------------------------
