@@ -127,7 +127,7 @@ def _read(args) -> tuple[str, str]:
     """The input file's text and the format its first line names."""
     path = Path(args.file)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # a BOM is no text
     except OSError as exc:
         raise _UsageError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -256,15 +256,17 @@ def _cmd_validate(args) -> int:
         tid = tid.strip()
         if not sep or tid not in report.tb:
             raise _UsageError(f"bad --override-bound {raw!r}")
-        bound = expr.parse_expr(text)
         try:  # every constant the bound names must be one of the program's
+            bound = expr.parse_expr(text)
             expr.evaluate(bound, dict.fromkeys(dcp.sym_consts, 0))
+        except expr.ExprParseError as exc:
+            raise _UsageError(str(exc)) from None
         except expr.EvaluationError as exc:
             raise _UsageError(f"bad --override-bound {raw!r}: {exc}") from None
         report.tb[tid] = bound
     verdicts = set()
     for valuation in _valuations(args, dcp):
-        result = check_soundness(dcp, report, [valuation], step_cap=args.max_steps)
+        result = check_soundness(dcp, report, valuation, step_cap=args.max_steps)
         verdicts.add(result.verdict)
         header = ", ".join(f"{k}={v}" for k, v in sorted(valuation.items()))
         print(f"# {header or '(no constants)'}")
@@ -272,7 +274,6 @@ def _cmd_validate(args) -> int:
             bound = "undef" if row.bound is None else str(row.bound)
             name = row.name if row.kind == "TB" else f"VB({row.name})"
             print(f"{name}  {row.observed}  {bound}  {row.status()}")
-    # the worst verdict is that of one check over every valuation
     verdict = worst(verdicts)
     print(verdict.value)
     return EXIT_OK if verdict is Verdict.PASS else EXIT_VALIDATION
@@ -325,9 +326,6 @@ def main(argv: list[str] | None = None) -> int:
     except ResetPathOverflow as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return EXIT_UNDEF
-    except expr.ExprParseError as exc:
-        print(f"dcbound: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # a fault in dcbound, not in its input
         message = str(exc).replace("\n", " ")
         print(f"dcbound: internal error: {type(exc).__name__}: {message}",

@@ -29,6 +29,7 @@ __all__ = [
     "DcpError",
     "parse_dcp",
     "validate",
+    "require_valid",
     "drop_variables",
     "enforce_well_definedness",
     "format_dcp",
@@ -99,10 +100,11 @@ class Dcp:
     The lookups `transition`, `outgoing`, `incoming`, `resets` and
     `increments` are answered from an index built lazily, once per instance,
     in one pass over the transitions. The accessors return the stored
-    tuples, each in `transitions` order; where a malformed program has
-    duplicates the first match wins. `defined_at` and `validate` are cached
-    per instance too. `dataclasses.replace` builds a new instance with its
-    own caches.
+    tuples, each in `transitions` order. They assume a valid program (unique
+    ids, each declared variable constrained at most once per transition);
+    `validate` reads them only once its structural and name checks pass.
+    `defined_at` and `validate` are cached per instance too.
+    `dataclasses.replace` builds a new instance with its own caches.
     """
 
     locations: tuple[str, ...]
@@ -120,19 +122,14 @@ class Dcp:
         resets: dict[str, list] = {v: [] for v in self.variables}
         increments: dict[str, list] = {v: [] for v in self.variables}
         for t in self.transitions:
-            by_id.setdefault(t.id, t)
+            by_id[t.id] = t
             outgoing.setdefault(t.source, []).append(t)
             incoming.setdefault(t.target, []).append(t)
-            seen: set[str] = set()
             for u in t.updates:
-                var = u.lhs
-                if var in seen or var not in resets:
-                    continue  # duplicate or undeclared; validate() reports it
-                seen.add(var)
-                if u.rhs != var:
-                    resets[var].append((t, u.rhs, u.offset))
+                if u.rhs != u.lhs:
+                    resets[u.lhs].append((t, u.rhs, u.offset))
                 elif u.offset > 0:
-                    increments[var].append((t, u.offset))
+                    increments[u.lhs].append((t, u.offset))
         return _DcpIndex(by_id, *({k: tuple(v) for k, v in d.items()}
                                   for d in (outgoing, incoming, resets, increments)))
 
@@ -151,10 +148,7 @@ class Dcp:
         return tuple(_diagnose(self))
 
     def transition(self, tid: str) -> Transition:
-        try:
-            return self._index.by_id[tid]
-        except KeyError:
-            raise KeyError(tid) from None
+        return self._index.by_id[tid]
 
     def outgoing(self, loc: str) -> tuple[Transition, ...]:
         return self._index.outgoing.get(loc, ())
@@ -186,10 +180,8 @@ class Dcp:
         color: dict[str, int] = {loc: 0 for loc in self.locations}  # 0 white 1 grey 2 black
         back: list[Transition] = []
         # iterative DFS: (location, iterator index)
-        stack: list[tuple[str, int]] = []
-        if self.entry in color:
-            color[self.entry] = 1
-            stack.append((self.entry, 0))
+        color[self.entry] = 1
+        stack: list[tuple[str, int]] = [(self.entry, 0)]
         while stack:
             loc, i = stack.pop()
             edges = out_sorted[loc]
@@ -342,6 +334,13 @@ def validate(dcp: Dcp) -> list[Diagnostic]:
     """Structural and semantic checks; an empty list means the program is
     deterministic and well-defined. Computed once per program."""
     return list(dcp._diagnostics)
+
+
+def require_valid(dcp: Dcp) -> None:
+    """The gate of `parse_dcp`, `Analysis` and the oracle: raises DcpError
+    with `validate`'s diagnostics unless there are none."""
+    if dcp._diagnostics:
+        raise DcpError(validate(dcp))
 
 
 def _diagnose(dcp: Dcp) -> list[Diagnostic]:
@@ -656,9 +655,7 @@ def parse_dcp(text: str) -> Dcp:
         variables=tuple(sorted(src.variables)),
         sym_consts=tuple(sorted(src.consts)),
     )
-    diags = validate(dcp)
-    if diags:
-        raise DcpError(diags)
+    require_valid(dcp)
     return dcp
 
 

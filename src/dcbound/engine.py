@@ -12,6 +12,13 @@ transition bound accounts for the resets of its local bound:
   OPT   refines CTX: atoms with a single flow path into the local bound have
         their increment total counted once globally instead of once per chain.
 
+The modes also differ in the program they analyse: CTX and OPT first remove
+the variables on reset cycles and their dependents, FREE analyses the
+program as given. So FREE keeps undef where CTX and OPT may find a bound: a
+loop guarded by (r, w) that decreases both, with r on a reset cycle with q,
+gets TB = undef in FREE (its local bound is r) and 2*n in CTX and OPT (w,
+reset to n twice).
+
 TB(t) is 1, undef, the node ("TB", v) of its local bound v, or, when t is
 exposed (see `localbounds`), that node plus the number of ways into t's
 component; with ("VB", v) per variable these nodes are solved once.
@@ -31,7 +38,8 @@ from functools import cached_property
 from typing import Callable
 
 from dcbound import expr
-from dcbound.dcp import Atom, Dcp, Transition, strongly_connected_components
+from dcbound.dcp import Atom, Dcp, Transition, require_valid, \
+    strongly_connected_components
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetAnalysis, ResetPath, \
     ResetPathOverflow, build_reset_graph, optimal_reset_paths
@@ -65,13 +73,14 @@ class BoundReport:
 
 
 class Analysis:
-    """One bound analysis of one program in one mode.
-
-    Not thread-safe; run separate analyses in separate instances.
+    """One bound analysis of one program in one mode. It takes only programs
+    that `validate` accepts and raises DcpError with its diagnostics on any
+    other. Not thread-safe; run separate analyses in separate instances.
     """
 
     def __init__(self, program: Dcp, mode: AnalysisMode, *,
                  max_reset_paths: int = DEFAULT_RESET_PATH_CAP):
+        require_valid(program)
         self.mode = mode
         self._max_reset_paths = max_reset_paths
         self._paths: dict[str, list[ResetPath] | None] = {}

@@ -5,12 +5,13 @@ states enable a superset of behaviour; exploring only the extreme choice
 x' = y + c therefore dominates every admissible run for counting purposes.
 
 It takes only programs that `validate` accepts and raises DcpError with
-`validate`'s (cached) diagnostics on any other.
+`validate`'s (cached) diagnostics on any other. check_soundness() compares
+a report's bounds with one exploration, under one valuation.
 
 Build once, bind per valuation. The one interpreter, explore(), runs on a
 view of the program that is built once per Dcp object: the last program
 built is kept with a reference to it, so every later call on the same
-object (one per valuation in check_soundness) reuses it. The build gives
+object (one per valuation of a sweep) reuses it. The build gives
 each variable the slot of its place in `dcp.variables`, each location an
 index, and each transition the position of its place in `dcp.transitions`.
 It turns each location's outgoing transitions into one generated Python
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from dcbound import expr
-from dcbound.dcp import Dcp, DcpError, DifferenceConstraint, defined_at, validate
+from dcbound.dcp import Dcp, DifferenceConstraint, defined_at, require_valid
 from dcbound.expr import SymConst
 from dcbound.engine import BoundReport
 
@@ -130,9 +131,7 @@ def _program(dcp: Dcp) -> _Program:
 
 
 def _build(dcp: Dcp) -> _Program:
-    diags = validate(dcp)
-    if diags:
-        raise DcpError(diags)
+    require_valid(dcp)
     outgoing = [sorted(dcp.outgoing(loc), key=lambda t: t.id) for loc in dcp.locations]
     where = {loc: i for i, loc in enumerate(dcp.locations)}
     pos = {t.id: i for i, t in enumerate(dcp.transitions)}
@@ -302,7 +301,6 @@ def worst(verdicts: Iterable[Verdict]) -> Verdict:
 
 @dataclass(frozen=True)
 class SoundnessRow:
-    valuation: tuple[tuple[str, int], ...]
     kind: str  # "TB" or "VB"
     name: str
     observed: int | None
@@ -328,36 +326,33 @@ class SoundnessResult:
 
 
 def check_soundness(dcp: Dcp, report: BoundReport,
-                    valuations: list[Mapping[str, int]],
+                    valuation: Mapping[str, int],
                     step_cap: int = DEFAULT_STEP_CAP) -> SoundnessResult:
-    """Compare observed worst-case counts/maxima against evaluated bounds.
+    """Compare the observed worst-case counts and maxima under one valuation
+    of the symbolic constants against the bounds evaluated there.
 
-    PASS: every defined bound dominates the observation and every exploration
-    completed. PASS-PARTIAL: no violation, but some exploration was cut off.
-    FAIL: at least one violation, with counterexample rows.
+    PASS: every defined bound dominates the observation and the exploration
+    completed. PASS-PARTIAL: no violation, but the exploration was cut off.
+    FAIL: at least one violation, with counterexample rows. A sweep checks
+    each valuation on its own and folds the verdicts with `worst`.
 
-    Per valuation, one loop makes the TB rows, then the VB rows, each by
-    name: a transition the exploration did not count observes 0, and a
-    variable never defined anywhere gets no VB row.
+    One loop makes the TB rows, then the VB rows, each by name: a transition
+    the exploration did not count observes 0, and a variable never defined
+    anywhere gets no VB row.
 
     `dcp` is a program that `validate` accepts (as `parse_dcp` and
     `abstract_program` return); any other raises DcpError.
     """
-    _program(dcp)  # raises DcpError, also when there are no valuations
+    stats = explore(dcp, valuation, step_cap)
     rows: list[SoundnessRow] = []
-    all_exhausted = True
-    for valuation in valuations:
-        stats = explore(dcp, valuation, step_cap)
-        key = tuple(sorted(valuation.items()))
-        all_exhausted &= stats.exhausted
-        for kind, bounds, observations in (("TB", report.tb, stats.counts),
-                                           ("VB", report.vb, stats.var_max)):
-            for name, bound in sorted(bounds.items()):
-                observed = observations.get(name, 0 if kind == "TB" else None)
-                if observed is None:
-                    continue  # a variable never defined anywhere
-                val = None if bound == expr.UNDEFINED else expr.evaluate(bound, valuation)
-                rows.append(SoundnessRow(key, kind, name, observed, val))
-    verdict = worst([Verdict.FAIL if any(r.ok is False for r in rows) else Verdict.PASS,
-                     Verdict.PASS if all_exhausted else Verdict.PASS_PARTIAL])
+    for kind, bounds, observations in (("TB", report.tb, stats.counts),
+                                       ("VB", report.vb, stats.var_max)):
+        for name, bound in sorted(bounds.items()):
+            observed = observations.get(name, 0 if kind == "TB" else None)
+            if observed is None:
+                continue  # a variable never defined anywhere
+            val = None if bound == expr.UNDEFINED else expr.evaluate(bound, valuation)
+            rows.append(SoundnessRow(kind, name, observed, val))
+    verdict = (Verdict.FAIL if any(r.ok is False for r in rows)
+               else Verdict.PASS if stats.exhausted else Verdict.PASS_PARTIAL)
     return SoundnessResult(verdict=verdict, rows=rows)

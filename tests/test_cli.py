@@ -389,6 +389,17 @@ def test_non_utf8_input_exit_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["analyze", "--vb"], ["validate", "--sweep", "0..2"],
+                                     ["resets"]])
+def test_utf8_byte_order_mark_is_not_text(tmp_path, capsys, command):
+    # some editors save UTF-8 with a byte-order mark in front of the header
+    bom = tmp_path / "bom.dcp"
+    bom.write_bytes(b"\xef\xbb\xbf" + (DATA / "exampleA.dcp").read_bytes())
+    expected = run(capsys, command[0], DATA / "exampleA.dcp", *command[1:])
+    assert expected[0] == 0
+    assert run(capsys, command[0], bom, *command[1:]) == expected
+
+
 def test_resets_dot_into_missing_directory_exit_1(tmp_path):
     proc = _cli("resets", DATA / "exampleB.dcp", "--dot", tmp_path / "no" / "g.dot")
     assert proc.returncode == 1

@@ -11,6 +11,7 @@ import pytest
 
 from dcbound.abstraction import abstract_program
 from dcbound.dcp import (
+    DcpError,
     DifferenceConstraint,
     Dcp,
     Transition,
@@ -19,6 +20,7 @@ from dcbound.dcp import (
     parse_dcp,
     validate,
 )
+from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import IntConst, SymConst
 from dcbound.resetgraph import ResetEdge, build_reset_graph
 
@@ -181,20 +183,24 @@ def test_random_programs_match_scans():
             check_graph(p, rng)
 
 
-def test_malformed_duplicates_first_match_wins():
+def test_malformed_duplicates_are_rejected():
+    # the index assumes a valid program: validate reads it only once the
+    # structural and name checks pass, and the analysis refuses the program
     first = DifferenceConstraint("x", IntConst(1), 0)
     second = DifferenceConstraint("x", "x", 2)
     t0 = Transition("t0", "a", "b", (), (first, second))
     t0_again = Transition("t0", "b", "a", (), (second,))
     d = Dcp(locations=("a", "b"), transitions=(t0, t0_again), entry="a",
             exit="c", variables=("x",), sym_consts=())
-    assert d.transition("t0") is t0
-    assert d.resets("x") == ((t0, IntConst(1), 0),)
-    assert d.increments("x") == ((t0_again, 2),)
-    check_program(d)
-    messages = [diag.message for diag in validate(d)]  # after the index exists
+    d.outgoing("a")  # builds the index
+    diags = validate(d)  # after the index exists
+    messages = [diag.message for diag in diags]
     assert any("duplicate transition id" in m for m in messages)
     assert any("determinism violation" in m for m in messages)
+    for mode in AnalysisMode:
+        with pytest.raises(DcpError) as ei:
+            Analysis(d, mode)
+        assert ei.value.diagnostics == diags
 
 
 def test_returned_lists_are_copies():

@@ -19,6 +19,7 @@ from dcbound.oracle import (
     Verdict,
     check_soundness,
     explore,
+    worst,
 )
 from dcbound.program import parse_program
 
@@ -92,27 +93,28 @@ def _violations(result):
 def test_check_soundness_pass():
     d = load_dcp("exampleA.dcp")
     report = Analysis(d, AnalysisMode.FREE).report()
-    result = check_soundness(d, report, [{"n": k} for k in range(5)])
-    assert result.verdict is Verdict.PASS
-    assert _violations(result) == []
+    results = [check_soundness(d, report, {"n": k}) for k in range(5)]
+    assert worst(r.verdict for r in results) is Verdict.PASS
+    assert [_violations(r) for r in results] == [[]] * 5
 
 
 def test_check_soundness_injected_fault():
     d = load_dcp("exampleA.dcp")
     report = Analysis(d, AnalysisMode.FREE).report()
     report.tb["t2"] = expr.IntConst(0)  # deliberately corrupted
-    result = check_soundness(d, report, [{"n": 1}])
+    result = check_soundness(d, report, {"n": 1})
     assert result.verdict is Verdict.FAIL
     bad = _violations(result)
     assert len(bad) == 1
     assert bad[0].name == "t2" and bad[0].observed == 1 and bad[0].bound == 0
-    assert bad[0].valuation == (("n", 1),)
+    # n = 0 runs t2 never, so the corrupted bound holds there
+    assert check_soundness(d, report, {"n": 0}).verdict is Verdict.PASS
 
 
 def test_check_soundness_partial():
     d = load_dcp("exampleB.dcp")
     report = Analysis(d, AnalysisMode.FREE).report()
-    result = check_soundness(d, report, [{"n": 3}], step_cap=5)
+    result = check_soundness(d, report, {"n": 3}, step_cap=5)
     assert result.verdict is Verdict.PASS_PARTIAL
 
 
@@ -121,7 +123,7 @@ def test_check_soundness_undefined_bounds_skipped():
     # all bounds are undefined and every row is skipped, never violated
     d = load_dcp("cyclic.dcp")
     report = Analysis(d, AnalysisMode.FREE).report()
-    result = check_soundness(d, report, [{"n": 2}], step_cap=2000)
+    result = check_soundness(d, report, {"n": 2}, step_cap=2000)
     assert result.verdict is Verdict.PASS_PARTIAL
     assert _violations(result) == []
     skipped = [r for r in result.rows if r.ok is None]
@@ -531,7 +533,7 @@ def test_names_that_are_not_identifiers():
 
 # -- the oracle's contract: programs that validate accepts -----------------------
 
-# no bound is compared: check_soundness stops at the program
+# no bound is compared: check_soundness stops at the program (in explore)
 _NO_BOUNDS = BoundReport(AnalysisMode.FREE, {}, {}, expr.IntConst(0))
 
 
@@ -589,8 +591,8 @@ def test_invalid_program_raises_validate_diagnostics(case):
     assert any(message in str(g) for g in diags), diags
     val = dict.fromkeys(d.sym_consts, 1)
     for interpret in (lambda: explore(d, val),
-                      lambda: check_soundness(d, _NO_BOUNDS, [val]),
-                      lambda: check_soundness(d, _NO_BOUNDS, [])):
+                      lambda: check_soundness(d, _NO_BOUNDS, val),
+                      *(lambda mode=mode: Analysis(d, mode) for mode in AnalysisMode)):
         with pytest.raises(DcpError) as ei:
             interpret()
         assert ei.value.diagnostics == diags
@@ -602,6 +604,6 @@ def test_validity_is_decided_once_per_program(monkeypatch):
     monkeypatch.setattr(dcbound.dcp, "_diagnose", lambda d: calls.append(d) or diagnose(d))
     d = load_dcp("exampleB.dcp")  # parse_dcp validates
     report = Analysis(d, AnalysisMode.CTX).report()
-    result = check_soundness(d, report, [{"n": k} for k in range(3)])
-    assert result.verdict is Verdict.PASS
+    verdicts = [check_soundness(d, report, {"n": k}).verdict for k in range(3)]
+    assert worst(verdicts) is Verdict.PASS
     assert calls == [d]
