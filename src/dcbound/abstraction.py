@@ -20,7 +20,6 @@ because guessing skips constant facts and discovery never enters one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping
 
 from dcbound.dcp import (
@@ -34,6 +33,7 @@ from dcbound.dcp import (
 )
 from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, ConcreteProgram, ConcreteTransition, LinExpr
+from dcbound.record import Frozen, Record
 
 __all__ = [
     "DEFAULT_DEPTH_LIMIT",
@@ -137,14 +137,23 @@ def sym_exec_norm(e: LinExpr, t: ConcreteTransition) -> LinExpr | None:
     return e.substitute(updates)
 
 
-@dataclass(frozen=True)
-class AbstractStep:
+class AbstractStep(Frozen):
     """One derived constraint e' <= rhs + offset. rhs is a constant-free
     linear expression, or constant-only, in which case the constraint's
     right side is the integer atom rhs.const."""
 
     rhs: LinExpr
     offset: int
+
+    def __init__(self, rhs: LinExpr, offset: int):
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "offset", offset)
+
+    def _key(self) -> tuple:
+        return (self.rhs, self.offset)
+
+    def __repr__(self) -> str:
+        return f"AbstractStep(rhs={self.rhs!r}, offset={self.offset!r})"
 
 
 def abstract_transition(e: LinExpr, t: ConcreteTransition,
@@ -171,12 +180,20 @@ def abstract_transition(e: LinExpr, t: ConcreteTransition,
     return AbstractStep(rhs=r.drop_const(), offset=r.const)
 
 
-@dataclass
-class AbstractionResult:
-    dcp: Dcp
-    norm_vars: dict[str, LinExpr]       # dcp variable name -> norm
-    derived_consts: dict[str, LinExpr]  # dcp constant name -> defining expression
-    warnings: list[str]
+class AbstractionResult(Record):
+    def __init__(self, dcp: Dcp, norm_vars: dict[str, LinExpr],
+                 derived_consts: dict[str, LinExpr], warnings: list[str]):
+        self.dcp = dcp
+        self.norm_vars = norm_vars  # dcp variable name -> norm
+        self.derived_consts = derived_consts  # dcp constant name -> defining expression
+        self.warnings = warnings
+
+    def _key(self) -> tuple:
+        return (self.dcp, self.norm_vars, self.derived_consts, self.warnings)
+
+    def __repr__(self) -> str:
+        return (f"AbstractionResult(dcp={self.dcp!r}, norm_vars={self.norm_vars!r}, "
+                f"derived_consts={self.derived_consts!r}, warnings={self.warnings!r})")
 
     def rename_comment(self) -> list[str]:
         out = [f"{name} := {e.name()}"

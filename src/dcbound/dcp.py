@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from dcbound.expr import IntConst, SymConst
+from dcbound.record import Frozen
 
 __all__ = [
     "Atom",
@@ -43,13 +43,24 @@ __all__ = [
 Atom = str | SymConst | IntConst
 
 
-@dataclass(frozen=True)
-class DifferenceConstraint:
+class DifferenceConstraint(Frozen):
     """lhs' <= rhs + offset; the lhs is always a variable name."""
 
     lhs: str
     rhs: Atom
     offset: int
+
+    def __init__(self, lhs: str, rhs: Atom, offset: int):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "offset", offset)
+
+    def _key(self) -> tuple:
+        return (self.lhs, self.rhs, self.offset)
+
+    def __repr__(self) -> str:
+        return (f"DifferenceConstraint(lhs={self.lhs!r}, rhs={self.rhs!r}, "
+                f"offset={self.offset!r})")
 
     def __str__(self) -> str:
         if self.offset > 0:
@@ -59,21 +70,49 @@ class DifferenceConstraint:
         return f"{self.lhs}' <= {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Frozen):
+    """`line` is the source position only: equality and hash leave it out."""
+
     id: str
     source: str
     target: str
     guard: tuple[str, ...]
     updates: tuple[DifferenceConstraint, ...]
-    line: int = field(default=0, compare=False)  # source position only
+    line: int
+
+    def __init__(self, id: str, source: str, target: str, guard: tuple[str, ...],
+                 updates: tuple[DifferenceConstraint, ...], line: int = 0):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "updates", updates)
+        object.__setattr__(self, "line", line)
+
+    def _key(self) -> tuple:
+        return (self.id, self.source, self.target, self.guard, self.updates)
+
+    def __repr__(self) -> str:
+        return (f"Transition(id={self.id!r}, source={self.source!r}, "
+                f"target={self.target!r}, guard={self.guard!r}, "
+                f"updates={self.updates!r}, line={self.line!r})")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Frozen):
     line: int
     col: int
     message: str
+
+    def __init__(self, line: int, col: int, message: str):
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "message", message)
+
+    def _key(self) -> tuple:
+        return (self.line, self.col, self.message)
+
+    def __repr__(self) -> str:
+        return f"Diagnostic(line={self.line!r}, col={self.col!r}, message={self.message!r})"
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
@@ -93,8 +132,7 @@ class _DcpIndex(NamedTuple):
     increments: dict[str, tuple[tuple[Transition, int], ...]]
 
 
-@dataclass(frozen=True)
-class Dcp:
+class Dcp(Frozen):
     """A difference constraint program.
 
     The lookups `transition`, `outgoing`, `incoming`, `resets` and
@@ -103,8 +141,8 @@ class Dcp:
     tuples, each in `transitions` order. They assume a valid program (unique
     ids, each declared variable constrained at most once per transition);
     `validate` reads them only once its structural and name checks pass.
-    `defined_at` and `validate` are cached per instance too.
-    `dataclasses.replace` builds a new instance with its own caches.
+    `defined_at` and `validate` are cached per instance too. A transform
+    builds a new instance with the constructor, and so with its own caches.
     """
 
     locations: tuple[str, ...]
@@ -113,6 +151,25 @@ class Dcp:
     exit: str
     variables: tuple[str, ...]
     sym_consts: tuple[str, ...]
+
+    def __init__(self, locations: tuple[str, ...], transitions: tuple[Transition, ...],
+                 entry: str, exit: str, variables: tuple[str, ...],
+                 sym_consts: tuple[str, ...]):
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "exit", exit)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "sym_consts", sym_consts)
+
+    def _key(self) -> tuple:
+        return (self.locations, self.transitions, self.entry, self.exit,
+                self.variables, self.sym_consts)
+
+    def __repr__(self) -> str:
+        return (f"Dcp(locations={self.locations!r}, transitions={self.transitions!r}, "
+                f"entry={self.entry!r}, exit={self.exit!r}, "
+                f"variables={self.variables!r}, sym_consts={self.sym_consts!r})")
 
     @cached_property
     def _index(self) -> _DcpIndex:
@@ -403,8 +460,9 @@ def drop_variables(dcp: Dcp, removed: Iterable[str]) -> Dcp:
             and not (isinstance(u.rhs, str) and u.rhs in removed)
         )
         guard = tuple(g for g in t.guard if g not in removed)
-        new_ts.append(replace(t, guard=guard, updates=ups))
-    return replace(dcp, transitions=tuple(new_ts))
+        new_ts.append(Transition(t.id, t.source, t.target, guard, ups, t.line))
+    return Dcp(dcp.locations, tuple(new_ts), dcp.entry, dcp.exit, dcp.variables,
+               dcp.sym_consts)
 
 
 def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
@@ -456,12 +514,14 @@ def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
                                    f"{u.rhs} not defined at {t.source}"))
             else:
                 ups.append(u)
-        new_ts.append(replace(t, guard=tuple(guard), updates=tuple(ups)))
+        new_ts.append(Transition(t.id, t.source, t.target, tuple(guard), tuple(ups),
+                                 t.line))
     # a stable sort: within a round, by transition, guards first
     warnings = [w for _, w in sorted(dropped, key=lambda d: d[0])]
     constrained = {u.lhs for t in new_ts for u in t.updates}
     kept = tuple(v for v in dcp.variables if v in constrained)
-    return replace(dcp, transitions=tuple(new_ts), variables=kept), warnings
+    return Dcp(dcp.locations, tuple(new_ts), dcp.entry, dcp.exit, kept,
+               dcp.sym_consts), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -505,22 +565,22 @@ _UPDATE_RE = re.compile(
 _INT_RE = re.compile(r"-?\d+")
 
 
-@dataclass
 class Source:
     """One input as `read_source` collected it: declared names in file
     order, each a key of its dict (the constants are a `.prog` input's
     parameters), the locations named anywhere, the transitions and the
     diagnostics so far, and the update texts parsed since the last
-    constants line."""
+    constants line. It starts empty; `read_source` fills it in."""
 
-    consts: dict[str, None] = field(default_factory=dict)
-    variables: dict[str, None] = field(default_factory=dict)
-    entry: str | None = None
-    exit: str | None = None
-    locations: set[str] = field(default_factory=set)
-    transitions: list = field(default_factory=list)
-    diags: list[Diagnostic] = field(default_factory=list)
-    update_memo: dict[str, DifferenceConstraint] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.consts: dict[str, None] = {}
+        self.variables: dict[str, None] = {}
+        self.entry: str | None = None
+        self.exit: str | None = None
+        self.locations: set[str] = set()
+        self.transitions: list = []
+        self.diags: list[Diagnostic] = []
+        self.update_memo: dict[str, DifferenceConstraint] = {}
 
 
 def _lines(text: str) -> Iterator[tuple[int, str, str]]:

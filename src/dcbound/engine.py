@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -41,6 +40,7 @@ from dcbound import expr
 from dcbound.dcp import Atom, Dcp, Transition, require_valid, \
     strongly_connected_components
 from dcbound.localbounds import ONE, local_bound_map
+from dcbound.record import Record
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetAnalysis, ResetPath, \
     ResetPathOverflow, build_reset_graph, optimal_reset_paths
 
@@ -56,13 +56,22 @@ class AnalysisMode(enum.Enum):
     OPT = "opt"
 
 
-@dataclass
-class BoundReport:
-    mode: AnalysisMode
-    tb: dict[str, expr.BoundExpr]
-    vb: dict[str, expr.BoundExpr]
-    complexity: expr.BoundExpr
-    warnings: list[str] = field(default_factory=list)
+class BoundReport(Record):
+    def __init__(self, mode: AnalysisMode, tb: dict[str, expr.BoundExpr],
+                 vb: dict[str, expr.BoundExpr], complexity: expr.BoundExpr,
+                 warnings: list[str] | None = None):
+        self.mode = mode
+        self.tb = tb
+        self.vb = vb
+        self.complexity = complexity
+        self.warnings = [] if warnings is None else warnings
+
+    def _key(self) -> tuple:
+        return (self.mode, self.tb, self.vb, self.complexity, self.warnings)
+
+    def __repr__(self) -> str:
+        return (f"BoundReport(mode={self.mode!r}, tb={self.tb!r}, vb={self.vb!r}, "
+                f"complexity={self.complexity!r}, warnings={self.warnings!r})")
 
     def render(self, include_vb: bool = False) -> str:
         lines = [f"TB({tid}) = {b}" for tid, b in sorted(self.tb.items())]

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+from dcbound.record import Frozen
 
 __all__ = [
     "BoundExpr",
@@ -58,8 +59,8 @@ class ExprParseError(ValueError):
         self.pos = pos
 
 
-class BoundExpr:
-    """Base class; concrete nodes are the frozen dataclasses below.
+class BoundExpr(Frozen):
+    """Base class of the immutable nodes below.
 
     Every node answers `_str`, its printed form, and `_nonneg`, whether it
     is provably nonnegative: a leaf from its own value, a Compound from the
@@ -74,9 +75,23 @@ class BoundExpr:
         return self._str
 
 
-@dataclass(frozen=True)
 class IntConst(BoundExpr):
+    """An integer; its hash, that of (value,), is stored when it is built."""
+
     value: int
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((value,)))
+
+    def _key(self) -> tuple:
+        return (self.value,)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"IntConst(value={self.value!r})"
 
     @property
     def _str(self) -> str:  # type: ignore[override]
@@ -87,30 +102,49 @@ class IntConst(BoundExpr):
         return self.value >= 0
 
 
-@dataclass(frozen=True)
 class SymConst(BoundExpr):
+    """A named constant; its hash, that of (name,), is stored when it is
+    built."""
+
     name: str
     _nonneg = True  # symbolic constants range over the naturals
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((name,)))
+
+    def _key(self) -> tuple:
+        return (self.name,)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SymConst(name={self.name!r})"
 
     @property
     def _str(self) -> str:  # type: ignore[override]
         return self.name
 
 
-@dataclass(frozen=True)
 class Undefined(BoundExpr):
     _str = "undef"
     _nonneg = False
+
+    def _key(self) -> tuple:
+        return ()
+
+    def __repr__(self) -> str:
+        return "Undefined()"
 
 
 # the value of each operator, given the values of its operands
 _FOLD = {"+": sum, "*": math.prod, "max": max, "min": min}
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Compound(BoundExpr):
     """`op` applied to `args`, plus the printed form, hash and sign that
-    `__post_init__` stores, each computed from the operands' values. A max
+    `__init__` stores, each computed from the operands' values. A max
     is nonnegative if any operand is, the other operators if all are. The
     hash is that of the operand tuple, never one that walks the DAG, so the
     order in which a set of expressions iterates does not depend on the
@@ -120,8 +154,7 @@ class Compound(BoundExpr):
     op: str
     args: tuple[BoundExpr, ...]
 
-    def __post_init__(self) -> None:
-        op, args = self.op, self.args
+    def __init__(self, op: str, args: tuple[BoundExpr, ...]):
         if op == "+":
             text = " + ".join([a._str for a in args])
         elif op == "*":
@@ -130,6 +163,8 @@ class Compound(BoundExpr):
             text = op + "(" + ",".join([a._str for a in args]) + ")"
         else:
             raise ValueError(f"unknown operator {op!r}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
         object.__setattr__(self, "_str", text)
         object.__setattr__(self, "_hash", hash((args,)))
         object.__setattr__(self, "_nonneg", any(a._nonneg for a in args)
@@ -138,7 +173,7 @@ class Compound(BoundExpr):
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:  # the dataclass repr would recurse
+    def __repr__(self) -> str:  # a repr of the args would recurse
         return f"<Compound {self.op!r}: {self._str}>"
 
     def __eq__(self, other: object) -> bool:

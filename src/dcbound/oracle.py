@@ -58,13 +58,13 @@ would grow with locations x out-degree x transitions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from dcbound import expr
 from dcbound.dcp import Dcp, DifferenceConstraint, defined_at, require_valid
 from dcbound.expr import SymConst
 from dcbound.engine import BoundReport
+from dcbound.record import Frozen, Record
 
 __all__ = [
     "DEFAULT_STEP_CAP",
@@ -99,15 +99,23 @@ Fold = Callable[[list[State | None], dict, tuple[int, ...]], tuple[int, ...]]
 _SLICE_MIN = 12
 
 
-@dataclass
-class RunStats:
+class RunStats(Record):
     """Worst-case per-transition counts and per-variable maxima for one
     assignment of the symbolic constants."""
 
-    counts: dict[str, int]
-    var_max: dict[str, int | None]
-    exhausted: bool
-    states: int
+    def __init__(self, counts: dict[str, int], var_max: dict[str, int | None],
+                 exhausted: bool, states: int):
+        self.counts = counts
+        self.var_max = var_max
+        self.exhausted = exhausted
+        self.states = states
+
+    def _key(self) -> tuple:
+        return (self.counts, self.var_max, self.exhausted, self.states)
+
+    def __repr__(self) -> str:
+        return (f"RunStats(counts={self.counts!r}, var_max={self.var_max!r}, "
+                f"exhausted={self.exhausted!r}, states={self.states!r})")
 
 
 class _Program(NamedTuple):
@@ -299,12 +307,24 @@ def worst(verdicts: Iterable[Verdict]) -> Verdict:
     return max(verdicts, key=list(Verdict).index)
 
 
-@dataclass(frozen=True)
-class SoundnessRow:
+class SoundnessRow(Frozen):
     kind: str  # "TB" or "VB"
     name: str
     observed: int | None
     bound: int | None  # None when the bound is undefined (skipped)
+
+    def __init__(self, kind: str, name: str, observed: int | None, bound: int | None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "bound", bound)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.name, self.observed, self.bound)
+
+    def __repr__(self) -> str:
+        return (f"SoundnessRow(kind={self.kind!r}, name={self.name!r}, "
+                f"observed={self.observed!r}, bound={self.bound!r})")
 
     @property
     def ok(self) -> bool | None:
@@ -319,10 +339,16 @@ class SoundnessRow:
         return "OK" if ok else "VIOLATION"
 
 
-@dataclass
-class SoundnessResult:
-    verdict: Verdict
-    rows: list[SoundnessRow]
+class SoundnessResult(Record):
+    def __init__(self, verdict: Verdict, rows: list[SoundnessRow]):
+        self.verdict = verdict
+        self.rows = rows
+
+    def _key(self) -> tuple:
+        return (self.verdict, self.rows)
+
+    def __repr__(self) -> str:
+        return f"SoundnessResult(verdict={self.verdict!r}, rows={self.rows!r})"
 
 
 def check_soundness(dcp: Dcp, report: BoundReport,

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import re
 from collections import ChainMap
-from dataclasses import dataclass, field
 from typing import Container, Mapping
 
 from dcbound.dcp import (DcpError, Diagnostic, Source, check_structure, parts_with_columns,
                          read_source)
+from dcbound.record import Frozen
 
 __all__ = [
     "LinExpr",
@@ -26,12 +26,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(Frozen):
     """const + sum of coeff*name, with zero coefficients absent."""
 
-    const: int = 0
-    coeffs: tuple[tuple[str, int], ...] = ()
+    const: int
+    coeffs: tuple[tuple[str, int], ...]
+
+    def __init__(self, const: int = 0, coeffs: tuple[tuple[str, int], ...] = ()):
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def _key(self) -> tuple:
+        return (self.const, self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"LinExpr(const={self.const!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_mapping(const: int, coeffs: Mapping[str, int]) -> "LinExpr":
@@ -121,11 +130,21 @@ _REL_FACTS = {
 }
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Frozen):
     op: str
     lhs: LinExpr
     rhs: LinExpr
+
+    def __init__(self, op: str, lhs: LinExpr, rhs: LinExpr):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def _key(self) -> tuple:
+        return (self.op, self.lhs, self.rhs)
+
+    def __repr__(self) -> str:
+        return f"Relation(op={self.op!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
 
     def holds(self, env: Mapping[str, int]) -> bool:
         a, b = self.lhs.evaluate(env), self.rhs.evaluate(env)
@@ -144,14 +163,32 @@ class Relation:
         return f"{self.lhs} {self.op} {self.rhs}"
 
 
-@dataclass(frozen=True)
-class ConcreteTransition:
+class ConcreteTransition(Frozen):
+    """`line` is the source position only: equality and hash leave it out."""
+
     id: str
     source: str
     target: str
     guard: tuple[Relation, ...]
     updates: tuple[tuple[str, LinExpr | _Havoc], ...]
-    line: int = field(default=0, compare=False)  # source position only
+    line: int
+
+    def __init__(self, id: str, source: str, target: str, guard: tuple[Relation, ...],
+                 updates: tuple[tuple[str, LinExpr | _Havoc], ...], line: int = 0):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "updates", updates)
+        object.__setattr__(self, "line", line)
+
+    def _key(self) -> tuple:
+        return (self.id, self.source, self.target, self.guard, self.updates)
+
+    def __repr__(self) -> str:
+        return (f"ConcreteTransition(id={self.id!r}, source={self.source!r}, "
+                f"target={self.target!r}, guard={self.guard!r}, "
+                f"updates={self.updates!r}, line={self.line!r})")
 
     def update_map(self) -> dict[str, LinExpr | _Havoc]:
         return dict(self.updates)
@@ -160,14 +197,33 @@ class ConcreteTransition:
         return all(r.holds(env) for r in self.guard)
 
 
-@dataclass(frozen=True)
-class ConcreteProgram:
+class ConcreteProgram(Frozen):
     locations: tuple[str, ...]
     transitions: tuple[ConcreteTransition, ...]
     entry: str
     exit: str
     params: tuple[str, ...]
     variables: tuple[str, ...]
+
+    def __init__(self, locations: tuple[str, ...],
+                 transitions: tuple[ConcreteTransition, ...], entry: str, exit: str,
+                 params: tuple[str, ...], variables: tuple[str, ...]):
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "exit", exit)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "variables", variables)
+
+    def _key(self) -> tuple:
+        return (self.locations, self.transitions, self.entry, self.exit,
+                self.params, self.variables)
+
+    def __repr__(self) -> str:
+        return (f"ConcreteProgram(locations={self.locations!r}, "
+                f"transitions={self.transitions!r}, entry={self.entry!r}, "
+                f"exit={self.exit!r}, params={self.params!r}, "
+                f"variables={self.variables!r})")
 
 
 # ---------------------------------------------------------------------------

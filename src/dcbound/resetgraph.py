@@ -16,11 +16,11 @@ decides soundness; its test reference is `is_sound` in `tests/conftest.py`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from dcbound.dcp import Atom, Dcp, Transition, drop_variables, \
     strongly_connected_components
+from dcbound.record import Frozen
 
 __all__ = [
     "DEFAULT_RESET_PATH_CAP",
@@ -41,19 +41,39 @@ class ResetPathOverflow(Exception):
     """More optimal reset paths end in one variable than the cap allows."""
 
 
-@dataclass(frozen=True)
-class ResetEdge:
+class ResetEdge(Frozen):
     src: Atom
     trans: Transition
     offset: int
     dst: str  # variable name
 
+    def __init__(self, src: Atom, trans: Transition, offset: int, dst: str):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "trans", trans)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "dst", dst)
 
-@dataclass(frozen=True)
-class ResetPath:
+    def _key(self) -> tuple:
+        return (self.src, self.trans, self.offset, self.dst)
+
+    def __repr__(self) -> str:
+        return (f"ResetEdge(src={self.src!r}, trans={self.trans!r}, "
+                f"offset={self.offset!r}, dst={self.dst!r})")
+
+
+class ResetPath(Frozen):
     """Edges ordered from the originating atom down to the final variable."""
 
     edges: tuple[ResetEdge, ...]
+
+    def __init__(self, edges: tuple[ResetEdge, ...]):
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return (self.edges,)
+
+    def __repr__(self) -> str:
+        return f"ResetPath(edges={self.edges!r})"
 
     @property
     def in_atom(self) -> Atom:
@@ -85,14 +105,22 @@ class ResetPath:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class ResetGraph:
+class ResetGraph(Frozen):
     """Reset edges as `build_reset_graph`, their only builder, sorts them:
     by (str(source), target, transition id, offset). Adjacency is built
     lazily, once per instance: `into` returns the stored tuple of edges into
     a variable, in that order. `path_count` memoizes per target variable."""
 
     edges: tuple[ResetEdge, ...]
+
+    def __init__(self, edges: tuple[ResetEdge, ...]):
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return (self.edges,)
+
+    def __repr__(self) -> str:
+        return f"ResetGraph(edges={self.edges!r})"
 
     @cached_property
     def _into(self) -> dict[str, tuple[ResetEdge, ...]]:
@@ -144,13 +172,24 @@ class ResetGraph:
         return counts
 
 
-@dataclass(frozen=True)
-class ResetAnalysis:
+class ResetAnalysis(Frozen):
     """The pruned program and its reset graph; `warnings` words the removal."""
 
     graph: ResetGraph
     removed_vars: frozenset[str]
     pruned: Dcp  # working copy with removed-variable constraints dropped
+
+    def __init__(self, graph: ResetGraph, removed_vars: frozenset[str], pruned: Dcp):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "removed_vars", removed_vars)
+        object.__setattr__(self, "pruned", pruned)
+
+    def _key(self) -> tuple:
+        return (self.graph, self.removed_vars, self.pruned)
+
+    def __repr__(self) -> str:
+        return (f"ResetAnalysis(graph={self.graph!r}, "
+                f"removed_vars={self.removed_vars!r}, pruned={self.pruned!r})")
 
     @property
     def warnings(self) -> list[str]:

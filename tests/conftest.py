@@ -1,10 +1,17 @@
 import importlib.util
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
+import dcbound.abstraction
+import dcbound.dcp
+import dcbound.engine
+import dcbound.expr
+import dcbound.oracle
+import dcbound.program
+import dcbound.resetgraph
 from dcbound.abstraction import AbstractStep, sym_exec_norm
 from dcbound.dcp import (
     _INT_RE,
@@ -185,12 +192,15 @@ def ref_enforce_well_definedness(d):
                     changed = True
                 else:
                     ups.append(u)
-            new_ts.append(replace(t, guard=tuple(guard), updates=tuple(ups)))
-        cur = replace(cur, transitions=tuple(new_ts))
+            new_ts.append(Transition(t.id, t.source, t.target, tuple(guard),
+                                     tuple(ups), t.line))
+        cur = Dcp(cur.locations, tuple(new_ts), cur.entry, cur.exit, cur.variables,
+                  cur.sym_consts)
         if not changed:
             break
     constrained = {u.lhs for t in cur.transitions for u in t.updates}
-    cur = replace(cur, variables=tuple(v for v in cur.variables if v in constrained))
+    cur = Dcp(cur.locations, cur.transitions, cur.entry, cur.exit,
+              tuple(v for v in cur.variables if v in constrained), cur.sym_consts)
     return cur, warnings
 
 
@@ -272,3 +282,230 @@ def ref_parse_dcp(text):
     if diags:
         raise DcpError(diags)
     return dcp
+
+
+# ---------------------------------------------------------------------------
+# value-semantics references
+# ---------------------------------------------------------------------------
+#
+# A @dataclass twin of each record class, with the fields and flags the class
+# had as a dataclass, and its name: the reference for the record's
+# constructor, ==, hash, repr and immutability (`test_records.py`).
+
+@dataclass(frozen=True)
+class _DifferenceConstraint:
+    __qualname__ = "DifferenceConstraint"
+    lhs: object
+    rhs: object
+    offset: object
+
+
+@dataclass(frozen=True)
+class _Transition:
+    __qualname__ = "Transition"
+    id: object
+    source: object
+    target: object
+    guard: object
+    updates: object
+    line: int = field(default=0, compare=False)
+
+
+@dataclass(frozen=True)
+class _Diagnostic:
+    __qualname__ = "Diagnostic"
+    line: object
+    col: object
+    message: object
+
+
+@dataclass(frozen=True)
+class _Dcp:
+    __qualname__ = "Dcp"
+    locations: object
+    transitions: object
+    entry: object
+    exit: object
+    variables: object
+    sym_consts: object
+
+
+@dataclass
+class _Source:
+    __qualname__ = "Source"
+    consts: dict = field(default_factory=dict)
+    variables: dict = field(default_factory=dict)
+    entry: object = None
+    exit: object = None
+    locations: set = field(default_factory=set)
+    transitions: list = field(default_factory=list)
+    diags: list = field(default_factory=list)
+    update_memo: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _IntConst:
+    __qualname__ = "IntConst"
+    value: object
+
+
+@dataclass(frozen=True)
+class _SymConst:
+    __qualname__ = "SymConst"
+    name: object
+
+
+@dataclass(frozen=True)
+class _Undefined:
+    __qualname__ = "Undefined"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _Compound:
+    __qualname__ = "Compound"
+    op: object
+    args: object
+
+
+@dataclass(frozen=True)
+class _LinExpr:
+    __qualname__ = "LinExpr"
+    const: int = 0
+    coeffs: tuple = ()
+
+
+@dataclass(frozen=True)
+class _Relation:
+    __qualname__ = "Relation"
+    op: object
+    lhs: object
+    rhs: object
+
+
+@dataclass(frozen=True)
+class _ConcreteTransition:
+    __qualname__ = "ConcreteTransition"
+    id: object
+    source: object
+    target: object
+    guard: object
+    updates: object
+    line: int = field(default=0, compare=False)
+
+
+@dataclass(frozen=True)
+class _ConcreteProgram:
+    __qualname__ = "ConcreteProgram"
+    locations: object
+    transitions: object
+    entry: object
+    exit: object
+    params: object
+    variables: object
+
+
+@dataclass(frozen=True)
+class _ResetEdge:
+    __qualname__ = "ResetEdge"
+    src: object
+    trans: object
+    offset: object
+    dst: object
+
+
+@dataclass(frozen=True)
+class _ResetPath:
+    __qualname__ = "ResetPath"
+    edges: object
+
+
+@dataclass(frozen=True)
+class _ResetGraph:
+    __qualname__ = "ResetGraph"
+    edges: object
+
+
+@dataclass(frozen=True)
+class _ResetAnalysis:
+    __qualname__ = "ResetAnalysis"
+    graph: object
+    removed_vars: object
+    pruned: object
+
+
+@dataclass
+class _RunStats:
+    __qualname__ = "RunStats"
+    counts: object
+    var_max: object
+    exhausted: object
+    states: object
+
+
+@dataclass(frozen=True)
+class _SoundnessRow:
+    __qualname__ = "SoundnessRow"
+    kind: object
+    name: object
+    observed: object
+    bound: object
+
+
+@dataclass
+class _SoundnessResult:
+    __qualname__ = "SoundnessResult"
+    verdict: object
+    rows: object
+
+
+@dataclass
+class _BoundReport:
+    __qualname__ = "BoundReport"
+    mode: object
+    tb: object
+    vb: object
+    complexity: object
+    warnings: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _AbstractStep:
+    __qualname__ = "AbstractStep"
+    rhs: object
+    offset: object
+
+
+@dataclass
+class _AbstractionResult:
+    __qualname__ = "AbstractionResult"
+    dcp: object
+    norm_vars: object
+    derived_consts: object
+    warnings: object
+
+
+TWINS = {
+    dcbound.dcp.DifferenceConstraint: _DifferenceConstraint,
+    dcbound.dcp.Transition: _Transition,
+    dcbound.dcp.Diagnostic: _Diagnostic,
+    dcbound.dcp.Dcp: _Dcp,
+    dcbound.dcp.Source: _Source,
+    dcbound.expr.IntConst: _IntConst,
+    dcbound.expr.SymConst: _SymConst,
+    dcbound.expr.Undefined: _Undefined,
+    dcbound.expr.Compound: _Compound,
+    dcbound.program.LinExpr: _LinExpr,
+    dcbound.program.Relation: _Relation,
+    dcbound.program.ConcreteTransition: _ConcreteTransition,
+    dcbound.program.ConcreteProgram: _ConcreteProgram,
+    dcbound.resetgraph.ResetEdge: _ResetEdge,
+    dcbound.resetgraph.ResetPath: _ResetPath,
+    dcbound.resetgraph.ResetGraph: _ResetGraph,
+    dcbound.resetgraph.ResetAnalysis: _ResetAnalysis,
+    dcbound.oracle.RunStats: _RunStats,
+    dcbound.oracle.SoundnessRow: _SoundnessRow,
+    dcbound.oracle.SoundnessResult: _SoundnessResult,
+    dcbound.engine.BoundReport: _BoundReport,
+    dcbound.abstraction.AbstractStep: _AbstractStep,
+    dcbound.abstraction.AbstractionResult: _AbstractionResult,
+}

@@ -373,7 +373,7 @@ def test_equality_and_hash_are_structural():
     assert Compound("+", (N, M1)) != Compound("*", (N, M1))
     assert IntConst(2) != SymConst("2") and IntConst(2) == IntConst(2)
     assert N != "n" and UNDEFINED == expr.Undefined()
-    # a leaf's hash is the frozen dataclass's, the hash of its field tuple;
+    # a leaf's hash is that of its field tuple, stored when it is built;
     # a Compound's is the hash of its operand tuple
     assert hash(a) == hash((a.args,)) and hash(N) == hash(("n",))
     # independent builds of a DAG with heavy sharing (each level uses the
