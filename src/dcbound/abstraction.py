@@ -20,7 +20,7 @@ because guessing skips constant facts and discovery never enters one.
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping
+from collections.abc import Mapping
 
 from dcbound.dcp import (
     Atom,

@@ -4,6 +4,11 @@ Commands: analyze (bounds + complexity report), abstract (concrete program ->
 difference constraint program), validate (compare bounds against exhaustive
 concrete exploration), resets (optimal reset paths / DOT export).
 
+Options may come before or after the file. `--opt v` and `--opt=v` are the
+same, and so are `-o v` and `-ov`; a long option may be shortened to any
+prefix that no other option of the command shares; `--` ends the options.
+`-h` prints the help of `dcbound` or of one command.
+
 Exit codes: 0 success or PASS; 1 usage, input/output or parse error, or a
 closed stdout; 2 the requested complexity is undefined, or `resets` finds more
 optimal reset paths than --max-reset-paths allows; 3 validation did not fully
@@ -13,12 +18,13 @@ fault in dcbound, reported on one stderr line).
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import os
+import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable
+from types import SimpleNamespace
 
 from dcbound import __version__, expr
 from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractionResult, \
@@ -39,84 +45,302 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to status 2; we use 1
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
 class _UsageError(Exception):
     pass
 
 
+# ---------------------------------------------------------------------------
+# command line: one option table, read the way argparse reads it
+# ---------------------------------------------------------------------------
+
 def _count(text: str) -> int:
-    """argparse type of the cap and limit flags: an integer of 0 or more."""
+    """Converter of the cap and limit options: an integer of 0 or more. Its
+    ValueError says what is wrong with the value."""
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if n < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+        raise ValueError(f"must be 0 or more, got {n}")
     return n
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="dcbound", description=__doc__,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--version", action="version", version=f"dcbound {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+class _Option:
+    """One row of the option table. `kind` is "flag" (sets True), "value"
+    (one argument, through `convert` and `choices`), "list" (one argument
+    per use, collected), "help" or "version". `excludes` names an option
+    that may not be given with this one."""
 
-    def common(sp, *, analysis=True):
-        sp.add_argument("file", help="input file whose first line is dcp or prog")
-        sp.add_argument("--abstraction-depth", type=_count,
-                        default=DEFAULT_DEPTH_LIMIT, metavar="N",
-                        help="max chained norm discoveries before a chain "
-                             f"is discarded (default {DEFAULT_DEPTH_LIMIT})")
-        sp.add_argument("--keep-names", action="store_true",
-                        help="name abstract variables after their norms, "
-                             "e.g. (l-i)")
-        if analysis:
-            sp.add_argument("--max-reset-paths", type=_count, metavar="N",
-                            default=DEFAULT_RESET_PATH_CAP,
-                            help="optimal reset path cap per variable "
-                                 f"(default {DEFAULT_RESET_PATH_CAP})")
+    def __init__(self, flags: tuple[str, ...], help: str, kind: str = "flag",
+                 metavar: str | None = None, *, default=None, convert=None,
+                 choices: tuple[str, ...] = (), excludes: str | None = None):
+        self.flags = flags
+        self.name = "/".join(flags)  # as error messages name it
+        self.dest = flags[-1][2:].replace("-", "_")
+        self.help = help
+        self.kind = kind
+        self.metavar = "{" + ",".join(choices) + "}" if choices else metavar
+        self.default = False if kind == "flag" else default
+        self.convert = convert
+        self.choices = choices
+        self.excludes = excludes
 
-    a = sub.add_parser("analyze", help="compute transition bounds and complexity")
-    common(a)
-    a.add_argument("--mode", default="ctx", choices=["free", "ctx", "opt"],
-                   help="bound algorithm variant (default ctx)")
-    a.add_argument("--vb", action="store_true", help="also print variable bounds")
-    a.add_argument("-v", "--verbose", action="store_true",
-                   help="print the abstracted program to stderr")
 
-    b = sub.add_parser("abstract", help="abstract a .prog file into a .dcp file")
-    common(b, analysis=False)
-    b.add_argument("-o", "--output", metavar="OUT",
-                   help="output path (stdout when omitted)")
+_HELP = _Option(("-h", "--help"), "show this help message and exit", "help")
+_DEPTH = _Option(("--abstraction-depth",),
+                 "max chained norm discoveries before a chain is discarded "
+                 f"(default {DEFAULT_DEPTH_LIMIT})",
+                 "value", "N", default=DEFAULT_DEPTH_LIMIT, convert=_count)
+_KEEP = _Option(("--keep-names",),
+                "name abstract variables after their norms, e.g. (l-i)")
+_PATHS = _Option(("--max-reset-paths",),
+                 f"optimal reset path cap per variable (default {DEFAULT_RESET_PATH_CAP})",
+                 "value", "N", default=DEFAULT_RESET_PATH_CAP, convert=_count)
+_MODE = _Option(("--mode",), "bound algorithm variant (default ctx)", "value",
+                default="ctx", choices=("free", "ctx", "opt"))
 
-    c = sub.add_parser("validate",
-                       help="check bounds against exhaustive concrete exploration")
-    common(c)
-    c.add_argument("--mode", default="ctx", choices=["free", "ctx", "opt"])
-    one_of = c.add_mutually_exclusive_group()
-    one_of.add_argument("--assign", action="append", default=[], metavar="N=V[,M=V]",
-                        help="one valuation of the symbolic constants (repeatable)")
-    one_of.add_argument("--sweep", metavar="LO..HI",
-                        help="cartesian sweep over all constants (default 0..3 "
-                             "when no --assign is given)")
-    c.add_argument("--max-steps", type=_count, default=DEFAULT_STEP_CAP, metavar="S",
-                   help=f"state cap per valuation (default {DEFAULT_STEP_CAP})")
-    c.add_argument("--override-bound", action="append", default=[],
-                   metavar="TRANS=EXPR",
-                   help="replace a computed transition bound before checking "
-                        "(fault-injection/debugging aid)")
+# command -> (help, options); each command also takes the input file
+_COMMANDS = {
+    "analyze": ("compute transition bounds and complexity", (
+        _HELP, _DEPTH, _KEEP, _PATHS, _MODE,
+        _Option(("--vb",), "also print variable bounds"),
+        _Option(("-v", "--verbose"), "print the abstracted program to stderr"),
+    )),
+    "abstract": ("abstract a .prog file into a .dcp file", (
+        _HELP, _DEPTH, _KEEP,
+        _Option(("-o", "--output"), "output path (stdout when omitted)",
+                "value", "OUT"),
+    )),
+    "validate": ("check bounds against exhaustive concrete exploration", (
+        _HELP, _DEPTH, _KEEP, _PATHS, _MODE,
+        _Option(("--assign",),
+                "one valuation of the symbolic constants (repeatable)",
+                "list", "N=V[,M=V]", excludes="--sweep"),
+        _Option(("--sweep",), "cartesian sweep over all constants "
+                "(default 0..3 when no --assign is given)",
+                "value", "LO..HI", excludes="--assign"),
+        _Option(("--max-steps",), f"state cap per valuation (default {DEFAULT_STEP_CAP})",
+                "value", "S", default=DEFAULT_STEP_CAP, convert=_count),
+        _Option(("--override-bound",), "replace a computed transition bound "
+                "before checking (fault-injection/debugging aid)",
+                "list", "TRANS=EXPR"),
+    )),
+    "resets": ("print optimal reset paths or emit DOT", (
+        _HELP, _DEPTH, _KEEP, _PATHS,
+        _Option(("--dot",), "write the reset graph as DOT", "value", "FILE"),
+        _Option(("--var",), "restrict to one variable (repeatable)",
+                "list", "V"),
+    )),
+}
+_TOP = (_HELP, _Option(("--version",), "show program's version number and exit", "version"))
 
-    d = sub.add_parser("resets", help="print optimal reset paths or emit DOT")
-    common(d)
-    d.add_argument("--dot", metavar="FILE", help="write the reset graph as DOT")
-    d.add_argument("--var", action="append", default=[], metavar="V",
-                   help="restrict to one variable (repeatable)")
-    return p
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's negative number
+
+
+class _Reader:
+    """Reads the command line against one table: the top level (`dcbound`,
+    whose one positional argument is the command and all that follows it)
+    or one command (whose one positional argument is the file). The grammar
+    and the error messages are argparse's, including where it puts a `--`
+    and an argument left over."""
+
+    def __init__(self, prog: str, about: str, options: tuple[_Option, ...],
+                 positionals: list[tuple[str, str]], metavar: str):
+        self.prog = prog
+        self.about = about
+        self.options = options
+        self.positionals = positionals  # (name, help) rows of the help
+        self.metavar = metavar  # the positional argument in the usage
+        self.flags = {f: o for o in options for f in o.flags}
+
+    def fail(self, message: str):
+        sys.stderr.write(self.usage())
+        raise _UsageError(message)
+
+    def usage(self) -> str:
+        """The usage line, wrapped as argparse wraps it at 80 columns."""
+        parts, prev = [self.prog], None
+        for o in self.options:
+            text = o.flags[0] if o.metavar is None else f"{o.flags[0]} {o.metavar}"
+            if prev is not None and o.excludes == prev.flags[0]:
+                parts[-1] = f"{parts[-1][:-1]} | {text}]"
+            else:
+                parts.append(f"[{text}]")
+            prev = o
+        if len(" ".join(parts)) + len(self.metavar) <= 70:
+            return f"usage: {' '.join(parts)} {self.metavar}\n"
+        indent = " " * (len(self.prog) + 7)
+        lines, line = [], "usage:"
+        for part in parts:
+            if len(line) + 1 + len(part) > 78:
+                lines.append(line)
+                line = indent
+            line += " " + part
+        return "\n".join([*lines, line, f"{indent} {self.metavar}\n"])
+
+    def help(self) -> str:
+        """The usage, the description and one row per argument, wrapped at
+        80 columns."""
+        import textwrap  # only the help needs it
+        rows = [*self.positionals, *((", ".join(o.flags) if o.metavar is None
+                                      else f"{', '.join(o.flags)} {o.metavar}",
+                                      o.help) for o in self.options)]
+        width = max(len(name) for name, _ in rows) + 4
+        out = [self.usage(), "\n", self.about, "\n\n"]
+        for name, text in rows:
+            lines = textwrap.wrap(text, 78 - width)
+            out.append(f"  {name:{width - 2}}{lines[0]}\n")
+            out += [f"{'':{width}}{line}\n" for line in lines[1:]]
+        return "".join(out)
+
+    def classify(self, arg: str):
+        """None for a positional argument, else (option, flag, the value
+        after `=` or after a one-letter flag, or None); the option is None
+        when none has this flag."""
+        flags = self.flags
+        if not arg.startswith("-") or arg == "-":
+            return None
+        if arg in flags:
+            return flags[arg], arg, None
+        flag, eq, value = arg.partition("=")
+        if eq and flag in flags:
+            return flags[flag], flag, value
+        if arg[1] == "-":  # a unique prefix of a long option
+            found = [(flags[f], f, value if eq else None)
+                     for f in flags if f.startswith(flag)]
+        else:  # -oFILE
+            found = [(flags[f], f, arg[2:] if f == arg[:2] else None)
+                     for f in flags if f == arg[:2] or f.startswith(arg)]
+        if len(found) > 1:
+            self.fail(f"ambiguous option: {arg} could match "
+                      f"{', '.join(f for _, f, _ in found)}")
+        if found:
+            return found[0]
+        if _NEGATIVE.match(arg) or " " in arg:
+            return None
+        return None, arg, None
+
+    def read(self, argv: list[str], values: dict, extras: list[str]):
+        """Take the options of argv in order into `values`. The top level
+        stops at the command and returns its index (None when there is
+        none); a command stores its file. Unknown arguments go to `extras`."""
+        kinds = []
+        for i, arg in enumerate(argv):
+            if arg == "--":  # all that follows is positional
+                kinds += ["--"] + [None] * (len(argv) - i - 1)
+                break
+            kinds.append(self.classify(arg))
+        top = self.prog == "dcbound"
+        file_at = None
+        seen = set()
+        i = 0
+        while i < len(argv):
+            kind = kinds[i]
+            if kind is None or kind == "--":
+                if top:  # argparse reads a `--` before the command as the command
+                    return i if kind is None or i + 1 < len(argv) else None
+                if kind is None and file_at is None:
+                    values["file"], file_at = argv[i], i
+                elif kind is None or file_at is not None and file_at != i - 1:
+                    extras.append(argv[i])  # a `--` not next to the file is left over
+                i += 1
+            else:
+                i = self._option(argv, kinds, i, values, seen, extras)
+        if not top and file_at is None:
+            self.fail("the following arguments are required: file")
+        return None
+
+    def _option(self, argv, kinds, i, values, seen, extras) -> int:
+        """Take the option at argv[i] (each flag of one like `-vh`) and its
+        value; return the index of the argument after them."""
+        option, flag, value = kinds[i]
+        taken = []
+        while True:
+            if option is None:
+                extras.append(argv[i])
+                return i + 1
+            if option.kind in ("value", "list"):
+                if value is not None:
+                    taken.append((option, value))
+                    stop = i + 1
+                elif i + 1 < len(argv) and kinds[i + 1] is None:
+                    taken.append((option, argv[i + 1]))
+                    stop = i + 2
+                else:
+                    self.fail(f"argument {option.name}: expected one argument")
+                break
+            taken.append((option, None))
+            if value is None:
+                stop = i + 1
+                break
+            if flag[1] == "-" or value == "" or f"-{value[0]}" not in self.flags:
+                self.fail(f"argument {option.name}: ignored explicit argument {value!r}")
+            flag = f"-{value[0]}"
+            option, value = self.flags[flag], value[1:] or None
+        for option, value in taken:
+            self._take(option, value, values, seen)
+        return stop
+
+    def _take(self, option: _Option, value, values: dict, seen: set) -> None:
+        if option.kind == "help":
+            sys.stdout.write(self.help())
+            raise SystemExit(0)
+        if option.kind == "version":
+            print(f"dcbound {__version__}")
+            raise SystemExit(0)
+        if option.kind == "flag":
+            values[option.dest] = True
+            return
+        if option.convert is not None:
+            try:
+                value = option.convert(value)
+            except ValueError as exc:
+                self.fail(f"argument {option.name}: {exc}")
+        if option.choices and value not in option.choices:
+            self.fail(f"argument {option.name}: invalid choice: {value!r} (choose "
+                      f"from {', '.join(map(repr, option.choices))})")
+        if option.excludes in seen:
+            self.fail(f"argument {option.name}: not allowed with argument "
+                      f"{option.excludes}")
+        seen.add(option.flags[0])
+        if option.kind == "list":
+            values[option.dest].append(value)
+        else:
+            values[option.dest] = value
+
+
+_READERS = {name: _Reader(f"dcbound {name}", about, options,
+                          [("file", "input file whose first line is dcp or prog")], "file")
+            for name, (about, options) in _COMMANDS.items()}
+_READERS["dcbound"] = _Reader(
+    "dcbound", __doc__.strip(), _TOP,
+    [(name, about) for name, (about, _) in _COMMANDS.items()],
+    "{" + ",".join(_COMMANDS) + "} ...")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The parsed command line: `command`, `file` and one attribute per
+    option of the command. A usage error prints the usage line and raises
+    _UsageError; -h and --version print and raise SystemExit(0)."""
+    top = _READERS["dcbound"]
+    extras: list[str] = []
+    at = top.read(argv, {}, extras)
+    if at is None:
+        top.fail("the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        top.fail(f"argument command: invalid choice: {command!r} (choose from "
+                 f"{', '.join(map(repr, _COMMANDS))})")
+    values = {"command": command, "file": None}
+    for o in _COMMANDS[command][1]:
+        if o.kind in ("flag", "value"):
+            values[o.dest] = o.default
+        elif o.kind == "list":
+            values[o.dest] = []
+    _READERS[command].read(argv[at + 1:], values, extras)
+    if extras:
+        top.fail(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +523,8 @@ def _cmd_resets(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         handler = {
             "analyze": _cmd_analyze,
             "abstract": _cmd_abstract,

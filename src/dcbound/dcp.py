@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from dcbound.expr import IntConst, SymConst
 from dcbound.record import Frozen
@@ -124,12 +124,21 @@ class DcpError(ValueError):
         self.diagnostics = diagnostics
 
 
-class _DcpIndex(NamedTuple):
-    by_id: dict[str, Transition]
-    outgoing: dict[str, tuple[Transition, ...]]
-    incoming: dict[str, tuple[Transition, ...]]
-    resets: dict[str, tuple[tuple[Transition, Atom, int], ...]]
-    increments: dict[str, tuple[tuple[Transition, int], ...]]
+class _DcpIndex:
+    """The lookups of one `Dcp`, built together in one pass."""
+
+    __slots__ = ("by_id", "outgoing", "incoming", "resets", "increments")
+
+    def __init__(self, by_id: dict[str, Transition],
+                 outgoing: dict[str, tuple[Transition, ...]],
+                 incoming: dict[str, tuple[Transition, ...]],
+                 resets: dict[str, tuple[tuple[Transition, Atom, int], ...]],
+                 increments: dict[str, tuple[tuple[Transition, int], ...]]):
+        self.by_id = by_id
+        self.outgoing = outgoing
+        self.incoming = incoming
+        self.resets = resets
+        self.increments = increments
 
 
 class Dcp(Frozen):
@@ -299,11 +308,7 @@ def strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[int]:
     return comp
 
 
-_T = TypeVar("_T")
-
-
-def cyclic_components(locations: Iterable[str],
-                      transitions: Sequence[_T]) -> list[list[_T]]:
+def cyclic_components(locations: Iterable[str], transitions: Sequence) -> list[list]:
     """The transitions (anything with a `source` and a `target` location)
     whose two ends share a strongly connected component, grouped by
     component, each group in the order given. A component contributes a
@@ -313,7 +318,7 @@ def cyclic_components(locations: Iterable[str],
     for t in transitions:
         succ[node[t.source]].append(node[t.target])
     comp = strongly_connected_components(succ)
-    inner: dict[int, list[_T]] = {}
+    inner: dict[int, list] = {}
     for t in transitions:
         c = comp[node[t.source]]
         if c == comp[node[t.target]]:

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from dcbound import expr
 from dcbound.dcp import Atom, Dcp, Transition, require_valid, \

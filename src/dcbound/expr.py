@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from dcbound.record import Frozen
 

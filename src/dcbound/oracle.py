@@ -58,7 +58,7 @@ would grow with locations x out-degree x transitions.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Mapping, NamedTuple
+from collections.abc import Callable, Iterable, Mapping
 
 from dcbound import expr
 from dcbound.dcp import Dcp, DifferenceConstraint, defined_at, require_valid
@@ -118,14 +118,18 @@ class RunStats(Record):
                 f"exhausted={self.exhausted!r}, states={self.states!r})")
 
 
-class _Program(NamedTuple):
+class _Program:
     """A program built for the oracle, once for all valuations."""
 
-    dcp: Dcp  # the program built, held so that its identity stays valid
-    defined: tuple[tuple[int, ...], ...]  # location index -> defined slots
-    entry: int  # the entry's location index
-    factory: Callable[..., tuple[Kernel, ...]]  # constants in sym_consts order -> kernels
-    folds: tuple[Fold, ...]  # location index -> its fold
+    __slots__ = ("dcp", "defined", "entry", "factory", "folds")
+
+    def __init__(self, dcp: Dcp, defined: tuple[tuple[int, ...], ...], entry: int,
+                 factory: Callable[..., tuple[Kernel, ...]], folds: tuple[Fold, ...]):
+        self.dcp = dcp  # the program built, held so that its identity stays valid
+        self.defined = defined  # location index -> defined slots
+        self.entry = entry  # the entry's location index
+        self.factory = factory  # constants in sym_consts order -> kernels
+        self.folds = folds  # location index -> its fold
 
 
 _built: _Program | None = None

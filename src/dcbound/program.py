@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import ChainMap
-from typing import Container, Mapping
+from collections.abc import Container, Mapping
 
 from dcbound.dcp import (DcpError, Diagnostic, Source, check_structure, parts_with_columns,
                          read_source)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import sys
 from dataclasses import dataclass, field
@@ -5,14 +6,16 @@ from pathlib import Path
 
 import pytest
 
+import dcbound
 import dcbound.abstraction
+import dcbound.cli
 import dcbound.dcp
 import dcbound.engine
 import dcbound.expr
 import dcbound.oracle
 import dcbound.program
 import dcbound.resetgraph
-from dcbound.abstraction import AbstractStep, sym_exec_norm
+from dcbound.abstraction import DEFAULT_DEPTH_LIMIT, AbstractStep, sym_exec_norm
 from dcbound.dcp import (
     _INT_RE,
     _TRANS_RE,
@@ -28,7 +31,9 @@ from dcbound.dcp import (
     validate,
 )
 from dcbound.expr import IntConst, SymConst
+from dcbound.oracle import DEFAULT_STEP_CAP
 from dcbound.program import LinExpr, parse_program
+from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -509,3 +514,91 @@ TWINS = {
     dcbound.abstraction.AbstractStep: _AbstractStep,
     dcbound.abstraction.AbstractionResult: _AbstractionResult,
 }
+
+
+# ---------------------------------------------------------------------------
+# command-line reference
+# ---------------------------------------------------------------------------
+
+class RefUsageError(Exception):
+    """A usage error of the reference parser; its message is argparse's."""
+
+
+class _RefParser(argparse.ArgumentParser):
+    def error(self, message):  # argparse defaults to status 2; dcbound uses 1
+        self.print_usage(sys.stderr)
+        raise RefUsageError(message)
+
+
+def _ref_count(text: str) -> int:
+    """argparse type of the cap and limit flags: an integer of 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
+def ref_build_parser() -> _RefParser:
+    """The argparse parser `dcbound.cli` used before it read its command line
+    from one option table: the reference of `test_cli_args.py`."""
+    p = _RefParser(prog="dcbound", description=dcbound.cli.__doc__,
+                   formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--version", action="version",
+                   version=f"dcbound {dcbound.__version__}")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def common(sp, *, analysis=True):
+        sp.add_argument("file", help="input file whose first line is dcp or prog")
+        sp.add_argument("--abstraction-depth", type=_ref_count,
+                        default=DEFAULT_DEPTH_LIMIT, metavar="N",
+                        help="max chained norm discoveries before a chain "
+                             f"is discarded (default {DEFAULT_DEPTH_LIMIT})")
+        sp.add_argument("--keep-names", action="store_true",
+                        help="name abstract variables after their norms, "
+                             "e.g. (l-i)")
+        if analysis:
+            sp.add_argument("--max-reset-paths", type=_ref_count, metavar="N",
+                            default=DEFAULT_RESET_PATH_CAP,
+                            help="optimal reset path cap per variable "
+                                 f"(default {DEFAULT_RESET_PATH_CAP})")
+
+    a = sub.add_parser("analyze", help="compute transition bounds and complexity")
+    common(a)
+    a.add_argument("--mode", default="ctx", choices=["free", "ctx", "opt"],
+                   help="bound algorithm variant (default ctx)")
+    a.add_argument("--vb", action="store_true", help="also print variable bounds")
+    a.add_argument("-v", "--verbose", action="store_true",
+                   help="print the abstracted program to stderr")
+
+    b = sub.add_parser("abstract", help="abstract a .prog file into a .dcp file")
+    common(b, analysis=False)
+    b.add_argument("-o", "--output", metavar="OUT",
+                   help="output path (stdout when omitted)")
+
+    c = sub.add_parser("validate",
+                       help="check bounds against exhaustive concrete exploration")
+    common(c)
+    c.add_argument("--mode", default="ctx", choices=["free", "ctx", "opt"])
+    one_of = c.add_mutually_exclusive_group()
+    one_of.add_argument("--assign", action="append", default=[], metavar="N=V[,M=V]",
+                        help="one valuation of the symbolic constants (repeatable)")
+    one_of.add_argument("--sweep", metavar="LO..HI",
+                        help="cartesian sweep over all constants (default 0..3 "
+                             "when no --assign is given)")
+    c.add_argument("--max-steps", type=_ref_count, default=DEFAULT_STEP_CAP,
+                   metavar="S",
+                   help=f"state cap per valuation (default {DEFAULT_STEP_CAP})")
+    c.add_argument("--override-bound", action="append", default=[],
+                   metavar="TRANS=EXPR",
+                   help="replace a computed transition bound before checking "
+                        "(fault-injection/debugging aid)")
+
+    d = sub.add_parser("resets", help="print optimal reset paths or emit DOT")
+    common(d)
+    d.add_argument("--dot", metavar="FILE", help="write the reset graph as DOT")
+    d.add_argument("--var", action="append", default=[], metavar="V",
+                   help="restrict to one variable (repeatable)")
+    return p

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dcbound import cli
+from dcbound import __version__, cli
 from dcbound.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -244,14 +244,39 @@ def test_format_sniffed_from_content(tmp_path, capsys):
     assert code == 0 and out.endswith("complexity = 2*l\n")
 
 
-def test_version_and_help():
-    # argparse handles these via SystemExit(0)
+def test_version_and_help(capsys):
+    # both print to stdout and end in SystemExit(0), as argparse ended them
     with pytest.raises(SystemExit) as ei:
         main(["--version"])
     assert ei.value.code == 0
-    with pytest.raises(SystemExit) as ei:
-        main(["--help"])
-    assert ei.value.code == 0
+    assert capsys.readouterr().out == f"dcbound {__version__}\n"
+    for argv in (["--help"], ["-h"], *([c, "--help"] for c in cli._COMMANDS)):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: dcbound {argv[0]} "
+                                                  if argv[0] in cli._COMMANDS
+                                                  else "usage: dcbound [-h] ")
+
+
+# `import dcbound.cli` and one `main`; -S leaves the site modules out, so
+# only dcbound can have loaded what is listed
+_START_UP = """\
+import io, sys
+from contextlib import redirect_stdout
+import dcbound.cli
+with redirect_stdout(io.StringIO()):
+    code = dcbound.cli.main(["analyze", sys.argv[1]])
+loaded = [m for m in ("argparse", "gettext", "locale", "typing", "dataclasses")
+          if m in sys.modules]
+assert (code, loaded) == (0, []), (code, loaded)
+"""
+
+
+def test_start_up_loads_no_argparse_or_typing():
+    # locale comes with argparse's first message, so look after `main`
+    subprocess.run([sys.executable, "-S", "-c", _START_UP, str(DATA / "example3.prog")],
+                   check=True, env={"PYTHONPATH": str(Path(cli.__file__).parent.parent)})
 
 
 def test_console_script_entry():
@@ -631,7 +656,7 @@ def test_internal_error_is_one_line_exit_4(monkeypatch, capsys):
 _LIMITED_MAIN = """\
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from dcbound import cli
+from dcbound import __version__, cli
 from dcbound.cli import main
 sys.exit(main())
 """
