@@ -142,18 +142,9 @@ class AbstractStep(Frozen):
     linear expression, or constant-only, in which case the constraint's
     right side is the integer atom rhs.const."""
 
-    rhs: LinExpr
-    offset: int
-
     def __init__(self, rhs: LinExpr, offset: int):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "offset", offset)
-
-    def _key(self) -> tuple:
-        return (self.rhs, self.offset)
-
-    def __repr__(self) -> str:
-        return f"AbstractStep(rhs={self.rhs!r}, offset={self.offset!r})"
 
 
 def abstract_transition(e: LinExpr, t: ConcreteTransition,
@@ -187,13 +178,6 @@ class AbstractionResult(Record):
         self.norm_vars = norm_vars  # dcp variable name -> norm
         self.derived_consts = derived_consts  # dcp constant name -> defining expression
         self.warnings = warnings
-
-    def _key(self) -> tuple:
-        return (self.dcp, self.norm_vars, self.derived_consts, self.warnings)
-
-    def __repr__(self) -> str:
-        return (f"AbstractionResult(dcp={self.dcp!r}, norm_vars={self.norm_vars!r}, "
-                f"derived_consts={self.derived_consts!r}, warnings={self.warnings!r})")
 
     def rename_comment(self) -> list[str]:
         out = [f"{name} := {e.name()}"

@@ -46,21 +46,10 @@ Atom = str | SymConst | IntConst
 class DifferenceConstraint(Frozen):
     """lhs' <= rhs + offset; the lhs is always a variable name."""
 
-    lhs: str
-    rhs: Atom
-    offset: int
-
     def __init__(self, lhs: str, rhs: Atom, offset: int):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "offset", offset)
-
-    def _key(self) -> tuple:
-        return (self.lhs, self.rhs, self.offset)
-
-    def __repr__(self) -> str:
-        return (f"DifferenceConstraint(lhs={self.lhs!r}, rhs={self.rhs!r}, "
-                f"offset={self.offset!r})")
 
     def __str__(self) -> str:
         if self.offset > 0:
@@ -73,13 +62,6 @@ class DifferenceConstraint(Frozen):
 class Transition(Frozen):
     """`line` is the source position only: equality and hash leave it out."""
 
-    id: str
-    source: str
-    target: str
-    guard: tuple[str, ...]
-    updates: tuple[DifferenceConstraint, ...]
-    line: int
-
     def __init__(self, id: str, source: str, target: str, guard: tuple[str, ...],
                  updates: tuple[DifferenceConstraint, ...], line: int = 0):
         object.__setattr__(self, "id", id)
@@ -89,30 +71,16 @@ class Transition(Frozen):
         object.__setattr__(self, "updates", updates)
         object.__setattr__(self, "line", line)
 
+    @property
     def _key(self) -> tuple:
         return (self.id, self.source, self.target, self.guard, self.updates)
 
-    def __repr__(self) -> str:
-        return (f"Transition(id={self.id!r}, source={self.source!r}, "
-                f"target={self.target!r}, guard={self.guard!r}, "
-                f"updates={self.updates!r}, line={self.line!r})")
-
 
 class Diagnostic(Frozen):
-    line: int
-    col: int
-    message: str
-
     def __init__(self, line: int, col: int, message: str):
         object.__setattr__(self, "line", line)
         object.__setattr__(self, "col", col)
         object.__setattr__(self, "message", message)
-
-    def _key(self) -> tuple:
-        return (self.line, self.col, self.message)
-
-    def __repr__(self) -> str:
-        return f"Diagnostic(line={self.line!r}, col={self.col!r}, message={self.message!r})"
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
@@ -154,13 +122,6 @@ class Dcp(Frozen):
     builds a new instance with the constructor, and so with its own caches.
     """
 
-    locations: tuple[str, ...]
-    transitions: tuple[Transition, ...]
-    entry: str
-    exit: str
-    variables: tuple[str, ...]
-    sym_consts: tuple[str, ...]
-
     def __init__(self, locations: tuple[str, ...], transitions: tuple[Transition, ...],
                  entry: str, exit: str, variables: tuple[str, ...],
                  sym_consts: tuple[str, ...]):
@@ -170,15 +131,6 @@ class Dcp(Frozen):
         object.__setattr__(self, "exit", exit)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "sym_consts", sym_consts)
-
-    def _key(self) -> tuple:
-        return (self.locations, self.transitions, self.entry, self.exit,
-                self.variables, self.sym_consts)
-
-    def __repr__(self) -> str:
-        return (f"Dcp(locations={self.locations!r}, transitions={self.transitions!r}, "
-                f"entry={self.entry!r}, exit={self.exit!r}, "
-                f"variables={self.variables!r}, sym_consts={self.sym_consts!r})")
 
     @cached_property
     def _index(self) -> _DcpIndex:

@@ -66,13 +66,6 @@ class BoundReport(Record):
         self.complexity = complexity
         self.warnings = [] if warnings is None else warnings
 
-    def _key(self) -> tuple:
-        return (self.mode, self.tb, self.vb, self.complexity, self.warnings)
-
-    def __repr__(self) -> str:
-        return (f"BoundReport(mode={self.mode!r}, tb={self.tb!r}, vb={self.vb!r}, "
-                f"complexity={self.complexity!r}, warnings={self.warnings!r})")
-
     def render(self, include_vb: bool = False) -> str:
         lines = [f"TB({tid}) = {b}" for tid, b in sorted(self.tb.items())]
         if include_vb:
@@ -212,7 +205,10 @@ class Analysis:
     def tb(self, t: Transition | str) -> expr.BoundExpr:
         """Upper bound on how often the transition can run."""
         if isinstance(t, str):
-            t = self.working.transition(t)
+            try:
+                t = self.working.transition(t)
+            except KeyError:
+                raise ValueError(f"unknown transition {t!r}") from None
         return self._tb(t, self._bounds.__getitem__)
 
     def complexity(self) -> expr.BoundExpr:

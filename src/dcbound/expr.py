@@ -64,12 +64,15 @@ class BoundExpr(Frozen):
 
     Every node answers `_str`, its printed form, and `_nonneg`, whether it
     is provably nonnegative: a leaf from its own value, a Compound from the
-    values it stored when it was built.
+    values it stored when it was built. Its hash is the `_hash` it stores.
     """
 
     __slots__ = ()
     _str: str
     _nonneg: bool
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self._str
@@ -78,20 +81,9 @@ class BoundExpr(Frozen):
 class IntConst(BoundExpr):
     """An integer; its hash, that of (value,), is stored when it is built."""
 
-    value: int
-
     def __init__(self, value: int):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash((value,)))
-
-    def _key(self) -> tuple:
-        return (self.value,)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"IntConst(value={self.value!r})"
 
     @property
     def _str(self) -> str:  # type: ignore[override]
@@ -106,21 +98,11 @@ class SymConst(BoundExpr):
     """A named constant; its hash, that of (name,), is stored when it is
     built."""
 
-    name: str
     _nonneg = True  # symbolic constants range over the naturals
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash((name,)))
-
-    def _key(self) -> tuple:
-        return (self.name,)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"SymConst(name={self.name!r})"
 
     @property
     def _str(self) -> str:  # type: ignore[override]
@@ -130,12 +112,7 @@ class SymConst(BoundExpr):
 class Undefined(BoundExpr):
     _str = "undef"
     _nonneg = False
-
-    def _key(self) -> tuple:
-        return ()
-
-    def __repr__(self) -> str:
-        return "Undefined()"
+    _hash = hash(())
 
 
 # the value of each operator, given the values of its operands
@@ -150,9 +127,6 @@ class Compound(BoundExpr):
     order in which a set of expressions iterates does not depend on the
     stored values.
     """
-
-    op: str
-    args: tuple[BoundExpr, ...]
 
     def __init__(self, op: str, args: tuple[BoundExpr, ...]):
         if op == "+":
@@ -170,8 +144,7 @@ class Compound(BoundExpr):
         object.__setattr__(self, "_nonneg", any(a._nonneg for a in args)
                            if op == "max" else all(a._nonneg for a in args))
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = BoundExpr.__hash__  # defining __eq__ would unset it
 
     def __repr__(self) -> str:  # a repr of the args would recurse
         return f"<Compound {self.op!r}: {self._str}>"

@@ -110,13 +110,6 @@ class RunStats(Record):
         self.exhausted = exhausted
         self.states = states
 
-    def _key(self) -> tuple:
-        return (self.counts, self.var_max, self.exhausted, self.states)
-
-    def __repr__(self) -> str:
-        return (f"RunStats(counts={self.counts!r}, var_max={self.var_max!r}, "
-                f"exhausted={self.exhausted!r}, states={self.states!r})")
-
 
 class _Program:
     """A program built for the oracle, once for all valuations."""
@@ -312,23 +305,14 @@ def worst(verdicts: Iterable[Verdict]) -> Verdict:
 
 
 class SoundnessRow(Frozen):
-    kind: str  # "TB" or "VB"
-    name: str
-    observed: int | None
-    bound: int | None  # None when the bound is undefined (skipped)
+    """One checked bound: `kind` is "TB" or "VB", and `bound` is None when
+    the bound is undefined (skipped)."""
 
     def __init__(self, kind: str, name: str, observed: int | None, bound: int | None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "bound", bound)
-
-    def _key(self) -> tuple:
-        return (self.kind, self.name, self.observed, self.bound)
-
-    def __repr__(self) -> str:
-        return (f"SoundnessRow(kind={self.kind!r}, name={self.name!r}, "
-                f"observed={self.observed!r}, bound={self.bound!r})")
 
     @property
     def ok(self) -> bool | None:
@@ -347,12 +331,6 @@ class SoundnessResult(Record):
     def __init__(self, verdict: Verdict, rows: list[SoundnessRow]):
         self.verdict = verdict
         self.rows = rows
-
-    def _key(self) -> tuple:
-        return (self.verdict, self.rows)
-
-    def __repr__(self) -> str:
-        return f"SoundnessResult(verdict={self.verdict!r}, rows={self.rows!r})"
 
 
 def check_soundness(dcp: Dcp, report: BoundReport,

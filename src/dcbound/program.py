@@ -29,18 +29,9 @@ __all__ = [
 class LinExpr(Frozen):
     """const + sum of coeff*name, with zero coefficients absent."""
 
-    const: int
-    coeffs: tuple[tuple[str, int], ...]
-
     def __init__(self, const: int = 0, coeffs: tuple[tuple[str, int], ...] = ()):
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def _key(self) -> tuple:
-        return (self.const, self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"LinExpr(const={self.const!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_mapping(const: int, coeffs: Mapping[str, int]) -> "LinExpr":
@@ -131,20 +122,10 @@ _REL_FACTS = {
 
 
 class Relation(Frozen):
-    op: str
-    lhs: LinExpr
-    rhs: LinExpr
-
     def __init__(self, op: str, lhs: LinExpr, rhs: LinExpr):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-
-    def _key(self) -> tuple:
-        return (self.op, self.lhs, self.rhs)
-
-    def __repr__(self) -> str:
-        return f"Relation(op={self.op!r}, lhs={self.lhs!r}, rhs={self.rhs!r})"
 
     def holds(self, env: Mapping[str, int]) -> bool:
         a, b = self.lhs.evaluate(env), self.rhs.evaluate(env)
@@ -166,13 +147,6 @@ class Relation(Frozen):
 class ConcreteTransition(Frozen):
     """`line` is the source position only: equality and hash leave it out."""
 
-    id: str
-    source: str
-    target: str
-    guard: tuple[Relation, ...]
-    updates: tuple[tuple[str, LinExpr | _Havoc], ...]
-    line: int
-
     def __init__(self, id: str, source: str, target: str, guard: tuple[Relation, ...],
                  updates: tuple[tuple[str, LinExpr | _Havoc], ...], line: int = 0):
         object.__setattr__(self, "id", id)
@@ -182,13 +156,9 @@ class ConcreteTransition(Frozen):
         object.__setattr__(self, "updates", updates)
         object.__setattr__(self, "line", line)
 
+    @property
     def _key(self) -> tuple:
         return (self.id, self.source, self.target, self.guard, self.updates)
-
-    def __repr__(self) -> str:
-        return (f"ConcreteTransition(id={self.id!r}, source={self.source!r}, "
-                f"target={self.target!r}, guard={self.guard!r}, "
-                f"updates={self.updates!r}, line={self.line!r})")
 
     def update_map(self) -> dict[str, LinExpr | _Havoc]:
         return dict(self.updates)
@@ -198,13 +168,6 @@ class ConcreteTransition(Frozen):
 
 
 class ConcreteProgram(Frozen):
-    locations: tuple[str, ...]
-    transitions: tuple[ConcreteTransition, ...]
-    entry: str
-    exit: str
-    params: tuple[str, ...]
-    variables: tuple[str, ...]
-
     def __init__(self, locations: tuple[str, ...],
                  transitions: tuple[ConcreteTransition, ...], entry: str, exit: str,
                  params: tuple[str, ...], variables: tuple[str, ...]):
@@ -214,16 +177,6 @@ class ConcreteProgram(Frozen):
         object.__setattr__(self, "exit", exit)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "variables", variables)
-
-    def _key(self) -> tuple:
-        return (self.locations, self.transitions, self.entry, self.exit,
-                self.params, self.variables)
-
-    def __repr__(self) -> str:
-        return (f"ConcreteProgram(locations={self.locations!r}, "
-                f"transitions={self.transitions!r}, entry={self.entry!r}, "
-                f"exit={self.exit!r}, params={self.params!r}, "
-                f"variables={self.variables!r})")
 
 
 # ---------------------------------------------------------------------------

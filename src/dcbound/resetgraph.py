@@ -42,10 +42,7 @@ class ResetPathOverflow(Exception):
 
 
 class ResetEdge(Frozen):
-    src: Atom
-    trans: Transition
-    offset: int
-    dst: str  # variable name
+    """The reset dst' <= src + offset on `trans`; `dst` is a variable name."""
 
     def __init__(self, src: Atom, trans: Transition, offset: int, dst: str):
         object.__setattr__(self, "src", src)
@@ -53,27 +50,12 @@ class ResetEdge(Frozen):
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "dst", dst)
 
-    def _key(self) -> tuple:
-        return (self.src, self.trans, self.offset, self.dst)
-
-    def __repr__(self) -> str:
-        return (f"ResetEdge(src={self.src!r}, trans={self.trans!r}, "
-                f"offset={self.offset!r}, dst={self.dst!r})")
-
 
 class ResetPath(Frozen):
     """Edges ordered from the originating atom down to the final variable."""
 
-    edges: tuple[ResetEdge, ...]
-
     def __init__(self, edges: tuple[ResetEdge, ...]):
         object.__setattr__(self, "edges", edges)
-
-    def _key(self) -> tuple:
-        return (self.edges,)
-
-    def __repr__(self) -> str:
-        return f"ResetPath(edges={self.edges!r})"
 
     @property
     def in_atom(self) -> Atom:
@@ -111,16 +93,8 @@ class ResetGraph(Frozen):
     lazily, once per instance: `into` returns the stored tuple of edges into
     a variable, in that order. `path_count` memoizes per target variable."""
 
-    edges: tuple[ResetEdge, ...]
-
     def __init__(self, edges: tuple[ResetEdge, ...]):
         object.__setattr__(self, "edges", edges)
-
-    def _key(self) -> tuple:
-        return (self.edges,)
-
-    def __repr__(self) -> str:
-        return f"ResetGraph(edges={self.edges!r})"
 
     @cached_property
     def _into(self) -> dict[str, tuple[ResetEdge, ...]]:
@@ -173,23 +147,14 @@ class ResetGraph(Frozen):
 
 
 class ResetAnalysis(Frozen):
-    """The pruned program and its reset graph; `warnings` words the removal."""
-
-    graph: ResetGraph
-    removed_vars: frozenset[str]
-    pruned: Dcp  # working copy with removed-variable constraints dropped
+    """The reset graph and `pruned`, the working copy of the program with
+    the constraints of the removed variables dropped; `warnings` words the
+    removal."""
 
     def __init__(self, graph: ResetGraph, removed_vars: frozenset[str], pruned: Dcp):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "removed_vars", removed_vars)
         object.__setattr__(self, "pruned", pruned)
-
-    def _key(self) -> tuple:
-        return (self.graph, self.removed_vars, self.pruned)
-
-    def __repr__(self) -> str:
-        return (f"ResetAnalysis(graph={self.graph!r}, "
-                f"removed_vars={self.removed_vars!r}, pruned={self.pruned!r})")
 
     @property
     def warnings(self) -> list[str]:

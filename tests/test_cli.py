@@ -267,8 +267,8 @@ from contextlib import redirect_stdout
 import dcbound.cli
 with redirect_stdout(io.StringIO()):
     code = dcbound.cli.main(["analyze", sys.argv[1]])
-loaded = [m for m in ("argparse", "gettext", "locale", "typing", "dataclasses")
-          if m in sys.modules]
+loaded = [m for m in ("argparse", "gettext", "locale", "typing", "dataclasses",
+                      "inspect") if m in sys.modules]
 assert (code, loaded) == (0, []), (code, loaded)
 """
 

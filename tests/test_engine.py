@@ -108,6 +108,14 @@ def test_vb_of_an_unknown_variable_raises():
         a.vb("nope")
 
 
+def test_tb_of_an_unknown_transition_raises():
+    a = analysis("example1.dcp", CTX)
+    assert a.tb("t3") == a.tb(a.working.transition("t3"))
+    with pytest.raises(ValueError, match="unknown transition 'nope'") as ei:
+        a.tb("nope")
+    assert ei.value.__cause__ is None and ei.value.__suppress_context__
+
+
 def test_example_1_free():
     a = analysis("example1.dcp", FREE)
     assert tb(a, "t3") == "n*n"

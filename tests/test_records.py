@@ -23,6 +23,7 @@ from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import UNDEFINED, Compound, IntConst, SymConst, Undefined
 from dcbound.oracle import check_soundness, explore
 from dcbound.program import HAVOC, ConcreteTransition, parse_program
+from dcbound.record import Record
 from dcbound.resetgraph import ResetGraph, ResetPath
 
 from conftest import DATA, ROOT, TWINS
@@ -217,3 +218,35 @@ def test_import_loads_no_dataclasses(module):
             "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'")
     subprocess.run([sys.executable, "-S", "-c", code], check=True,
                    env={"PYTHONPATH": str(ROOT / "src")})
+
+
+# the only places a record class writes its own key or repr: the repr of a
+# Compound's args would recurse, and a transition's key leaves out `line`
+OVERRIDES = {(Compound, "__repr__"), (Transition, "_key"), (ConcreteTransition, "_key")}
+
+
+def _record_classes():
+    found, stack = [], [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("dcbound."):
+                found.append(cls)
+                stack.append(cls)
+    return found
+
+
+def _written_by(cls, name):
+    attr = cls.__dict__.get(name)
+    func = attr.fget if isinstance(attr, property) else attr
+    return getattr(func, "__qualname__", "").startswith(cls.__qualname__ + ".")
+
+
+def test_records_list_their_fields_once():
+    classes = _record_classes()
+    assert set(TWINS) - {Source} <= set(classes)
+    assert {(cls, name) for cls in classes for name in ("_key", "__repr__")
+            if _written_by(cls, name)} == OVERRIDES
+    for cls in classes:
+        params = tuple(inspect.signature(cls).parameters)
+        assert not set(inspect.get_annotations(cls)) & set(params), cls
+        assert cls._fields == params
