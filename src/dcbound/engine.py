@@ -12,12 +12,9 @@ transition bound accounts for the resets of its local bound:
   OPT   refines CTX: atoms with a single flow path into the local bound have
         their increment total counted once globally instead of once per chain.
 
-The modes also differ in the program they analyse: CTX and OPT first remove
-the variables on reset cycles and their dependents, FREE analyses the
-program as given. So FREE keeps undef where CTX and OPT may find a bound: a
-loop guarded by (r, w) that decreases both, with r on a reset cycle with q,
-gets TB = undef in FREE (its local bound is r) and 2*n in CTX and OPT (w,
-reset to n twice).
+Every mode analyses one working program: the input without the variables
+on reset cycles and their dependents. Dropping their constraints only adds
+runs, so each bound on the working program bounds the input too.
 
 TB(t) is 1, undef, the node ("TB", v) of its local bound v, or, when t is
 exposed (see `localbounds`), that node plus the number of ways into t's
@@ -41,8 +38,8 @@ from dcbound.dcp import Atom, Dcp, Transition, require_valid, \
     strongly_connected_components
 from dcbound.localbounds import ONE, local_bound_map
 from dcbound.record import Record
-from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetAnalysis, ResetPath, \
-    ResetPathOverflow, build_reset_graph, optimal_reset_paths
+from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPath, ResetPathOverflow, \
+    build_reset_graph, optimal_reset_paths
 
 __all__ = ["AnalysisMode", "Analysis", "BoundReport"]
 
@@ -86,10 +83,9 @@ class Analysis:
         self.mode = mode
         self._max_reset_paths = max_reset_paths
         self._paths: dict[str, list[ResetPath] | None] = {}
-        self._reset: ResetAnalysis | None = (
-            None if mode is AnalysisMode.FREE else build_reset_graph(program))
-        self.working = program if self._reset is None else self._reset.pruned
-        self.warnings = [] if self._reset is None else self._reset.warnings
+        self._reset = build_reset_graph(program)
+        self.working = self._reset.pruned
+        self.warnings = self._reset.warnings
         self.zeta = local_bound_map(self.working)
 
     # -- the solve -----------------------------------------------------------
@@ -155,7 +151,6 @@ class Analysis:
 
     def _reset_paths(self, v: str) -> list[ResetPath] | None:
         if v not in self._paths:
-            assert self._reset is not None
             try:
                 self._paths[v] = optimal_reset_paths(
                     self.working, self._reset.graph, v, self._max_reset_paths)
@@ -168,7 +163,6 @@ class Analysis:
         paths = self._reset_paths(v)
         if not paths:
             return expr.UNDEFINED
-        assert self._reset is not None
         graph = self._reset.graph
 
         # The atoms charged once globally (OPT: those with a single flow

@@ -306,8 +306,6 @@ def _norm_maxmin(args: list[BoundExpr], op: str) -> BoundExpr:
         # max(e, c) == max(e) when e >= 0 >= c is guaranteed.
         if not (op == "max" and folded <= 0 and any(is_provably_nonneg(a) for a in out)):
             out.append(IntConst(folded))
-    if not out:
-        return ZERO
     if len(out) == 1:
         return out[0]
     out.sort(key=str)

@@ -74,9 +74,6 @@ class LinExpr(Frozen):
                     acc[m] = acc.get(m, 0) + c * d
         return LinExpr.from_mapping(const, acc)
 
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        return self.const + sum(c * env[n] for n, c in self.coeffs)
-
     def name(self) -> str:
         """Canonical compact form: positive terms, negative terms, constant;
         used for norm identity display and keep-names variables."""
@@ -97,11 +94,11 @@ class LinExpr(Frozen):
             parts.append(f"-{-self.const}")
         return "(" + "".join(parts) + ")"
 
-    def __str__(self) -> str:
-        return self.name()
 
+class _Havoc(Frozen):
+    """The right-hand side of `x := ?`. A record without fields, so every
+    instance is equal and hashes alike in every process."""
 
-class _Havoc:
     def __repr__(self) -> str:
         return "HAVOC"
 
@@ -127,11 +124,6 @@ class Relation(Frozen):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
 
-    def holds(self, env: Mapping[str, int]) -> bool:
-        a, b = self.lhs.evaluate(env), self.rhs.evaluate(env)
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-                "=": a == b, "==": a == b}[self.op]
-
     def facts(self) -> list[LinExpr]:
         """Linear expressions d with d > 0 whenever the relation holds."""
         out = []
@@ -139,9 +131,6 @@ class Relation(Frozen):
             a, b = (self.rhs, self.lhs) if swap else (self.lhs, self.rhs)
             out.append(a.sub(b).add(LinExpr(extra)))
         return out
-
-    def __str__(self) -> str:
-        return f"{self.lhs} {self.op} {self.rhs}"
 
 
 class ConcreteTransition(Frozen):
@@ -162,9 +151,6 @@ class ConcreteTransition(Frozen):
 
     def update_map(self) -> dict[str, LinExpr | _Havoc]:
         return dict(self.updates)
-
-    def guard_holds(self, env: Mapping[str, int]) -> bool:
-        return all(r.holds(env) for r in self.guard)
 
 
 class ConcreteProgram(Frozen):

@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,24 @@ def load_dcp(name: str):
 
 def load_prog(name: str):
     return parse_program((DATA / name).read_text())
+
+
+# The concrete semantics of a .prog program, which the package abstracts
+# but never runs.
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "=": operator.eq, "==": operator.eq}
+
+
+def lin_value(e: LinExpr, env) -> int:
+    """The value of a linear expression under `env`."""
+    return e.const + sum(c * env[n] for n, c in e.coeffs)
+
+
+def guard_holds(t, env) -> bool:
+    """Whether every relation in the guard of concrete transition `t` holds
+    under `env`."""
+    return all(_COMPARE[r.op](lin_value(r.lhs, env), lin_value(r.rhs, env))
+               for r in t.guard)
 
 
 def families():

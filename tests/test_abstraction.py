@@ -20,6 +20,8 @@ from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, parse_program
 
 from conftest import (
+    guard_holds,
+    lin_value,
     load_dcp,
     load_prog,
     ref_abstract_transition,
@@ -786,18 +788,18 @@ def test_emitted_constraints_are_invariant(source, n_samples, data_dir):
         while checked < n_samples and attempts < n_samples * 50:
             attempts += 1
             s1 = {v: rng.randint(-8, 8) for v in names}
-            if not ct.guard_holds(s1):
+            if not guard_holds(ct, s1):
                 continue
             checked += 1
             s2 = dict(s1)
             for v, rhs in ct.updates:
-                s2[v] = rng.randint(-8, 8) if rhs is HAVOC else rhs.evaluate(s1)
+                s2[v] = rng.randint(-8, 8) if rhs is HAVOC else lin_value(rhs, s1)
             for u in t.updates:
                 e1 = result.norm_vars[u.lhs]
                 e2 = _norm_expr_of_atom(result, u.rhs, prog.params)
-                assert e1.evaluate(s2) <= e2.evaluate(s1) + u.offset, (t.id, str(u))
+                assert lin_value(e1, s2) <= lin_value(e2, s1) + u.offset, (t.id, str(u))
             for g in t.guard:
-                assert result.norm_vars[g].evaluate(s1) > 0, (t.id, g)
+                assert lin_value(result.norm_vars[g], s1) > 0, (t.id, g)
         assert checked > 0, f"guard of {t.id} never satisfied in sampling"
 
 

@@ -22,7 +22,7 @@ from dcbound.oracle import (
 )
 from dcbound.resetgraph import ResetPath, build_reset_graph, optimal_reset_paths
 
-from conftest import DATA, is_sound, load_dcp, load_prog
+from conftest import DATA, guard_holds, is_sound, lin_value, load_dcp, load_prog
 
 FREE, CTX, OPT = AnalysisMode.FREE, AnalysisMode.CTX, AnalysisMode.OPT
 
@@ -212,19 +212,19 @@ def test_criterion_9c_abstraction_invariance():
         checked = 0
         while checked < 1000:
             s1 = {v: rng.randint(-8, 8) for v in names}
-            if not ct.guard_holds(s1):
+            if not guard_holds(ct, s1):
                 continue
             checked += 1
             s2 = dict(s1)
             for v, rhs in ct.updates:
-                s2[v] = rng.randint(-8, 8) if rhs is HAVOC else rhs.evaluate(s1)
+                s2[v] = rng.randint(-8, 8) if rhs is HAVOC else lin_value(rhs, s1)
             for u in t.updates:
                 e1 = result.norm_vars[u.lhs]
                 e2 = _norm_expr_of_atom(result, u.rhs, prog.params)
-                if e1.evaluate(s2) > e2.evaluate(s1) + u.offset:
+                if lin_value(e1, s2) > lin_value(e2, s1) + u.offset:
                     violations += 1
             for g in t.guard:
-                if result.norm_vars[g].evaluate(s1) <= 0:
+                if lin_value(result.norm_vars[g], s1) <= 0:
                     violations += 1
     assert violations == 0
     _ok("9c (every emitted constraint invariant over 1000 samples each)")

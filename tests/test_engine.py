@@ -1,6 +1,7 @@
 """Golden bound values for the worked examples, in every analysis mode, and
 the bottom-up solve checked against the recursive evaluator it replaced."""
 
+import itertools
 import random
 import re
 import time
@@ -12,6 +13,7 @@ from dcbound.abstraction import abstract_program
 from dcbound.dcp import Atom, Transition, parse_dcp
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.localbounds import ONE, local_bound_map
+from dcbound.oracle import Verdict, check_soundness
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPath, \
     ResetPathOverflow, build_reset_graph, optimal_reset_paths
 
@@ -289,12 +291,8 @@ class _RecursiveAnalysis:
         self._memo = {}
         self._active = set()
         self._paths = {}
-        self._reset = None
-        if mode is FREE:
-            self.working = program
-        else:
-            self._reset = build_reset_graph(program)
-            self.working = self._reset.pruned
+        self._reset = build_reset_graph(program)
+        self.working = self._reset.pruned
         self.zeta = local_bound_map(self.working)
 
     def _cached(self, key, compute):
@@ -485,6 +483,65 @@ def test_matches_recursive_reference_on_random_programs():
         for mode in (FREE, CTX, OPT):
             _assert_matches_reference(d, mode)
         _assert_matches_reference(d, CTX, cap=1)
+
+
+# -- one working program in every mode -------------------------------------------
+
+# Two programs of the 1500 that `test_fuzz._random_dcp_text` draws from
+# Random(11) with locations=(1, 4), variables=(2, 4), transitions=(2, 6).
+# In each, a and c lie on a reset cycle, and the named transition's local
+# bound is reset from one of them. So the transition gets a FREE bound only
+# on the program without a and c. In the first program t2 can loop forever,
+# so no exploration completes and the verdict is PASS-PARTIAL.
+_BOUNDED_ONCE_PRUNED = [
+    ("""dcp
+consts: n, m
+vars: a, b, c, d
+entry: lb
+exit: le
+trans t0: lb -> l1 { a' <= 1; b' <= m + 1; c' <= 0 + 1; d' <= m + 1; }
+trans t1: l1 -> l1 guard(a,b,c,d) { a' <= m; b' <= b + 2; c' <= c - 2; d' <= d - 2; }
+trans t2: l1 -> l1 guard(b,c) { a' <= c; b' <= b; c' <= 0 + 1; d' <= d - 2; }
+trans t3: l1 -> l1 guard(a,b,d) { a' <= a + 1; b' <= b + 2; c' <= c; d' <= d - 1; }
+trans t4: l1 -> l1 guard(a,b,d) { a' <= a + 1; b' <= b + 1; c' <= a - 1; d' <= d - 2; }
+""", "t1", "1 + m", Verdict.PASS_PARTIAL),
+    ("""dcp
+consts: n, m
+vars: a, b, c, d
+entry: lb
+exit: le
+trans t0: lb -> l1 { a' <= 1 + 1; b' <= 1 + 1; c' <= m + 1; d' <= m + 1; }
+trans t1: l2 -> l1 guard(a,b,d) { a' <= c + 1; b' <= n - 1; c' <= c; d' <= d + 2; }
+trans t2: l1 -> l1 guard(a,b,c,d) { a' <= n - 1; b' <= b; c' <= c - 1; d' <= d - 2; }
+trans t3: l1 -> l1 guard(b,d) { a' <= a - 2; b' <= b - 2; c' <= a + 1; d' <= n; }
+trans t4: l2 -> l1 guard(a,b,c,d) { a' <= a + 1; b' <= n + 1; c' <= 0 - 1; d' <= d; }
+""", "t2", "(3 + max(-1 + n,0) + n)*n + 3 + m", Verdict.PASS),
+]
+
+
+def test_free_bounds_the_program_without_reset_cycles():
+    for text, tid, bound, verdict in _BOUNDED_ONCE_PRUNED:
+        d = parse_dcp(text)
+        report = Analysis(d, FREE).report()
+        assert report.warnings == [
+            "removed variables on reset cycles (and dependents): a, c"]
+        assert str(report.tb[tid]) == bound
+        for n, m in itertools.product(range(5), repeat=2):
+            result = check_soundness(d, report, {"n": n, "m": m}, step_cap=2000)
+            assert result.verdict is verdict, (tid, n, m)
+
+
+def test_every_mode_removes_the_same_variables():
+    rng = random.Random(20261020)
+    removed = 0
+    for _ in range(300):
+        d = parse_dcp(_random_dcp_text(rng))
+        warnings = {mode: [w for w in Analysis(d, mode).report().warnings
+                           if w.startswith("removed variables")]
+                    for mode in (FREE, CTX, OPT)}
+        assert warnings[FREE] == warnings[CTX] == warnings[OPT]
+        removed += bool(warnings[FREE])
+    assert removed > 50
 
 
 # -- name invariance -------------------------------------------------------------

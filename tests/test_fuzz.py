@@ -16,6 +16,8 @@ from dcbound.engine import Analysis, AnalysisMode
 from dcbound.oracle import explore
 from dcbound.program import HAVOC, parse_program
 
+from conftest import guard_holds, lin_value
+
 MODES = [AnalysisMode.FREE, AnalysisMode.CTX, AnalysisMode.OPT]
 
 
@@ -229,13 +231,13 @@ def _random_concrete_run(prog, env0, rng, max_len=60):
     loc, env = prog.entry, dict(env0)
     for _ in range(max_len):
         enabled = [t for t in prog.transitions
-                   if t.source == loc and t.guard_holds(env)]
+                   if t.source == loc and guard_holds(t, env)]
         if not enabled:
             break
         t = rng.choice(enabled)
         nxt = dict(env)
         for v, rhs in t.updates:
-            nxt[v] = rng.randint(-8, 8) if rhs is HAVOC else rhs.evaluate(env)
+            nxt[v] = rng.randint(-8, 8) if rhs is HAVOC else lin_value(rhs, env)
         counts[t.id] += 1
         loc, env = t.target, nxt
     return counts
@@ -255,7 +257,7 @@ def test_random_programs_abstract_soundly():
             for n_value in (0, 2, 3):
                 valuation = {"n": n_value}
                 for kname, definition in result.derived_consts.items():
-                    valuation[kname] = definition.evaluate({"n": n_value})
+                    valuation[kname] = lin_value(definition, {"n": n_value})
                 for _ in range(50):
                     env0 = {v: rng.randint(-8, 8) for v in prog.variables}
                     env0["n"] = n_value
@@ -318,10 +320,10 @@ def _longest_counts(prog, n: int) -> dict[str, int]:
             env = dict(zip(names, values), n=n)
             out = {t.id: 0 for t in prog.transitions}
             for t in prog.transitions:
-                if t.source != loc or not t.guard_holds(env):
+                if t.source != loc or not guard_holds(t, env):
                     continue
                 updates = t.update_map()
-                nxt = tuple(updates[v].evaluate(env) if v in updates else env[v]
+                nxt = tuple(lin_value(updates[v], env) if v in updates else env[v]
                             for v in names)
                 counts = dict(best(t.target, nxt))
                 counts[t.id] += 1
@@ -344,7 +346,7 @@ def test_nested_counting_programs_abstract_soundly():
         for n_value in range(5):
             valuation = {"n": n_value}
             for kname, definition in result.derived_consts.items():
-                valuation[kname] = definition.evaluate({"n": n_value})
+                valuation[kname] = lin_value(definition, {"n": n_value})
             counts = _longest_counts(prog, n_value)
             for report in reports:
                 for tid, bound in report.tb.items():

@@ -61,9 +61,8 @@ def _add_analyses(pool, d):
         pool.append(report)
         for b in [*report.tb.values(), *report.vb.values(), report.complexity]:
             _nodes(b, pool)
-        if a._reset is not None:
-            pool += [a._reset, a._reset.graph, *a._reset.graph.edges]
-            pool += [p for paths in a._paths.values() for p in paths or ()]
+        pool += [a._reset, a._reset.graph, *a._reset.graph.edges]
+        pool += [p for paths in a._paths.values() for p in paths or ()]
 
 
 def _instances():
@@ -220,9 +219,24 @@ def test_import_loads_no_dataclasses(module):
                    env={"PYTHONPATH": str(ROOT / "src")})
 
 
+def test_a_program_with_havoc_hashes_alike_in_every_process():
+    code = ("import sys; from dcbound.program import parse_program; "
+            "print(hash(parse_program(sys.stdin.read())))")
+    text = (DATA / "example3.prog").read_text()
+    assert ":= ?" in text
+    hashes = {subprocess.run([sys.executable, "-S", "-c", code], input=text,
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": str(ROOT / "src"),
+                                  "PYTHONHASHSEED": "0"}).stdout
+              for _ in range(2)}
+    assert len(hashes) == 1
+
+
 # the only places a record class writes its own key or repr: the repr of a
-# Compound's args would recurse, and a transition's key leaves out `line`
-OVERRIDES = {(Compound, "__repr__"), (Transition, "_key"), (ConcreteTransition, "_key")}
+# Compound's args would recurse, HAVOC keeps its short repr, and a
+# transition's key leaves out `line`
+OVERRIDES = {(Compound, "__repr__"), (type(HAVOC), "__repr__"), (Transition, "_key"),
+             (ConcreteTransition, "_key")}
 
 
 def _record_classes():
