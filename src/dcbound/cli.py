@@ -19,10 +19,12 @@ fault in dcbound, reported on one stderr line).
 from __future__ import annotations
 
 import itertools
+import marshal
 import os
 import re
 import sys
-from collections.abc import Iterable
+import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -472,6 +474,101 @@ def _valuations(args, dcp: Dcp) -> Iterable[dict[str, int]]:
             for xs in itertools.product(range(lo, hi + 1), repeat=len(consts)))
 
 
+def _check(dcp: Dcp, report: BoundReport, valuation: dict[str, int],
+           step_cap: int) -> tuple[str, str]:
+    """The verdict of one valuation and the block that `validate` prints
+    for it."""
+    result = check_soundness(dcp, report, valuation, step_cap=step_cap)
+    header = ", ".join(f"{k}={v}" for k, v in sorted(valuation.items()))
+    lines = [f"# {header or '(no constants)'}\n"]
+    for row in result.rows:
+        bound = "undef" if row.bound is None else str(row.bound)
+        name = row.name if row.kind == "TB" else f"VB({row.name})"
+        lines.append(f"{name}  {row.observed}  {bound}  {row.status()}\n")
+    return result.verdict.value, "".join(lines)
+
+
+# A sweep forks its child once its checks have taken this long, since the
+# fork costs 1-3 ms. Measured on 2 cores under Python 3.11, `main` of
+# `exampleC --sweep 0..39` took 1.12x and of `chain(3) --sweep 0..12`
+# 1.23x as long as in one process when forking after 4 ms; after 10 ms no
+# op of the validate-sweep benchmark was slower, and `exampleB --sweep
+# 0..24` took 0.60x.
+_FORK_AFTER_S = 0.010
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _checks(check, valuations: Iterable[dict[str, int]]) -> Iterator[tuple[str, str]]:
+    """check(v) for each valuation, in order, on two CPUs when the sweep is
+    long. Once the checks have taken _FORK_AFTER_S and two valuations or
+    more remain, a forked child checks every second remaining one and sends
+    each result through a pipe as one marshal record, None where its check
+    raised. This process checks the others, and again each that the child
+    could not, so that an error is raised here as in one process. The
+    pipe's buffer bounds how far the child runs ahead. There is no fork
+    without os.fork, with one CPU, or while another thread runs (from
+    Python 3.12 such a fork warns that it may deadlock). The caller closes
+    the generator, which kills and reaps the child."""
+    valuations = iter(valuations)
+    start = time.perf_counter()
+    for v in valuations:
+        yield check(v)
+        if time.perf_counter() - start >= _FORK_AFTER_S:
+            break
+    head = list(itertools.islice(valuations, 2))  # empty once all are done
+    rest = itertools.chain(head, valuations)
+    threading = sys.modules.get("threading")
+    pid = None
+    if (len(head) == 2 and hasattr(os, "fork") and _cpus() > 1
+            and (threading is None or threading.active_count() == 1)):
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read)
+            os.close(write)
+    if pid is None:
+        yield from map(check, rest)
+        return
+    if pid == 0:
+        # the child leaves by os._exit, so it never flushes the stdio
+        # buffers it inherited or runs exit handlers
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                for v in itertools.islice(rest, 1, None, 2):
+                    try:
+                        result = check(v)
+                    except Exception:
+                        result = None
+                    marshal.dump(result, out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as results:
+            for i, v in enumerate(rest):
+                result = None
+                if i % 2:
+                    try:
+                        result = marshal.load(results)
+                    except (EOFError, ValueError):  # the child is gone
+                        pass
+                yield check(v) if result is None else result
+    finally:
+        import signal  # only a fork needs it
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _cmd_validate(args) -> int:
     dcp, _ = _load(args)
     report = _report(args, dcp)
@@ -489,15 +586,14 @@ def _cmd_validate(args) -> int:
             raise _UsageError(f"bad --override-bound {raw!r}: {exc}") from None
         report.tb[tid] = bound
     verdicts = set()
-    for valuation in _valuations(args, dcp):
-        result = check_soundness(dcp, report, valuation, step_cap=args.max_steps)
-        verdicts.add(result.verdict)
-        header = ", ".join(f"{k}={v}" for k, v in sorted(valuation.items()))
-        print(f"# {header or '(no constants)'}")
-        for row in result.rows:
-            bound = "undef" if row.bound is None else str(row.bound)
-            name = row.name if row.kind == "TB" else f"VB({row.name})"
-            print(f"{name}  {row.observed}  {bound}  {row.status()}")
+    results = _checks(lambda v: _check(dcp, report, v, args.max_steps),
+                      _valuations(args, dcp))
+    try:
+        for verdict, block in results:
+            verdicts.add(Verdict(verdict))
+            sys.stdout.write(block)
+    finally:
+        results.close()
     verdict = worst(verdicts)
     print(verdict.value)
     return EXIT_OK if verdict is Verdict.PASS else EXIT_VALIDATION

@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
+from operator import attrgetter
 
 from dcbound.expr import IntConst, SymConst
 from dcbound.record import Frozen
@@ -520,6 +521,7 @@ _UPDATE_RE = re.compile(
     r"(?:\s*(?P<sign>[+-])\s*(?P<off>\d+))?$"
 )
 _INT_RE = re.compile(r"-?\d+")
+_BY_LHS = attrgetter("lhs")  # the sort key of a transition's updates
 
 
 class Source:
@@ -656,7 +658,7 @@ def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
     return Transition(
         id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
         guard=tuple(sorted(g.strip() for g in guard.split(","))) if guard else (),
-        updates=tuple(sorted(updates, key=lambda u: u.lhs)),
+        updates=tuple(sorted(updates, key=_BY_LHS)),
         line=lineno,
     )
 
