@@ -25,7 +25,6 @@ import re
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from pathlib import Path
 from types import SimpleNamespace
 
 from dcbound import __version__, expr
@@ -349,11 +348,21 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 # input loading
 # ---------------------------------------------------------------------------
 
+def _spelled(path: str) -> str:
+    """`path` as `str(pathlib.Path(path))` spells it on POSIX, which is how
+    messages name a file: `./x` is `x`, `a//b` is `a/b`, `x/` is `x` and an
+    empty path is `.`; `..` stays. Opening this spelling opens what `Path`
+    opens, without importing `pathlib` at start-up."""
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" if path[:1] == "/" else ""
+    return root + "/".join(p for p in path.split("/") if p and p != ".") or "."
+
+
 def _read(args) -> tuple[str, str]:
     """The input file's text and the format its first line names."""
-    path = Path(args.file)
+    path = _spelled(args.file)
     try:
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # a BOM is no text
+        with open(path, encoding="utf-8") as f:
+            text = f.read().removeprefix("\ufeff")  # a BOM is no text
     except OSError as exc:
         raise _UsageError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -364,7 +373,8 @@ def _read(args) -> tuple[str, str]:
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(_spelled(path), "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise _UsageError(str(exc)) from None
 

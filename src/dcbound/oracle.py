@@ -46,9 +46,16 @@ factory's arguments, read in place as slots are (`c0 - 2` as `s[1] - 2`).
 explore() walks all branch choices depth first, successors in transition-id
 order, memoizing per-transition worst-case counts per state. That order
 decides which states a capped exploration visits before it stops, so it is
-part of the result. Once a state's successors are done, its location's fold
-merges their count vectors: each one with its own step added, then one
-element-wise maximum, `mx`, unrolled once per program over all transitions.
+part of the result. The walk's stack holds states and kernel outputs
+themselves, nothing that wraps them: a popped tuple is a state to visit, and
+a popped list is the kernel output of the state directly beneath it, which
+is then popped and folded. A state on the depth-first path thus costs its
+tuple, its memo entry (None), its kernel output and two stack slots; a done
+state keeps nothing beyond itself, its memo entry and its count tuple.
+
+Once a state's successors are done, its location's fold merges their count
+vectors: each one with its own step added, then one element-wise maximum,
+`mx`, unrolled once per program over all transitions.
 A fold is one generated template per out-degree that occurs, bound to each
 location's transition positions, so the generated source stays linear in
 the program's size; a fold per location with the maximum unrolled in place
@@ -79,14 +86,18 @@ __all__ = [
 
 DEFAULT_STEP_CAP = 100_000
 
-# (location index, value per slot)
+# (location index, value per slot); the memo's key, and on the walk's stack
+# a state still to visit. It is the only object a state owns besides its memo
+# entry and, once done, its count tuple.
 State = tuple[int | None, ...]
 # a location's successor under each outgoing transition, in transition-id
-# order; None where the transition's guard fails. A list, not a tuple: a
-# freed list lowers the collector's allocation count, a freed small tuple
-# mostly goes to a free list and does not, so on a long path the collector
-# would traverse each new count vector while young (explore on long(400)
-# ran 1.25x slower with tuples).
+# order; None where the transition's guard fails. The walk pushes it above
+# its state and frees it at the state's fold, so it lives only while the
+# state is on the depth-first path. A list, not a tuple: the walk tells it
+# from a state by its type, and a freed list lowers the collector's
+# allocation count, a freed small tuple mostly goes to a free list and does
+# not, so on a long path the collector would traverse each new count vector
+# while young (explore on long(400) ran 1.25x slower with tuples).
 Kernel = Callable[[State], list[State | None]]
 # a location's kernel output, the memo and the zero vector -> the location's
 # worst-case counts by transition position
@@ -251,36 +262,40 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
 
     start: State = (program.entry,) + (None,) * len(dcp.variables)
 
-    # iterative depth-first walk with explicit post-processing frames
-    stack: list[tuple[State, list[State | None] | None]] = [(start, None)]
+    # a tuple is a state to visit; a list is the kernel output of the state
+    # directly beneath it, whose fold is due once the list is popped
+    stack: list[State | list[State | None]] = [start]
     while stack:
-        state, pending = stack.pop()
-        if pending is None:
-            if state in memo:
-                continue
-            states_seen += 1
-            if states_seen > step_cap:
-                exhausted = False
-                memo[state] = zeros
-                continue
-            for i in defined[state[0]]:  # never None here: see the module doc
-                x = state[i + 1]
-                cur = var_max[i]
-                if cur is None or x > cur:
-                    var_max[i] = x
-            succs = kernels[state[0]](state)
-            memo[state] = None
-            stack.append((state, succs))
-            for s in succs:
-                if s is None:
-                    continue
-                if s not in memo:
-                    stack.append((s, None))
-                elif memo[s] is None:
-                    exhausted = False  # state cycle: unbounded behaviour
-        else:
+        state = stack.pop()
+        if type(state) is list:
             # a successor still on the path (cycle) counts the step itself
-            memo[state] = folds[state[0]](pending, memo, zeros)
+            succs = state
+            state = stack.pop()
+            memo[state] = folds[state[0]](succs, memo, zeros)
+            continue
+        if state in memo:
+            continue
+        states_seen += 1
+        if states_seen > step_cap:
+            exhausted = False
+            memo[state] = zeros
+            continue
+        for i in defined[state[0]]:  # never None here: see the module doc
+            x = state[i + 1]
+            cur = var_max[i]
+            if cur is None or x > cur:
+                var_max[i] = x
+        succs = kernels[state[0]](state)
+        memo[state] = None
+        stack.append(state)
+        stack.append(succs)
+        for s in succs:
+            if s is None:
+                continue
+            if s not in memo:
+                stack.append(s)
+            elif memo[s] is None:
+                exhausted = False  # state cycle: unbounded behaviour
 
     return RunStats(counts={t.id: c for t, c in zip(dcp.transitions, memo[start])},
                     var_max={v: var_max[i] for i, v in enumerate(dcp.variables)},

@@ -268,7 +268,7 @@ import dcbound.cli
 with redirect_stdout(io.StringIO()):
     code = dcbound.cli.main(["analyze", sys.argv[1]])
 loaded = [m for m in ("argparse", "gettext", "locale", "typing", "dataclasses",
-                      "inspect") if m in sys.modules]
+                      "inspect", "pathlib") if m in sys.modules]
 assert (code, loaded) == (0, []), (code, loaded)
 """
 
@@ -412,6 +412,41 @@ def test_non_utf8_input_exit_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("dcbound: error:") and "UTF-8" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# A message names a file as `str(pathlib.Path(...))` spells it on POSIX:
+# no `./`, no doubled `/`, no trailing `/`, `.` for an empty path, `..` kept.
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "./nope/x.dcp"], "[Errno 2] No such file or directory: 'nope/x.dcp'"),
+    (["analyze", "nope//x.dcp"], "[Errno 2] No such file or directory: 'nope/x.dcp'"),
+    (["analyze", ""], "[Errno 21] Is a directory: '.'"),
+    (["analyze", "./bad.dcp"], "bad.dcp is not UTF-8 text: byte 13 (0xff)"),
+    (["analyze", "sub//bad.dcp"], "sub/bad.dcp is not UTF-8 text: byte 13 (0xff)"),
+    (["analyze", "./sub/./bad.dcp"], "sub/bad.dcp is not UTF-8 text: byte 13 (0xff)"),
+    (["analyze", "sub/../bad.dcp"], "sub/../bad.dcp is not UTF-8 text: byte 13 (0xff)"),
+    (["abstract", DATA / "example3.prog", "-o", "./no/x.dcp"],
+     "[Errno 2] No such file or directory: 'no/x.dcp'"),
+    (["abstract", DATA / "example3.prog", "-o", "no//x.dcp"],
+     "[Errno 2] No such file or directory: 'no/x.dcp'"),
+    (["abstract", DATA / "example3.prog", "-o", "./sub/"], "[Errno 21] Is a directory: 'sub'"),
+    (["resets", DATA / "exampleB.dcp", "--dot", "no//g.dot"],
+     "[Errno 2] No such file or directory: 'no/g.dot'"),
+])
+def test_file_errors_name_the_normalized_path(tmp_path, monkeypatch, capsys, argv, message):
+    (tmp_path / "sub").mkdir()
+    for bad in (tmp_path / "bad.dcp", tmp_path / "sub" / "bad.dcp"):
+        bad.write_bytes(b"dcp\nconsts: n\xff\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (1, "", f"dcbound: error: {message}\n")
+
+
+def test_input_path_spelled_as_pathlib_reads_the_same_file(tmp_path, monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.dcp").write_bytes((DATA / "exampleA.dcp").read_bytes())
+    monkeypatch.chdir(tmp_path / "sub")
+    expected = run(capsys, "analyze", DATA / "exampleA.dcp")
+    for spelling in ("a.dcp", "./a.dcp", ".//a.dcp", "../sub/./a.dcp"):
+        assert run(capsys, "analyze", spelling) == expected
 
 
 @pytest.mark.parametrize("command", [["analyze", "--vb"], ["validate", "--sweep", "0..2"],
