@@ -32,7 +32,7 @@ from dcbound.dcp import (
     validate,
 )
 from dcbound.expr import IntConst, SymConst
-from dcbound.program import HAVOC, ConcreteProgram, ConcreteTransition, LinExpr
+from dcbound.program import HAVOC, ConcreteProgram, LinExpr
 from dcbound.record import Frozen, Record
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 DEFAULT_DEPTH_LIMIT = 5
 
 
-def _counter_updates(t: ConcreteTransition) -> set[str]:
+def _counter_updates(t: Transition) -> set[str]:
     """Variables this transition moves by a nonzero constant: v := v + c."""
     out = set()
     for v, rhs in t.updates:
@@ -66,7 +66,7 @@ def _loop_counters(prog: ConcreteProgram) -> dict[str, set[str]]:
     preds: dict[str, set[str]] = {loc: set() for loc in prog.locations}
     for t in prog.transitions:
         preds[t.target].add(t.source)
-    loops: list[tuple[list[ConcreteTransition], int]] = []  # (loop, parent)
+    loops: list[tuple[list[Transition], int]] = []  # (loop, parent)
     back_of: dict[str, int] = {}    # id -> the single-header loop it closes
     innermost: dict[str, int] = {}  # transition id -> its innermost loop
     work = [(prog.locations, list(prog.transitions), -1)]  # -1: no loop
@@ -125,13 +125,13 @@ def guess_norms(prog: ConcreteProgram) -> list[LinExpr]:
 
 
 def _names_only_params(e: LinExpr, prog: ConcreteProgram) -> bool:
-    return e.names <= set(prog.params)
+    return e.names <= set(prog.sym_consts)
 
 
-def sym_exec_norm(e: LinExpr, t: ConcreteTransition) -> LinExpr | None:
+def sym_exec_norm(e: LinExpr, t: Transition) -> LinExpr | None:
     """e after t: substitute every updated variable; None if a variable of e
     is havoced (no difference constraint can be derived)."""
-    updates = t.update_map()
+    updates = dict(t.updates)
     if any(updates.get(name) is HAVOC for name in e.names):
         return None
     return e.substitute(updates)
@@ -147,7 +147,7 @@ class AbstractStep(Frozen):
         object.__setattr__(self, "offset", offset)
 
 
-def abstract_transition(e: LinExpr, t: ConcreteTransition,
+def abstract_transition(e: LinExpr, t: Transition,
                         index: Mapping[tuple, LinExpr]) -> AbstractStep | None:
     """Derive the constraint for norm e across t, or None on havoc.
 
@@ -228,7 +228,7 @@ def abstract_program(prog: ConcreteProgram,
     const_norms = [e for e in depth if _names_only_params(e, prog)]
 
     # names
-    taken = set(prog.params) | set(prog.locations) | {t.id for t in prog.transitions}
+    taken = set(prog.sym_consts) | set(prog.locations) | {t.id for t in prog.transitions}
 
     def fresh(name: str) -> str:
         while name in taken:
@@ -275,7 +275,7 @@ def abstract_program(prog: ConcreteProgram,
         transitions=tuple(sorted(transitions, key=lambda t: t.id)),
         entry=prog.entry, exit=prog.exit,
         variables=tuple(sorted(var_name.values())),
-        sym_consts=tuple(sorted(set(prog.params) | set(derived))),
+        sym_consts=tuple(sorted(set(prog.sym_consts) | set(derived))),
     )
     final, repair_notes = enforce_well_definedness(raw)
     warnings += repair_notes

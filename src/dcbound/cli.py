@@ -426,7 +426,7 @@ def _cmd_abstract(args) -> int:
         raise _UsageError("abstract expects a .prog input")
     result = _abstract(args, text)
     out = format_dcp(result.dcp, result.rename_comment())
-    if args.output:
+    if args.output is not None:
         _write(args.output, out)
     else:
         sys.stdout.write(out)
@@ -613,7 +613,7 @@ def _cmd_resets(args) -> int:
     dcp, _ = _load(args)
     reset = build_reset_graph(dcp)
     _warn(reset.warnings)
-    if args.dot:
+    if args.dot is not None:
         _write(args.dot, to_dot(reset.graph))
         return EXIT_OK
     names = args.var or [v for v in reset.pruned.variables]
@@ -650,7 +650,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except DcpError as exc:
         for d in exc.diagnostics:
-            print(f"{getattr(args, 'file', '<input>')}:{d}", file=sys.stderr)
+            print(f"{args.file}:{d}", file=sys.stderr)
         return EXIT_USAGE
     except ResetPathOverflow as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ __all__ = [
     "Atom",
     "DifferenceConstraint",
     "Transition",
+    "Program",
     "Dcp",
     "Diagnostic",
     "DcpError",
@@ -61,10 +62,13 @@ class DifferenceConstraint(Frozen):
 
 
 class Transition(Frozen):
-    """`line` is the source position only: equality and hash leave it out."""
+    """In a `Dcp`, `guard` names the variables required positive and
+    `updates` holds `DifferenceConstraint`s by variable; in a `ConcreteProgram`
+    they hold `Relation`s and `(variable, LinExpr | HAVOC)` pairs in source
+    order. `line` is the source position only: equality and hash leave it out."""
 
-    def __init__(self, id: str, source: str, target: str, guard: tuple[str, ...],
-                 updates: tuple[DifferenceConstraint, ...], line: int = 0):
+    def __init__(self, id: str, source: str, target: str, guard: tuple, updates: tuple,
+                 line: int = 0):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -110,7 +114,23 @@ class _DcpIndex:
         self.increments = increments
 
 
-class Dcp(Frozen):
+class Program(Frozen):
+    """A control-flow graph of `Transition`s between `locations`, with the
+    names of its `variables` and symbolic constants (`sym_consts`: a `.prog`
+    input's parameters). `build_program` reads one in either language."""
+
+    def __init__(self, locations: tuple[str, ...], transitions: tuple[Transition, ...],
+                 entry: str, exit: str, variables: tuple[str, ...],
+                 sym_consts: tuple[str, ...]):
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "exit", exit)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "sym_consts", sym_consts)
+
+
+class Dcp(Program):
     """A difference constraint program.
 
     The lookups `transition`, `outgoing`, `incoming`, `resets` and
@@ -122,16 +142,6 @@ class Dcp(Frozen):
     `defined_at` and `validate` are cached per instance too. A transform
     builds a new instance with the constructor, and so with its own caches.
     """
-
-    def __init__(self, locations: tuple[str, ...], transitions: tuple[Transition, ...],
-                 entry: str, exit: str, variables: tuple[str, ...],
-                 sym_consts: tuple[str, ...]):
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "exit", exit)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "sym_consts", sym_consts)
 
     @cached_property
     def _index(self) -> _DcpIndex:
@@ -302,21 +312,25 @@ def undefined_reads(dcp: Dcp) -> set[tuple[str, str]]:
             if v not in defined[t.source]}
 
 
-def check_structure(program, consts: Iterable[str]) -> list[Diagnostic]:
-    """The checks both input formats share: each name is declared once and
-    is only one of constant, variable and location, transition ids are
+_RESERVED = {"undef", "max", "min"}  # words of a bound expression, not constants
+
+
+def check_structure(program: Program) -> list[Diagnostic]:
+    """The checks a `Dcp` and a `ConcreteProgram` share: each name is declared
+    once and is only one of constant, variable and location, no constant is a
+    word of the bound expressions (`undef`, `max`, `min`), transition ids are
     unique, every transition joins declared locations, and no transition
-    enters the entry or leaves the exit. `program` is a Dcp with its
-    symbolic constants or a ConcreteProgram with its parameters."""
+    enters the entry or leaves the exit. Guards and updates are not read."""
     diags: list[Diagnostic] = []
-    consts = tuple(consts)
-    for what, names in [("variable", program.variables), ("constant", consts),
+    for what, names in [("variable", program.variables), ("constant", program.sym_consts),
                         ("location", program.locations)]:
         diags += [Diagnostic(0, 0, f"{what} {name!r} declared twice")
                   for name, k in sorted(Counter(names).items()) if k > 1]
     vars_ = set(program.variables)
-    consts = set(consts)
+    consts = set(program.sym_consts)
     locs = set(program.locations)
+    diags += [Diagnostic(0, 0, f"constant {name!r} is reserved in bound expressions")
+              for name in sorted(consts & _RESERVED)]
     diags += [Diagnostic(0, 0, f"{key} {loc!r} is not a location")
               for key, loc in (("entry", program.entry), ("exit", program.exit))
               if loc not in locs]
@@ -359,7 +373,7 @@ def require_valid(dcp: Dcp) -> None:
 
 
 def _diagnose(dcp: Dcp) -> list[Diagnostic]:
-    diags = check_structure(dcp, dcp.sym_consts)
+    diags = check_structure(dcp)
     vars_ = set(dcp.variables)
     consts = set(dcp.sym_consts)
 
@@ -522,6 +536,7 @@ _UPDATE_RE = re.compile(
 )
 _INT_RE = re.compile(r"-?\d+")
 _BY_LHS = attrgetter("lhs")  # the sort key of a transition's updates
+_BY_ID = attrgetter("id")  # and of a program's transitions
 
 
 class Source:
@@ -663,17 +678,16 @@ def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
     )
 
 
+def build_program(src: Source, cls: type[Program]) -> Program:
+    """The `cls` program `src` read, with its names sorted and its
+    transitions by id, so that the order of the input lines does not show."""
+    return cls(tuple(sorted(src.locations)), tuple(sorted(src.transitions, key=_BY_ID)),
+               src.entry, src.exit, tuple(sorted(src.variables)), tuple(sorted(src.consts)))
+
+
 def parse_dcp(text: str) -> Dcp:
     """Parse and validate; raises DcpError carrying positioned diagnostics."""
-    src = read_source(text, "dcp", _TRANS_RE, _transition)
-    dcp = Dcp(
-        locations=tuple(sorted(src.locations)),
-        transitions=tuple(sorted(src.transitions, key=lambda t: t.id)),
-        entry=src.entry,
-        exit=src.exit,
-        variables=tuple(sorted(src.variables)),
-        sym_consts=tuple(sorted(src.consts)),
-    )
+    dcp = build_program(read_source(text, "dcp", _TRANS_RE, _transition), Dcp)
     require_valid(dcp)
     return dcp
 

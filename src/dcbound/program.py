@@ -11,15 +11,14 @@ import re
 from collections import ChainMap
 from collections.abc import Container, Mapping
 
-from dcbound.dcp import (DcpError, Diagnostic, Source, check_structure, parts_with_columns,
-                         read_source)
+from dcbound.dcp import (DcpError, Diagnostic, Program, Source, Transition, build_program,
+                         check_structure, parts_with_columns, read_source)
 from dcbound.record import Frozen
 
 __all__ = [
     "LinExpr",
     "HAVOC",
     "Relation",
-    "ConcreteTransition",
     "ConcreteProgram",
     "parse_program",
     "parse_linexpr",
@@ -133,36 +132,10 @@ class Relation(Frozen):
         return out
 
 
-class ConcreteTransition(Frozen):
-    """`line` is the source position only: equality and hash leave it out."""
-
-    def __init__(self, id: str, source: str, target: str, guard: tuple[Relation, ...],
-                 updates: tuple[tuple[str, LinExpr | _Havoc], ...], line: int = 0):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "guard", guard)
-        object.__setattr__(self, "updates", updates)
-        object.__setattr__(self, "line", line)
-
-    @property
-    def _key(self) -> tuple:
-        return (self.id, self.source, self.target, self.guard, self.updates)
-
-    def update_map(self) -> dict[str, LinExpr | _Havoc]:
-        return dict(self.updates)
-
-
-class ConcreteProgram(Frozen):
-    def __init__(self, locations: tuple[str, ...],
-                 transitions: tuple[ConcreteTransition, ...], entry: str, exit: str,
-                 params: tuple[str, ...], variables: tuple[str, ...]):
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "exit", exit)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "variables", variables)
+class ConcreteProgram(Program):
+    """A concrete program: a `Program` whose transitions each guard with a
+    tuple of `Relation`s and update with `(variable, LinExpr | HAVOC)`
+    pairs; `sym_consts` are its parameters, which no transition assigns."""
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +200,7 @@ def parse_linexpr(text: str, known: Container[str], lineno: int,
         sign, pos = (-1 if op == "-" else 1), m.end()
 
 
-def _transition(m: re.Match, lineno: int, raw: str,
-                src: Source) -> ConcreteTransition:
+def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
     diags = src.diags
     known = ChainMap(src.consts, src.variables)
     base = len(raw) - len(raw.lstrip()) + 1  # the column where m's text starts
@@ -260,20 +232,15 @@ def _transition(m: re.Match, lineno: int, raw: str,
         else:
             updates.append((lhs, parse_linexpr(am.group("rhs"), known, lineno, diags,
                                                col + am.start("rhs"))))
-    return ConcreteTransition(
+    return Transition(
         id=m.group("id"), source=m.group("src"), target=m.group("tgt"),
         guard=tuple(guard), updates=tuple(updates), line=lineno)
 
 
 def parse_program(text: str) -> ConcreteProgram:
     """Parse and check; raises DcpError carrying positioned diagnostics."""
-    src = read_source(text, "prog", _TRANS_RE, _transition)
-    prog = ConcreteProgram(
-        locations=tuple(sorted(src.locations)),
-        transitions=tuple(sorted(src.transitions, key=lambda t: t.id)),
-        entry=src.entry, exit=src.exit,
-        params=tuple(sorted(src.consts)), variables=tuple(sorted(src.variables)))
-    diags = check_structure(prog, prog.params)
+    prog = build_program(read_source(text, "prog", _TRANS_RE, _transition), ConcreteProgram)
+    diags = check_structure(prog)
     if diags:
         raise DcpError(diags)
     return prog

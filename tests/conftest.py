@@ -26,6 +26,7 @@ from dcbound.dcp import (
     DifferenceConstraint,
     Diagnostic,
     Transition,
+    build_program,
     defined_at,
     parse_dcp,
     read_source,
@@ -293,15 +294,7 @@ def ref_dcp_transition(m, lineno, raw, src):
 
 def ref_parse_dcp(text):
     """`parse_dcp` with the per-update transition reader."""
-    src = read_source(text, "dcp", _TRANS_RE, ref_dcp_transition)
-    dcp = Dcp(
-        locations=tuple(sorted(src.locations)),
-        transitions=tuple(sorted(src.transitions, key=lambda t: t.id)),
-        entry=src.entry,
-        exit=src.exit,
-        variables=tuple(sorted(src.variables)),
-        sym_consts=tuple(sorted(src.consts)),
-    )
+    dcp = build_program(read_source(text, "dcp", _TRANS_RE, ref_dcp_transition), Dcp)
     diags = validate(dcp)
     if diags:
         raise DcpError(diags)
@@ -407,25 +400,14 @@ class _Relation:
 
 
 @dataclass(frozen=True)
-class _ConcreteTransition:
-    __qualname__ = "ConcreteTransition"
-    id: object
-    source: object
-    target: object
-    guard: object
-    updates: object
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class _ConcreteProgram:
     __qualname__ = "ConcreteProgram"
     locations: object
     transitions: object
     entry: object
     exit: object
-    params: object
     variables: object
+    sym_consts: object
 
 
 @dataclass(frozen=True)
@@ -520,7 +502,6 @@ TWINS = {
     dcbound.expr.Compound: _Compound,
     dcbound.program.LinExpr: _LinExpr,
     dcbound.program.Relation: _Relation,
-    dcbound.program.ConcreteTransition: _ConcreteTransition,
     dcbound.program.ConcreteProgram: _ConcreteProgram,
     dcbound.resetgraph.ResetEdge: _ResetEdge,
     dcbound.resetgraph.ResetPath: _ResetPath,

@@ -39,14 +39,14 @@ def test_parse_example3():
     assert set(p.locations) == {"l0", "l1", "l2", "l3", "l4", "l5", "le"}
     assert [t.id for t in p.transitions] == [
         "t0", "t1", "t2a", "t2b", "t3a", "t3b", "t4", "t5", "t6"]
-    assert p.params == ("l",)
+    assert p.sym_consts == ("l",)
     assert set(p.variables) == {"b", "e", "i", "k"}
 
 
 def test_parse_havoc():
     p = load_prog("example3.prog")
     t0 = next(t for t in p.transitions if t.id == "t0")
-    assert t0.update_map()["k"] is HAVOC
+    assert dict(t0.updates)["k"] is HAVOC
 
 
 def test_double_update_rejected():
@@ -199,7 +199,7 @@ def simple_cycle_norms(prog):
         for rel in t.guard:
             if (rel.lhs.names | rel.rhs.names) & relevant[t.id]:
                 for fact in rel.facts():
-                    if not fact.is_const and not fact.names <= set(prog.params):
+                    if not fact.is_const and not fact.names <= set(prog.sym_consts):
                         norms[fact] = None
     return list(norms)
 
@@ -779,7 +779,7 @@ def test_emitted_constraints_are_invariant(source, n_samples, data_dir):
         prog = parse_program(source)
     result = abstract_program(prog)
     rng = random.Random(4242)
-    names = list(prog.variables) + list(prog.params)
+    names = list(prog.variables) + list(prog.sym_consts)
     concrete = {t.id: t for t in prog.transitions}
     for t in result.dcp.transitions:
         ct = concrete[t.id]
@@ -796,7 +796,7 @@ def test_emitted_constraints_are_invariant(source, n_samples, data_dir):
                 s2[v] = rng.randint(-8, 8) if rhs is HAVOC else lin_value(rhs, s1)
             for u in t.updates:
                 e1 = result.norm_vars[u.lhs]
-                e2 = _norm_expr_of_atom(result, u.rhs, prog.params)
+                e2 = _norm_expr_of_atom(result, u.rhs, prog.sym_consts)
                 assert lin_value(e1, s2) <= lin_value(e2, s1) + u.offset, (t.id, str(u))
             for g in t.guard:
                 assert lin_value(result.norm_vars[g], s1) > 0, (t.id, g)

@@ -204,7 +204,7 @@ def test_criterion_9c_abstraction_invariance():
     prog = load_prog("example3.prog")
     result = abstract_program(prog)
     rng = random.Random(1111)
-    names = list(prog.variables) + list(prog.params)
+    names = list(prog.variables) + list(prog.sym_consts)
     concrete = {t.id: t for t in prog.transitions}
     violations = 0
     for t in result.dcp.transitions:
@@ -220,7 +220,7 @@ def test_criterion_9c_abstraction_invariance():
                 s2[v] = rng.randint(-8, 8) if rhs is HAVOC else lin_value(rhs, s1)
             for u in t.updates:
                 e1 = result.norm_vars[u.lhs]
-                e2 = _norm_expr_of_atom(result, u.rhs, prog.params)
+                e2 = _norm_expr_of_atom(result, u.rhs, prog.sym_consts)
                 if lin_value(e1, s2) > lin_value(e2, s1) + u.offset:
                     violations += 1
             for g in t.guard:

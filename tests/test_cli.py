@@ -13,6 +13,8 @@ import pytest
 
 from dcbound import __version__, cli
 from dcbound.cli import main
+from dcbound.dcp import parse_dcp
+from dcbound.program import parse_program
 
 DATA = Path(__file__).parent / "data"
 
@@ -431,6 +433,8 @@ def test_non_utf8_input_exit_1(tmp_path):
     (["abstract", DATA / "example3.prog", "-o", "./sub/"], "[Errno 21] Is a directory: 'sub'"),
     (["resets", DATA / "exampleB.dcp", "--dot", "no//g.dot"],
      "[Errno 2] No such file or directory: 'no/g.dot'"),
+    (["abstract", DATA / "example3.prog", "-o", ""], "[Errno 21] Is a directory: '.'"),
+    (["resets", DATA / "exampleB.dcp", "--dot", ""], "[Errno 21] Is a directory: '.'"),
 ])
 def test_file_errors_name_the_normalized_path(tmp_path, monkeypatch, capsys, argv, message):
     (tmp_path / "sub").mkdir()
@@ -509,6 +513,54 @@ def test_prog_name_collisions_exit_1(tmp_path, params, vars_, exit_, message):
     proc = _cli("analyze", src)
     assert proc.returncode == 1
     assert proc.stderr == f"{src}:0:0: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["undef", "max", "min"])
+@pytest.mark.parametrize("text", [
+    "dcp\nconsts: {}\nvars: x\nentry: a\nexit: b\ntrans t: a -> b {{ x' <= {}; }}\n",
+    "prog\nparams: {}\nvars: i\nentry: a\nexit: b\ntrans t: a -> b {{ i := {}; }}\n",
+], ids=["dcp", "prog"])
+def test_reserved_constant_names_exit_1(tmp_path, capsys, text, name):
+    src = tmp_path / "reserved.txt"
+    src.write_text(text.format(name, name))
+    for argv in (["analyze", "--vb"], ["validate"], ["resets"]):
+        assert run(capsys, argv[0], src, *argv[1:]) == (
+            1, "", f"{src}:0:0: constant {name!r} is reserved in bound expressions\n")
+
+
+def _shuffled(text: str, rng: random.Random) -> str:
+    """`text` with its transition lines and the names in each declaration
+    line in a random order. The declarations stay above the transitions, as
+    a name declared after a transition that uses it reads differently."""
+    head, trans = [], []
+    for line in text.splitlines():
+        key, colon, names = line.split("#", 1)[0].partition(":")
+        if key.startswith("trans"):
+            trans.append(line)
+        elif colon and key.strip() in ("consts", "params", "vars"):
+            names = names.split(",")
+            rng.shuffle(names)
+            head.append(f"{key}: {', '.join(n.strip() for n in names)}")
+        else:
+            head.append(line)
+    rng.shuffle(trans)
+    return "\n".join(head + trans) + "\n"
+
+
+@pytest.mark.parametrize("path", [*sorted(DATA.iterdir()),
+                                  *sorted((DATA.parent.parent / "bench" / "data").iterdir())],
+                         ids=lambda p: f"{p.parent.parent.name}/{p.name}")
+def test_readers_ignore_line_order(tmp_path, capsys, path):
+    text = path.read_text()
+    parse = parse_program if path.suffix == ".prog" else parse_dcp
+    modes = [("analyze", "--vb", "--mode", mode) for mode in ("free", "ctx", "opt")]
+    expected = [run(capsys, cmd, path, *rest)[:2] for cmd, *rest in modes]
+    for seed in range(3):
+        shuffled = _shuffled(text, random.Random(seed))
+        assert shuffled != text and parse(shuffled) == parse(text)
+        src = tmp_path / f"shuffled{path.suffix}"
+        src.write_text(shuffled)
+        assert [run(capsys, cmd, src, *rest)[:2] for cmd, *rest in modes] == expected
 
 
 @pytest.mark.parametrize("text, message", [

@@ -322,7 +322,7 @@ def _longest_counts(prog, n: int) -> dict[str, int]:
             for t in prog.transitions:
                 if t.source != loc or not guard_holds(t, env):
                     continue
-                updates = t.update_map()
+                updates = dict(t.updates)
                 nxt = tuple(lin_value(updates[v], env) if v in updates else env[v]
                             for v in names)
                 counts = dict(best(t.target, nxt))

@@ -616,6 +616,12 @@ _INVALID = {  # case -> (program, a diagnostic validate gives it)
         locations=("lb", "le"), transitions=(Transition("t0", "lb", "l1", (), ()),),
         entry="la", exit="le", variables=(), sym_consts=()),
         "transition t0: unknown location 'l1'"),
+    # the words of a bound expression: a bound over such a constant would
+    # print as `undef` or fail to read back
+    **{f"reserved-{name}": (lambda name=name: _hand_built([
+        Transition("t0", "lb", "le", (), (_dc("x", SymConst(name)),)),
+    ], variables=("x",), consts=(name,)), f"constant {name!r} is reserved")
+       for name in ("undef", "max", "min")},
 }
 
 

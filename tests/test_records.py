@@ -22,7 +22,7 @@ from dcbound.dcp import Dcp, DcpError, Source, Transition, parse_dcp, validate
 from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import UNDEFINED, Compound, IntConst, SymConst, Undefined
 from dcbound.oracle import check_soundness, explore
-from dcbound.program import HAVOC, ConcreteTransition, parse_program
+from dcbound.program import HAVOC, parse_program
 from dcbound.record import Record
 from dcbound.resetgraph import ResetGraph, ResetPath
 
@@ -114,7 +114,7 @@ def _instances():
     pool += [UNDEFINED, Undefined()]
     edges = next(x for x in pool if isinstance(x, ResetGraph)).edges
     pool += [ResetPath(edges), ResetGraph(edges), IntConst(2), SymConst("2"),
-             Transition("t", "a", "b", (), ()), ConcreteTransition("t", "a", "b", (), ())]
+             Transition("t", "a", "b", (), ())]
     return pool
 
 
@@ -235,8 +235,7 @@ def test_a_program_with_havoc_hashes_alike_in_every_process():
 # the only places a record class writes its own key or repr: the repr of a
 # Compound's args would recurse, HAVOC keeps its short repr, and a
 # transition's key leaves out `line`
-OVERRIDES = {(Compound, "__repr__"), (type(HAVOC), "__repr__"), (Transition, "_key"),
-             (ConcreteTransition, "_key")}
+OVERRIDES = {(Compound, "__repr__"), (type(HAVOC), "__repr__"), (Transition, "_key")}
 
 
 def _record_classes():
