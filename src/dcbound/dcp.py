@@ -2,12 +2,12 @@
 and the line reader that `.dcp` and `.prog` inputs share.
 
 A transition carries a set of variables required to be positive (the guard)
-and a deterministic set of inequalities x' <= a + c, one per updated variable,
-where a is a variable, a named constant, or an integer: a
-`DifferenceConstraint`'s `rhs` is a variable name (`str`), a `SymConst` or an
-`IntConst`. Programs are validated for determinism and well-definedness:
+and a deterministic set of inequalities x' <= a + c, one per updated variable:
+a `DifferenceConstraint`'s `rhs` a is a variable name (`str`), a `SymConst` or
+an `IntConst`. Programs are validated for determinism and well-definedness:
 every variable a transition reads is constrained on every transition into
-its source.
+its source. A `Dcp` maps each location to the transitions that leave it;
+`resetgraph.build_reset_graph` sorts the updates into resets and increments.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from operator import attrgetter
 
-from dcbound.expr import IntConst, SymConst
+from dcbound.expr import IntConst, SymConst, parse_int
 from dcbound.record import Frozen
 
 __all__ = [
@@ -97,23 +97,6 @@ class DcpError(ValueError):
         self.diagnostics = diagnostics
 
 
-class _DcpIndex:
-    """The lookups of one `Dcp`, built together in one pass."""
-
-    __slots__ = ("by_id", "outgoing", "incoming", "resets", "increments")
-
-    def __init__(self, by_id: dict[str, Transition],
-                 outgoing: dict[str, tuple[Transition, ...]],
-                 incoming: dict[str, tuple[Transition, ...]],
-                 resets: dict[str, tuple[tuple[Transition, Atom, int], ...]],
-                 increments: dict[str, tuple[tuple[Transition, int], ...]]):
-        self.by_id = by_id
-        self.outgoing = outgoing
-        self.incoming = incoming
-        self.resets = resets
-        self.increments = increments
-
-
 class Program(Frozen):
     """A control-flow graph of `Transition`s between `locations`, with the
     names of its `variables` and symbolic constants (`sym_consts`: a `.prog`
@@ -131,100 +114,54 @@ class Program(Frozen):
 
 
 class Dcp(Program):
-    """A difference constraint program.
-
-    The lookups `transition`, `outgoing`, `incoming`, `resets` and
-    `increments` are answered from an index built lazily, once per instance,
-    in one pass over the transitions. The accessors return the stored
-    tuples, each in `transitions` order. They assume a valid program (unique
-    ids, each declared variable constrained at most once per transition);
-    `validate` reads them only once its structural and name checks pass.
-    `defined_at` and `validate` are cached per instance too. A transform
-    builds a new instance with the constructor, and so with its own caches.
-    """
+    """A difference constraint program. `outgoing` returns a stored tuple,
+    in `transitions` order, from a map built once per instance; `defined_at`
+    and `validate` are cached per instance too, and a transform builds a
+    new instance. Resets and increments come from `build_reset_graph`."""
 
     @cached_property
-    def _index(self) -> _DcpIndex:
-        by_id: dict[str, Transition] = {}
-        outgoing: dict[str, list] = {}
-        incoming: dict[str, list] = {}
-        resets: dict[str, list] = {v: [] for v in self.variables}
-        increments: dict[str, list] = {v: [] for v in self.variables}
+    def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
+        out: dict[str, list[Transition]] = {}
         for t in self.transitions:
-            by_id[t.id] = t
-            outgoing.setdefault(t.source, []).append(t)
-            incoming.setdefault(t.target, []).append(t)
-            for u in t.updates:
-                if u.rhs != u.lhs:
-                    resets[u.lhs].append((t, u.rhs, u.offset))
-                elif u.offset > 0:
-                    increments[u.lhs].append((t, u.offset))
-        return _DcpIndex(by_id, *({k: tuple(v) for k, v in d.items()}
-                                  for d in (outgoing, incoming, resets, increments)))
+            out.setdefault(t.source, []).append(t)
+        return {loc: tuple(ts) for loc, ts in out.items()}
 
     @cached_property
     def _defined_at(self) -> dict[str, frozenset[str]]:
-        out: dict[str, frozenset[str]] = {}
-        for loc in self.locations:
-            vars_ = set() if loc == self.entry else set(self.variables)
-            for t in self.incoming(loc):
-                vars_ &= {u.lhs for u in t.updates}
-            out[loc] = frozenset(vars_)
-        return out
+        defined = {loc: frozenset(() if loc == self.entry else self.variables)
+                   for loc in self.locations}
+        for t in self.transitions:
+            if t.target in defined:  # a hand-built program may name others
+                defined[t.target] = defined[t.target].intersection(u.lhs for u in t.updates)
+        return defined
 
     @cached_property
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
         return tuple(_diagnose(self))
 
-    def transition(self, tid: str) -> Transition:
-        return self._index.by_id[tid]
-
     def outgoing(self, loc: str) -> tuple[Transition, ...]:
-        return self._index.outgoing.get(loc, ())
-
-    def incoming(self, loc: str) -> tuple[Transition, ...]:
-        return self._index.incoming.get(loc, ())
-
-    def resets(self, var: str) -> tuple[tuple[Transition, Atom, int], ...]:
-        """All (transition, source atom, offset) where var is set from a
-        different atom: the update var' <= a + c with a != var."""
-        try:
-            return self._index.resets[var]
-        except KeyError:
-            raise ValueError(f"unknown variable {var!r}") from None
-
-    def increments(self, var: str) -> tuple[tuple[Transition, int], ...]:
-        """All (transition, offset) with a self-sourced positive offset:
-        var' <= var + c and c > 0."""
-        try:
-            return self._index.increments[var]
-        except KeyError:
-            raise ValueError(f"unknown variable {var!r}") from None
+        return self._outgoing.get(loc, ())
 
     def back_edges(self) -> list[Transition]:
         """Transitions closing a cycle under a depth-first traversal from the
         entry with children visited in transition-id order."""
-        out_sorted = {loc: sorted(self.outgoing(loc), key=lambda t: t.id)
-                      for loc in self.locations}
-        color: dict[str, int] = {loc: 0 for loc in self.locations}  # 0 white 1 grey 2 black
-        back: list[Transition] = []
-        # iterative DFS: (location, iterator index)
+        color = dict.fromkeys(self.locations, 0)  # 0 white, 1 grey, 2 black
         color[self.entry] = 1
-        stack: list[tuple[str, int]] = [(self.entry, 0)]
-        while stack:
-            loc, i = stack.pop()
-            edges = out_sorted[loc]
-            if i < len(edges):
-                stack.append((loc, i + 1))
-                t = edges[i]
+        back: list[Transition] = []
+        work = [(self.entry, iter(sorted(self.outgoing(self.entry), key=_BY_ID)))]
+        while work:
+            loc, edges = work[-1]
+            for t in edges:
                 if color[t.target] == 1:
                     back.append(t)
                 elif color[t.target] == 0:
                     color[t.target] = 1
-                    stack.append((t.target, 0))
+                    work.append((t.target, iter(sorted(self.outgoing(t.target), key=_BY_ID))))
+                    break
             else:
                 color[loc] = 2
-        return sorted(back, key=lambda t: t.id)
+                work.pop()
+        return sorted(back, key=_BY_ID)
 
 
 def strongly_connected_components(succ: Sequence[Iterable[int]]) -> list[int]:
@@ -399,6 +336,7 @@ def _diagnose(dcp: Dcp) -> list[Diagnostic]:
     if diags:
         return diags  # each read of an unknown name is reported once, above
 
+    into: dict[str, list[Transition]] = {}  # the transitions into a reported location
     for loc, v in sorted(undefined_reads(dcp)):
         if loc == dcp.entry:
             diags.append(Diagnostic(
@@ -406,8 +344,9 @@ def _diagnose(dcp: Dcp) -> list[Diagnostic]:
                 f"variable {v!r} may be read at the entry {loc!r} "
                 f"before it is constrained"))
         else:
-            missing = [t.id for t in dcp.incoming(loc)
-                       if all(u.lhs != v for u in t.updates)]
+            if loc not in into:
+                into[loc] = [t for t in dcp.transitions if t.target == loc]
+            missing = [t.id for t in into[loc] if all(u.lhs != v for u in t.updates)]
             diags.append(Diagnostic(
                 0, 0,
                 f"variable {v!r} is read at {loc!r} but transition(s) "
@@ -639,6 +578,24 @@ def parts_with_columns(text: str, sep: str, col: int) -> Iterator[tuple[int, str
         col += len(part) + len(sep)
 
 
+def _update(part: str, consts: dict[str, None]) -> DifferenceConstraint | tuple[int, str]:
+    """The constraint that `part` spells, or (offset in `part`, message) of
+    why it spells none."""
+    um = _UPDATE_RE.match(part)
+    if um is None:
+        return 0, f"cannot parse update {part!r}"
+    rhs: Atom = um.group("rhs")
+    try:
+        if _INT_RE.fullmatch(rhs):
+            rhs = IntConst(parse_int(rhs))
+        elif rhs in consts:
+            rhs = SymConst(rhs)
+        off = parse_int(um.group("off") or "0")
+    except ValueError as exc:  # a literal too long to read: which one?
+        return um.start("rhs" if isinstance(rhs, str) and _INT_RE.match(rhs) else "off"), str(exc)
+    return DifferenceConstraint(um.group("lhs"), rhs, -off if um.group("sign") == "-" else off)
+
+
 def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
     memo = src.update_memo
     updates = []
@@ -649,26 +606,18 @@ def _transition(m: re.Match, lineno: int, raw: str, src: Source) -> Transition:
             continue
         u = memo.get(part)
         if u is None:
-            um = _UPDATE_RE.match(part)
-            if um is None:
+            u = _update(part, src.consts)
+            if isinstance(u, tuple):
                 bad = True
                 continue
-            rhs: Atom = um.group("rhs")
-            if _INT_RE.fullmatch(rhs):
-                rhs = IntConst(int(rhs))
-            elif rhs in src.consts:
-                rhs = SymConst(rhs)
-            off = int(um.group("off") or 0)
-            if um.group("sign") == "-":
-                off = -off
-            u = memo[part] = DifferenceConstraint(um.group("lhs"), rhs, off)
+            memo[part] = u
         updates.append(u)
     if bad:  # columns only for a line that needs them: most lines are good
         base = len(raw) - len(raw.lstrip()) + 1  # the column where m's text starts
-        src.diags += [Diagnostic(lineno, col, f"cannot parse update {part!r}")
-                      for col, part in parts_with_columns(m.group("body"), ";",
-                                                          base + m.start("body"))
-                      if not _UPDATE_RE.match(part)]
+        for col, part in parts_with_columns(m.group("body"), ";", base + m.start("body")):
+            u = _update(part, src.consts)
+            if isinstance(u, tuple):
+                src.diags.append(Diagnostic(lineno, col + u[0], u[1]))
     guard = m.group("guard")
     return Transition(
         id=m.group("id"), source=m.group("src"), target=m.group("tgt"),

@@ -12,9 +12,10 @@ transition bound accounts for the resets of its local bound:
   OPT   refines CTX: atoms with a single flow path into the local bound have
         their increment total counted once globally instead of once per chain.
 
-Every mode analyses one working program: the input without the variables
-on reset cycles and their dependents. Dropping their constraints only adds
-runs, so each bound on the working program bounds the input too.
+Every mode analyses the reset analysis's `pruned` program, the input without
+the variables on reset cycles and their dependents, through its R(v) =
+`graph.into(v)` and I(v) = `increments_of(v)`. Dropping constraints only
+adds runs, so each bound on the working program bounds the input too.
 
 TB(t) is 1, undef, the node ("TB", v) of its local bound v, or, when t is
 exposed (see `localbounds`), that node plus the number of ways into t's
@@ -118,15 +119,15 @@ class Analysis:
         kind, v = key
         if kind == "TB" and self.mode is not AnalysisMode.FREE:
             return self._tb_context(v, get)
-        resets = self.working.resets(v)
+        resets = self._reset.graph.into(v)
         if not resets:
             return expr.UNDEFINED
-        caps = [expr.add(self._vb(a, get), c) for _, a, c in resets]
+        caps = [expr.add(self._vb(e.src, get), e.offset) for e in resets]
         if kind == "VB":
             return expr.add(self._incr(v, get), expr.maximum(*caps))
         return expr.add(self._incr(v, get), *[  # FREE: one term per reset
-            expr.mul(self._tb(t, get), expr.maximum(cap, 0))
-            for (t, _, _), cap in zip(resets, caps)])
+            expr.mul(self._tb(e.trans, get), expr.maximum(cap, 0))
+            for e, cap in zip(resets, caps)])
 
     def _tb(self, t: Transition, get: Get) -> expr.BoundExpr:
         bound_var = self.zeta[t.id]
@@ -142,9 +143,7 @@ class Analysis:
         return get(("VB", atom)) if isinstance(atom, str) else atom
 
     def _incr(self, atom: Atom, get: Get) -> expr.BoundExpr:
-        if not isinstance(atom, str):
-            return expr.IntConst(0)
-        incs = self.working.increments(atom)
+        incs = self._reset.increments_of(atom)  # none for a rigid atom
         if not incs:
             return expr.IntConst(0)
         return expr.add(*[expr.mul(self._tb(t, get), c) for t, c in incs])
@@ -200,8 +199,8 @@ class Analysis:
         """Upper bound on how often the transition can run."""
         if isinstance(t, str):
             try:
-                t = self.working.transition(t)
-            except KeyError:
+                t = next(x for x in self.working.transitions if x.id == t)
+            except StopIteration:
                 raise ValueError(f"unknown transition {t!r}") from None
         return self._tb(t, self._bounds.__getitem__)
 
@@ -209,7 +208,7 @@ class Analysis:
         back = self.working.back_edges()
         if not back:
             return expr.IntConst(0)
-        return expr.add(*[self.tb(t.id) for t in back])
+        return expr.add(*[self.tb(t) for t in back])
 
     # -- reporting -----------------------------------------------------------
 

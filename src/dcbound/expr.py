@@ -405,6 +405,16 @@ _TOKEN_RE = re.compile(r"[ \t\n\r]*(?:(-?\d+)|(\w+)|([^ \t\n\r]))")
 _Token = tuple[str | None, str, int]  # (kind, text, offset); kind None ends input
 
 
+def parse_int(text: str) -> int:
+    """int() of a literal of digits with an optional '-'; one of more digits
+    than Python converts (4300 by default) raises a ValueError saying so."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer literal of {len(text.lstrip('-'))} digits "
+                         f"is too long") from None
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
     for m in _TOKEN_RE.finditer(text):
@@ -450,7 +460,10 @@ def parse_expr(text: str) -> BoundExpr:
     while True:
         kind, val, pos = take()
         if kind == "INT":
-            factor: BoundExpr = IntConst(int(val))
+            try:
+                factor: BoundExpr = IntConst(parse_int(val))
+            except ValueError as exc:
+                raise ExprParseError(str(exc), pos) from None
         elif kind == "(":
             stack.append(((kind, val, pos), [], [], []))
             continue

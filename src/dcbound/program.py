@@ -13,6 +13,7 @@ from collections.abc import Container, Mapping
 
 from dcbound.dcp import (DcpError, Diagnostic, Program, Source, Transition, build_program,
                          check_structure, parts_with_columns, read_source)
+from dcbound.expr import parse_int
 from dcbound.record import Frozen
 
 __all__ = [
@@ -186,15 +187,18 @@ def parse_linexpr(text: str, known: Container[str], lineno: int,
             sign = -sign
         t = _TERM_RE.match(chunk)
         at = col + m.end(2) - len(chunk.lstrip())
-        if not t:
-            diags.append(Diagnostic(lineno, at, f"cannot parse term {chunk.strip()!r}"
-                                    if chunk.strip() else f"missing term in {s!r}"))
-        elif t["int"] is not None:
-            const += sign * int(t["int"])
-        elif t["name"] not in known:
-            diags.append(Diagnostic(lineno, at, f"unknown identifier {t['name']!r}"))
-        else:
-            coeffs[t["name"]] = coeffs.get(t["name"], 0) + sign * int(t["coef"] or 1)
+        try:
+            if not t:
+                diags.append(Diagnostic(lineno, at, f"cannot parse term {chunk.strip()!r}"
+                                        if chunk.strip() else f"missing term in {s!r}"))
+            elif t["int"] is not None:
+                const += sign * parse_int(t["int"])
+            elif t["name"] not in known:
+                diags.append(Diagnostic(lineno, at, f"unknown identifier {t['name']!r}"))
+            else:
+                coeffs[t["name"]] = coeffs.get(t["name"], 0) + sign * parse_int(t["coef"] or "1")
+        except ValueError as exc:  # a literal too long to read
+            diags.append(Diagnostic(lineno, at, str(exc)))
         if not op:
             return LinExpr.from_mapping(const, coeffs)
         sign, pos = (-1 if op == "-" else 1), m.end()

@@ -1,11 +1,11 @@
 """Reset graphs and reset paths.
 
-The reset graph has an edge per reset: source atom -> reset variable, labeled
-with the transition and offset. Analyses that follow reset chains require the
-variable part of this graph to be acyclic; variables on reset cycles (and
-everything downstream of them) are removed from a working copy of the program.
-The edges are built once, from that copy, and sorted once; `ResetGraph.into`
-and `to_dot` keep their order.
+`build_reset_graph` alone sorts updates: a reset is an edge source atom ->
+reset variable, labeled with the transition and offset; an increment is an
+update v' <= v + c with c > 0. Reset chains require the variable part of the
+graph to be acyclic, so variables on reset cycles (and all downstream) are
+removed from a working copy of the program, which the edges and increments
+name. The edges are sorted once; `ResetGraph.into` and `to_dot` keep that.
 
 A reset path is sound when each interior atom is guaranteed to be re-reset
 between the completion of the chain and the next use of the edge consuming
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 
-from dcbound.dcp import Atom, Dcp, Transition, drop_variables, \
+from dcbound.dcp import Atom, Dcp, DifferenceConstraint, Transition, drop_variables, \
     strongly_connected_components
 from dcbound.record import Frozen
 
@@ -95,6 +95,7 @@ class ResetGraph(Frozen):
 
     def __init__(self, edges: tuple[ResetEdge, ...]):
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_path_counts", {})  # path_count's memo, not a field
 
     @cached_property
     def _into(self) -> dict[str, tuple[ResetEdge, ...]]:
@@ -102,10 +103,6 @@ class ResetGraph(Frozen):
         for e in self.edges:
             out.setdefault(e.dst, []).append(e)
         return {v: tuple(es) for v, es in out.items()}
-
-    @cached_property
-    def _path_counts(self) -> dict[str, dict[Atom, int]]:
-        return {}
 
     def into(self, var: str) -> tuple[ResetEdge, ...]:
         return self._into.get(var, ())
@@ -147,14 +144,22 @@ class ResetGraph(Frozen):
 
 
 class ResetAnalysis(Frozen):
-    """The reset graph and `pruned`, the working copy of the program with
-    the constraints of the removed variables dropped; `warnings` words the
-    removal."""
+    """The reset graph, `pruned`, the working copy of the program with the
+    constraints of the removed variables dropped, and `increments`: per
+    variable of `pruned` with increments v' <= v + c, c > 0, the pair (v,
+    ((transition, c), ...)) in program order. R(v) is `graph.into(v)`, I(v)
+    `increments_of(v)`; `warnings` words the removal."""
 
-    def __init__(self, graph: ResetGraph, removed_vars: frozenset[str], pruned: Dcp):
+    def __init__(self, graph: ResetGraph, removed_vars: frozenset[str], pruned: Dcp,
+                 increments: tuple[tuple[str, tuple[tuple[Transition, int], ...]], ...]):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "removed_vars", removed_vars)
         object.__setattr__(self, "pruned", pruned)
+        object.__setattr__(self, "increments", increments)
+        object.__setattr__(self, "_increments", dict(increments))  # not a field
+
+    def increments_of(self, var: str) -> tuple[tuple[Transition, int], ...]:
+        return self._increments.get(var, ())
 
     @property
     def warnings(self) -> list[str]:
@@ -165,15 +170,23 @@ class ResetAnalysis(Frozen):
 
 
 def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
-    """Build the reset graph, removing variables on reset cycles plus all
-    variables whose values depend on them (forward reachability along reset
-    edges), so that the remaining graph is a DAG of the pruned resets."""
+    """Sort each update into a reset (a reset graph edge), an increment or
+    neither, in one pass; then remove the variables on reset cycles and all
+    that depend on them (forward along reset edges), leaving a DAG. A
+    removed source has a removed target, so the kept variables' resets and
+    increments are the pruned program's; they name its transitions."""
     number = {v: i for i, v in enumerate(dcp.variables)}
-    succ: list[set[int]] = [set() for _ in dcp.variables]
-    for j, v in enumerate(dcp.variables):
-        for _, a, _ in dcp.resets(v):
-            if isinstance(a, str):
-                succ[number[a]].add(j)
+    succ: list[set[int]] = [set() for _ in dcp.variables]  # variable reset edges
+    resets: list[tuple[int, DifferenceConstraint]] = []  # (transition index, update)
+    increments: dict[str, list[tuple[int, int]]] = {}
+    for i, t in enumerate(dcp.transitions):
+        for u in t.updates:
+            if u.rhs != u.lhs:
+                resets.append((i, u))
+                if isinstance(u.rhs, str):
+                    succ[number[u.rhs]].add(number[u.lhs])
+            elif u.offset > 0:
+                increments.setdefault(u.lhs, []).append((i, u.offset))
     comp = strongly_connected_components(succ)
     size = Counter(comp)
     # variables on a reset cycle (a component of two or more), then every
@@ -188,25 +201,27 @@ def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
     removed = {dcp.variables[i] for i in removing}
 
     pruned = drop_variables(dcp, removed) if removed else dcp
-    edges = sorted((ResetEdge(src=a, trans=t, offset=c, dst=v)
-                    for v in pruned.variables for t, a, c in pruned.resets(v)),
+    ts = pruned.transitions  # in the order of dcp's
+    edges = sorted((ResetEdge(src=u.rhs, trans=ts[i], offset=u.offset, dst=u.lhs)
+                    for i, u in resets if u.lhs not in removed),
                    key=lambda e: (str(e.src), e.dst, e.trans.id, e.offset))
-    return ResetAnalysis(graph=ResetGraph(tuple(edges)),
-                         removed_vars=frozenset(removed),
-                         pruned=pruned)
+    return ResetAnalysis(
+        graph=ResetGraph(tuple(edges)), removed_vars=frozenset(removed), pruned=pruned,
+        increments=tuple((v, tuple((ts[i], c) for i, c in incs))
+                         for v, incs in increments.items() if v not in removed))
 
 
 # ---------------------------------------------------------------------------
 # soundness and optimality
 # ---------------------------------------------------------------------------
 
-def _reachable_without_reset(dcp: Dcp, src_loc: str, dst_loc: str,
+def _reachable_without_reset(dcp: Dcp, graph: ResetGraph, src_loc: str, dst_loc: str,
                              var: str) -> bool:
     """Is there a location path src -> dst (the empty path counts) that never
     takes a transition resetting var?"""
     if src_loc == dst_loc:
         return True
-    resetting = {t.id for t, _, _ in dcp.resets(var)}
+    resetting = {e.trans.id for e in graph.into(var)}
     seen = {src_loc}
     frontier = [src_loc]
     while frontier:
@@ -240,7 +255,7 @@ def optimal_reset_paths(dcp: Dcp, graph: ResetGraph, var: str,
         # the extensions all add the same interior atom and consumer edge,
         # and `path` is sound, so one check decides them all
         if into and not _reachable_without_reset(
-                dcp, path.edges[-1].trans.target, path.edges[0].trans.source,
+                dcp, graph, path.edges[-1].trans.target, path.edges[0].trans.source,
                 head):
             stack.extend(ResetPath((e,) + path.edges) for e in reversed(into))
             continue

@@ -49,6 +49,11 @@ def load_prog(name: str):
     return parse_program((DATA / name).read_text())
 
 
+def by_id(program, tid: str):
+    """The transition of `program` with id `tid`, by a scan."""
+    return next(t for t in program.transitions if t.id == tid)
+
+
 # The concrete semantics of a .prog program, which the package abstracts
 # but never runs.
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
@@ -179,8 +184,8 @@ def ref_well_definedness_messages(d):
                 messages.append(f"variable {v!r} may be read at the entry "
                                 f"{loc!r} before it is constrained")
             elif v not in defined[loc]:
-                missing = [t.id for t in d.incoming(loc)
-                           if all(u.lhs != v for u in t.updates)]
+                missing = [t.id for t in d.transitions if t.target == loc
+                           and all(u.lhs != v for u in t.updates)]
                 messages.append(
                     f"variable {v!r} is live at {loc!r} but transition(s) "
                     f"{', '.join(sorted(missing))} into {loc!r} do not constrain it")
@@ -437,6 +442,7 @@ class _ResetAnalysis:
     graph: object
     removed_vars: object
     pruned: object
+    increments: object
 
 
 @dataclass

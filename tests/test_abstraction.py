@@ -20,6 +20,7 @@ from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, parse_program
 
 from conftest import (
+    by_id,
     guard_holds,
     lin_value,
     load_dcp,
@@ -472,10 +473,10 @@ trans t1: l1 -> l1 when i > 0 { i := i - 1; }
     d = result.dcp
     assert len(d.variables) == 1
     v = d.variables[0]
-    t1 = d.transition("t1")
+    t1 = by_id(d, "t1")
     assert t1.guard == (v,)
     assert [(u.lhs, u.rhs, u.offset) for u in t1.updates] == [(v, v, -1)]
-    t0 = d.transition("t0")
+    t0 = by_id(d, "t0")
     assert [(u.lhs, u.rhs, u.offset) for u in t0.updates] == [(v, SymConst("n"), 0)]
 
 
@@ -726,7 +727,7 @@ trans t1: l1 -> l1 when i > 0 { i := i - 1; }
     assert len(result.derived_consts) == 1
     kname, definition = next(iter(result.derived_consts.items()))
     assert definition == lin(n=1, m=2)
-    t0 = d.transition("t0")
+    t0 = by_id(d, "t0")
     assert [(u.lhs, u.rhs, u.offset) for u in t0.updates] == \
         [(d.variables[0], SymConst(kname), 0)]
 

@@ -1,6 +1,7 @@
 """DCP parsing, validation, reset/increment extraction, back edges, SCCs."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,27 @@ from dcbound.dcp import (
     strongly_connected_components,
     validate,
 )
+from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import SymConst
+from dcbound.resetgraph import build_reset_graph
+
+from conftest import by_id
 
 DATA = Path(__file__).parent / "data"
 
 
 def load(name):
     return parse_dcp((DATA / name).read_text())
+
+
+def resets(d, v):
+    """R(v) of the reset analysis, as (transition id, source atom, offset)."""
+    return {(e.trans.id, e.src, e.offset) for e in build_reset_graph(d).graph.into(v)}
+
+
+def increments(d, v):
+    """I(v) of the reset analysis, as (transition id, offset) in program order."""
+    return [(t.id, c) for t, c in build_reset_graph(d).increments_of(v)]
 
 
 def test_parse_example_a_shape():
@@ -43,23 +58,20 @@ def test_all_example_files_validate():
 
 
 def test_resets_increments_partition_updates():
-    # every update with a foreign source is a reset; every self-update with a
-    # positive offset is an increment; the two views never overlap
+    # each update of the working program is exactly one of: a reset edge
+    # (a foreign source), an increment (a self-update with a positive
+    # offset), or a self-update with an offset of 0 or less
     for name in ["exampleA.dcp", "exampleB.dcp", "exampleC.dcp",
-                 "example1.dcp", "example2.dcp", "example3_expected.dcp"]:
-        d = load(name)
-        for v in d.variables:
-            resets = {(t.id, a, c) for t, a, c in d.resets(v)}
-            incs = {(t.id, c) for t, c in d.increments(v)}
-            assert {t for t, _, _ in resets}.isdisjoint({t for t, _ in incs})
-            for t in d.transitions:
-                u = next((u for u in t.updates if u.lhs == v), None)
-                if u is None:
-                    continue
-                if u.rhs != v:
-                    assert (t.id, u.rhs, u.offset) in resets
-                elif u.offset > 0:
-                    assert (t.id, u.offset) in incs
+                 "example1.dcp", "example2.dcp", "example3_expected.dcp",
+                 "cyclic.dcp"]:
+        r = build_reset_graph(load(name))
+        updates = [(t, u.lhs, u.rhs, u.offset)
+                   for t in r.pruned.transitions for u in t.updates]
+        edges = [(e.trans, e.dst, e.src, e.offset) for e in r.graph.edges]
+        incs = [(t, v, v, c) for v, _ in r.increments for t, c in r.increments_of(v)]
+        rest = [x for x in updates if x[1] == x[2] and x[3] <= 0]
+        assert Counter(edges + incs + rest) == Counter(updates)
+        assert all(c > 0 for *_, c in incs)
 
 
 def test_determinism_violation_diagnosed():
@@ -178,42 +190,43 @@ trans t0: l1 -> le { x' <= x; }
 
 def test_resets_example_c():
     d = load("exampleC.dcp")
-    rs = d.resets("k")
-    assert [(t.id, a, c) for t, a, c in rs] == [("t1", "r", 0)]
+    assert resets(d, "k") == {("t1", "r", 0)}
     # r has a reset from n and one from the integer 0
-    rr = {(t.id, str(a), c) for t, a, c in d.resets("r")}
+    rr = {(tid, str(a), c) for tid, a, c in resets(d, "r")}
     assert rr == {("t0", "n", 0), ("t3", "0", 0)}
 
 
 def test_resets_example_2():
     d = load("example2.dcp")
-    rs = {(t.id, str(a), c) for t, a, c in d.resets("x")}
+    rs = {(tid, str(a), c) for tid, a, c in resets(d, "x")}
     assert rs == {("t0a", "m1", 0), ("t0b", "m2", 0)}
 
 
 def test_self_update_is_not_a_reset():
     d = load("exampleA.dcp")
-    assert [(t.id, c) for t, c in d.increments("j")] == [("t1", 1)]
+    assert increments(d, "j") == [("t1", 1)]
     # i only ever decreases or stays: no increments, and no resets besides t0
-    assert d.increments("i") == ()
-    assert [(t.id) for t, _, _ in d.resets("i")] == ["t0"]
+    assert increments(d, "i") == []
+    assert [tid for tid, _, _ in resets(d, "i")] == ["t0"]
 
 
 def test_increments_example_b_and_1():
     b = load("exampleB.dcp")
-    assert [(t.id, c) for t, c in b.increments("k")] == [("t1", 1)]
+    assert increments(b, "k") == [("t1", 1)]
     e1 = load("example1.dcp")
-    assert [(t.id, c) for t, c in e1.increments("r")] == [("t1", 1)]
+    assert increments(e1, "r") == [("t1", 1)]
     # decrement-only variables have no increments
-    assert e1.increments("x") == ()
+    assert increments(e1, "x") == []
 
 
 def test_unknown_variable_errors():
+    # the reset analysis knows no resets or increments of an unknown name;
+    # the query that takes a variable refuses it
     d = load("exampleA.dcp")
-    with pytest.raises(ValueError):
-        d.resets("zz")
-    with pytest.raises(ValueError):
-        d.increments("zz")
+    assert resets(d, "zz") == set() and increments(d, "zz") == []
+    for mode in AnalysisMode:
+        with pytest.raises(ValueError, match="unknown variable 'zz'"):
+            Analysis(d, mode).vb("zz")
 
 
 def test_back_edges():
@@ -244,9 +257,9 @@ def test_format_round_trip():
 def test_drop_variables():
     d = load("cyclic.dcp")
     pruned = drop_variables(d, {"x", "y"})
-    t1 = pruned.transition("t1")
+    t1 = by_id(pruned, "t1")
     assert [u.lhs for u in t1.updates] == ["i"]
-    t2 = pruned.transition("t2")
+    t2 = by_id(pruned, "t2")
     assert t2.updates == ()  # i' <= x mentioned x
     assert set(pruned.variables) == {"i", "x", "y"}  # still declared
 
@@ -274,7 +287,7 @@ exit: le
 trans t0: lb -> l1 { x' <= 0 - 3; }
 trans t1: l1 -> l1 guard(x) { x' <= x - 2; }
 """)
-    u = d.transition("t0").updates[0]
+    u = by_id(d, "t0").updates[0]
     assert (str(u.rhs), u.offset) == ("0", -3)
     assert parse_dcp(format_dcp(d)) == d
 
@@ -290,7 +303,7 @@ trans t0: lb -> l1 { (l-i)' <= l; (e-k)' <= 0; }
 trans t1: l1 -> l1 guard((l-i),(e-k)) { (l-i)' <= (l-i) - 1; (e-k)' <= (e-k) - 1; }
 """)
     assert set(d.variables) == {"(l-i)", "(e-k)"}
-    assert d.transition("t1").guard == ("(e-k)", "(l-i)")
+    assert by_id(d, "t1").guard == ("(e-k)", "(l-i)")
     assert parse_dcp(format_dcp(d)) == d
 
 

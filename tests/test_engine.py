@@ -17,7 +17,7 @@ from dcbound.oracle import Verdict, check_soundness
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPath, \
     ResetPathOverflow, build_reset_graph, optimal_reset_paths
 
-from conftest import DATA, is_sound, load_dcp, load_prog
+from conftest import DATA, by_id, is_sound, load_dcp, load_prog
 
 FREE, CTX, OPT = AnalysisMode.FREE, AnalysisMode.CTX, AnalysisMode.OPT
 
@@ -36,8 +36,10 @@ def vb(a, v):
 
 def incr(a, atom):
     """Incr(atom) from public values: the sum of TB(t) * c over the atom's
-    increments (t, c), or 0 for a rigid atom or one with no increment."""
-    incs = a.working.increments(atom) if isinstance(atom, str) else ()
+    increments (t, c) in the working program, or 0 for a rigid atom or one
+    with no increment."""
+    incs = (build_reset_graph(a.working).increments_of(atom)
+            if isinstance(atom, str) else ())
     if not incs:
         return expr.IntConst(0)
     return expr.add(*[expr.mul(a.tb(t), c) for t, c in incs])
@@ -112,7 +114,7 @@ def test_vb_of_an_unknown_variable_raises():
 
 def test_tb_of_an_unknown_transition_raises():
     a = analysis("example1.dcp", CTX)
-    assert a.tb("t3") == a.tb(a.working.transition("t3"))
+    assert a.tb("t3") == a.tb(by_id(a.working, "t3"))
     with pytest.raises(ValueError, match="unknown transition 'nope'") as ei:
         a.tb("nope")
     assert ei.value.__cause__ is None and ei.value.__suppress_context__
@@ -311,7 +313,7 @@ class _RecursiveAnalysis:
     def incr(self, atom: Atom):
         if not isinstance(atom, str):
             return expr.IntConst(0)
-        incs = self.working.increments(atom)
+        incs = self._reset.increments_of(atom)
         if not incs:
             return expr.IntConst(0)
         return expr.add(*[expr.mul(self.tb(t), c) for t, c in incs])
@@ -322,17 +324,17 @@ class _RecursiveAnalysis:
         v = atom
 
         def compute():
-            resets = self.working.resets(v)
+            resets = self._reset.graph.into(v)
             if not resets:
                 return expr.UNDEFINED
-            reset_caps = [expr.add(self.vb(a), c) for _, a, c in resets]
+            reset_caps = [expr.add(self.vb(e.src), e.offset) for e in resets]
             return expr.add(self.incr(atom), expr.maximum(*reset_caps))
 
         return self._cached(("VB", v), compute)
 
     def tb(self, t: Transition | str):
         if isinstance(t, str):
-            t = self.working.transition(t)
+            t = by_id(self.working, t)
         return self._cached(("TB", t.id), lambda: self._tb_compute(t))
 
     def _tb_compute(self, t):
@@ -349,12 +351,13 @@ class _RecursiveAnalysis:
         return expr.add(bound, entries) if entries else bound
 
     def _tb_free(self, v):
-        resets = self.working.resets(v)
+        resets = self._reset.graph.into(v)
         if not resets:
             return expr.UNDEFINED
         terms = [self.incr(v)]
-        for rt, a, c in resets:
-            terms.append(expr.mul(self.tb(rt), expr.maximum(expr.add(self.vb(a), c), 0)))
+        for e in resets:
+            terms.append(expr.mul(self.tb(e.trans),
+                                  expr.maximum(expr.add(self.vb(e.src), e.offset), 0)))
         return expr.add(*terms)
 
     def _reset_paths(self, v):

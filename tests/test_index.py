@@ -1,8 +1,9 @@
 """Indexed lookups against linear-scan references.
 
-Every indexed accessor of `Dcp` and `ResetGraph` must return exactly what a
-scan over the program returns, order included, on the worked examples, on
-seeded random programs and on their transforms.
+`Dcp.outgoing` and `defined_at`, and the resets, increments and path counts
+of the reset analysis, must return exactly what a scan over the program
+returns, order included, on the worked examples, on seeded random programs
+and on their transforms.
 """
 
 import random
@@ -17,6 +18,7 @@ from dcbound.dcp import (
     Transition,
     drop_variables,
     enforce_well_definedness,
+    defined_at,
     parse_dcp,
     validate,
 )
@@ -39,19 +41,15 @@ def ref_update_for(t, var):
     return None
 
 
-def ref_transition(d, tid):
-    for t in d.transitions:
-        if t.id == tid:
-            return t
-    raise KeyError(tid)
-
-
 def ref_outgoing(d, loc):
     return tuple(t for t in d.transitions if t.source == loc)
 
 
-def ref_incoming(d, loc):
-    return tuple(t for t in d.transitions if t.target == loc)
+def ref_defined_at(d, loc):
+    if loc == d.entry:
+        return frozenset()
+    return frozenset(v for v in d.variables
+                     if all(ref_update_for(t, v) for t in d.transitions if t.target == loc))
 
 
 def ref_resets(d, var):
@@ -107,35 +105,26 @@ MISSING = "__missing__"
 
 
 def check_program(d: Dcp) -> None:
-    names = ([t.id for t in d.transitions] + list(d.variables)
-             + list(d.sym_consts) + [MISSING])
-    for tid in names:
-        try:
-            expected = ref_transition(d, tid)
-        except KeyError:
-            with pytest.raises(KeyError):
-                d.transition(tid)
-        else:
-            assert d.transition(tid) is expected
     for loc in list(d.locations) + [MISSING]:
         assert d.outgoing(loc) == ref_outgoing(d, loc)
-        assert d.incoming(loc) == ref_incoming(d, loc)
-    for v in d.variables:
-        assert d.resets(v) == ref_resets(d, v)
-        assert d.increments(v) == ref_increments(d, v)
-    for accessor in (d.resets, d.increments):
-        with pytest.raises(ValueError):
-            accessor(MISSING)
+    assert defined_at(d) == {loc: ref_defined_at(d, loc) for loc in d.locations}
 
 
 def check_graph(d: Dcp, rng: random.Random) -> None:
     r = build_reset_graph(d)
     g = r.graph
-    # the edges are the pruned program's resets, in one order
+    # the edges are the pruned program's resets, in one order, and name its
+    # transitions; its increments are kept in program order
     assert g.edges == tuple(sorted(
         (ResetEdge(a, t, c, v) for v in r.pruned.variables
          for t, a, c in ref_resets(r.pruned, v)),
         key=lambda e: (str(e.src), e.dst, e.trans.id, e.offset)))
+    ts = {id(t) for t in r.pruned.transitions}
+    assert all(id(e.trans) in ts for e in g.edges)
+    for v in r.pruned.variables:
+        assert r.increments_of(v) == ref_increments(r.pruned, v)
+        assert all(id(t) in ts for t, _ in r.increments_of(v))
+    assert r.increments_of(MISSING) == ()
     # removal is closed under resets of the input program
     for v in d.variables:
         for _, a, _ in ref_resets(d, v):
@@ -184,7 +173,7 @@ def test_random_programs_match_scans():
 
 
 def test_malformed_duplicates_are_rejected():
-    # the index assumes a valid program: validate reads it only once the
+    # the lookups assume a valid program: validate reads them only once the
     # structural and name checks pass, and the analysis refuses the program
     first = DifferenceConstraint("x", IntConst(1), 0)
     second = DifferenceConstraint("x", "x", 2)
@@ -192,8 +181,8 @@ def test_malformed_duplicates_are_rejected():
     t0_again = Transition("t0", "b", "a", (), (second,))
     d = Dcp(locations=("a", "b"), transitions=(t0, t0_again), entry="a",
             exit="c", variables=("x",), sym_consts=())
-    d.outgoing("a")  # builds the index
-    diags = validate(d)  # after the index exists
+    d.outgoing("a")  # builds the outgoing map
+    diags = validate(d)  # after the map exists
     messages = [diag.message for diag in diags]
     assert any("duplicate transition id" in m for m in messages)
     assert any("determinism violation" in m for m in messages)
@@ -206,11 +195,10 @@ def test_malformed_duplicates_are_rejected():
 def test_returned_lists_are_copies():
     # the lookups hand out the stored tuples, so no caller can change them
     d = load_dcp("example1.dcp")
-    g = build_reset_graph(d).graph
+    r = build_reset_graph(d)
+    g = r.graph
     calls = [lambda: d.outgoing(d.transitions[1].source),
-             lambda: d.incoming(d.transitions[1].target),
-             lambda: d.resets("r"), lambda: d.increments("r"),
-             lambda: g.into("p")]
+             lambda: r.increments_of("r"), lambda: g.into("p")]
     for call in calls:
         got = call()
         assert got and isinstance(got, tuple)

@@ -199,8 +199,8 @@ def test_frozen_records_refuse_assignment(cls, pool):
 
 
 @pytest.mark.parametrize("cls, names", [
-    pytest.param(Dcp, ["_index", "_defined_at"], id="Dcp"),
-    pytest.param(ResetGraph, ["_into", "_path_counts"], id="ResetGraph"),
+    pytest.param(Dcp, ["_outgoing", "_defined_at"], id="Dcp"),
+    pytest.param(ResetGraph, ["_into"], id="ResetGraph"),
     pytest.param(ResetPath, ["transitions", "atoms"], id="ResetPath"),
 ])
 def test_cached_properties_are_cached_per_instance(cls, names, pool):
