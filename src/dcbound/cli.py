@@ -57,10 +57,7 @@ class _UsageError(Exception):
 def _count(text: str) -> int:
     """Converter of the cap and limit options: an integer of 0 or more. Its
     ValueError says what is wrong with the value."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {text!r}") from None
+    n = expr.parse_int(text, f"invalid int value: {text!r}")
     if n < 0:
         raise ValueError(f"must be 0 or more, got {n}")
     return n
@@ -446,9 +443,9 @@ def _parse_assign(text: str, consts: list[str]) -> dict[str, int]:
             raise _UsageError(f"assignment {text!r}: {name!r} is not a "
                               f"constant of the program")
         try:
-            v = int(value)
-        except ValueError:
-            raise _UsageError(f"bad value in {part!r}") from None
+            v = expr.parse_int(value, f"bad value in {part!r}")
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         if v < 0:
             raise _UsageError(f"constants are nonnegative; got {part!r}")
         out[name] = v
@@ -475,9 +472,9 @@ def _valuations(args, dcp: Dcp) -> Iterable[dict[str, int]]:
             raise _UsageError("--sweep expects LO..HI")
         a, _, b = text.partition("..")
         try:
-            lo, hi = int(a), int(b)
-        except ValueError:
-            raise _UsageError("--sweep expects integers LO..HI") from None
+            lo, hi = [expr.parse_int(x, "--sweep expects integers LO..HI") for x in (a, b)]
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         if lo < 0 or hi < lo:
             raise _UsageError("--sweep needs 0 <= LO <= HI")
     return (dict(zip(consts, xs))

@@ -14,6 +14,16 @@ The constructors normalize one level only: each argument must be an int, a
 leaf, or the result of a constructor or parse_expr. A Compound built by
 hand is a valid expression, but not a normal one.
 
+Like terms in a sum are matched by their coefficient-free part: the term
+itself, or for a product with an integer factor the product of its other
+factors. A term that no other term merged with goes into the sum as the
+same node; only a part whose coefficient changed is rebuilt as a product.
+The output is what rebuilding every term would give: product factors are
+sorted, so two parts are equal exactly when their factor lists are, and a
+normal term is the product that its coefficient and factors rebuild to.
+So a product of k factors, none an integer, that nothing merges with
+passes through a sum in a constant number of steps, not O(k).
+
 Bounds reuse the bounds below them, so expressions are DAGs that share
 subterms. Every Compound therefore stores its printed form, its hash and
 whether it is provably nonnegative, each computed once, when the node is
@@ -229,14 +239,25 @@ def _split_ints(factors: Iterable[BoundExpr]) -> tuple[int, list[BoundExpr]]:
     return coeff, rest
 
 
-def _term_parts(term: BoundExpr) -> tuple[int, tuple[BoundExpr, ...]]:
-    """Split a normalized non-sum term into (integer coefficient, factor key)."""
-    if isinstance(term, IntConst):
-        return term.value, ()
+def _like_part(term: BoundExpr) -> tuple[int, BoundExpr]:
+    """(integer coefficient, coefficient-free part) of a normalized term that
+    is neither a sum nor an integer.
+
+    A product has at most one integer factor. It prints as '-' or a digit,
+    so sorting by printed form puts it after the factors that print with a
+    leading '(' (sums, and names such as `(l-i)`) and before all others,
+    which start with a letter or '_'. The search stops at the first of
+    those others, so a product without a coefficient costs one step."""
     if term.__class__ is Compound and term.op == "*":
-        coeff, rest = _split_ints(term.args)
-        return coeff, tuple(rest)
-    return 1, (term,)
+        args = term.args
+        for i, f in enumerate(args):
+            if f.__class__ is IntConst:
+                rest = args[:i] + args[i + 1:]
+                return f.value, rest[0] if len(rest) == 1 else Compound("*", rest)
+            if not (f.__class__ is Compound and f.op == "+"
+                    or f.__class__ is SymConst and f.name[:1] == "("):
+                break
+    return 1, term
 
 
 def _mk_product(coeff: int, factors: list[BoundExpr]) -> BoundExpr:
@@ -255,12 +276,27 @@ def _norm_sum(terms: list[BoundExpr]) -> BoundExpr:
     flat = _flatten(terms, "+")
     if flat is None:
         return UNDEFINED
-    coeffs: dict[tuple[BoundExpr, ...], int] = {}
+    const = 0
+    # coefficient-free part -> [coefficient, the term, or None once merged]
+    like: dict[BoundExpr, list] = {}
     for t in flat:
-        c, key = _term_parts(t)
-        coeffs[key] = coeffs.get(key, 0) + c
-    const = coeffs.pop((), 0)
-    out = [_mk_product(c, list(key)) for key, c in coeffs.items() if c != 0]
+        if t.__class__ is IntConst:
+            const += t.value
+            continue
+        c, key = _like_part(t)
+        entry = like.get(key)
+        if entry is None:
+            like[key] = [c, t]
+        else:
+            entry[0] += c
+            entry[1] = None
+    out = []
+    for key, (c, t) in like.items():
+        if t is not None:
+            out.append(t)
+        elif c != 0:
+            out.append(_mk_product(c, list(key.args) if key.__class__ is Compound
+                                   and key.op == "*" else [key]))
     if const != 0 or not out:
         out.append(IntConst(const))
     if len(out) == 1:
@@ -405,14 +441,22 @@ _TOKEN_RE = re.compile(r"[ \t\n\r]*(?:(-?\d+)|(\w+)|([^ \t\n\r]))")
 _Token = tuple[str | None, str, int]  # (kind, text, offset); kind None ends input
 
 
-def parse_int(text: str) -> int:
-    """int() of a literal of digits with an optional '-'; one of more digits
-    than Python converts (4300 by default) raises a ValueError saying so."""
+def parse_int(text: str, error: str = "") -> int:
+    """int() of `text`. Where int() fails on a decimal literal (blanks and
+    one sign allowed) of more digits than Python converts, 4300 by default,
+    the ValueError says "integer literal of N digits is too long"; on other
+    text it says `error`, or what int() said. So an over-long number is
+    never echoed digit by digit."""
     try:
         return int(text)
-    except ValueError:
-        raise ValueError(f"integer literal of {len(text.lstrip('-'))} digits "
-                         f"is too long") from None
+    except ValueError as exc:
+        digits = text.strip()
+        if digits[:1] in ("-", "+"):
+            digits = digits[1:]
+        if digits.isdecimal():
+            raise ValueError(f"integer literal of {len(digits)} digits "
+                             f"is too long") from None
+        raise ValueError(error or str(exc)) from None
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -384,6 +384,79 @@ def test_equality_and_hash_are_structural():
     assert x == y and x != maximum(add(y, 2), mul(y, y))
 
 
+# ---------------------------------------------------------------------------
+# like terms in a sum
+# ---------------------------------------------------------------------------
+
+def test_a_term_nothing_merged_with_is_kept_as_the_same_node():
+    big = mul(*[N] * 20)
+    terms = [big, mul(3, M1, M2), mul(-2, N, SymConst("(l-i)")), maximum(N, M2), M1]
+    s = add(add(M2, 1), *terms)  # a nested sum's terms go in too
+    assert len(s.args) == len(terms) + 2
+    assert all(any(a is t for a in s.args) for t in [*terms, M2])
+    # a merge rebuilds only the terms whose coefficient changed
+    s = add(big, mul(2, M1), M1, N)
+    assert str(s) == "3*m1 + n + " + "*".join(["n"] * 20)
+    assert s.args[1] is N and s.args[2] is big
+
+
+def _ref_coeffs(flat: list[expr.BoundExpr]) -> dict[tuple, int]:
+    """The coefficient of each like-term key by the earlier rule: the key of
+    a term is the tuple of its non-integer factors."""
+    coeffs: dict[tuple, int] = {}
+    for t in flat:
+        if isinstance(t, IntConst):
+            c, key = t.value, ()
+        elif isinstance(t, Compound) and t.op == "*":
+            c, rest = expr._split_ints(t.args)
+            key = tuple(rest)
+        else:
+            c, key = 1, (t,)
+        coeffs[key] = coeffs.get(key, 0) + c
+    return coeffs
+
+
+def _ref_sum(terms: list[expr.BoundExpr]) -> expr.BoundExpr:
+    """Like terms collected by the earlier rule (the reference), which
+    rebuilds every term through `_mk_product`."""
+    flat = expr._flatten(terms, "+")
+    if flat is None:
+        return UNDEFINED
+    coeffs = _ref_coeffs(flat)
+    const = coeffs.pop((), 0)
+    out = [expr._mk_product(c, list(key)) for key, c in coeffs.items() if c != 0]
+    if const != 0 or not out:
+        out.append(IntConst(const))
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=str)
+    return Compound("+", tuple(out))
+
+
+def test_sums_collect_like_terms_as_the_reference_does():
+    rng = random.Random(2026)
+    merged = cancelled = 0
+    for _ in range(300):
+        pool = _random_dag(rng, rng.randint(3, 10))
+        pool += [SymConst("(l-i)"), SymConst("_k"), add(N, M1)]
+        # products with and without an integer coefficient over shared parts
+        for _ in range(4):
+            part = mul(*rng.choices(pool, k=rng.randint(1, 3)))
+            pool += [part, mul(rng.choice([-3, -2, -1, 2, 3]), part)]
+        terms = rng.choices(pool, k=rng.randint(1, 8))
+        if rng.random() < 0.3:  # a term and its negation
+            t = rng.choice(pool)
+            terms += [t, mul(-1, t)]
+        got, want = add(*terms), _ref_sum(terms)
+        assert got == want and str(got) == str(want)
+        flat = expr._flatten(terms, "+")
+        if flat is not None:
+            coeffs = _ref_coeffs([t for t in flat if not isinstance(t, IntConst)])
+            merged += len(coeffs) < len(flat) - sum(isinstance(t, IntConst) for t in flat)
+            cancelled += 0 in coeffs.values()
+    assert merged > 100 and cancelled > 30
+
+
 def _deep_chain(depth: int) -> expr.BoundExpr:
     e = N
     for _ in range(depth):

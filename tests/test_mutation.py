@@ -145,3 +145,24 @@ def test_a_long_override_bound_is_a_usage_error():
     assert code == 1
     assert err == ("dcbound: error: integer literal of 4400 digits is too long "
                    "(at offset 0)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "exampleB.dcp", "--assign", "n=" + LONG], ""),
+    (["validate", "exampleB.dcp", "--assign", "n=-" + LONG], ""),
+    (["validate", "exampleB.dcp", "--max-steps", LONG], "argument --max-steps: "),
+    (["analyze", "exampleB.dcp", "--max-reset-paths", LONG],
+     "argument --max-reset-paths: "),
+    (["abstract", "example3.prog", "--abstraction-depth", "-" + LONG],
+     "argument --abstraction-depth: "),
+    (["validate", "exampleB.dcp", "--sweep", "0.." + LONG], ""),
+    (["validate", "exampleB.dcp", "--sweep", f" +{LONG} ..1"], ""),
+], ids=["assign", "assign-negative", "max-steps", "max-reset-paths",
+        "abstraction-depth", "sweep-hi", "sweep-lo"])
+def test_a_long_number_on_the_command_line_is_not_echoed(argv, message):
+    command, file, *rest = argv
+    code, err = run([command, str(DATA / file), *rest])
+    assert code == 1
+    assert err.splitlines()[-1] == (f"dcbound: error: {message}integer literal of "
+                                    f"5000 digits is too long")
+    assert len(err) < 1000  # the usage, if any, and that line
