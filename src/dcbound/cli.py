@@ -613,12 +613,10 @@ def _cmd_resets(args) -> int:
     if args.dot is not None:
         _write(args.dot, to_dot(reset.graph))
         return EXIT_OK
-    names = args.var or [v for v in reset.pruned.variables]
-    for v in names:
-        if v not in reset.pruned.variables:
+    for v in args.var or dcp.variables:
+        if v not in dcp.variables:
             raise _UsageError(f"unknown variable {v!r}")
-        paths = optimal_reset_paths(reset.pruned, reset.graph, v,
-                                    args.max_reset_paths)
+        paths = optimal_reset_paths(dcp, reset.graph, v, args.max_reset_paths)
         print(f"R({v}):")
         for p in paths:
             print(f"  {p}")

@@ -32,7 +32,6 @@ __all__ = [
     "parse_dcp",
     "validate",
     "require_valid",
-    "drop_variables",
     "enforce_well_definedness",
     "format_dcp",
     "strongly_connected_components",
@@ -357,24 +356,6 @@ def _diagnose(dcp: Dcp) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
-
-def drop_variables(dcp: Dcp, removed: Iterable[str]) -> Dcp:
-    """Drop every constraint mentioning a removed variable (either side) and
-    every guard on one. The variables stay declared; they just lose all
-    constraints, so downstream analyses treat them as unbounded."""
-    removed = set(removed)
-    new_ts = []
-    for t in dcp.transitions:
-        ups = tuple(
-            u for u in t.updates
-            if u.lhs not in removed
-            and not (isinstance(u.rhs, str) and u.rhs in removed)
-        )
-        guard = tuple(g for g in t.guard if g not in removed)
-        new_ts.append(Transition(t.id, t.source, t.target, guard, ups, t.line))
-    return Dcp(dcp.locations, tuple(new_ts), dcp.entry, dcp.exit, dcp.variables,
-               dcp.sym_consts)
-
 
 def enforce_well_definedness(dcp: Dcp) -> tuple[Dcp, list[str]]:
     """Make the program well-defined: every variable a transition reads is

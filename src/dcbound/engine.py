@@ -12,10 +12,12 @@ transition bound accounts for the resets of its local bound:
   OPT   refines CTX: atoms with a single flow path into the local bound have
         their increment total counted once globally instead of once per chain.
 
-Every mode analyses the reset analysis's `pruned` program, the input without
-the variables on reset cycles and their dependents, through its R(v) =
-`graph.into(v)` and I(v) = `increments_of(v)`. Dropping constraints only
-adds runs, so each bound on the working program bounds the input too.
+Every mode reads the program as given through R(v) = `graph.into(v)` and
+I(v) = `increments_of(v)`, which leave out the variables the reset analysis
+removes (on reset cycles, or reset from one); no removed variable is a local
+bound either. A kept variable's guards and updates mention no removed one,
+so this analyses the input with the removed variables' guards and
+constraints dropped, which only adds runs: each bound covers the input.
 
 TB(t) is 1, undef, the node ("TB", v) of its local bound v, or, when t is
 exposed (see `localbounds`), that node plus the number of ways into t's
@@ -84,10 +86,10 @@ class Analysis:
         self.mode = mode
         self._max_reset_paths = max_reset_paths
         self._paths: dict[str, list[ResetPath] | None] = {}
+        self._program = program
         self._reset = build_reset_graph(program)
-        self.working = self._reset.pruned
         self.warnings = self._reset.warnings
-        self.zeta = local_bound_map(self.working)
+        self.zeta = local_bound_map(program, self._reset.removed_vars)
 
     # -- the solve -----------------------------------------------------------
 
@@ -96,7 +98,7 @@ class Analysis:
         """Every node's bound, solved after the nodes it reads (ascending
         component numbers); a rule that read none keeps its recorded value."""
         keys = [("TB", v) for v in sorted(set(self.zeta.values()) - {None, ONE})]
-        keys += [("VB", v) for v in self.working.variables]
+        keys += [("VB", v) for v in self._program.variables]
         number = {key: i for i, key in enumerate(keys)}
         succ: list[set[int]] = [set() for _ in keys]
         recorded = [self._rule(key, lambda dep, i=i:
@@ -152,7 +154,7 @@ class Analysis:
         if v not in self._paths:
             try:
                 self._paths[v] = optimal_reset_paths(
-                    self.working, self._reset.graph, v, self._max_reset_paths)
+                    self._program, self._reset.graph, v, self._max_reset_paths)
             except ResetPathOverflow as exc:
                 self.warnings.append(str(exc))
                 self._paths[v] = None
@@ -191,7 +193,7 @@ class Analysis:
 
     def vb(self, atom: Atom) -> expr.BoundExpr:
         """Upper bound on the atom's value anywhere it is defined."""
-        if isinstance(atom, str) and atom not in self.working.variables:
+        if isinstance(atom, str) and atom not in self._program.variables:
             raise ValueError(f"unknown variable {atom!r}")
         return self._vb(atom, self._bounds.__getitem__)
 
@@ -199,13 +201,13 @@ class Analysis:
         """Upper bound on how often the transition can run."""
         if isinstance(t, str):
             try:
-                t = next(x for x in self.working.transitions if x.id == t)
+                t = next(x for x in self._program.transitions if x.id == t)
             except StopIteration:
                 raise ValueError(f"unknown transition {t!r}") from None
         return self._tb(t, self._bounds.__getitem__)
 
     def complexity(self) -> expr.BoundExpr:
-        back = self.working.back_edges()
+        back = self._program.back_edges()
         if not back:
             return expr.IntConst(0)
         return expr.add(*[self.tb(t) for t in back])
@@ -213,8 +215,8 @@ class Analysis:
     # -- reporting -----------------------------------------------------------
 
     def report(self) -> BoundReport:
-        tb = {t.id: self.tb(t) for t in self.working.transitions}
-        vb = {v: self.vb(v) for v in self.working.variables}
+        tb = {t.id: self.tb(t) for t in self._program.transitions}
+        vb = {v: self.vb(v) for v in self._program.variables}
         return BoundReport(
             mode=self.mode, tb=tb, vb=vb,
             complexity=self.complexity(), warnings=list(self.warnings))

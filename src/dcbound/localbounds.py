@@ -9,7 +9,8 @@ This is the same as asking that every simple cycle through t guards and
 decreases v, because every closed walk through t contains a simple cycle
 through t. Transitions on a cycle with no such variable are recorded as
 having no local bound, which later turns their transition bound into the
-undefined element.
+undefined element. The caller may exclude variables, which are then never
+tried; the engine excludes those the reset graph removes.
 
 The local bound pays for the runs of t that follow a guard(v) transition
 in the same visit to t's component, but not for a run before the first
@@ -62,11 +63,12 @@ def _on_no_cycle(ends: list[tuple[int, int]], n: int, removed: set[int],
 
 
 def _component_bounds(inner: list[Transition], starts: list[str],
-                      bounds: dict[str, str | None],
+                      excluded: frozenset[str], bounds: dict[str, str | None],
                       entries: dict[str, int]) -> None:
     """Record the local bounds of the transitions inside one strongly
     connected component, trying the variables both guarded and decreased
-    there in sorted order, so the smallest qualifying name wins; and record
+    there, bar the excluded ones, in sorted order, so the smallest
+    qualifying name wins; and record
     the exposed ones, whose visits start at `starts`, in `entries`."""
     node: dict[str, int] = {}
     for t in inner:
@@ -84,7 +86,7 @@ def _component_bounds(inner: list[Transition], starts: list[str],
 
     found: dict[int, str] = {}
     still_open = set(range(len(inner)))
-    for v in sorted(guards.keys() & decs.keys()):
+    for v in sorted(guards.keys() & decs.keys() - excluded):
         g, d = guards[v], decs[v]
         # removing a superset leaves a subgraph: the other pass is implied
         passes = [d] if d <= g else [g] if g <= d else [d, g]
@@ -121,9 +123,10 @@ def _component_bounds(inner: list[Transition], starts: list[str],
                 entries[inner[i].id] = len(starts)
 
 
-def local_bound_map(dcp: Dcp) -> LocalBounds:
-    """Map each transition id to its local bound. Among several qualifying
-    variables the lexicographically smallest is chosen, for determinism."""
+def local_bound_map(dcp: Dcp, excluded: frozenset[str]) -> LocalBounds:
+    """Map each transition id to its local bound, never one of the
+    `excluded` variables. Among several qualifying variables the
+    lexicographically smallest is chosen, for determinism."""
     groups = cyclic_components(dcp.locations, dcp.transitions)
     group_of = {t.source: g for g, inner in enumerate(groups) for t in inner}
     starts: list[list[str]] = [[] for _ in groups]
@@ -136,6 +139,6 @@ def local_bound_map(dcp: Dcp) -> LocalBounds:
     bounds: dict[str, str | None] = {}
     entries: dict[str, int] = {}
     for inner, into in zip(groups, starts):
-        _component_bounds(inner, into, bounds, entries)
+        _component_bounds(inner, into, excluded, bounds, entries)
     return LocalBounds({t.id: bounds.get(t.id, ONE) for t in dcp.transitions},
                        entries)

@@ -4,8 +4,8 @@
 reset variable, labeled with the transition and offset; an increment is an
 update v' <= v + c with c > 0. Reset chains require the variable part of the
 graph to be acyclic, so variables on reset cycles (and all downstream) are
-removed from a working copy of the program, which the edges and increments
-name. The edges are sorted once; `ResetGraph.into` and `to_dot` keep that.
+removed: no edge or increment names one, and both name the input's
+transitions. The edges are sorted once; `ResetGraph.into` and `to_dot` keep that.
 
 A reset path is sound when each interior atom is guaranteed to be re-reset
 between the completion of the chain and the next use of the edge consuming
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 
-from dcbound.dcp import Atom, Dcp, DifferenceConstraint, Transition, drop_variables, \
+from dcbound.dcp import Atom, Dcp, DifferenceConstraint, Transition, \
     strongly_connected_components
 from dcbound.record import Frozen
 
@@ -144,17 +144,15 @@ class ResetGraph(Frozen):
 
 
 class ResetAnalysis(Frozen):
-    """The reset graph, `pruned`, the working copy of the program with the
-    constraints of the removed variables dropped, and `increments`: per
-    variable of `pruned` with increments v' <= v + c, c > 0, the pair (v,
-    ((transition, c), ...)) in program order. R(v) is `graph.into(v)`, I(v)
-    `increments_of(v)`; `warnings` words the removal."""
+    """The reset graph, `removed_vars`, and `increments`: per kept variable
+    with increments v' <= v + c, c > 0, the pair (v, ((transition, c), ...))
+    in program order. R(v) is `graph.into(v)`, I(v) `increments_of(v)`;
+    neither names a removed variable. `warnings` words the removal."""
 
-    def __init__(self, graph: ResetGraph, removed_vars: frozenset[str], pruned: Dcp,
+    def __init__(self, graph: ResetGraph, removed_vars: frozenset[str],
                  increments: tuple[tuple[str, tuple[tuple[Transition, int], ...]], ...]):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "removed_vars", removed_vars)
-        object.__setattr__(self, "pruned", pruned)
         object.__setattr__(self, "increments", increments)
         object.__setattr__(self, "_increments", dict(increments))  # not a field
 
@@ -173,20 +171,20 @@ def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
     """Sort each update into a reset (a reset graph edge), an increment or
     neither, in one pass; then remove the variables on reset cycles and all
     that depend on them (forward along reset edges), leaving a DAG. A
-    removed source has a removed target, so the kept variables' resets and
-    increments are the pruned program's; they name its transitions."""
+    removed source has a removed target, so the edges and increments of the
+    kept variables name no removed one."""
     number = {v: i for i, v in enumerate(dcp.variables)}
     succ: list[set[int]] = [set() for _ in dcp.variables]  # variable reset edges
-    resets: list[tuple[int, DifferenceConstraint]] = []  # (transition index, update)
-    increments: dict[str, list[tuple[int, int]]] = {}
-    for i, t in enumerate(dcp.transitions):
+    resets: list[tuple[Transition, DifferenceConstraint]] = []
+    increments: dict[str, list[tuple[Transition, int]]] = {}
+    for t in dcp.transitions:
         for u in t.updates:
             if u.rhs != u.lhs:
-                resets.append((i, u))
+                resets.append((t, u))
                 if isinstance(u.rhs, str):
                     succ[number[u.rhs]].add(number[u.lhs])
             elif u.offset > 0:
-                increments.setdefault(u.lhs, []).append((i, u.offset))
+                increments.setdefault(u.lhs, []).append((t, u.offset))
     comp = strongly_connected_components(succ)
     size = Counter(comp)
     # variables on a reset cycle (a component of two or more), then every
@@ -199,15 +197,12 @@ def build_reset_graph(dcp: Dcp) -> ResetAnalysis:
                 removing.add(w)
                 frontier.append(w)
     removed = {dcp.variables[i] for i in removing}
-
-    pruned = drop_variables(dcp, removed) if removed else dcp
-    ts = pruned.transitions  # in the order of dcp's
-    edges = sorted((ResetEdge(src=u.rhs, trans=ts[i], offset=u.offset, dst=u.lhs)
-                    for i, u in resets if u.lhs not in removed),
+    edges = sorted((ResetEdge(src=u.rhs, trans=t, offset=u.offset, dst=u.lhs)
+                    for t, u in resets if u.lhs not in removed),
                    key=lambda e: (str(e.src), e.dst, e.trans.id, e.offset))
     return ResetAnalysis(
-        graph=ResetGraph(tuple(edges)), removed_vars=frozenset(removed), pruned=pruned,
-        increments=tuple((v, tuple((ts[i], c) for i, c in incs))
+        graph=ResetGraph(tuple(edges)), removed_vars=frozenset(removed),
+        increments=tuple((v, tuple(incs))
                          for v, incs in increments.items() if v not in removed))
 
 

@@ -192,6 +192,20 @@ def ref_well_definedness_messages(d):
     return messages
 
 
+def ref_drop_variables(d, removed):
+    """The program without every constraint that mentions a removed
+    variable (either side) and every guard on one; the variables stay
+    declared. A test reference: the engine leaves the variables the reset
+    analysis removes out of its analysis of the input instead."""
+    ts = tuple(Transition(t.id, t.source, t.target,
+                          tuple(g for g in t.guard if g not in removed),
+                          tuple(u for u in t.updates if u.lhs not in removed
+                                and not (isinstance(u.rhs, str) and u.rhs in removed)),
+                          t.line)
+               for t in d.transitions)
+    return Dcp(d.locations, ts, d.entry, d.exit, d.variables, d.sym_consts)
+
+
 def ref_enforce_well_definedness(d):
     """The round loop, a test reference for `enforce_well_definedness`:
     each round reruns `defined_at`, drops every guard and constraint that
@@ -441,7 +455,6 @@ class _ResetAnalysis:
     __qualname__ = "ResetAnalysis"
     graph: object
     removed_vars: object
-    pruned: object
     increments: object
 
 

@@ -107,13 +107,13 @@ def test_criterion_6_abstraction_pipeline():
     x, p = name_of["(l-i)"], name_of["(e-k)"]
     q, r = name_of["(e-b)"], name_of["(i-b)"]
 
-    zeta = local_bound_map(d)
+    zeta = local_bound_map(d, frozenset())
     expected = {"t0": ONE, "t4": p}
     expected.update({t: x for t in ["t1", "t2a", "t2b", "t3a", "t3b", "t5", "t6"]})
     assert zeta == expected
 
     reset = build_reset_graph(d)
-    paths = {str(k) for k in optimal_reset_paths(reset.pruned, reset.graph, p)}
+    paths = {str(k) for k in optimal_reset_paths(d, reset.graph, p)}
     assert paths == {
         f"0 -[t0]-> {q} -[t3a]-> {p}",
         f"0 -[t5]-> {q} -[t3a]-> {p}",

@@ -11,7 +11,6 @@ from dcbound.dcp import (
     DcpError,
     DifferenceConstraint,
     Transition,
-    drop_variables,
     format_dcp,
     parse_dcp,
     strongly_connected_components,
@@ -58,15 +57,16 @@ def test_all_example_files_validate():
 
 
 def test_resets_increments_partition_updates():
-    # each update of the working program is exactly one of: a reset edge
-    # (a foreign source), an increment (a self-update with a positive
-    # offset), or a self-update with an offset of 0 or less
+    # each update of a kept (not removed) variable of the input is exactly
+    # one of: a reset edge (a foreign source), an increment (a self-update
+    # with a positive offset), or a self-update with an offset of 0 or less
     for name in ["exampleA.dcp", "exampleB.dcp", "exampleC.dcp",
                  "example1.dcp", "example2.dcp", "example3_expected.dcp",
                  "cyclic.dcp"]:
-        r = build_reset_graph(load(name))
-        updates = [(t, u.lhs, u.rhs, u.offset)
-                   for t in r.pruned.transitions for u in t.updates]
+        d = load(name)
+        r = build_reset_graph(d)
+        updates = [(t, u.lhs, u.rhs, u.offset) for t in d.transitions
+                   for u in t.updates if u.lhs not in r.removed_vars]
         edges = [(e.trans, e.dst, e.src, e.offset) for e in r.graph.edges]
         incs = [(t, v, v, c) for v, _ in r.increments for t, c in r.increments_of(v)]
         rest = [x for x in updates if x[1] == x[2] and x[3] <= 0]
@@ -252,16 +252,6 @@ def test_format_round_trip():
     for name in ["exampleA.dcp", "exampleB.dcp", "example1.dcp", "example2.dcp"]:
         d = load(name)
         assert parse_dcp(format_dcp(d)) == d
-
-
-def test_drop_variables():
-    d = load("cyclic.dcp")
-    pruned = drop_variables(d, {"x", "y"})
-    t1 = by_id(pruned, "t1")
-    assert [u.lhs for u in t1.updates] == ["i"]
-    t2 = by_id(pruned, "t2")
-    assert t2.updates == ()  # i' <= x mentioned x
-    assert set(pruned.variables) == {"i", "x", "y"}  # still declared
 
 
 def test_namespace_collision_diagnosed():

@@ -17,7 +17,7 @@ from dcbound.oracle import Verdict, check_soundness
 from dcbound.resetgraph import DEFAULT_RESET_PATH_CAP, ResetPath, \
     ResetPathOverflow, build_reset_graph, optimal_reset_paths
 
-from conftest import DATA, by_id, is_sound, load_dcp, load_prog
+from conftest import DATA, by_id, is_sound, load_dcp, load_prog, ref_drop_variables
 
 FREE, CTX, OPT = AnalysisMode.FREE, AnalysisMode.CTX, AnalysisMode.OPT
 
@@ -34,11 +34,11 @@ def vb(a, v):
     return str(a.vb(v))
 
 
-def incr(a, atom):
-    """Incr(atom) from public values: the sum of TB(t) * c over the atom's
-    increments (t, c) in the working program, or 0 for a rigid atom or one
-    with no increment."""
-    incs = (build_reset_graph(a.working).increments_of(atom)
+def incr(a, d, atom):
+    """Incr(atom) from public values of the analysis `a` of `d`: the sum of
+    TB(t) * c over the atom's increments (t, c), or 0 for a rigid atom or
+    one with no increment (a removed variable has none)."""
+    incs = (build_reset_graph(d).increments_of(atom)
             if isinstance(atom, str) else ())
     if not incs:
         return expr.IntConst(0)
@@ -100,9 +100,10 @@ def test_example_c_opt():
 # -- Example 1 ---------------------------------------------------------------
 
 def test_example_1_incr():
-    a = analysis("example1.dcp", FREE)
-    assert str(incr(a, "r")) == "n"
-    assert str(incr(a, "x")) == "0"
+    d = load_dcp("example1.dcp")
+    a = Analysis(d, FREE)
+    assert str(incr(a, d, "r")) == "n"
+    assert str(incr(a, d, "x")) == "0"
 
 
 def test_vb_of_an_unknown_variable_raises():
@@ -113,8 +114,9 @@ def test_vb_of_an_unknown_variable_raises():
 
 
 def test_tb_of_an_unknown_transition_raises():
-    a = analysis("example1.dcp", CTX)
-    assert a.tb("t3") == a.tb(by_id(a.working, "t3"))
+    d = load_dcp("example1.dcp")
+    a = Analysis(d, CTX)
+    assert a.tb("t3") == a.tb(by_id(d, "t3"))
     with pytest.raises(ValueError, match="unknown transition 'nope'") as ei:
         a.tb("nope")
     assert ei.value.__cause__ is None and ei.value.__suppress_context__
@@ -141,19 +143,21 @@ def test_example_1_opt():
 # -- Example 2 ---------------------------------------------------------------
 
 def test_example_2_free():
-    a = analysis("example2.dcp", FREE)
-    assert str(incr(a, "x")) == "2*n"
+    d = load_dcp("example2.dcp")
+    a = Analysis(d, FREE)
+    assert str(incr(a, d, "x")) == "2*n"
     assert vb(a, "x") == "2*n + max(m1,m2)"
     assert tb(a, "t3") == "2*n + max(m1,m2)"
     assert str(a.complexity()) == "3*n + max(m1,m2)"
 
 
 def test_example_2_non_variable_atoms():
-    a = analysis("example2.dcp", FREE)
+    d = load_dcp("example2.dcp")
+    a = Analysis(d, FREE)
     from dcbound.expr import IntConst, SymConst
     assert str(a.vb(SymConst("n"))) == "n"
     assert str(a.vb(IntConst(3))) == "3"
-    assert str(incr(a, SymConst("n"))) == "0"
+    assert str(incr(a, d, SymConst("n"))) == "0"
 
 
 def test_example_2_ctx_splits_the_max():
@@ -181,10 +185,11 @@ def test_cyclic_vb_undefined():
 def test_undefined_is_per_query():
     # the circular pair poisons only what depends on it: the entry transition
     # and the unrelated counter keep their results
-    a = analysis("cyclic.dcp", FREE)
+    d = load_dcp("cyclic.dcp")
+    a = Analysis(d, FREE)
     assert str(a.tb("t0")) == "1"
     assert a.vb("x") == expr.UNDEFINED
-    assert str(incr(a, "i")) == "0"
+    assert str(incr(a, d, "i")) == "0"
 
 
 def test_cyclic_ctx_removed_vars_undefined():
@@ -192,6 +197,29 @@ def test_cyclic_ctx_removed_vars_undefined():
     assert a.vb("x") == expr.UNDEFINED
     assert a.complexity() == expr.UNDEFINED
     assert any("removed" in w for w in a.warnings)
+
+
+_REMOVED_CANDIDATE = """dcp
+consts: n
+vars: a, b, c
+entry: lb
+exit: le
+trans t0: lb -> l1 { a' <= n; b' <= n; c' <= n; }
+trans t1: l1 -> l1 guard(a,b) { a' <= a - 1; b' <= b - 1; c' <= c; }
+trans t2: l1 -> le { a' <= c; b' <= b; c' <= a; }
+"""
+
+
+@pytest.mark.parametrize("mode", [FREE, CTX, OPT])
+def test_a_removed_variable_is_no_local_bound(mode):
+    # a and c reset each other, so both are removed. On the input, a and b
+    # both bound t1 and a sorts first; leaving a out makes b the bound, as
+    # on the program without a and c.
+    a = Analysis(parse_dcp(_REMOVED_CANDIDATE), mode)
+    assert a.warnings == ["removed variables on reset cycles (and dependents): a, c"]
+    assert a.zeta["t1"] == "b"
+    assert tb(a, "t1") == "n"
+    assert a.vb("a") == a.vb("c") == expr.UNDEFINED
 
 
 def test_unguarded_decrement_has_no_bound():
@@ -285,6 +313,10 @@ def _ref_optimal_reset_paths(dcp, graph, var, cap):
 
 
 class _RecursiveAnalysis:
+    """The analysis as a memoized recursion over the program without the
+    removed variables' guards and constraints (`ref_drop_variables`), where
+    the engine leaves them out of its analysis of the input."""
+
     def __init__(self, program, mode, max_reset_paths=DEFAULT_RESET_PATH_CAP):
         self.mode = mode
         self.original = program
@@ -293,9 +325,9 @@ class _RecursiveAnalysis:
         self._memo = {}
         self._active = set()
         self._paths = {}
-        self._reset = build_reset_graph(program)
-        self.working = self._reset.pruned
-        self.zeta = local_bound_map(self.working)
+        self.pruned = ref_drop_variables(program, build_reset_graph(program).removed_vars)
+        self._reset = build_reset_graph(self.pruned)
+        self.zeta = local_bound_map(self.pruned, frozenset())
 
     def _cached(self, key, compute):
         if key in self._memo:
@@ -334,7 +366,7 @@ class _RecursiveAnalysis:
 
     def tb(self, t: Transition | str):
         if isinstance(t, str):
-            t = by_id(self.working, t)
+            t = by_id(self.pruned, t)
         return self._cached(("TB", t.id), lambda: self._tb_compute(t))
 
     def _tb_compute(self, t):
@@ -364,7 +396,7 @@ class _RecursiveAnalysis:
         if v not in self._paths:
             try:
                 self._paths[v] = _ref_optimal_reset_paths(
-                    self.working, self._reset.graph, v, self._max_reset_paths)
+                    self.pruned, self._reset.graph, v, self._max_reset_paths)
             except ResetPathOverflow as exc:
                 self.warnings.append(str(exc))
                 self._paths[v] = None
@@ -445,24 +477,24 @@ def _random_dcp_text(rng: random.Random) -> str:
 def _assert_matches_reference(d, mode, cap=DEFAULT_RESET_PATH_CAP):
     new = Analysis(d, mode, max_reset_paths=cap)
     ref = _RecursiveAnalysis(d, mode, max_reset_paths=cap)
-    for t in new.working.transitions:
+    for t in d.transitions:
         assert new.tb(t.id) == ref.tb(t.id), t.id
-    for v in new.working.variables:
+    for v in d.variables:
         assert new.vb(v) == ref.vb(v), v
-        assert incr(new, v) == ref.incr(v), v
+        assert incr(new, d, v) == ref.incr(v), v
     assert new.complexity() == ref.complexity()
     cap_warnings = [w for w in new.warnings if "reset paths" in w]
     assert sorted(cap_warnings) == sorted(ref.warnings)
     if mode is CTX:  # the reset-path search, order and cap included
         reset = build_reset_graph(d)
-        for v in reset.pruned.variables:
+        for v in d.variables:
             try:
-                expected = _ref_optimal_reset_paths(reset.pruned, reset.graph, v, cap)
+                expected = _ref_optimal_reset_paths(d, reset.graph, v, cap)
             except ResetPathOverflow:
                 with pytest.raises(ResetPathOverflow):
-                    optimal_reset_paths(reset.pruned, reset.graph, v, cap)
+                    optimal_reset_paths(d, reset.graph, v, cap)
             else:
-                assert optimal_reset_paths(reset.pruned, reset.graph, v, cap) == expected
+                assert optimal_reset_paths(d, reset.graph, v, cap) == expected
 
 
 def _data_programs():
@@ -488,7 +520,7 @@ def test_matches_recursive_reference_on_random_programs():
         _assert_matches_reference(d, CTX, cap=1)
 
 
-# -- one working program in every mode -------------------------------------------
+# -- the same removed variables in every mode ------------------------------------
 
 # Two programs of the 1500 that `test_fuzz._random_dcp_text` draws from
 # Random(11) with locations=(1, 4), variables=(2, 4), transitions=(2, 6).

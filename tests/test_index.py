@@ -16,7 +16,6 @@ from dcbound.dcp import (
     DifferenceConstraint,
     Dcp,
     Transition,
-    drop_variables,
     enforce_well_definedness,
     defined_at,
     parse_dcp,
@@ -26,7 +25,7 @@ from dcbound.engine import Analysis, AnalysisMode
 from dcbound.expr import IntConst, SymConst
 from dcbound.resetgraph import ResetEdge, build_reset_graph
 
-from conftest import DATA, load_dcp, load_prog
+from conftest import DATA, load_dcp, load_prog, ref_drop_variables
 from test_fuzz import _random_dcp_text
 
 # ---------------------------------------------------------------------------
@@ -113,16 +112,17 @@ def check_program(d: Dcp) -> None:
 def check_graph(d: Dcp, rng: random.Random) -> None:
     r = build_reset_graph(d)
     g = r.graph
-    # the edges are the pruned program's resets, in one order, and name its
-    # transitions; its increments are kept in program order
+    # the edges are the input's resets of the kept variables, in one order,
+    # and name its transitions; the kept variables' increments are in
+    # program order, and a removed variable has none
+    kept = [v for v in d.variables if v not in r.removed_vars]
     assert g.edges == tuple(sorted(
-        (ResetEdge(a, t, c, v) for v in r.pruned.variables
-         for t, a, c in ref_resets(r.pruned, v)),
+        (ResetEdge(a, t, c, v) for v in kept for t, a, c in ref_resets(d, v)),
         key=lambda e: (str(e.src), e.dst, e.trans.id, e.offset)))
-    ts = {id(t) for t in r.pruned.transitions}
+    ts = {id(t) for t in d.transitions}
     assert all(id(e.trans) in ts for e in g.edges)
-    for v in r.pruned.variables:
-        assert r.increments_of(v) == ref_increments(r.pruned, v)
+    for v in d.variables:
+        assert r.increments_of(v) == (ref_increments(d, v) if v in kept else ())
         assert all(id(t) in ts for t, _ in r.increments_of(v))
     assert r.increments_of(MISSING) == ()
     # removal is closed under resets of the input program
@@ -141,7 +141,7 @@ def check_graph(d: Dcp, rng: random.Random) -> None:
 
 def transforms(d: Dcp, rng: random.Random) -> list[Dcp]:
     dropped = [v for v in d.variables if rng.random() < 0.5]
-    return [d, drop_variables(d, dropped), enforce_well_definedness(d)[0]]
+    return [d, ref_drop_variables(d, dropped), enforce_well_definedness(d)[0]]
 
 
 def load_example(name: str) -> Dcp:

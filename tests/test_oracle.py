@@ -220,7 +220,7 @@ def test_local_bounds_validated_on_runs(name):
     # a transition runs at most as often as its local bound decreases, plus
     # once per way into its loop when it can run before the bound is tested
     d = _LOCAL_BOUND_INPUTS[name]()
-    zeta = local_bound_map(d)
+    zeta = local_bound_map(d, frozenset())
     for val in _small_valuations(d, [0, 2]):
         for run in _ref_enumerate_runs(d, val, max_runs=2000):
             states = [{}] + [post for _, post in run]
