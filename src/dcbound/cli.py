@@ -50,6 +50,14 @@ class _UsageError(Exception):
     pass
 
 
+def _quote(text: str) -> str:
+    """repr() of a command-line value for an error message; of a value past
+    60 characters, only of its start, followed by its length."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 # ---------------------------------------------------------------------------
 # command line: one option table, read the way argparse reads it
 # ---------------------------------------------------------------------------
@@ -436,18 +444,18 @@ def _parse_assign(text: str, consts: list[str]) -> dict[str, int]:
         name, sep, value = part.partition("=")
         name = name.strip()
         if not sep or not name:
-            raise _UsageError(f"bad assignment {part!r}; expected NAME=VALUE")
+            raise _UsageError(f"bad assignment {_quote(part)}; expected NAME=VALUE")
         if name in out:
-            raise _UsageError(f"assignment {text!r} gives {name!r} twice")
+            raise _UsageError(f"assignment {_quote(text)} gives {_quote(name)} twice")
         if name not in consts:
-            raise _UsageError(f"assignment {text!r}: {name!r} is not a "
+            raise _UsageError(f"assignment {_quote(text)}: {_quote(name)} is not a "
                               f"constant of the program")
         try:
-            v = expr.parse_int(value, f"bad value in {part!r}")
+            v = expr.parse_int(value, f"bad value in {_quote(part)}")
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
         if v < 0:
-            raise _UsageError(f"constants are nonnegative; got {part!r}")
+            raise _UsageError(f"constants are nonnegative; got {_quote(part)}")
         out[name] = v
     return out
 
@@ -462,7 +470,7 @@ def _valuations(args, dcp: Dcp) -> Iterable[dict[str, int]]:
             missing = [c for c in consts if c not in v]
             if missing:
                 raise _UsageError(
-                    f"assignment {raw!r} misses constants: {', '.join(missing)}")
+                    f"assignment {_quote(raw)} misses constants: {', '.join(missing)}")
             vals.setdefault(tuple(sorted(v.items())), v)
         return list(vals.values())
     lo, hi = 0, 3
@@ -489,9 +497,9 @@ def _check(dcp: Dcp, report: BoundReport, valuation: dict[str, int],
     header = ", ".join(f"{k}={v}" for k, v in sorted(valuation.items()))
     lines = [f"# {header or '(no constants)'}\n"]
     for row in result.rows:
-        bound = "undef" if row.bound is None else str(row.bound)
+        bound = "undef" if row.bound is None else expr.int_str(row.bound)
         name = row.name if row.kind == "TB" else f"VB({row.name})"
-        lines.append(f"{name}  {row.observed}  {bound}  {row.status()}\n")
+        lines.append(f"{name}  {expr.int_str(row.observed)}  {bound}  {row.status()}\n")
     return result.verdict.value, "".join(lines)
 
 
@@ -583,14 +591,14 @@ def _cmd_validate(args) -> int:
         tid, sep, text = raw.partition("=")
         tid = tid.strip()
         if not sep or tid not in report.tb:
-            raise _UsageError(f"bad --override-bound {raw!r}")
+            raise _UsageError(f"bad --override-bound {_quote(raw)}")
         try:  # every constant the bound names must be one of the program's
             bound = expr.parse_expr(text)
             expr.evaluate(bound, dict.fromkeys(dcp.sym_consts, 0))
         except expr.ExprParseError as exc:
             raise _UsageError(str(exc)) from None
         except expr.EvaluationError as exc:
-            raise _UsageError(f"bad --override-bound {raw!r}: {exc}") from None
+            raise _UsageError(f"bad --override-bound {_quote(raw)}: {exc}") from None
         report.tb[tid] = bound
     verdicts = set()
     results = _checks(lambda v: _check(dcp, report, v, args.max_steps),

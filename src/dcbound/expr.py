@@ -53,6 +53,7 @@ __all__ = [
     "minimum",
     "evaluate",
     "parse_expr",
+    "int_str",
     "is_provably_nonneg",
     "EvaluationError",
     "ExprParseError",
@@ -97,7 +98,7 @@ class IntConst(BoundExpr):
 
     @property
     def _str(self) -> str:  # type: ignore[override]
-        return str(self.value)
+        return int_str(self.value)
 
     @property
     def _nonneg(self) -> bool:  # type: ignore[override]
@@ -439,6 +440,23 @@ def _leaf_value(e: BoundExpr, valuation: Mapping[str, int]) -> int | None:
 _TOKEN_RE = re.compile(r"[ \t\n\r]*(?:(-?\d+)|(\w+)|([^ \t\n\r]))")
 
 _Token = tuple[str | None, str, int]  # (kind, text, offset); kind None ends input
+
+
+def int_str(value: int) -> str:
+    """str() of an integer. Past the digits str() converts, 4300 by
+    default, it converts in blocks of 4000 digits, so a computed integer of
+    any size prints."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    blocks = []
+    rest = abs(value)
+    while rest:
+        rest, low = divmod(rest, 10 ** 4000)
+        blocks.append(low)
+    head = ("-" if value < 0 else "") + str(blocks.pop())
+    return head + "".join(f"{b:04000d}" for b in reversed(blocks))
 
 
 def parse_int(text: str, error: str = "") -> int:

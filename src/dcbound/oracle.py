@@ -168,7 +168,8 @@ def _build(dcp: Dcp) -> _Program:
         elif isinstance(u.rhs, SymConst):
             src = param[u.rhs.name]
         else:
-            return slot[u.lhs], str(int(u.rhs.value) + off)
+            # hex: compile() refuses a decimal literal past 4300 digits
+            return slot[u.lhs], hex(int(u.rhs.value) + off)
         return slot[u.lhs], (src if not off else f"{src} + {off}" if off > 0
                              else f"{src} - {-off}")
 

@@ -166,3 +166,84 @@ def test_a_long_number_on_the_command_line_is_not_echoed(argv, message):
     assert err.splitlines()[-1] == (f"dcbound: error: {message}integer literal of "
                                     f"5000 digits is too long")
     assert len(err) < 1000  # the usage, if any, and that line
+
+
+def _cut(text: str) -> str:
+    return f"'{text[:60]}'... ({len(text)} characters)"
+
+
+L4400 = "7" * 4400
+
+
+@pytest.mark.parametrize("file, option, value, message", [
+    ("exampleB.dcp", "--assign", L4400,
+     f"bad assignment {_cut(L4400)}; expected NAME=VALUE"),
+    ("exampleB.dcp", "--assign", f"n=1,m{L4400}=2",
+     f"assignment {_cut(f'n=1,m{L4400}=2')}: {_cut('m' + L4400)} "
+     f"is not a constant of the program"),
+    ("exampleB.dcp", "--assign", "n=1,n=2" + L4400,
+     f"assignment {_cut('n=1,n=2' + L4400)} gives 'n' twice"),
+    ("exampleB.dcp", "--assign", "n=x" + L4400,
+     f"bad value in {_cut('n=x' + L4400)}"),
+    ("exampleB.dcp", "--assign", "n=-" + L4400[:4000],
+     f"constants are nonnegative; got {_cut('n=-' + L4400[:4000])}"),
+    ("example2.dcp", "--assign", "n=1" + " " * 4400,
+     f"assignment {_cut('n=1' + ' ' * 4400)} misses constants: m1, m2"),
+    ("exampleB.dcp", "--override-bound", f"t1{L4400}=1",
+     f"bad --override-bound {_cut(f't1{L4400}=1')}"),
+], ids=["no-equals", "unknown-name", "name-twice", "bad-value", "negative",
+        "missing", "override-bound"])
+def test_a_long_command_line_value_is_quoted_by_its_start(file, option, value, message):
+    code, err = run(["validate", str(DATA / file), option, value])
+    assert code == 1
+    assert err == f"dcbound: error: {message}\n"
+    assert len(err) < 300
+
+
+def _read_decimal(text: str) -> int:
+    """int() of a decimal numeral of any length, read 1000 digits at a time."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+NINES = "9" * 4300  # the longest literal Python converts by default
+BIG_SUM = f"""dcp
+vars: x
+entry: a
+exit: b
+trans t0: a -> b {{ x' <= {NINES} + {NINES}; }}
+"""
+BIG_SUM_VALUE = "1" + "9" * 4299 + "8"  # 2 * NINES, 4301 digits
+
+
+def _run_out(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dcbound(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_computed_integer_past_the_conversion_limit_prints(tmp_path):
+    # TB(t3) = n + n*n of a 2500-digit n has 5000 digits, more than str()
+    # converts
+    n = "7" * 2500
+    code, out, err = _run_out(["validate", str(DATA / "exampleB.dcp"), "--assign",
+                               "n=" + n, "--max-steps", "3000"])
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-1] == "PASS-PARTIAL"
+    t3 = next(line for line in out.splitlines() if line.startswith("t3 "))
+    *_, bound, status = t3.split()
+    assert _read_decimal(bound) == int(n) + int(n) ** 2 and status == "OK"
+
+    # a 4301-digit constant, printed as VB(x) and written into the oracle's
+    # kernel source
+    path = tmp_path / "bigsum.dcp"
+    path.write_text(BIG_SUM)
+    assert _run_out(["analyze", str(path), "--vb"]) == (
+        0, f"TB(t0) = 1\nVB(x) = {BIG_SUM_VALUE}\ncomplexity = 0\n", "")
+    assert _run_out(["validate", str(path)]) == (
+        0, f"# (no constants)\nt0  1  1  OK\n"
+           f"VB(x)  {BIG_SUM_VALUE}  {BIG_SUM_VALUE}  OK\nPASS\n", "")
