@@ -68,8 +68,8 @@ def _component_bounds(inner: list[Transition], starts: list[str],
     """Record the local bounds of the transitions inside one strongly
     connected component, trying the variables both guarded and decreased
     there, bar the excluded ones, in sorted order, so the smallest
-    qualifying name wins; and record
-    the exposed ones, whose visits start at `starts`, in `entries`."""
+    qualifying name wins; and record the exposed ones, whose visits start
+    at `starts`, in `entries`."""
     node: dict[str, int] = {}
     for t in inner:
         node.setdefault(t.source, len(node))

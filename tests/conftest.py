@@ -49,6 +49,17 @@ def load_prog(name: str):
     return parse_program((DATA / name).read_text())
 
 
+def read_decimal(text: str) -> int:
+    """int() of a decimal numeral of any length, read 1000 digits at a time
+    (str() and int() convert at most 4300 digits by default)."""
+    digits = text.removeprefix("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
 def by_id(program, tid: str):
     """The transition of `program` with id `tid`, by a scan."""
     return next(t for t in program.transitions if t.id == tid)

@@ -23,7 +23,7 @@ from dcbound.expr import (
 )
 from dcbound.program import LinExpr, parse_linexpr, parse_program
 
-from conftest import DATA, families
+from conftest import DATA, families, read_decimal
 from test_fuzz import _random_dcp_text
 
 N = SymConst("n")
@@ -520,16 +520,6 @@ def test_computed_bounds_read_back():
     assert checked > 2500
 
 
-def _read_decimal(text: str) -> int:
-    """int() of a decimal numeral of any length, read 1000 digits at a time."""
-    digits = text.removeprefix("-")
-    value = 0
-    for i in range(0, len(digits), 1000):
-        chunk = digits[i:i + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if text.startswith("-") else value
-
-
 @pytest.mark.parametrize("value", [
     0, 7, -7, 10 ** 4300 - 1, -10 ** 4300, 10 ** 8000 + 5, -7 * 10 ** 12345 - 3,
     3 ** 20000], ids=["0", "7", "-7", "4300 nines", "-10**4300", "10**8000+5",
@@ -540,5 +530,4 @@ def test_an_integer_past_the_conversion_limit_prints(value):
     assert str(IntConst(value)) == text
     digits = text.removeprefix("-")
     assert digits.isdigit() and (digits == "0" or digits[0] != "0")
-    assert _read_decimal(text) == value
-    assert expr.int_str(10 ** 8000 + 5) == "1" + "0" * 7999 + "5"
+    assert read_decimal(text) == value

@@ -26,6 +26,8 @@ import pytest
 
 from dcbound.cli import main as dcbound
 
+from conftest import read_decimal
+
 DATA = Path(__file__).parent / "data"
 LONG = "9" * 5000
 TOKENS = [LONG, "-" + LONG, "0", "1", "-1", "x", "n", "{", "}", ";", ":", ",", "(",
@@ -200,15 +202,6 @@ def test_a_long_command_line_value_is_quoted_by_its_start(file, option, value, m
     assert len(err) < 300
 
 
-def _read_decimal(text: str) -> int:
-    """int() of a decimal numeral of any length, read 1000 digits at a time."""
-    value = 0
-    for i in range(0, len(text), 1000):
-        chunk = text[i:i + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
-
-
 NINES = "9" * 4300  # the longest literal Python converts by default
 BIG_SUM = f"""dcp
 vars: x
@@ -236,7 +229,7 @@ def test_a_computed_integer_past_the_conversion_limit_prints(tmp_path):
     assert out.splitlines()[-1] == "PASS-PARTIAL"
     t3 = next(line for line in out.splitlines() if line.startswith("t3 "))
     *_, bound, status = t3.split()
-    assert _read_decimal(bound) == int(n) + int(n) ** 2 and status == "OK"
+    assert read_decimal(bound) == int(n) + int(n) ** 2 and status == "OK"
 
     # a 4301-digit constant, printed as VB(x) and written into the oracle's
     # kernel source
