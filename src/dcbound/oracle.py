@@ -9,15 +9,15 @@ It takes only programs that `validate` accepts and raises DcpError with
 a report's bounds with one exploration, under one valuation.
 
 Build once, bind per valuation. The one interpreter, explore(), runs on a
-view of the program that is built once per Dcp object: the last program
-built is kept with a reference to it, so every later call on the same
-object (one per valuation of a sweep) reuses it. The build gives
-each variable the slot of its place in `dcp.variables`, each location an
-index, and each transition the position of its place in `dcp.transitions`.
-It turns each location's outgoing transitions into one generated Python
-function, the location's kernel, and compiles all kernels once as one
-factory whose parameters are the symbolic constants. A valuation costs one
-factory call, which binds the constants and returns the kernels.
+view of the program that is built once per Dcp object and lives and dies
+with it, in its instance dict: every later call on the same object (one per
+valuation of a sweep) reuses it. The build gives each variable the slot of
+its place in `dcp.variables`, each location an index, and each transition
+the position of its place in `dcp.transitions`. It turns each location's
+outgoing transitions into one generated Python function, the location's
+kernel, and compiles all kernels once as one factory whose parameters are
+the symbolic constants. A valuation costs one factory call, which binds the
+constants and returns the kernels.
 
 A state is one flat tuple: the location's index, then each slot's value,
 None where the variable is undefined. This is one-to-one with the
@@ -102,6 +102,10 @@ Kernel = Callable[[State], list[State | None]]
 # a location's kernel output, the memo and the zero vector -> the location's
 # worst-case counts by transition position
 Fold = Callable[[list[State | None], dict, tuple[int, ...]], tuple[int, ...]]
+# a program built for the oracle: the defined slots of each location, the
+# entry's location index, the factory (constants in sym_consts order ->
+# kernels) and the fold of each location
+Build = tuple[tuple[tuple[int, ...], ...], int, Callable[..., tuple[Kernel, ...]], tuple[Fold, ...]]
 
 # Runs of copies at least this long become slices of the state. Per
 # successor, listing slots is cheaper up to about 30 of them (CPython 3.11:
@@ -122,31 +126,15 @@ class RunStats(Record):
         self.states = states
 
 
-class _Program:
-    """A program built for the oracle, once for all valuations."""
-
-    __slots__ = ("dcp", "defined", "entry", "factory", "folds")
-
-    def __init__(self, dcp: Dcp, defined: tuple[tuple[int, ...], ...], entry: int,
-                 factory: Callable[..., tuple[Kernel, ...]], folds: tuple[Fold, ...]):
-        self.dcp = dcp  # the program built, held so that its identity stays valid
-        self.defined = defined  # location index -> defined slots
-        self.entry = entry  # the entry's location index
-        self.factory = factory  # constants in sym_consts order -> kernels
-        self.folds = folds  # location index -> its fold
+def _program(dcp: Dcp) -> Build:
+    """_build(dcp), kept in dcp's instance dict as a cached_property is."""
+    built = vars(dcp).get("_oracle_build")
+    if built is None:
+        built = vars(dcp)["_oracle_build"] = _build(dcp)
+    return built
 
 
-_built: _Program | None = None
-
-
-def _program(dcp: Dcp) -> _Program:
-    global _built
-    if _built is None or _built.dcp is not dcp:
-        _built = _build(dcp)
-    return _built
-
-
-def _build(dcp: Dcp) -> _Program:
+def _build(dcp: Dcp) -> Build:
     require_valid(dcp)
     outgoing = [sorted(dcp.outgoing(loc), key=lambda t: t.id) for loc in dcp.locations]
     where = {loc: i for i, loc in enumerate(dcp.locations)}
@@ -228,10 +216,9 @@ def _build(dcp: Dcp) -> _Program:
     namespace = {"__builtins__": {}, "list": list, "tuple": tuple}
     exec(compile(source, "<dcbound.oracle kernels>", "exec"), namespace)
     defined = defined_at(dcp)
-    return _Program(dcp, tuple(tuple(slot[v] for v in defined[loc]) for loc in dcp.locations),
-                    where[dcp.entry], namespace["factory"],
-                    tuple(namespace[f"fold{len(ts)}"](*(pos[t.id] for t in ts))
-                          for ts in outgoing))
+    return (tuple(tuple(slot[v] for v in defined[loc]) for loc in dcp.locations),
+            where[dcp.entry], namespace["factory"],
+            tuple(namespace[f"fold{len(ts)}"](*(pos[t.id] for t in ts)) for ts in outgoing))
 
 
 def explore(dcp: Dcp, valuation: Mapping[str, int],
@@ -246,12 +233,11 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     `dcp` is a program that `validate` accepts (as `parse_dcp` and
     `abstract_program` return); any other raises DcpError.
     """
-    program = _program(dcp)
+    defined, entry, factory, folds = _program(dcp)
     missing = [c for c in dcp.sym_consts if c not in valuation]
     if missing:
         raise ValueError(f"valuation is missing constants: {', '.join(missing)}")
-    kernels = program.factory(*(valuation[c] for c in dcp.sym_consts))
-    defined, folds = program.defined, program.folds
+    kernels = factory(*(valuation[c] for c in dcp.sym_consts))
     zeros = (0,) * len(dcp.transitions)
     var_max: list[int | None] = [None] * len(dcp.variables)
     exhausted = True
@@ -261,7 +247,7 @@ def explore(dcp: Dcp, valuation: Mapping[str, int],
     # on the depth-first path (a successor found there closes a cycle)
     memo: dict[State, tuple[int, ...] | None] = {}
 
-    start: State = (program.entry,) + (None,) * len(dcp.variables)
+    start: State = (entry,) + (None,) * len(dcp.variables)
 
     # a tuple is a state to visit; a list is the kernel output of the state
     # directly beneath it, whose fold is due once the list is popped

@@ -3,12 +3,13 @@
 import gc
 import random
 import tracemalloc
+import weakref
 import zlib
 
 import pytest
 
 import dcbound.dcp
-from dcbound import expr
+from dcbound import expr, oracle
 from dcbound.abstraction import abstract_program
 from dcbound.dcp import Dcp, DcpError, DifferenceConstraint, Transition, \
     defined_at, parse_dcp, validate
@@ -649,3 +650,30 @@ def test_validity_is_decided_once_per_program(monkeypatch):
     verdicts = [check_soundness(d, report, {"n": k}).verdict for k in range(3)]
     assert worst(verdicts) is Verdict.PASS
     assert calls == [d]
+
+
+def test_the_build_lives_and_dies_with_its_program():
+    """The oracle keeps its build on the program it explores: the program
+    compares, hashes and prints as before, and a dropped program is freed."""
+    text = (DATA / "exampleB.dcp").read_text()
+    d = parse_dcp(text)
+    report = Analysis(d, AnalysisMode.CTX).report()
+    assert check_soundness(d, report, {"n": 2}).verdict is Verdict.PASS
+    fresh = parse_dcp(text)
+    assert (d == fresh, hash(d), repr(d)) == (True, hash(fresh), repr(fresh))
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_alternating_programs_are_built_once_each(monkeypatch):
+    calls = []
+    build = oracle._build
+    monkeypatch.setattr(oracle, "_build", lambda d: calls.append(d) or build(d))
+    programs = [load_dcp("exampleB.dcp"), load_dcp("example1.dcp")]
+    reports = [Analysis(d, AnalysisMode.CTX).report() for d in programs]
+    for _ in range(10):
+        for d, report in zip(programs, reports):
+            assert check_soundness(d, report, {"n": 2}).verdict is Verdict.PASS
+    assert [id(d) for d in calls] == [id(d) for d in programs]
