@@ -214,9 +214,8 @@ class _Reader:
         if arg[1] == "-":  # a unique prefix of a long option
             found = [(flags[f], f, value if eq else None)
                      for f in flags if f.startswith(flag)]
-        else:  # -oFILE
-            found = [(flags[f], f, arg[2:] if f == arg[:2] else None)
-                     for f in flags if f == arg[:2] or f.startswith(arg)]
+        else:  # -oFILE; every single-dash flag is one letter
+            found = [(flags[f], f, arg[2:]) for f in flags if f == arg[:2]]
         if len(found) > 1:
             self.fail(f"ambiguous option: {arg} could match "
                       f"{', '.join(f for _, f, _ in found)}")
@@ -623,7 +622,7 @@ def _cmd_resets(args) -> int:
         return EXIT_OK
     for v in args.var or dcp.variables:
         if v not in dcp.variables:
-            raise _UsageError(f"unknown variable {v!r}")
+            raise _UsageError(f"unknown variable {_quote(v)}")
         paths = optimal_reset_paths(dcp, reset.graph, v, args.max_reset_paths)
         print(f"R({v}):")
         for p in paths:

@@ -218,6 +218,16 @@ def test_error_wording(capsys, argv, prog, message):
     assert usage[0].startswith(f"usage: {prog} [-h] ")  # the usage of the reader that failed
 
 
+def test_every_single_dash_flag_is_one_letter():
+    """`_Reader.classify` reads a single-dash word by its first two
+    characters (`-oFILE`), which is argparse's reading only while no
+    single-dash flag has more than one letter."""
+    tables = [cli._TOP, *(options for _, options in cli._COMMANDS.values())]
+    single = {f for options in tables for o in options for f in o.flags
+              if not f.startswith("--")}
+    assert single and all(len(f) == 2 for f in single), single
+
+
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
 def test_usage_is_laid_out_as_argparse_lays_it_out(monkeypatch, capsys, command):
     monkeypatch.setenv("COLUMNS", "80")

@@ -177,26 +177,29 @@ def _cut(text: str) -> str:
 L4400 = "7" * 4400
 
 
-@pytest.mark.parametrize("file, option, value, message", [
-    ("exampleB.dcp", "--assign", L4400,
+@pytest.mark.parametrize("command, file, option, value, message", [
+    ("validate", "exampleB.dcp", "--assign", L4400,
      f"bad assignment {_cut(L4400)}; expected NAME=VALUE"),
-    ("exampleB.dcp", "--assign", f"n=1,m{L4400}=2",
+    ("validate", "exampleB.dcp", "--assign", f"n=1,m{L4400}=2",
      f"assignment {_cut(f'n=1,m{L4400}=2')}: {_cut('m' + L4400)} "
      f"is not a constant of the program"),
-    ("exampleB.dcp", "--assign", "n=1,n=2" + L4400,
+    ("validate", "exampleB.dcp", "--assign", "n=1,n=2" + L4400,
      f"assignment {_cut('n=1,n=2' + L4400)} gives 'n' twice"),
-    ("exampleB.dcp", "--assign", "n=x" + L4400,
+    ("validate", "exampleB.dcp", "--assign", "n=x" + L4400,
      f"bad value in {_cut('n=x' + L4400)}"),
-    ("exampleB.dcp", "--assign", "n=-" + L4400[:4000],
+    ("validate", "exampleB.dcp", "--assign", "n=-" + L4400[:4000],
      f"constants are nonnegative; got {_cut('n=-' + L4400[:4000])}"),
-    ("example2.dcp", "--assign", "n=1" + " " * 4400,
+    ("validate", "example2.dcp", "--assign", "n=1" + " " * 4400,
      f"assignment {_cut('n=1' + ' ' * 4400)} misses constants: m1, m2"),
-    ("exampleB.dcp", "--override-bound", f"t1{L4400}=1",
+    ("validate", "exampleB.dcp", "--override-bound", f"t1{L4400}=1",
      f"bad --override-bound {_cut(f't1{L4400}=1')}"),
+    ("resets", "exampleB.dcp", "--var", "x" * 4400,
+     f"unknown variable {_cut('x' * 4400)}"),
 ], ids=["no-equals", "unknown-name", "name-twice", "bad-value", "negative",
-        "missing", "override-bound"])
-def test_a_long_command_line_value_is_quoted_by_its_start(file, option, value, message):
-    code, err = run(["validate", str(DATA / file), option, value])
+        "missing", "override-bound", "resets-var"])
+def test_a_long_command_line_value_is_quoted_by_its_start(command, file, option, value,
+                                                          message):
+    code, err = run([command, str(DATA / file), option, value])
     assert code == 1
     assert err == f"dcbound: error: {message}\n"
     assert len(err) < 300
