@@ -118,6 +118,11 @@ class Dcp(Program):
     and `validate` are cached per instance too, and a transform builds a
     new instance. Resets and increments come from `build_reset_graph`."""
 
+    def __getstate__(self) -> dict:
+        # the fields only: what is cached on the instance, generated
+        # functions included (they do not pickle), is rebuilt on demand
+        return {f: getattr(self, f) for f in self._fields}
+
     @cached_property
     def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
         out: dict[str, list[Transition]] = {}

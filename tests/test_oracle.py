@@ -1,6 +1,7 @@
 """Exhaustive interpreter: tightness, dominance, and soundness checking."""
 
 import gc
+import pickle
 import random
 import tracemalloc
 import weakref
@@ -665,6 +666,17 @@ def test_the_build_lives_and_dies_with_its_program():
     del d
     gc.collect()
     assert ref() is None
+
+
+def test_an_explored_program_pickles_without_its_build():
+    """A caller may send an explored program to another process: the
+    pickle holds the program's fields, and the copy is built anew."""
+    d = load_dcp("exampleB.dcp")
+    report = Analysis(d, AnalysisMode.CTX).report()
+    before = check_soundness(d, report, {"n": 3})
+    sent = pickle.loads(pickle.dumps(d))
+    assert sent == d and "_oracle_build" not in vars(sent)
+    assert check_soundness(sent, report, {"n": 3}) == before
 
 
 def test_alternating_programs_are_built_once_each(monkeypatch):
