@@ -8,7 +8,12 @@ The result r differs from a norm by a constant exactly when both have the
 same coefficients, so r is matched by its coefficient tuple: against e
 itself, else against the first known norm with that tuple, and the offset
 is the difference of the constants. Otherwise its non-constant part enters
-the table one deeper than e and its constant becomes the offset. Norms over
+the table one deeper than e and its constant becomes the offset. Across a
+transition that assigns none of e's names (a havoc counts as an
+assignment), r is e: substitution replaces only assigned names, and no
+transition assigns a parameter. Such a pair is not executed; it gets e's
+one step e' <= e, and the DCP one `DifferenceConstraint` v' <= v per
+variable, shared by every transition that keeps its norm. Norms over
 parameters only become symbolic constants. Discovery never goes past
 depth limit + 1: a variable norm first found there is discarded, with one
 warning naming it, together with each constraint that finds it, and it is
@@ -200,13 +205,20 @@ def abstract_program(prog: ConcreteProgram,
     index = {e.coeffs: e for e in reversed(depth)}
     cut: set[LinExpr] = set()  # variable norms first found past the limit
 
-    # fixpoint: derive one constraint per (norm, transition)
+    # fixpoint: derive one constraint per (norm, transition); a transition
+    # that assigns none of the norm's names keeps it, so it is not executed
     constraints: dict[tuple[LinExpr, str], AbstractStep] = {}
+    assigned = [(t, {v for v, _ in t.updates}) for t in prog.transitions]
     queue = deque(depth)
     while queue:
         e = queue.popleft()
         d = depth[e] + 1  # the depth of a norm that e's constraints discover
-        for t in prog.transitions:
+        names = e.names
+        same = AbstractStep(rhs=e, offset=0)
+        for t, changed in assigned:
+            if names.isdisjoint(changed):
+                constraints[(e, t.id)] = same
+                continue
             step = abstract_transition(e, t, index)
             if step is None:
                 continue  # havoc: no constraint for this norm here
@@ -255,6 +267,8 @@ def abstract_program(prog: ConcreteProgram,
             return var_name[rhs]
         return SymConst(const_name[rhs])
 
+    # one v' <= v per variable, shared by the transitions that keep its norm
+    unchanged = {e: DifferenceConstraint(var_name[e], var_name[e], 0) for e in var_norms}
     transitions: list[Transition] = []
     for t in prog.transitions:
         facts = {f for rel in t.guard for f in rel.facts()}
@@ -263,8 +277,8 @@ def abstract_program(prog: ConcreteProgram,
             step = constraints.get((e, t.id))
             if step is None:
                 continue
-            ups.append(DifferenceConstraint(var_name[e], atom_of(step.rhs),
-                                            step.offset))
+            ups.append(unchanged[e] if step.rhs is e and step.offset == 0 else
+                       DifferenceConstraint(var_name[e], atom_of(step.rhs), step.offset))
         guard = tuple(sorted(var_name[e] for e in var_norms if e in facts))
         transitions.append(Transition(
             id=t.id, source=t.source, target=t.target, guard=guard,

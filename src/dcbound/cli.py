@@ -65,7 +65,7 @@ def _quote(text: str) -> str:
 def _count(text: str) -> int:
     """Converter of the cap and limit options: an integer of 0 or more. Its
     ValueError says what is wrong with the value."""
-    n = expr.parse_int(text, f"invalid int value: {text!r}")
+    n = expr.parse_int(text, f"invalid int value: {_quote(text)}")
     if n < 0:
         raise ValueError(f"must be 0 or more, got {n}")
     return n
@@ -302,7 +302,7 @@ class _Reader:
             except ValueError as exc:
                 self.fail(f"argument {option.name}: {exc}")
         if option.choices and value not in option.choices:
-            self.fail(f"argument {option.name}: invalid choice: {value!r} (choose "
+            self.fail(f"argument {option.name}: invalid choice: {_quote(value)} (choose "
                       f"from {', '.join(map(repr, option.choices))})")
         if option.excludes in seen:
             self.fail(f"argument {option.name}: not allowed with argument "
@@ -334,7 +334,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         top.fail("the following arguments are required: command")
     command = argv[at]
     if command not in _COMMANDS:
-        top.fail(f"argument command: invalid choice: {command!r} (choose from "
+        top.fail(f"argument command: invalid choice: {_quote(command)} (choose from "
                  f"{', '.join(map(repr, _COMMANDS))})")
     values = {"command": command, "file": None}
     for o in _COMMANDS[command][1]:

@@ -27,11 +27,17 @@ __all__ = [
 
 
 class LinExpr(Frozen):
-    """const + sum of coeff*name, with zero coefficients absent."""
+    """const + sum of coeff*name, with zero coefficients absent. Its hash,
+    that of (const, coeffs) as for any record, is stored when it is built:
+    the abstractor looks each norm up once per transition."""
 
     def __init__(self, const: int = 0, coeffs: tuple[tuple[str, int], ...] = ()):
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_hash", hash((const, coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_mapping(const: int, coeffs: Mapping[str, int]) -> "LinExpr":
@@ -97,9 +103,13 @@ class LinExpr(Frozen):
 
 class _Havoc(Frozen):
     """The right-hand side of `x := ?`. A record without fields, so every
-    instance is equal and hashes alike in every process."""
+    instance is equal and hashes alike in every process; it is tested by
+    identity, so it pickles as the name of the one instance."""
 
     def __repr__(self) -> str:
+        return "HAVOC"
+
+    def __reduce__(self) -> str:
         return "HAVOC"
 
 

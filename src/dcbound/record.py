@@ -6,8 +6,10 @@ that `==` and `hash` compare, and the repr `Name(field=value, ...)` in
 constructor order. `==` is true only for a record of the same class with an
 equal key; for an object of another class it returns NotImplemented, so a
 record never equals a tuple of its fields. A `Frozen` record is hashed by
-its key and refuses to assign or delete an attribute. A class overrides
-`_key` only to leave a field out of equality (a transition's `line`).
+its key, refuses to assign or delete an attribute, and pickles as a call of
+its class on its fields, so a stored hash is never carried into a process
+with another hash seed. A class overrides `_key` only to leave a field out
+of equality (a transition's `line`).
 
 A frozen record's `__init__` stores each field with `object.__setattr__`,
 which keeps the values inline in the instance (reading `self.__dict__`
@@ -64,6 +66,12 @@ class Frozen(Record):
 
     def __hash__(self) -> int:
         return hash(self._key)
+
+    def __reduce__(self) -> tuple:
+        # pickled as a call of the class on its fields: what __init__ or a
+        # cached_property stores beside them (a hash, an index, a generated
+        # function) is computed anew in the process that loads it
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -554,10 +554,25 @@ class RefUsageError(Exception):
     """A usage error of the reference parser; its message is argparse's."""
 
 
+def _ref_quote(text: str) -> str:
+    """A command-line value as dcbound's errors quote it: its repr, or past
+    60 characters the repr of its start and its length."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 class _RefParser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to status 2; dcbound uses 1
         self.print_usage(sys.stderr)
         raise RefUsageError(message)
+
+    def _check_value(self, action, value):
+        # argparse's wording, with the value quoted as dcbound quotes it
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_ref_quote(value)} (choose from "
+                        f"{', '.join(map(repr, action.choices))})")
 
 
 def _ref_count(text: str) -> int:
@@ -565,7 +580,7 @@ def _ref_count(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_ref_quote(text)}") from None
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
     return n

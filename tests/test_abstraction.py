@@ -9,6 +9,7 @@ import pytest
 from dcbound import abstraction
 from dcbound.abstraction import (
     AbstractionResult,
+    AbstractStep,
     abstract_program,
     abstract_transition,
     guess_norms,
@@ -20,7 +21,9 @@ from dcbound.expr import IntConst, SymConst
 from dcbound.program import HAVOC, LinExpr, parse_program
 
 from conftest import (
+    DATA,
     by_id,
+    families,
     guard_holds,
     lin_value,
     load_dcp,
@@ -874,3 +877,72 @@ def test_abstraction_matches_the_candidate_loop(monkeypatch):
                     and dropped.format(v) not in got.warnings)), p
                 guards += len(t.guard)
     assert guards > 100
+
+
+def _shortcut_programs():
+    """The `tests/data` inputs, prognest(2..7) and the random generators of
+    `test_abstraction_matches_the_candidate_loop`."""
+    from test_fuzz import _nested_counting_text
+
+    rng = random.Random(29)
+    texts = [families().prognest(k).text for k in range(2, 8)]
+    texts += [_random_prog_text(rng) for _ in range(40)]
+    texts += [_random_nested_prog_text(rng) for _ in range(30)]
+    texts += [_random_nested_prog_text(rng, locations=7, transitions=14, entries=3)
+              for _ in range(15)]
+    texts += [_nested_counting_text(rng) for _ in range(10)]
+    return ([load_prog(path.name) for path in sorted(DATA.glob("*.prog"))]
+            + [parse_program(t) for t in texts])
+
+
+def test_a_transition_that_assigns_none_of_a_norms_names_keeps_it(monkeypatch):
+    """The premise of `abstract_program`'s shortcut: across a transition
+    that assigns (or havocs) none of norm e's names, `abstract_transition`
+    gives e' <= e. Checked on every norm the fixpoint knows, those cut at
+    the depth limit included, and every such transition; the fixpoint
+    itself calls `abstract_transition` on none of these pairs, and on each
+    other pair at most once."""
+    real = abstraction.abstract_transition
+    pairs = 0
+    for p in _shortcut_programs():
+        for depth_limit in (1, 5):
+            norms = dict.fromkeys(guess_norms(p))
+            calls = []
+
+            def spy(e, t, index):
+                step = real(e, t, index)
+                calls.append((e, t.id))
+                norms[e] = None
+                if step is not None and not step.rhs.is_const:
+                    norms[step.rhs] = None
+                return step
+            with monkeypatch.context() as m:
+                m.setattr(abstraction, "abstract_transition", spy)
+                abstract_program(p, depth_limit)
+            assert len(set(calls)) == len(calls), p
+            called = set(calls)
+            index = {e.coeffs: e for e in reversed(norms)}
+            for e in norms:
+                for t in p.transitions:
+                    if e.names.isdisjoint(v for v, _ in t.updates):
+                        assert (e, t.id) not in called, p
+                        assert real(e, t, index) == AbstractStep(e, 0), (e, t)
+                        pairs += 1
+    assert pairs > 5000
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_a_kept_norm_shares_one_constraint(k):
+    """Each variable's v' <= v is one object on every transition that
+    assigns none of its norm's names, as the `.dcp` reader shares one
+    object per update text."""
+    p = parse_program(families().prognest(k).text)
+    result = abstract_program(p, keep_names=True)
+    concrete = {t.id: t for t in p.transitions}
+    shared = 0
+    for v, e in result.norm_vars.items():
+        kept = [u for t in result.dcp.transitions for u in t.updates
+                if u.lhs == v and e.names.isdisjoint(w for w, _ in concrete[t.id].updates)]
+        assert all(u is kept[0] and str(u) == f"{v}' <= {v}" for u in kept), v
+        shared += len(kept) > 1
+    assert shared >= k

@@ -218,6 +218,29 @@ def test_error_wording(capsys, argv, prog, message):
     assert usage[0].startswith(f"usage: {prog} [-h] ")  # the usage of the reader that failed
 
 
+LONG = "x" * 4400
+
+
+@pytest.mark.parametrize("argv", [
+    [LONG],
+    ["analyze", "a", "--mode", LONG],
+    ["validate", "a", f"--mode={LONG}"],
+    ["validate", "a", "--max-steps", LONG],
+    ["abstract", "a", "--abstraction-depth", LONG],
+    ["resets", "a", "--max-reset-paths", LONG],
+], ids=["command", "mode", "mode-equals", "max-steps", "abstraction-depth",
+        "max-reset-paths"])
+def test_a_long_value_is_quoted_by_its_start(capsys, argv):
+    """argparse's wording, but the value quoted as dcbound's own errors
+    quote it: a 4400-character value costs a few hundred bytes of stderr."""
+    kind, message = _reference(argv)
+    assert kind == "error" and "'... (4400 characters)" in message
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"dcbound: error: {message}"
+    assert len(err) < 600
+
+
 def test_every_single_dash_flag_is_one_letter():
     """`_Reader.classify` reads a single-dash word by its first two
     characters (`-oFILE`), which is argparse's reading only while no

@@ -10,6 +10,7 @@ compares, so only its starting state is.
 """
 
 import inspect
+import pickle
 import subprocess
 import sys
 from dataclasses import fields
@@ -230,6 +231,71 @@ def test_a_program_with_havoc_hashes_alike_in_every_process():
                                   "PYTHONHASHSEED": "0"}).stdout
               for _ in range(2)}
     assert len(hashes) == 1
+
+
+# a pickle of expressions, norms and programs, loaded by _LOAD and checked
+# against the same values built in the loading process
+_DUMP = """
+import pickle, sys
+from pathlib import Path
+from dcbound.abstraction import guess_norms
+from dcbound.dcp import parse_dcp
+from dcbound.expr import SymConst, parse_expr
+from dcbound.program import parse_program
+data = Path(sys.argv[1])
+prog = parse_program((data / "example3.prog").read_text())
+sys.stdout.buffer.write(pickle.dumps((
+    SymConst("n"), parse_expr("n*n + n"), guess_norms(prog), prog,
+    parse_dcp((data / "exampleB.dcp").read_text()))))
+"""
+_LOAD = """
+import pickle, sys
+from pathlib import Path
+from dcbound.abstraction import abstract_program, guess_norms
+from dcbound.dcp import format_dcp, parse_dcp
+from dcbound.engine import Analysis, AnalysisMode
+from dcbound.expr import SymConst, parse_expr
+from dcbound.program import parse_program
+data = Path(sys.argv[1])
+n, e, norms, prog, d = pickle.loads(sys.stdin.buffer.read())
+fresh_prog = parse_program((data / "example3.prog").read_text())
+fresh_d = parse_dcp((data / "exampleB.dcp").read_text())
+assert n in {SymConst("n")}
+assert e == parse_expr("n*n + n") and e in {parse_expr("n*n + n")}
+assert norms == guess_norms(fresh_prog) and set(norms) <= set(guess_norms(fresh_prog))
+assert prog == fresh_prog and prog in {fresh_prog}
+def atoms(d):
+    return [u.rhs for t in d.transitions for u in t.updates if not isinstance(u.rhs, str)]
+assert atoms(d) and all(a in set(atoms(fresh_d)) for a in atoms(d))
+assert d == fresh_d and d in {fresh_d}
+assert format_dcp(abstract_program(prog).dcp) == format_dcp(abstract_program(fresh_prog).dcp)
+for mode in AnalysisMode:
+    assert Analysis(d, mode).report() == Analysis(fresh_d, mode).report()
+"""
+
+
+def test_a_pickle_loads_under_another_hash_seed():
+    """Records that store their hash are rebuilt from their fields when
+    unpickled, so the hash is that of the loading process."""
+    def run(code, seed, **kwargs):
+        return subprocess.run([sys.executable, "-S", "-c", code, str(DATA)],
+                              capture_output=True, check=True, **kwargs,
+                              env={"PYTHONPATH": str(ROOT / "src"),
+                                   "PYTHONHASHSEED": seed}).stdout
+    data = run(_DUMP, "0")
+    assert run(_LOAD, "0", input=data) == b""
+    assert run(_LOAD, "1", input=data) == b""
+
+
+@pytest.mark.parametrize("cls", COMPARED, ids=lambda c: c.__name__)
+def test_a_record_pickles_by_value(cls, pool):
+    for x in pool[cls]:
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is cls and y == x and _hash(y) == _hash(x)
+
+
+def test_havoc_unpickles_as_itself():
+    assert pickle.loads(pickle.dumps(HAVOC)) is HAVOC
 
 
 # the only places a record class writes its own key or repr: the repr of a
